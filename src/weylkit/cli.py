@@ -8,10 +8,13 @@ subcommand, malformed input, size cap exceeded).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
+import stat
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -66,7 +69,6 @@ class RunConfig:
     verify_size_cap: int = 5
     verify_entry_cap: int = 3
     max_entries: int = 9
-    jobs: int = 1
 
     @classmethod
     def from_env(cls) -> "RunConfig":
@@ -539,6 +541,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_mode(path: str) -> int:
+    """Permissions of ``path``, or those ``open(path, "w")`` would create it with."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mask = os.umask(0)
+        os.umask(mask)
+        return 0o666 & ~mask
+
+
+def _run_to_file(path: str, run) -> int:
+    """Call ``run`` with stdout sent to ``path``, which changes only on exit 0 or 1.
+
+    The output goes to a temp file beside ``path`` that replaces it once
+    ``run`` returns 0 or 1.  On any other exit code, or an exception, the
+    temp file is deleted and ``path`` is left as it was.
+    """
+    target = os.path.abspath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp"
+        )
+    except OSError as exc:
+        raise CliError(f"cannot write --output {path!r}: {exc.strerror}") from exc
+    try:
+        with os.fdopen(fd, "w") as handle, contextlib.redirect_stdout(handle):
+            code = run()
+        if code in (0, 1):
+            os.chmod(tmp, _file_mode(target))
+            os.replace(tmp, target)
+            tmp = None
+        return code
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)
+
+
 def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
@@ -546,13 +585,10 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        cfg = RunConfig.from_env()
         if args.output:
-            import contextlib
-
-            with open(args.output, "w") as handle:
-                with contextlib.redirect_stdout(handle):
-                    return args.func(args, RunConfig.from_env())
-        return args.func(args, RunConfig.from_env())
+            return _run_to_file(args.output, lambda: args.func(args, cfg))
+        return args.func(args, cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,18 @@
 """Exact linear algebra helpers for small instances: no floating point.
 
 Rank is computed by incremental Gaussian elimination on sparse dict rows
-over an exact field (the rationals, or a prime residue field).  Smith
-normal form works on dense integer matrices and is used only to certify
-that relation lattices are direct summands (all elementary divisors 1).
+over an exact field (the rationals, or a prime residue field).
+
+Over the integers a relation lattice is certified a direct summand by
+unitriangular pivots: for each label outside the semistandard basis, one
+relation whose coefficient on that label is a unit and whose other labels
+all sort strictly below it (:func:`leading_coefficient`).  The N pivot rows
+are then unitriangular on the N non-basis columns, so their Z-span is
+saturated and the basis vectors complete it to a basis of the whole
+lattice; if in addition the rational rank of all the relations is N, every
+integer relation lies in that span, which is a direct summand.  Smith
+normal form on dense integer matrices (:func:`smith_elementary_divisors`)
+proves the same thing far more slowly and is kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -114,8 +123,24 @@ def solve_exact(columns: list[dict], target: dict, nrows_hint=None) -> list[Frac
     return solution
 
 
+def leading_coefficient(element, label, key):
+    """Coefficient of ``label`` in ``element`` when every other label sorts below it.
+
+    ``key`` maps a label to its sort key.  Returns ``None`` when some other
+    label of the element does not sort strictly below ``label``.
+    """
+    top = key(label)
+    if any(key(u) >= top for u in element.labels() if u != label):
+        return None
+    return element.coeff(label)
+
+
 def smith_elementary_divisors(rows: list[dict[int, int]], ncols: int) -> list[int]:
-    """Nonzero elementary divisors (in divisibility order) of an integer matrix."""
+    """Nonzero elementary divisors (in divisibility order) of an integer matrix.
+
+    Dense and slow; the verify paths use unitriangular pivots instead, and
+    the tests use this as the oracle those pivots must agree with.
+    """
     mat = [[0] * ncols for _ in rows]
     for r, row in enumerate(rows):
         for c, v in row.items():

@@ -248,6 +248,68 @@ def test_output_file_option(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"ssyt": 2, "rssyt": 6, "csyt": 2}
 
 
+BAD_STRAIGHTEN = ["straighten", "--tableau", "[[2,1]", "--entries", "2"]
+
+
+def test_output_not_created_on_usage_error(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    assert dispatch(["--output", str(target), *BAD_STRAIGHTEN]) == 2
+    assert "malformed tableau" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_kept_on_usage_error(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("previous result\n")
+    assert dispatch(["--output", str(target), *BAD_STRAIGHTEN]) == 2
+    assert target.read_text() == "previous result\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert dispatch(["--output", str(target), "dims", "--shape", "2,1", "--entries", "2"]) == 2
+    assert "cannot write --output" in capsys.readouterr().err
+
+
+def test_output_kept_when_the_handler_raises(tmp_path, monkeypatch):
+    import weylkit.cli as cli
+
+    def broken(*args):
+        print("partial")
+        raise RuntimeError("library bug")
+
+    monkeypatch.setattr(cli, "count_tableaux", broken)
+    target = tmp_path / "dims.json"
+    target.write_text("previous result\n")
+    with pytest.raises(RuntimeError, match="library bug"):
+        dispatch(["--output", str(target), "dims", "--shape", "2,1", "--entries", "2"])
+    assert target.read_text() == "previous result\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_output_replaced_on_failed_check(tmp_path, monkeypatch):
+    import weylkit.cli as cli
+
+    monkeypatch.setattr(cli, "verify_weyl_kernel", lambda *args: {"ok": False, "checks": []})
+    target = tmp_path / "report.json"
+    target.write_text("previous result\n")
+    target.chmod(0o640)
+    code = dispatch(["--output", str(target), "weyl-verify", "--shape", "2,1", "--entries", "2"])
+    assert code == 1
+    assert json.loads(target.read_text()) == {"ok": False, "checks": []}
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_output_file_gets_default_permissions(tmp_path):
+    reference = tmp_path / "reference"
+    reference.write_text("")
+    target = tmp_path / "dims.json"
+    assert dispatch(["--output", str(target), "dims", "--shape", "2,1", "--entries", "2"]) == 0
+    assert target.stat().st_mode == reference.stat().st_mode
+
+
 def test_shape_flag_validated_on_element_ops(capsys):
     code = dispatch(
         ["copolytabloid", "--shape", "3,1", "--tableau", "[[2,1],[1,2]]", "--entries", "2"]

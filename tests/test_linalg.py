@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from weylkit.coeffs import QQ, ZZ, integers_mod
-from weylkit.linalg import rank_of_rows, smith_elementary_divisors, solve_exact
+from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
+from weylkit.linalg import leading_coefficient, rank_of_rows, smith_elementary_divisors, solve_exact
 
 
 class TestRank:
@@ -58,6 +59,34 @@ class TestSmith:
         # rows span an index-5 sublattice of Z^2
         rows = [{0: 1, 1: 2}, {0: 2, 1: -1}]
         assert smith_elementary_divisors(rows, 2) == [1, 5]
+
+    def test_agrees_with_sympy_invariant_factors(self):
+        pytest.importorskip("sympy")
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(2508)
+        values = (0, 0, 0, -4, -3, -2, -1, 1, 2, 3, 4, 6)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            dense = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+            rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+            expected = [abs(int(d)) for d in invariant_factors(Matrix(dense)) if d != 0]
+            assert smith_elementary_divisors(rows, ncols) == expected, dense
+
+
+class TestLeadingCoefficient:
+    def test_unit_on_the_greatest_label(self):
+        element = LinComb(ZZ, {5: 1, 3: -2, 1: 7})
+        assert leading_coefficient(element, 5, key=lambda u: u) == 1
+
+    def test_rejects_a_label_not_strictly_below(self):
+        element = LinComb(ZZ, {5: 1, 3: -2, 1: 7})
+        assert leading_coefficient(element, 3, key=lambda u: u) is None
+        assert leading_coefficient(element, 5, key=lambda u: u % 2) is None
+
+    def test_absent_label_reads_zero(self):
+        assert leading_coefficient(LinComb(ZZ, {1: 4}), 2, key=lambda u: u) == 0
 
 
 class TestSolve:

@@ -16,6 +16,8 @@ from weylkit.schur import (
 )
 from weylkit.tableaux import ALL, Tableau, enumerate_tableaux, partitions_up_to, sort_columns, sort_rows
 
+from smith_oracle import schur_relation_rows, smith_verdict
+
 T = Tableau
 
 
@@ -153,15 +155,17 @@ class TestVerify:
     def test_integer_ring_adds_divisor_certificate(self):
         report = verify_schur_ses((2, 2), 2, ZZ)
         assert report["ok"]
-        assert all(d == 1 for d in report["ranks"]["garnir_elementary_divisors"])
+        assert report["ranks"]["garnir_certificate"] == {"pivots": report["ranks"]["garnir_span"]}
+        assert smith_verdict(*schur_relation_rows((2, 2), 2), (2, 2), 2)
 
     def test_relation_lattice_unit_divisors_sweep(self):
         for shape in partitions_up_to(4):
             for m in (1, 2):
                 report = verify_schur_ses(shape, m, ZZ)
                 assert report["ok"], (shape, m)
-                divisors = report["ranks"]["garnir_elementary_divisors"]
-                assert all(d == 1 for d in divisors)
+                certificate = report["ranks"]["garnir_certificate"]
+                assert certificate == {"pivots": report["ranks"]["garnir_span"]}, (shape, m)
+                assert smith_verdict(*schur_relation_rows(shape, m), shape, m), (shape, m)
 
     def test_caps(self):
         with pytest.raises(SizeCapExceeded):
