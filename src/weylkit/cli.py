@@ -23,7 +23,6 @@ from .duality import (
     POLYTABLOID_MAP,
     WEDGE_MAP,
     EntryMatrix,
-    entry_action,
     equivariance_counterexample,
     pairing_image,
 )
@@ -556,7 +555,8 @@ def _run_to_file(path: str, run) -> int:
 
     The output goes to a temp file beside ``path`` that replaces it once
     ``run`` returns 0 or 1.  On any other exit code, or an exception, the
-    temp file is deleted and ``path`` is left as it was.
+    temp file is deleted and ``path`` is left as it was.  A replace that
+    fails (say, because ``path`` is a directory) is a usage error.
     """
     target = os.path.abspath(path)
     try:
@@ -570,7 +570,10 @@ def _run_to_file(path: str, run) -> int:
             code = run()
         if code in (0, 1):
             os.chmod(tmp, _file_mode(target))
-            os.replace(tmp, target)
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise CliError(f"cannot write --output {path!r}: {exc.strerror}") from exc
             tmp = None
         return code
     finally:

@@ -204,6 +204,22 @@ class LinComb:
     def zero(cls, ring: CoefficientRing) -> "LinComb":
         return cls(ring)
 
+    @classmethod
+    def linear_combination(cls, ring: CoefficientRing, pairs) -> "LinComb":
+        """Sum of c * lin over the (c, lin) pairs, accumulated in one dict.
+
+        Each lin is over ``ring`` or over the integers; integral terms pass
+        through the canonical map Z -> ring.  Coefficients are reduced once,
+        at the end, which gives the same element as reducing every step.
+        """
+        acc: dict = {}
+        for c, lin in pairs:
+            if lin.ring != ring and lin.ring != ZZ:
+                raise ValueError("ring mismatch")
+            for label, v in lin._terms.items():
+                acc[label] = acc.get(label, 0) + c * v
+        return cls(ring, acc)
+
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -256,13 +272,13 @@ class LinComb:
 
     def map_labels(self, f) -> "LinComb":
         """Linear extension of a basis map: f(label) must return a LinComb."""
-        out = LinComb(self.ring)
+        images = []
         for label, c in self._terms.items():
             image = f(label)
             if image.ring != self.ring:
                 raise ValueError("ring mismatch")
-            out = out.combine(image, 1, c)
-        return out
+            images.append((c, image))
+        return LinComb.linear_combination(self.ring, images)
 
     def change_ring(self, target: CoefficientRing) -> "LinComb":
         """Push integral coefficients through the canonical map Z -> target."""

@@ -7,31 +7,35 @@ every polytabloid of a column-standard tableau.  For row-sorted t this
 image coincides with the copolytabloid of t, which ``pairing_image`` makes
 checkable instance by instance.
 
-Group elements act as invertible matrices on the entry alphabet, extended
-multilinearly over the boxes; the induced actions on the quotient and
-subspace models are computed through their tensor representatives.
+Group elements act as invertible matrices on the entry alphabet.  On pure
+tensors the action is the multilinear one, box by box.  Each quotient or
+subspace model gets its functorial action instead, computed without leaving
+its own basis: the exterior power of g on each column of a column tabloid,
+the symmetric power on each row of a row tabloid, and the divided power on
+each row of a row-symmetrised coordinate label.  Every coefficient is an
+integer polynomial in the entries of g, so the actions are exact over
+every coefficient ring, Z/n included.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from itertools import combinations_with_replacement, product
+from math import gcd, prod
 
 from .coeffs import QQ, ZZ, CoefficientRing, LinComb
 from .linalg import solve_exact
+from .places import multiset_permutations
 from .powers import (
     ColumnTabloidElement,
     RowTabloidElement,
     SymLowerElement,
     TableauElement,
     TensorElement,
-    rsym,
-    sym_lower_coords,
-    sym_lower_expand,
-    to_row_tabloid,
-    wedge_project,
+    wedge_of_sym_lower,
 )
 from .schur import apply_polytabloid_map, polytabloid
 from .tableaux import (
@@ -75,9 +79,12 @@ class EntryMatrix:
     Entry ``(a, b)`` (1-based) is the coefficient of basis vector a in the
     image of basis vector b.  Over the integers the determinant must be
     +-1; over Z/n it must be a unit; over the rationals, nonzero.
+
+    The images of single columns and rows under the induced actions are
+    memoised on the instance, since one matrix acts on many labels.
     """
 
-    __slots__ = ("ring", "entries", "size")
+    __slots__ = ("ring", "entries", "size", "_images")
 
     def __init__(self, ring: CoefficientRing, entries):
         rows = tuple(tuple(ring.normalize(v) for v in row) for row in entries)
@@ -87,6 +94,7 @@ class EntryMatrix:
         self.ring = ring
         self.entries = rows
         self.size = m
+        self._images: dict = {}
         det = self._det()
         if not self._det_is_unit(det):
             raise ValueError("non-invertible entry matrix")
@@ -183,26 +191,113 @@ def _act_on_label(t: Tableau, g: EntryMatrix) -> LinComb:
     return LinComb(ring, terms)
 
 
+def _reduced(ring: CoefficientRing, acc: dict) -> tuple[tuple, tuple]:
+    """The keys and the ring-reduced values of the nonzero terms of a dict."""
+    keys, values = [], []
+    for key, value in acc.items():
+        value = ring.normalize(value)
+        if value != 0:
+            keys.append(key)
+            values.append(value)
+    return tuple(keys), tuple(values)
+
+
+def _wedge_image(g: EntryMatrix, column: tuple[int, ...]) -> tuple:
+    """The exterior power of g on one strictly increasing column.
+
+    Returns the increasing tuples d with a nonzero minor det g[d, column],
+    and those minors.  The minors come from the wedge product
+    g e_{c_1} ^ ... ^ g e_{c_k}, taken one factor at a time: putting e_a
+    after e_d costs the sign of the entries of d above a.
+    """
+    partial: dict[tuple[int, ...], object] = {(): 1}
+    for c in column:
+        image = [(a, row[c - 1]) for a, row in enumerate(g.entries, 1) if row[c - 1] != 0]
+        new: dict[tuple[int, ...], object] = {}
+        for d, v in partial.items():
+            for a, gv in image:
+                pos = bisect_right(d, a)
+                if pos and d[pos - 1] == a:
+                    continue
+                key = d[:pos] + (a,) + d[pos:]
+                term = v * gv if (len(d) - pos) % 2 == 0 else -v * gv
+                new[key] = new.get(key, 0) + term
+        partial = new
+    return _reduced(g.ring, partial)
+
+
+def _row_image(g: EntryMatrix, row: tuple[int, ...], divided: bool) -> tuple:
+    """The symmetric (or, when divided, the divided) power of g on one sorted row.
+
+    The coefficient of a sorted s is the sum over the distinct arrangements
+    w of s of prod g[w_i, row_i]; in the divided power it is the sum over
+    the distinct arrangements v of the row of prod g[s_i, v_i].
+    """
+    entries = g.entries
+    acc = {}
+    for s in combinations_with_replacement(range(1, g.size + 1), len(row)):
+        if divided:
+            pairs = ((s, v) for v in multiset_permutations(row))
+        else:
+            pairs = ((w, row) for w in multiset_permutations(s))
+        acc[s] = sum(prod(entries[a - 1][b - 1] for a, b in zip(x, y)) for x, y in pairs)
+    return _reduced(g.ring, acc)
+
+
+def _part_image(g: EntryMatrix, space: str, part: tuple[int, ...]) -> tuple:
+    key = (space, part)
+    image = g._images.get(key)
+    if image is None:
+        if space == ColumnTabloidElement.space:
+            image = _wedge_image(g, part)
+        else:
+            image = _row_image(g, part, space == SymLowerElement.space)
+        g._images[key] = image
+    return image
+
+
+def _functorial_action(x: TableauElement, g: EntryMatrix) -> LinComb:
+    """Act on each column (exterior power) or each row (symmetric powers) apart."""
+    by_columns = isinstance(x, ColumnTabloidElement)
+    acc: dict[tuple[tuple[int, ...], ...], object] = {}
+    for t, c in x.lin.items():
+        if by_columns:
+            ncols = t.shape[0] if t.shape else 0
+            parts = [t.column_entries(j) for j in range(1, ncols + 1)]
+        else:
+            parts = t.rows
+        images = [_part_image(g, x.space, part) for part in parts]
+        keys = product(*(image_keys for image_keys, _ in images))
+        values = product(*(image_values for _, image_values in images))
+        for key, factors in zip(keys, values):
+            acc[key] = acc.get(key, 0) + c * prod(factors)
+    shape = x.shape
+    terms = []
+    for parts, coeff in acc.items():
+        if by_columns:
+            parts = tuple(tuple(parts[j][i] for j in range(n)) for i, n in enumerate(shape))
+        terms.append((Tableau._fresh(parts), coeff))
+    return LinComb(x.ring, terms)
+
+
 def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
-    """Entrywise matrix action on any element type, landing in the same space."""
+    """Entrywise matrix action on any element type, landing in the same space.
+
+    A tensor is acted on box by box.  A column tabloid is acted on through
+    the exterior power of g on each column, a row tabloid through the
+    symmetric power of g on each row, and row-symmetrised coordinates
+    through the divided power of g on each row.
+    """
     if x.ring != g.ring:
         raise ValueError("ring mismatch")
     for t in x.labels():
         if t.max_entry > g.size:
             raise ValueError("entry matrix too small for the element's alphabet")
-    if isinstance(x, SymLowerElement):
-        acted = entry_action(sym_lower_expand(x), g)
-        return sym_lower_coords(acted)
-    moved = LinComb.zero(x.ring)
-    for t, c in x.lin.items():
-        moved = moved.combine(_act_on_label(t, g), 1, c)
-    tensor = TensorElement(moved)
     if isinstance(x, TensorElement):
-        return tensor
-    if isinstance(x, RowTabloidElement):
-        return to_row_tabloid(tensor)
-    if isinstance(x, ColumnTabloidElement):
-        return wedge_project(tensor)
+        pairs = ((c, _act_on_label(t, g)) for t, c in x.lin.items())
+        return TensorElement(LinComb.linear_combination(x.ring, pairs))
+    if isinstance(x, (ColumnTabloidElement, RowTabloidElement, SymLowerElement)):
+        return type(x)(_functorial_action(x, g))
     raise TypeError(f"unsupported element type {type(x).__name__}")
 
 
@@ -320,8 +415,8 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
         raise ValueError("entry matrix too small for the alphabet")
     if which == WEDGE_MAP:
         for t in enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD):
-            source = rsym(t, g.ring)
-            lhs = wedge_project(entry_action(source, g))
+            source = SymLowerElement(LinComb(g.ring, {t: 1}))
+            lhs = wedge_of_sym_lower(entry_action(source, g))
             rhs = entry_action(copolytabloid(t, g.ring), g)
             if lhs != rhs:
                 return {"tableau": t.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}

@@ -72,14 +72,6 @@ def rank_of_rows(rows, ring: CoefficientRing) -> int:
     return rank
 
 
-def indexed_rows(elements, basis_index: dict) -> list[dict[int, object]]:
-    """Convert labeled elements into integer-indexed sparse rows."""
-    out = []
-    for el in elements:
-        out.append({basis_index[label]: coeff for label, coeff in el.items()})
-    return out
-
-
 def solve_exact(columns: list[dict], target: dict, nrows_hint=None) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target exactly over the rationals.
 

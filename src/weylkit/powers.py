@@ -193,10 +193,8 @@ def sym_lower_coords(x: TensorElement) -> SymLowerElement:
 
 def sym_lower_expand(x: SymLowerElement) -> TensorElement:
     """The symmetric tensor with the given row-symmetrised coordinates."""
-    out = LinComb.zero(x.ring)
-    for t, c in x.lin.items():
-        out = out.combine(rsym(t, x.ring).lin, 1, c)
-    return TensorElement(out)
+    pairs = ((c, rsym(t).lin) for t, c in x.lin.items())
+    return TensorElement(LinComb.linear_combination(x.ring, pairs))
 
 
 @cache
@@ -214,10 +212,5 @@ def _wedge_of_rsym_int(t_sorted: Tableau) -> LinComb:
 
 def wedge_of_sym_lower(x: SymLowerElement) -> ColumnTabloidElement:
     """Wedge projection of a symmetric tensor given by its coordinates."""
-    acc = LinComb.zero(x.ring)
-    for t, c in x.lin.items():
-        expansion = _wedge_of_rsym_int(t)
-        if x.ring != ZZ:
-            expansion = expansion.change_ring(x.ring)
-        acc = acc.combine(expansion, 1, c)
-    return ColumnTabloidElement(acc)
+    pairs = ((c, _wedge_of_rsym_int(t)) for t, c in x.lin.items())
+    return ColumnTabloidElement(LinComb.linear_combination(x.ring, pairs))

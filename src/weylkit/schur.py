@@ -81,13 +81,8 @@ def polytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> RowTabloidElement:
 
 def apply_polytabloid_map(x: ColumnTabloidElement) -> RowTabloidElement:
     """Linear extension of column tabloid -> polytabloid."""
-    out = LinComb.zero(x.ring)
-    for t, c in x.lin.items():
-        lin = _polytabloid_int(t)
-        if x.ring != ZZ:
-            lin = lin.change_ring(x.ring)
-        out = out.combine(lin, 1, c)
-    return RowTabloidElement(out)
+    pairs = ((c, _polytabloid_int(t)) for t, c in x.lin.items())
+    return RowTabloidElement(LinComb.linear_combination(x.ring, pairs))
 
 
 @dataclass(frozen=True)

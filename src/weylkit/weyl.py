@@ -239,10 +239,8 @@ class StraighteningCertificate:
 
     def gamma_combination(self) -> SymLowerElement:
         ring = self.source.ring
-        out = LinComb.zero(ring)
-        for t, i, j, jp, coeff in self.gamma:
-            out = out.combine(dual_snake(t, i, j, jp, ring).element.lin, 1, coeff)
-        return SymLowerElement(out)
+        pairs = ((coeff, dual_snake(t, i, j, jp).element.lin) for t, i, j, jp, coeff in self.gamma)
+        return SymLowerElement(LinComb.linear_combination(ring, pairs))
 
     def residual(self) -> SymLowerElement:
         """source - coords + gamma combination; zero for a valid certificate."""

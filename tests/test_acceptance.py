@@ -249,6 +249,7 @@ def _random_unimodular(rng, m):
 
 
 def test_criterion_08_equivariance():
+    started = time.perf_counter()
     failures = 0
     checked = 0
     for shape in partitions_up_to(4):
@@ -262,7 +263,9 @@ def test_criterion_08_equivariance():
                     checked += 1
                     if equivariance_counterexample(shape, m, g, which) is not None:
                         failures += 1
-    report(8, failures == 0, f"projection maps commute with {checked} matrix actions")
+    elapsed = time.perf_counter() - started
+    ok = failures == 0 and elapsed < 60.0
+    report(8, ok, f"projection maps commute with {checked} matrix actions ({elapsed:.1f}s < 60s)")
 
 
 def test_criterion_09_distinct_entry_specialization():

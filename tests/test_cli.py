@@ -272,6 +272,15 @@ def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert "cannot write --output" in capsys.readouterr().err
 
 
+def test_output_naming_a_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.mkdir()
+    assert dispatch(["--output", str(target), "dims", "--shape", "2,1", "--entries", "2"]) == 2
+    assert "cannot write --output" in capsys.readouterr().err
+    assert target.is_dir() and list(target.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_output_kept_when_the_handler_raises(tmp_path, monkeypatch):
     import weylkit.cli as cli
 

@@ -88,6 +88,16 @@ class TestMapLabels:
         assert x.map_labels(lambda l: lc(ZZ, {"w": 1})) == lc(ZZ, {"w": 2})
 
 
+class TestLinearCombination:
+    def test_integral_terms_pass_to_the_ring(self):
+        pairs = [(1, lc(ZZ, {"u": 4, "v": 1})), (2, lc(Z3, {"v": 1}))]
+        assert LinComb.linear_combination(Z3, pairs) == lc(Z3, {"u": 1})
+
+    def test_ring_mismatch(self):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            LinComb.linear_combination(Z3, [(1, lc(QQ, {"u": 1}))])
+
+
 class TestChangeRing:
     def test_multiple_of_three_dies_mod_three(self):
         assert lc(ZZ, {"w": 3}).change_ring(Z3).is_zero
@@ -148,3 +158,14 @@ def test_json_round_trip():
         obj = x.to_json(lambda l: l)
         assert LinComb.from_json(obj, lambda l: l) == x
         assert json.loads(json.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, integers_mod(6)], ids=lambda r: r.tag)
+@given(pairs=st.lists(st.tuples(small_scalars, small_lincombs), max_size=5))
+def test_linear_combination_matches_repeated_combine(ring, pairs):
+    lifted = [(c, lin if ring == ZZ else lin.change_ring(ring)) for c, lin in pairs]
+    expected = LinComb.zero(ring)
+    for c, lin in lifted:
+        expected = expected.combine(lin, 1, c)
+    assert LinComb.linear_combination(ring, lifted) == expected
+    assert LinComb.linear_combination(ring, pairs) == expected

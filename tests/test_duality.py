@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import permutations as iperms
 
 import pytest
 
+import weylkit.duality as duality
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
 from weylkit.duality import (
     POLYTABLOID_MAP,
@@ -22,10 +24,15 @@ from weylkit.powers import (
     SymLowerElement,
     TensorElement,
     rsym,
+    sym_lower_coords,
+    sym_lower_expand,
+    to_row_tabloid,
     wedge_of_sym_lower,
+    wedge_project,
 )
 from weylkit.schur import polytabloid
 from weylkit.tableaux import (
+    COLUMN_STANDARD,
     ROW_SEMISTANDARD,
     SEMISTANDARD,
     Tableau,
@@ -48,6 +55,40 @@ def random_unimodular(rng, m, ring=ZZ):
     pmat = [[signs[i] if perm[i] == j else 0 for j in range(m)] for i in range(m)]
     product = EntryMatrix(ring, upper).compose(EntryMatrix(ring, lower)).compose(EntryMatrix(ring, pmat))
     return product
+
+
+RING_UNITS = {
+    "z": (1, -1),
+    "q": (Fraction(1, 2), Fraction(-3), Fraction(2, 5)),
+    "zmod:2": (1,),
+    "zmod:6": (1, 5),
+}
+ORACLE_RINGS = {"z": ZZ, "q": QQ, "zmod:2": integers_mod(2), "zmod:6": integers_mod(6)}
+
+
+def random_invertible(rng, m, tag):
+    """A random unimodular matrix times a diagonal of random units of the ring."""
+    ring = ORACLE_RINGS[tag]
+    diag = [[rng.choice(RING_UNITS[tag]) if i == j else 0 for j in range(m)] for i in range(m)]
+    return random_unimodular(rng, m, ring).compose(EntryMatrix(ring, diag))
+
+
+def random_element(rng, cls, shape, m, ring):
+    """Up to four basis labels of the element's space with random coefficients."""
+    kind = COLUMN_STANDARD if cls is ColumnTabloidElement else ROW_SEMISTANDARD
+    labels = enumerate_tableaux(shape, m, kind)
+    coeffs = (1, -1, 2, 3, Fraction(1, 2)) if ring == QQ else (1, -1, 2, 3)
+    chosen = rng.sample(labels, min(4, len(labels)))
+    return cls(LinComb(ring, [(t, rng.choice(coeffs)) for t in chosen]))
+
+
+def tensor_oracle(x, g):
+    """The action through tensor representatives: expand, act box by box, project back."""
+    if isinstance(x, ColumnTabloidElement):
+        return wedge_project(entry_action(TensorElement(x.lin), g))
+    if isinstance(x, RowTabloidElement):
+        return to_row_tabloid(entry_action(TensorElement(x.lin), g))
+    return sym_lower_coords(entry_action(sym_lower_expand(x), g))
 
 
 class TestEntryMatrix:
@@ -97,10 +138,34 @@ class TestEntryAction:
 
     def test_monoid_action_on_random_pairs(self):
         rng = random.Random(23)
-        x = rsym(T([[1, 2], [3]]))
+        t = T([[1, 2], [3]])
+        elements = [
+            rsym(t),
+            RowTabloidElement(LinComb(ZZ, {t: 1, T([[1, 1], [2]]): -2})),
+            SymLowerElement(LinComb(ZZ, {t: 3, T([[2, 3], [3]]): 1})),
+            ColumnTabloidElement(LinComb(ZZ, {t: 1, T([[2, 1], [3]]): 2})),
+        ]
         for _ in range(6):
             g, h = random_unimodular(rng, 3), random_unimodular(rng, 3)
-            assert entry_action(x, g.compose(h)) == entry_action(entry_action(x, h), g)
+            for x in elements:
+                assert entry_action(x, g.compose(h)) == entry_action(entry_action(x, h), g)
+
+    @pytest.mark.parametrize("tag", sorted(ORACLE_RINGS))
+    def test_functorial_action_matches_tensor_oracle(self, tag):
+        ring = ORACLE_RINGS[tag]
+        rng = random.Random(f"oracle:{tag}")
+        checked = 0
+        for shape in partitions_up_to(4):
+            for m in (1, 2, 3):
+                g = random_invertible(rng, m, tag)
+                for cls in (ColumnTabloidElement, RowTabloidElement, SymLowerElement):
+                    for _ in range(2):
+                        x = random_element(rng, cls, shape, m, ring)
+                        acted = entry_action(x, g)
+                        assert type(acted) is cls
+                        assert acted == tensor_oracle(x, g), (shape, m, cls.__name__, x)
+                        checked += 1
+        assert checked == 11 * 3 * 3 * 2
 
     def test_sym_lower_action_round_trips(self):
         g = EntryMatrix.permutation((2, 3, 1))
@@ -190,6 +255,21 @@ class TestEquivariance:
             rel = dual_garnir(t, box_a, box_b)
             acted = entry_action(rel.element, g)
             assert wedge_of_sym_lower(acted).is_zero
+
+    def test_a_wrong_minor_sign_gives_counterexamples(self, monkeypatch):
+        original = duality._wedge_image
+
+        def one_minor_flipped(g, column):
+            keys, minors = original(g, column)
+            if column != (1, 2):
+                return keys, minors
+            return keys, (-minors[0],) + minors[1:]
+
+        monkeypatch.setattr(duality, "_wedge_image", one_minor_flipped)
+        g = random_unimodular(random.Random(5), 3)
+        assert equivariance_counterexample((2, 1), 3, g, WEDGE_MAP) is not None
+        assert equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP) is not None
+        assert equivariance_counterexample((1, 1), 2, EntryMatrix.identity(2), WEDGE_MAP) is not None
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):
