@@ -18,7 +18,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-from .coeffs import ZZ, CoefficientRing, parse_ring
+from .coeffs import QQ, CoefficientRing, LinComb, parse_ring
 from .duality import (
     POLYTABLOID_MAP,
     WEDGE_MAP,
@@ -26,9 +26,8 @@ from .duality import (
     equivariance_counterexample,
     pairing_image,
 )
-from .places import boxset_from_json, boxset_to_json
-from .powers import TableauElement
-from .schur import SizeCapExceeded, garnir, polytabloid, verify_schur_ses
+from .powers import SymLowerElement, TableauElement, rsym
+from .schur import garnir, polytabloid, verify_schur_ses
 from .tableaux import (
     ALL,
     COLUMN_STANDARD,
@@ -40,7 +39,7 @@ from .tableaux import (
     enumerate_tableaux,
     sort_rows,
 )
-from .powers import rsym
+from .verify import check, check_caps, report
 from .weyl import (
     STAR_STAR_VARIANT,
     STAR_VARIANT,
@@ -52,8 +51,6 @@ from .weyl import (
     variant_relation,
     verify_weyl_kernel,
 )
-from .powers import SymLowerElement
-from .coeffs import LinComb
 
 
 class CliError(Exception):
@@ -134,20 +131,6 @@ def parse_matrix_arg(text: str, ring: CoefficientRing) -> EntryMatrix:
         raise CliError(f"bad entry matrix: {exc}") from exc
 
 
-def _check_element_caps(shape, entries, cfg: RunConfig):
-    if sum(shape) > cfg.element_size_cap:
-        raise CliError(f"size cap exceeded: |shape| = {sum(shape)} > {cfg.element_size_cap}")
-    if entries is not None and entries > cfg.max_entries:
-        raise CliError(f"size cap exceeded: entries = {entries} > {cfg.max_entries}")
-
-
-def _check_verify_caps(shape, entries, cfg: RunConfig):
-    if sum(shape) > cfg.verify_size_cap:
-        raise CliError(f"size cap exceeded: |shape| = {sum(shape)} > {cfg.verify_size_cap}")
-    if entries > cfg.verify_entry_cap:
-        raise CliError(f"size cap exceeded: entries = {entries} > {cfg.verify_entry_cap}")
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -221,7 +204,7 @@ def _emit_report(report: dict) -> int:
 
 def _cmd_dims(args, cfg):
     shape = parse_shape(args.shape)
-    _check_element_caps(shape, args.entries, cfg)
+    check_caps(shape, args.entries, cfg.element_size_cap, cfg.max_entries)
     _emit(
         {
             "ssyt": count_tableaux(shape, args.entries, SEMISTANDARD),
@@ -242,7 +225,7 @@ _CLASS_NAMES = {
 
 def _cmd_basis(args, cfg):
     shape = parse_shape(args.shape)
-    _check_element_caps(shape, args.entries, cfg)
+    check_caps(shape, args.entries, cfg.element_size_cap, cfg.max_entries)
     kind = _CLASS_NAMES[args.cls]
     if kind == ALL and args.entries ** sum(shape) > 10**6:
         raise CliError("size cap exceeded: refusing to list more than 10^6 tableaux")
@@ -263,8 +246,8 @@ def _element_op_common(args, cfg) -> tuple[Tableau, CoefficientRing]:
     t = parse_tableau_arg(args.tableau)
     if getattr(args, "shape", None) and parse_shape(args.shape) != t.shape:
         raise CliError("--shape disagrees with the tableau")
-    _check_element_caps(t.shape, getattr(args, "entries", None) or t.max_entry, cfg)
     entries = getattr(args, "entries", None)
+    check_caps(t.shape, entries or t.max_entry, cfg.element_size_cap, cfg.max_entries)
     if entries is not None and t.max_entry > entries:
         raise CliError(f"tableau entries exceed --entries {entries}")
     return t, parse_ring_arg(args.ring)
@@ -289,15 +272,7 @@ def _cmd_garnir(args, cfg):
     t, ring = _element_op_common(args, cfg)
     rel = garnir(t, parse_boxes(args.boxA), parse_boxes(args.boxB), ring)
     if args.format == "json":
-        _emit(
-            {
-                "kind": "garnir",
-                "tableau": t.to_json(),
-                "boxA": boxset_to_json(rel.box_a),
-                "boxB": boxset_to_json(rel.box_b),
-                "element": rel.element.to_json(),
-            }
-        )
+        _emit({"kind": "garnir", **rel.to_json()})
         return 0
     return _emit_element(rel.element, args)
 
@@ -361,23 +336,16 @@ def _cmd_straighten(args, cfg):
     return 0
 
 
-def _cmd_schur_verify(args, cfg):
+def _cmd_verify(args, cfg):
     shape = parse_shape(args.shape)
-    _check_verify_caps(shape, args.entries, cfg)
-    report = verify_schur_ses(shape, args.entries, parse_ring_arg(args.ring), None, None)
-    return _emit_report(report)
-
-
-def _cmd_weyl_verify(args, cfg):
-    shape = parse_shape(args.shape)
-    _check_verify_caps(shape, args.entries, cfg)
-    report = verify_weyl_kernel(shape, args.entries, parse_ring_arg(args.ring), None, None)
-    return _emit_report(report)
+    check_caps(shape, args.entries, cfg.verify_size_cap, cfg.verify_entry_cap)
+    verify = verify_schur_ses if args.command == "schur-verify" else verify_weyl_kernel
+    return _emit_report(verify(shape, args.entries, parse_ring_arg(args.ring), None, None))
 
 
 def _cmd_duality_check(args, cfg):
     shape = parse_shape(args.shape)
-    _check_verify_caps(shape, args.entries, cfg)
+    check_caps(shape, args.entries, cfg.verify_size_cap, cfg.verify_entry_cap)
     started = time.perf_counter()
     counterexample = None
     checked = 0
@@ -392,26 +360,14 @@ def _cmd_duality_check(args, cfg):
                 "copolytabloid": expected.to_json(),
             }
             break
-    report = {
-        "command": "duality-check",
-        "instance": {"shape": list(shape), "entries": args.entries, "ring": "z"},
-        "dims": {"rssyt_checked": checked},
-        "checks": [
-            {
-                "name": "pairing_image_matches_copolytabloid",
-                "ok": counterexample is None,
-                "counterexample": counterexample,
-            }
-        ],
-        "ok": counterexample is None,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    return _emit_report(report)
+    instance = {"shape": list(shape), "entries": args.entries, "ring": "z"}
+    checks = [check("pairing_image_matches_copolytabloid", counterexample is None, counterexample)]
+    return _emit_report(report("duality-check", instance, {"rssyt_checked": checked}, checks, started))
 
 
 def _cmd_equivariance(args, cfg):
     shape = parse_shape(args.shape)
-    _check_verify_caps(shape, args.entries, cfg)
+    check_caps(shape, args.entries, cfg.verify_size_cap, cfg.verify_entry_cap)
     ring = parse_ring_arg(args.ring)
     g = parse_matrix_arg(args.matrix, ring)
     started = time.perf_counter()
@@ -420,23 +376,16 @@ def _cmd_equivariance(args, cfg):
         counterexample = equivariance_counterexample(shape, args.entries, g, which)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    report = {
-        "command": "equivariance",
-        "instance": {
-            "shape": list(shape),
-            "entries": args.entries,
-            "ring": ring.tag,
-            "map": args.map,
-            "matrix": [list(r) for r in g.entries],
-        },
-        "dims": {},
-        "checks": [
-            {"name": "map_commutes_with_action", "ok": counterexample is None, "counterexample": counterexample}
-        ],
-        "ok": counterexample is None,
-        "wall_time_s": round(time.perf_counter() - started, 6),
+    instance = {
+        "shape": list(shape),
+        "entries": args.entries,
+        "ring": ring.tag,
+        "map": args.map,
+        # Fractions are not JSON; Z and Z/n entries stay plain integers.
+        "matrix": [[ring.format_coeff(v) if ring == QQ else v for v in row] for row in g.entries],
     }
-    return _emit_report(report)
+    checks = [check("map_commutes_with_action", counterexample is None, counterexample)]
+    return _emit_report(report("equivariance", instance, {}, checks, started))
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entries", type=int, required=True)
     add_ring(p)
 
-    p = add("schur-verify", _cmd_schur_verify, help="rank bookkeeping of the column-side kernel")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
-    add_ring(p, default="q")
-
-    p = add("weyl-verify", _cmd_weyl_verify, help="rank bookkeeping of the row-side kernel")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
-    add_ring(p, default="q")
+    for name, side in (("schur-verify", "column"), ("weyl-verify", "row")):
+        p = add(name, _cmd_verify, help=f"rank bookkeeping of the {side}-side kernel")
+        p.add_argument("--shape", required=True)
+        p.add_argument("--entries", type=int, required=True)
+        add_ring(p, default="q")
 
     p = add("duality-check", _cmd_duality_check, help="pairing image against copolytabloids")
     p.add_argument("--shape", required=True)
@@ -593,9 +538,6 @@ def dispatch(argv=None) -> int:
             return _run_to_file(args.output, lambda: args.func(args, cfg))
         return args.func(args, cfg)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:

@@ -284,6 +284,8 @@ class LinComb:
         """Push integral coefficients through the canonical map Z -> target."""
         if self.ring.kind != "z":
             raise ValueError("only integral elements can change ring")
+        if target == self.ring:
+            return self
         return LinComb(target, {l: target.from_int(c) for l, c in self._terms.items()})
 
     def __eq__(self, other):

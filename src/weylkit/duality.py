@@ -261,11 +261,7 @@ def _functorial_action(x: TableauElement, g: EntryMatrix) -> LinComb:
     by_columns = isinstance(x, ColumnTabloidElement)
     acc: dict[tuple[tuple[int, ...], ...], object] = {}
     for t, c in x.lin.items():
-        if by_columns:
-            ncols = t.shape[0] if t.shape else 0
-            parts = [t.column_entries(j) for j in range(1, ncols + 1)]
-        else:
-            parts = t.rows
+        parts = t.columns if by_columns else t.rows
         images = [_part_image(g, x.space, part) for part in parts]
         keys = product(*(image_keys for image_keys, _ in images))
         values = product(*(image_values for _, image_values in images))
@@ -414,22 +410,19 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
     if g.size < max_entry:
         raise ValueError("entry matrix too small for the alphabet")
     if which == WEDGE_MAP:
-        for t in enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD):
-            source = SymLowerElement(LinComb(g.ring, {t: 1}))
-            lhs = wedge_of_sym_lower(entry_action(source, g))
-            rhs = entry_action(copolytabloid(t, g.ring), g)
-            if lhs != rhs:
-                return {"tableau": t.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
-        return None
-    if which == POLYTABLOID_MAP:
-        for u in enumerate_tableaux(shape, max_entry, COLUMN_STANDARD):
-            source = ColumnTabloidElement(LinComb(g.ring, {u: 1}))
-            lhs = apply_polytabloid_map(entry_action(source, g))
-            rhs = entry_action(polytabloid(u, g.ring), g)
-            if lhs != rhs:
-                return {"tableau": u.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
-        return None
-    raise ValueError(f"unknown map {which!r}")
+        kind, space = ROW_SEMISTANDARD, SymLowerElement
+        project, image = wedge_of_sym_lower, copolytabloid
+    elif which == POLYTABLOID_MAP:
+        kind, space = COLUMN_STANDARD, ColumnTabloidElement
+        project, image = apply_polytabloid_map, polytabloid
+    else:
+        raise ValueError(f"unknown map {which!r}")
+    for t in enumerate_tableaux(shape, max_entry, kind):
+        lhs = project(entry_action(space(LinComb(g.ring, {t: 1})), g))
+        rhs = entry_action(image(t, g.ring), g)
+        if lhs != rhs:
+            return {"tableau": t.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+    return None
 
 
 def equivariance_check(shape, max_entry: int, g: EntryMatrix, which: str) -> bool:

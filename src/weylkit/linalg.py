@@ -18,7 +18,6 @@ proves the same thing far more slowly and is kept as the tests' oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .coeffs import QQ, CoefficientRing
 

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import permutations, product
 from math import factorial
 
-from .tableaux import Tableau, check_partition, diagram_boxes, sort_rows
+from .tableaux import Tableau, check_partition, conjugate, diagram_boxes, sort_rows
 
 
 def permutation_parity(images) -> int:
@@ -148,40 +148,6 @@ def act(t: Tableau, sigma: PlacePermutation) -> Tableau:
     return sigma.act(t)
 
 
-def all_place_permutations(shape):
-    """Every bijection of the diagram (factorially many; test scale only)."""
-    shape = check_partition(shape)
-    boxes = diagram_boxes(shape)
-    for images in permutations(boxes):
-        yield PlacePermutation._from_images(shape, images)
-
-
-def _per_line_permutations(lines, shape):
-    """Place permutations that independently permute each given set of boxes."""
-    per_line = [list(permutations(line)) for line in lines]
-    for images_by_line in product(*per_line):
-        mapping = {}
-        for line, images in zip(lines, images_by_line):
-            mapping.update(zip(line, images))
-        yield PlacePermutation(shape, mapping)
-
-
-def row_preserving_permutations(shape):
-    shape = check_partition(shape)
-    rows = [tuple((i, j) for j in range(1, k + 1)) for i, k in enumerate(shape, 1)]
-    yield from _per_line_permutations(rows, shape)
-
-
-def column_preserving_permutations(shape):
-    shape = check_partition(shape)
-    ncols = shape[0] if shape else 0
-    cols = [
-        tuple((i, j) for i in range(1, len(shape) + 1) if shape[i - 1] >= j)
-        for j in range(1, ncols + 1)
-    ]
-    yield from _per_line_permutations(cols, shape)
-
-
 # ---------------------------------------------------------------------------
 # row orbits and stabilizer orders
 
@@ -263,6 +229,30 @@ def check_two_row_boxsets(t: Tableau, box_a: frozenset, box_b: frozenset, allow_
     if box_b and rows_a == rows_b:
         raise ValueError("box sets A and B must lie in different rows")
     return min(rows_a), min(rows_b) if box_b else None
+
+
+def check_line_label(t: Tableau, box_a: frozenset, box_b: frozenset, rows: bool) -> None:
+    """Validate a Garnir label (A, B in two columns) or, with ``rows``, a dual Garnir label.
+
+    A and B must be nonempty sets of boxes of t, each within one line (row
+    or column), with A's line before B's; |A| + |B| must exceed the length
+    of A's line.
+    """
+    axis, line = (0, "row") if rows else (1, "column")
+    if not box_a | box_b <= set(diagram_boxes(t.shape)):
+        raise ValueError("box sets lie outside the diagram")
+    if not box_a or not box_b:
+        raise ValueError("box sets A and B must be nonempty")
+    lines_a, lines_b = {b[axis] for b in box_a}, {b[axis] for b in box_b}
+    if len(lines_a) != 1 or len(lines_b) != 1:
+        raise ValueError(f"each box set must lie within a single {line}")
+    (line_a,), (line_b,) = lines_a, lines_b
+    if not line_a < line_b:
+        raise ValueError(f"box set A must lie in an earlier {line} than B")
+    lengths = t.shape if rows else conjugate(t.shape)
+    if len(box_a) + len(box_b) <= lengths[line_a - 1]:
+        kind = "dual Garnir" if rows else "Garnir"
+        raise ValueError(f"invalid {kind} label: |A| + |B| must exceed the length of A's {line}")
 
 
 def _fill_boxes(t: Tableau, boxes, values) -> Tableau:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .coeffs import ZZ, CoefficientRing, LinComb, parse_ring
-from .tableaux import Tableau, sort_columns, sort_rows, tableau_from_json, tableau_to_json
+from .coeffs import ZZ, CoefficientRing, LinComb
+from .tableaux import Tableau, sort_columns, sort_rows
 from .places import row_orbit
 
 
@@ -100,7 +100,7 @@ class TableauElement:
 
     def to_json(self) -> dict:
         obj = {"space": self.space}
-        obj.update(self.lin.to_json(tableau_to_json))
+        obj.update(self.lin.to_json(Tableau.to_json))
         return obj
 
 
@@ -142,7 +142,7 @@ def element_from_json(obj: dict) -> TableauElement:
     cls = _SPACES.get(obj.get("space"))
     if cls is None:
         raise ValueError(f"unknown element space {obj.get('space')!r}")
-    return cls(LinComb.from_json(obj, tableau_from_json))
+    return cls(LinComb.from_json(obj, Tableau.from_json))
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +151,7 @@ def element_from_json(obj: dict) -> TableauElement:
 
 def rsym(t: Tableau, ring: CoefficientRing = ZZ) -> TensorElement:
     """Row symmetrisation: the sum of the distinct row rearrangements of t."""
-    lin = LinComb(ZZ, ((u, 1) for u in row_orbit(t)))
-    if ring != ZZ:
-        lin = lin.change_ring(ring)
-    return TensorElement(lin)
+    return TensorElement(LinComb(ring, ((u, 1) for u in row_orbit(t))))
 
 
 def to_row_tabloid(x: TensorElement) -> RowTabloidElement:

@@ -5,8 +5,11 @@ column rearrangements; it vanishes when a column repeats an entry.  Linear
 extension of ``column tabloid -> polytabloid`` is a well-defined surjection
 whose kernel is spanned by the Garnir relations: signed sums over coset
 representatives mixing a column subset A with a later-column subset B once
-|A| + |B| exceeds the first column's length.  ``verify_schur_ses`` checks
-the rank bookkeeping of that kernel description on one instance.
+|A| + |B| exceeds the length of A's column.  This is the Weyl side of
+:mod:`weylkit.weyl` read along columns instead of rows: the labels, the
+label check and the kernel check are the transposes of the dual Garnir
+ones.  ``verify_schur_ses`` checks the kernel description on one instance
+with the relation loop of :mod:`weylkit.verify`, over column-sorted labels.
 """
 
 from __future__ import annotations
@@ -17,39 +20,28 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .linalg import leading_coefficient, rank_of_rows
-from .places import boxset_to_json, left_coset_reps, permutation_parity
+from .places import boxset_to_json, check_line_label, left_coset_reps, permutation_parity
 from .tableaux import (
-    ALL,
     COLUMN_STANDARD,
+    ROW_SEMISTANDARD,
     SEMISTANDARD,
     Tableau,
     check_partition,
     column_order_key,
     conjugate,
-    diagram_boxes,
     enumerate_tableaux,
     sort_rows,
+    transpose,
 )
 from .powers import ColumnTabloidElement, RowTabloidElement
-
-
-class SizeCapExceeded(ValueError):
-    pass
-
-
-def _check_caps(shape, max_entry, size_cap, entry_cap):
-    if size_cap is not None and sum(shape) > size_cap:
-        raise SizeCapExceeded(f"size cap exceeded: |shape| = {sum(shape)} > {size_cap}")
-    if entry_cap is not None and max_entry > entry_cap:
-        raise SizeCapExceeded(f"size cap exceeded: entries = {max_entry} > {entry_cap}")
+from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
+from .verify import check, checked_shape, image_rank, relation_span, report
 
 
 @cache
 def _polytabloid_int(t: Tableau) -> LinComb:
     """Integer expansion of the polytabloid of t over row-tabloid labels."""
-    ncols = t.shape[0] if t.shape else 0
-    cols = [t.column_entries(j) for j in range(1, ncols + 1)]
+    cols = t.columns
     if any(len(set(col)) != len(col) for col in cols):
         return LinComb.zero(ZZ)
     signed_cols = []
@@ -73,10 +65,7 @@ def _polytabloid_int(t: Tableau) -> LinComb:
 
 def polytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> RowTabloidElement:
     """Signed column-orbit sum of row tabloids; zero on repeated column entries."""
-    lin = _polytabloid_int(t)
-    if ring != ZZ:
-        lin = lin.change_ring(ring)
-    return RowTabloidElement(lin)
+    return RowTabloidElement(_polytabloid_int(t).change_ring(ring))
 
 
 def apply_polytabloid_map(x: ColumnTabloidElement) -> RowTabloidElement:
@@ -92,24 +81,13 @@ class SchurRelation:
     box_b: frozenset
     element: ColumnTabloidElement
 
-
-def _check_column_boxsets(t: Tableau, box_a: frozenset, box_b: frozenset):
-    boxes = set(diagram_boxes(t.shape))
-    if not (box_a <= boxes and box_b <= boxes):
-        raise ValueError("box sets lie outside the diagram")
-    if not box_a or not box_b:
-        raise ValueError("box sets A and B must be nonempty")
-    cols_a = {j for _, j in box_a}
-    cols_b = {j for _, j in box_b}
-    if len(cols_a) != 1 or len(cols_b) != 1:
-        raise ValueError("each box set must lie within a single column")
-    ja, jb = min(cols_a), min(cols_b)
-    if not ja < jb:
-        raise ValueError("box set A must lie in an earlier column than B")
-    col_len = conjugate(t.shape)[ja - 1]
-    if len(box_a) + len(box_b) <= col_len:
-        raise ValueError("invalid Garnir label: |A| + |B| must exceed the length of A's column")
-    return ja, jb
+    def to_json(self) -> dict:
+        return {
+            "tableau": self.tableau.to_json(),
+            "boxA": boxset_to_json(self.box_a),
+            "boxB": boxset_to_json(self.box_b),
+            "element": self.element.to_json(),
+        }
 
 
 @cache
@@ -129,10 +107,8 @@ def _garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
 
 def garnir(t: Tableau, box_a: frozenset, box_b: frozenset, ring: CoefficientRing = ZZ) -> SchurRelation:
     """The signed coset-representative sum labelled by (t, A, B)."""
-    _check_column_boxsets(t, box_a, box_b)
-    lin = _garnir_int(t, box_a, box_b)
-    if ring != ZZ:
-        lin = lin.change_ring(ring)
+    check_line_label(t, box_a, box_b, rows=False)
+    lin = _garnir_int(t, box_a, box_b).change_ring(ring)
     return SchurRelation(t, box_a, box_b, ColumnTabloidElement(lin))
 
 
@@ -155,24 +131,20 @@ def garnir_labels(shape):
 
 
 def _counterexample(rel: SchurRelation | None) -> dict | None:
-    if rel is None:
-        return None
-    return {
-        "tableau": rel.tableau.to_json(),
-        "boxA": boxset_to_json(rel.box_a),
-        "boxB": boxset_to_json(rel.box_b),
-        "element": rel.element.to_json(),
-    }
+    return None if rel is None else rel.to_json()
 
 
 def _garnir_pivot(t: Tableau) -> tuple[frozenset, frozenset] | None:
     """Box sets (A, B) that straighten the first row descent t(i, j) > t(i, j+1).
 
     A runs down column j from row i and B down column j+1 to row i.  For a
-    column-standard t every entry of A exceeds every entry of B, so each
-    coset term but the identity moves a larger entry out of column j and
-    lands strictly below t in the column order.
+    column-standard t every entry of A exceeds every entry of B, so the
+    identity coset term is t with coefficient +1, and every other term moves
+    a larger entry out of column j and lands strictly below t in the column
+    order.  None when t is not column standard or has no row descent.
     """
+    if not t.is_column_standard:
+        return None
     for i, row in enumerate(t.rows, 1):
         for j in range(1, len(row)):
             if row[j - 1] > row[j]:
@@ -193,103 +165,39 @@ def verify_schur_ses(
     """Check rank(Garnir span) + rank(polytabloid map) = dim of the exterior power.
 
     Also checks that every Garnir relation maps to zero, which combined with
-    the rank identity pins the kernel exactly.  Over the integers the ranks
-    are taken over the rationals, and the relation lattice is in addition
-    shown to be a direct summand: for each column-standard label that is not
-    semistandard, the Garnir relation on its first row descent must have
-    coefficient +-1 on it and all its other labels strictly below it in the
-    column order.
+    the rank identity pins the kernel exactly.  The relations are built on
+    the column-sorted labels, which give every Garnir relation up to sign.
+    Over the integers the ranks are taken over the rationals, and the
+    relation lattice is in addition shown to be a direct summand: for each
+    column-standard label that is not semistandard, the Garnir relation on
+    its first row descent must have coefficient 1 on it and all its other
+    labels strictly below it in the column order.
     """
-    shape = check_partition(shape)
-    _check_caps(shape, max_entry, size_cap, entry_cap)
-    if not (ring.is_field or ring.kind == "z"):
-        raise ValueError("verification needs a field or the integers")
-    rank_ring = ring if ring.is_field else CoefficientRing.rationals()
+    shape = checked_shape(shape, max_entry, ring, size_cap, entry_cap)
     started = time.perf_counter()
-
     csyt = enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)
     ssyt = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
-    rssyt_index: dict[Tableau, int] = {}
-    csyt_index = {t: i for i, t in enumerate(csyt)}
-
-    def row_index(label):
-        if label not in rssyt_index:
-            rssyt_index[label] = len(rssyt_index)
-        return rssyt_index[label]
-
-    image_rows = []
-    for u in csyt:
-        el = polytabloid(u, ring)
-        image_rows.append({row_index(l): c for l, c in el.items()})
-    rank_image = rank_of_rows(image_rows, rank_ring)
-
-    def column_key(u):
-        return column_order_key(u, max_entry)
-
-    checks = []
-    relation_rows = []
-    bad = None
-    pivots = 0
-    broken = None  # a pivot relation that is not unitriangular
-    for t in enumerate_tableaux(shape, max_entry, ALL):
-        pivot = None
-        if ring.kind == "z" and t in csyt_index and not t.is_semistandard:
-            pivot = _garnir_pivot(t)
-        for box_a, box_b in garnir_labels(shape):
-            rel = garnir(t, box_a, box_b, ring)
-            if not apply_polytabloid_map(rel.element).is_zero:
-                bad = rel
-                break
-            relation_rows.append({csyt_index[l]: c for l, c in rel.element.items()})
-            if (box_a, box_b) == pivot and broken is None:
-                if leading_coefficient(rel.element, t, column_key) in (1, -1):
-                    pivots += 1
-                else:
-                    broken = rel
-        if bad:
-            break
-    checks.append(
-        {
-            "name": "garnir_relations_map_to_zero",
-            "ok": bad is None,
-            "counterexample": _counterexample(bad),
-        }
+    rank_image = image_rank(csyt, lambda u: polytabloid(u, ring), ring)
+    span = relation_span(
+        labels=[transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)],
+        relation_labels=list(garnir_labels(shape)),
+        build=lambda t, boxes: garnir(t, *boxes, ring),
+        kernel_map=apply_polytabloid_map,
+        basis=csyt,
+        ring=ring,
+        pivot=_garnir_pivot,
+        key=lambda u: column_order_key(u, max_entry),
     )
-
-    rank_relations = rank_of_rows(relation_rows, rank_ring) if bad is None else None
-    dims = {
-        "csyt": len(csyt),
-        "ssyt": len(ssyt),
-        "wedge_dim": len(csyt),
-    }
-    ranks = {"polytabloid_map": rank_image, "garnir_span": rank_relations}
-    if bad is None:
-        checks.append(
-            {"name": "image_rank_is_ssyt_count", "ok": rank_image == len(ssyt), "counterexample": None}
-        )
-        checks.append(
-            {
-                "name": "rank_sum_matches_wedge_dim",
-                "ok": rank_relations + rank_image == len(csyt),
-                "counterexample": None,
-            }
-        )
+    checks = [check("garnir_relations_map_to_zero", span.bad is None, _counterexample(span.bad))]
+    ranks = {"polytabloid_map": rank_image, "garnir_span": span.rank}
+    if span.bad is None:
+        checks.append(check("image_rank_is_ssyt_count", rank_image == len(ssyt)))
+        checks.append(check("rank_sum_matches_wedge_dim", span.rank + rank_image == len(csyt)))
         if ring.kind == "z":
-            ranks["garnir_certificate"] = {"pivots": pivots}
+            ranks["garnir_certificate"] = {"pivots": span.pivots}
             checks.append(
-                {
-                    "name": "garnir_lattice_is_direct_summand",
-                    "ok": broken is None and rank_relations == pivots,
-                    "counterexample": _counterexample(broken),
-                }
+                check("garnir_lattice_is_direct_summand", span.certified, _counterexample(span.broken))
             )
-
-    return {
-        "command": "schur-verify",
-        "instance": {"shape": list(shape), "entries": max_entry, "ring": ring.tag},
-        "dims": dims,
-        "ranks": ranks,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+    instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
+    dims = {"csyt": len(csyt), "ssyt": len(ssyt), "wedge_dim": len(csyt)}
+    return report("schur-verify", instance, dims, checks, started, ranks)

@@ -132,6 +132,12 @@ class Tableau:
         return tuple(row[j - 1] for row in self.rows if len(row) >= j)
 
     @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Entries of every column, top to bottom."""
+        ncols = self.shape[0] if self.shape else 0
+        return tuple(self.column_entries(j) for j in range(1, ncols + 1))
+
+    @property
     def is_row_semistandard(self) -> bool:
         return all(all(a <= b for a, b in zip(row, row[1:])) for row in self.rows)
 
@@ -170,12 +176,9 @@ class Tableau:
         return t
 
 
-def tableau_to_json(t: Tableau) -> dict:
-    return t.to_json()
-
-
-def tableau_from_json(obj) -> Tableau:
-    return Tableau.from_json(obj)
+def transpose(t: Tableau) -> Tableau:
+    """The tableau of the conjugate shape whose rows are the columns of t."""
+    return Tableau._fresh(t.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +220,7 @@ def compare_columns(t: Tableau, u: Tableau) -> OrderVerdict:
     """Column order verdict for t relative to u (LESS means t < u)."""
     if t.shape != u.shape:
         raise ValueError("shape mismatch")
-    ncols = t.shape[0] if t.shape else 0
-    return _compare_by_contents(
-        [t.column_entries(j) for j in range(1, ncols + 1)],
-        [u.column_entries(j) for j in range(1, ncols + 1)],
-    )
+    return _compare_by_contents(t.columns, u.columns)
 
 
 def compare_rows(t: Tableau, u: Tableau) -> OrderVerdict:
@@ -244,8 +243,7 @@ def row_order_key(t: Tableau, max_entry: int) -> tuple:
 
 def column_order_key(t: Tableau, max_entry: int) -> tuple:
     """Column-order analogue of :func:`row_order_key`."""
-    ncols = t.shape[0] if t.shape else 0
-    counts = [_content_counts(t.column_entries(j)) for j in range(1, ncols + 1)]
+    counts = [_content_counts(col) for col in t.columns]
     return tuple(c.get(v, 0) for v in range(max_entry, 0, -1) for c in counts)
 
 

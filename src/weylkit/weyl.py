@@ -9,14 +9,17 @@ class, each weighted by the index of its split row stabilizer inside its
 full row stabilizer.  Those weights are what make the sums land in the
 kernel; the two tempting simplifications (plain coset sums, and full
 row-group sums) are kept as named variants because they fail in
-instructive ways.
+instructive ways.  The labels are the Garnir labels of :mod:`weylkit.schur`
+transposed: rows in place of columns.
 
 Dual snake relations are the adjacent-row relations taking a right segment
 of the upper row and a left segment of the lower row.  When the segments
 are aligned with runs of equal entries, the relation has unit leading
 coefficient on its own label and all other labels strictly smaller in the
 row order, which is exactly what ``straighten`` exploits to rewrite any
-element into semistandard coordinates with a certificate.
+element into semistandard coordinates with a certificate, and what
+``verify_weyl_kernel`` certifies with the relation loop of
+:mod:`weylkit.verify`.
 """
 
 from __future__ import annotations
@@ -25,38 +28,35 @@ import heapq
 import time
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .linalg import leading_coefficient, rank_of_rows
 from .places import (
+    check_line_label,
     class_index,
-    check_two_row_boxsets,
     double_coset_reps,
     row_stabilizer_order,
     sab_cosets_star,
     sab_orbit_row_classes,
 )
 from .powers import ColumnTabloidElement, SymLowerElement, _wedge_of_rsym_int, wedge_of_sym_lower
-from .schur import SizeCapExceeded, _check_caps
+from .schur import garnir_labels
 from .tableaux import (
     ROW_SEMISTANDARD,
     SEMISTANDARD,
     COLUMN_STANDARD,
     Tableau,
     check_partition,
+    conjugate,
     enumerate_tableaux,
     row_order_key,
     sort_rows,
 )
+from .verify import check, checked_shape, image_rank, relation_span, report
 
 
 def copolytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> ColumnTabloidElement:
     """Wedge projection of the row symmetrisation of t; constant on row classes."""
-    lin = _wedge_of_rsym_int(sort_rows(t))
-    if ring != ZZ:
-        lin = lin.change_ring(ring)
-    return ColumnTabloidElement(lin)
+    return ColumnTabloidElement(_wedge_of_rsym_int(sort_rows(t)).change_ring(ring))
 
 
 DUAL_GARNIR = "dual_garnir"
@@ -90,25 +90,6 @@ class WeylRelation:
         return out
 
 
-def _check_dual_garnir_label(t: Tableau, box_a: frozenset, box_b: frozenset):
-    row_a, row_b = check_two_row_boxsets(t, box_a, box_b)
-    if not row_a < row_b:
-        raise ValueError("box set A must lie in an earlier row than B")
-    if len(box_a) + len(box_b) <= t.shape[row_a - 1]:
-        raise ValueError(
-            "invalid dual Garnir label: |A| + |B| must exceed the length of A's row"
-        )
-    return row_a, row_b
-
-
-def _relation_from_classes(t, box_a, box_b, classes, ring, kind, snake=None) -> WeylRelation:
-    coords = {sort_rows(u): index for u, index in classes}
-    lin = LinComb(ZZ, coords)
-    if ring != ZZ:
-        lin = lin.change_ring(ring)
-    return WeylRelation(kind, t, box_a, box_b, SymLowerElement(lin), snake)
-
-
 @cache
 def _dual_garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
     classes = sab_orbit_row_classes(t, box_a, box_b)
@@ -119,10 +100,8 @@ def dual_garnir(
     t: Tableau, box_a: frozenset, box_b: frozenset, ring: CoefficientRing = ZZ
 ) -> WeylRelation:
     """The index-weighted row-class sum labelled by (t, A, B)."""
-    _check_dual_garnir_label(t, box_a, box_b)
-    lin = _dual_garnir_int(t, box_a, box_b)
-    if ring != ZZ:
-        lin = lin.change_ring(ring)
+    check_line_label(t, box_a, box_b, rows=True)
+    lin = _dual_garnir_int(t, box_a, box_b).change_ring(ring)
     return WeylRelation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement(lin))
 
 
@@ -133,13 +112,13 @@ def dual_garnir_double_coset(
 
     Oracle path: refuses |A| + |B| > 6.  Must agree with :func:`dual_garnir`.
     """
-    _check_dual_garnir_label(t, box_a, box_b)
+    check_line_label(t, box_a, box_b, rows=True)
     members = frozenset(box_a | box_b)
-    classes = []
+    coords = {}
     for rep in double_coset_reps(t, box_a, box_b):
         u = rep.act(t)
-        classes.append((u, class_index(u, members)))
-    return _relation_from_classes(t, box_a, box_b, classes, ring, DUAL_GARNIR)
+        coords[sort_rows(u)] = class_index(u, members)
+    return WeylRelation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement(LinComb(ring, coords)))
 
 
 def variant_relation(
@@ -158,7 +137,7 @@ def variant_relation(
     second acquires scalar factors -- but both are useful regression
     targets.
     """
-    _check_dual_garnir_label(t, box_a, box_b)
+    check_line_label(t, box_a, box_b, rows=True)
     if kind not in (STAR_VARIANT, STAR_STAR_VARIANT):
         raise ValueError(f"unknown variant kind {kind!r}")
     coords: dict[Tableau, int] = {}
@@ -166,10 +145,7 @@ def variant_relation(
         weight = mult if kind == STAR_VARIANT else mult * row_stabilizer_order(u)
         label = sort_rows(u)
         coords[label] = coords.get(label, 0) + weight
-    lin = LinComb(ZZ, coords)
-    if ring != ZZ:
-        lin = lin.change_ring(ring)
-    return WeylRelation(kind, t, box_a, box_b, SymLowerElement(lin))
+    return WeylRelation(kind, t, box_a, box_b, SymLowerElement(LinComb(ring, coords)))
 
 
 def snake_boxsets(shape, i: int, j: int, jp: int) -> tuple[frozenset, frozenset]:
@@ -204,20 +180,12 @@ def snake_labels(shape):
 
 
 def dual_garnir_labels(shape):
-    """All box-set pairs (A, B) admitting a dual Garnir relation on the shape."""
-    shape = check_partition(shape)
-    nrows = len(shape)
-    for ia in range(1, nrows):
-        row_a = [(ia, r) for r in range(1, shape[ia - 1] + 1)]
-        for ib in range(ia + 1, nrows + 1):
-            row_b = [(ib, r) for r in range(1, shape[ib - 1] + 1)]
-            for na in range(1, len(row_a) + 1):
-                for nb in range(1, len(row_b) + 1):
-                    if na + nb <= shape[ia - 1]:
-                        continue
-                    for sub_a in combinations(row_a, na):
-                        for sub_b in combinations(row_b, nb):
-                            yield frozenset(sub_a), frozenset(sub_b)
+    """All box-set pairs (A, B) admitting a dual Garnir relation on the shape.
+
+    These are the Garnir labels of the conjugate shape, transposed.
+    """
+    for box_a, box_b in garnir_labels(conjugate(shape)):
+        yield frozenset((j, i) for i, j in box_a), frozenset((j, i) for i, j in box_b)
 
 
 # ---------------------------------------------------------------------------
@@ -384,93 +352,44 @@ def verify_weyl_kernel(
     that ``straighten`` would apply to it must have coefficient 1 on it and
     all its other labels strictly below it in the row order.
     """
-    shape = check_partition(shape)
-    _check_caps(shape, max_entry, size_cap, entry_cap)
-    if not (ring.is_field or ring.kind == "z"):
-        raise ValueError("verification needs a field or the integers")
-    rank_ring = ring if ring.is_field else CoefficientRing.rationals()
+    shape = checked_shape(shape, max_entry, ring, size_cap, entry_cap)
     started = time.perf_counter()
-
     rssyt = enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD)
     ssyt = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
     csyt = enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)
-    rssyt_index = {t: i for i, t in enumerate(rssyt)}
-    csyt_index = {t: i for i, t in enumerate(csyt)}
+    rank_projection = image_rank(rssyt, lambda t: copolytabloid(t, ring), ring)
 
-    proj_rows = []
-    for t in rssyt:
-        el = copolytabloid(t, ring if ring.is_field else ZZ)
-        proj_rows.append({csyt_index[l]: c for l, c in el.items()})
-    rank_projection = rank_of_rows(proj_rows, rank_ring)
+    def pivot(t):
+        i, j0 = _first_violation(t)
+        return (i, *_snake_for_violation(t, i, j0))
 
-    checks = [
-        {
-            "name": "projection_rank_is_ssyt_count",
-            "ok": rank_projection == len(ssyt),
-            "counterexample": None,
-        }
-    ]
-
-    def row_key(u):
-        return row_order_key(u, max_entry)
-
-    snake_rows = []
-    bad = None
-    pivots = 0
-    broken = None  # a pivot snake that is not unitriangular
-    for t in rssyt:
-        pivot = None
-        if ring.kind == "z" and not t.is_semistandard:
-            i, j0 = _first_violation(t)
-            pivot = (i, *_snake_for_violation(t, i, j0))
-        for i, j, jp in snake_labels(shape):
-            rel = dual_snake(t, i, j, jp, ring if ring.is_field else ZZ)
-            if not wedge_of_sym_lower(rel.element).is_zero:
-                bad = rel
-                break
-            snake_rows.append({rssyt_index[l]: c for l, c in rel.element.items()})
-            if (i, j, jp) == pivot and broken is None:
-                if leading_coefficient(rel.element, t, row_key) == 1:
-                    pivots += 1
-                else:
-                    broken = rel
-        if bad:
-            break
-    checks.append(
-        {"name": "snakes_lie_in_kernel", "ok": bad is None, "counterexample": _counterexample(bad)}
+    span = relation_span(
+        labels=rssyt,
+        relation_labels=list(snake_labels(shape)),
+        build=lambda t, snake: dual_snake(t, *snake, ring),
+        kernel_map=wedge_of_sym_lower,
+        basis=rssyt,
+        ring=ring,
+        pivot=pivot,
+        key=lambda u: row_order_key(u, max_entry),
     )
-
+    checks = [
+        check("projection_rank_is_ssyt_count", rank_projection == len(ssyt)),
+        check("snakes_lie_in_kernel", span.bad is None, _counterexample(span.bad)),
+    ]
     expected_nullity = len(rssyt) - len(ssyt)
-    rank_snakes = rank_of_rows(snake_rows, rank_ring) if bad is None else None
-    if bad is None:
-        checks.append(
-            {
-                "name": "snake_span_rank_is_nullity",
-                "ok": rank_snakes == expected_nullity,
-                "counterexample": None,
-            }
-        )
     ranks = {
         "projection": rank_projection,
-        "snake_span": rank_snakes,
+        "snake_span": span.rank,
         "expected_nullity": expected_nullity,
     }
-    if ring.kind == "z" and bad is None:
-        ranks["snake_certificate"] = {"pivots": pivots}
-        checks.append(
-            {
-                "name": "snake_lattice_is_direct_summand",
-                "ok": broken is None and rank_snakes == pivots,
-                "counterexample": _counterexample(broken),
-            }
-        )
-
-    return {
-        "command": "weyl-verify",
-        "instance": {"shape": list(shape), "entries": max_entry, "ring": ring.tag},
-        "dims": {"rssyt": len(rssyt), "ssyt": len(ssyt), "csyt": len(csyt)},
-        "ranks": ranks,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+    if span.bad is None:
+        checks.append(check("snake_span_rank_is_nullity", span.rank == expected_nullity))
+        if ring.kind == "z":
+            ranks["snake_certificate"] = {"pivots": span.pivots}
+            checks.append(
+                check("snake_lattice_is_direct_summand", span.certified, _counterexample(span.broken))
+            )
+    instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
+    dims = {"rssyt": len(rssyt), "ssyt": len(ssyt), "csyt": len(csyt)}
+    return report("weyl-verify", instance, dims, checks, started, ranks)

@@ -179,6 +179,21 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_equivariance_over_the_rationals(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "equivariance",
+            "--shape", "2,1",
+            "--entries", "2",
+            "--matrix", "[[1,1],[0,1]]",
+            "--map", "e",
+            "--ring", "q",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert report["instance"]["matrix"] == [["1", "1"], ["0", "1"]]
+
     def test_reports_are_deterministic(self, capsys):
         def strip(report):
             report.pop("wall_time_s", None)

@@ -1,0 +1,79 @@
+"""Byte-level regression of the CLI's JSON output on a fixed corpus of requests.
+
+Each request's stdout, with the ``wall_time_s`` line taken out, must hash to
+the sha256 recorded in ``golden_reports.json``.  The test names the first
+request whose output differs.  To record the digests again, after a change
+meant to alter the output, run ``PYTHONPATH=src python tests/test_golden_reports.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+from weylkit.cli import dispatch
+from weylkit.tableaux import partitions_up_to
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+_WALL_TIME = re.compile(r',\n  "wall_time_s": [-+0-9.eE]+')
+
+
+def requests():
+    out = []
+    for command in ("schur-verify", "weyl-verify"):
+        for shape in partitions_up_to(3):
+            shape = ",".join(map(str, shape))
+            for m in (1, 2):
+                for ring in ("q", "zmod:2", "z"):
+                    out.append([command, "--shape", shape, "--entries", str(m), "--ring", ring])
+    for shape, m in (("2,1", 2), ("2,2", 2), ("3,1", 3), ("1,1,1", 3)):
+        out.append(["duality-check", "--shape", shape, "--entries", str(m)])
+    for shape, m, matrix in (("2,1", 2, "[[1,1],[0,1]]"), ("2,1", 3, "[[0,1,0],[1,1,0],[2,0,1]]")):
+        for which in ("e", "lambda"):
+            for ring in ("z", "zmod:6"):
+                out.append(["equivariance", "--shape", shape, "--entries", str(m), "--matrix", matrix,
+                            "--map", which, "--ring", ring])
+    for tableau, box_a, box_b, ring, fmt in (
+        ("[[1,2],[3,4]]", "(1,1),(2,1)", "(1,2)", "z", "json"),
+        ("[[2,1],[1,3]]", "(1,1),(2,1)", "(1,2),(2,2)", "zmod:3", "json"),
+        ("[[1,2,3],[2,3]]", "(1,1),(2,1)", "(2,2)", "q", "text"),
+    ):
+        out.append(["garnir", "--tableau", tableau, "--boxA", box_a, "--boxB", box_b, "--ring", ring,
+                    "--format", fmt])
+    for tableau, box_a, box_b, variant, fmt in (
+        ("[[1,1],[2,2]]", "(1,1),(1,2)", "(2,1)", "plain", "json"),
+        ("[[1,2,2],[1,3]]", "(1,2),(1,3)", "(2,1),(2,2)", "dc", "json"),
+        ("[[1,1],[2,2]]", "(1,1),(1,2)", "(2,1)", "star", "text"),
+        ("[[2,1],[1,2]]", "(1,1),(1,2)", "(2,2)", "star-star", "latex"),
+    ):
+        out.append(["dual-garnir", "--tableau", tableau, "--boxA", box_a, "--boxB", box_b,
+                    "--variant", variant, "--format", fmt])
+    return out
+
+
+def digest(argv) -> tuple[int, str]:
+    """Exit code and sha256 of the stdout of one request, without ``wall_time_s``."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = dispatch(list(argv))
+    return code, hashlib.sha256(_WALL_TIME.sub("", buffer.getvalue()).encode()).hexdigest()
+
+
+def test_reports_match_recorded_digests():
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == len(requests())
+    for argv in requests():
+        code, got = digest(argv)
+        assert (code, got) == (0, golden[" ".join(argv)]), f"first request whose output differs: {argv}"
+
+
+if __name__ == "__main__":
+    recorded = {}
+    for argv in requests():
+        code, recorded[" ".join(argv)] = digest(argv)
+        if code != 0:
+            sys.exit(f"exit {code}: {argv}")
+    GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n")

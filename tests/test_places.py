@@ -6,22 +6,25 @@ import pytest
 
 from weylkit.places import (
     PlacePermutation,
-    all_place_permutations,
     boxset_from_json,
     boxset_to_json,
-    column_preserving_permutations,
     double_coset_reps,
     left_coset_reps,
     class_index,
     multiset_permutations,
     row_orbit,
-    row_preserving_permutations,
     row_stabilizer_order,
     _split_row_stabilizer_order,
     sab_cosets_star,
     sab_orbit_row_classes,
 )
 from weylkit.tableaux import Tableau, enumerate_tableaux, partitions_up_to, sort_rows
+
+from place_oracles import (
+    all_place_permutations,
+    column_preserving_permutations,
+    row_preserving_permutations,
+)
 
 T = Tableau
 

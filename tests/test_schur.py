@@ -1,10 +1,13 @@
+import dataclasses
 import random
 from itertools import permutations as iperms
 
 import pytest
 
+import weylkit.schur as schur
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
-from weylkit.places import PlacePermutation, column_preserving_permutations
+from weylkit.linalg import leading_coefficient
+from weylkit.places import PlacePermutation
 from weylkit.powers import ColumnTabloidElement, RowTabloidElement
 from weylkit.schur import (
     SizeCapExceeded,
@@ -14,8 +17,18 @@ from weylkit.schur import (
     polytabloid,
     verify_schur_ses,
 )
-from weylkit.tableaux import ALL, Tableau, enumerate_tableaux, partitions_up_to, sort_columns, sort_rows
+from weylkit.tableaux import (
+    ALL,
+    COLUMN_STANDARD,
+    Tableau,
+    column_order_key,
+    enumerate_tableaux,
+    partitions_up_to,
+    sort_columns,
+    sort_rows,
+)
 
+from place_oracles import column_preserving_permutations
 from smith_oracle import schur_relation_rows, smith_verdict
 
 T = Tableau
@@ -176,3 +189,66 @@ class TestVerify:
     def test_rejects_non_field_modulus(self):
         with pytest.raises(ValueError):
             verify_schur_ses((2, 1), 2, integers_mod(4))
+
+
+def _up_to_sign(element):
+    return frozenset({element.lin, element.lin.scaled(-1)})
+
+
+class TestColumnSortedLabels:
+    """The verify loop builds Garnir relations on column-sorted labels only."""
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("shape", tuple(partitions_up_to(4)), ids=str)
+    def test_relations_match_the_all_labels_loop_up_to_sign(self, shape, m, monkeypatch):
+        built = set()
+
+        def recording(*args):
+            rel = garnir(*args)
+            built.add(_up_to_sign(rel.element))
+            return rel
+
+        monkeypatch.setattr(schur, "garnir", recording)
+        assert verify_schur_ses(shape, m, ZZ)["ok"]
+        oracle = {
+            _up_to_sign(garnir(t, box_a, box_b).element)
+            for t in enumerate_tableaux(shape, m, ALL)
+            for box_a, box_b in garnir_labels(shape)
+        }
+        assert built == oracle
+
+    def test_every_pivot_has_leading_coefficient_one(self):
+        checked = 0
+        for shape in partitions_up_to(5):
+            for m in (1, 2, 3):
+                for t in enumerate_tableaux(shape, m, COLUMN_STANDARD):
+                    if t.is_semistandard:
+                        continue
+                    rel = garnir(t, *schur._garnir_pivot(t))
+                    assert leading_coefficient(rel.element, t, lambda u: column_order_key(u, m)) == 1, t
+                    checked += 1
+        assert checked > 100
+        assert schur._garnir_pivot(T([[1, 2], [1]])) is None  # column-sorted, not column standard
+
+    @pytest.mark.parametrize("ring", (QQ, ZZ), ids=str)
+    def test_a_relation_outside_the_kernel_fails_the_check(self, ring, monkeypatch):
+        t = T([[1, 2], [3]])
+        box_a, box_b = frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})
+
+        def corrupted(*args):
+            rel = garnir(*args)
+            if args[:3] == (t, box_a, box_b):
+                return dataclasses.replace(rel, element=ColumnTabloidElement(LinComb(ring, {t: 1})))
+            return rel
+
+        monkeypatch.setattr(schur, "garnir", corrupted)
+        report = verify_schur_ses((2, 1), 3, ring)
+        assert not report["ok"]
+        assert [c["name"] for c in report["checks"] if not c["ok"]] == ["garnir_relations_map_to_zero"]
+        example = report["checks"][0]["counterexample"]
+        assert (example["tableau"], example["boxA"], example["boxB"]) == (
+            t.to_json(),
+            {"boxes": [[1, 1], [2, 1]]},
+            {"boxes": [[1, 2]]},
+        )
+        assert report["ranks"]["garnir_span"] is None

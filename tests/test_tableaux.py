@@ -212,7 +212,7 @@ class TestSorting:
             assert compare_rows(s, t) is OrderVerdict.INCOMPARABLE
 
     def test_sort_columns_sign_against_brute_force(self):
-        from weylkit.places import column_preserving_permutations
+        from place_oracles import column_preserving_permutations
 
         t = T([[2, 1], [1, 2]])
         matches = []

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from itertools import permutations as iperms
 
 import pytest
 
+import weylkit.weyl as weyl
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
 from weylkit.linalg import smith_elementary_divisors
 from weylkit.powers import (
@@ -312,3 +314,21 @@ class TestVerifyKernel:
             verify_weyl_kernel((3, 2, 1), 2, QQ, size_cap=5)
         with pytest.raises(SizeCapExceeded):
             verify_weyl_kernel((2, 2), 99, QQ)
+
+    @pytest.mark.parametrize("ring", (QQ, ZZ), ids=str)
+    def test_a_snake_outside_the_kernel_fails_the_check(self, ring, monkeypatch):
+        t = T([[1, 2], [1, 2]])
+
+        def corrupted(*args):
+            rel = dual_snake(*args)
+            if args[:4] == (t, 1, 1, 1):
+                return dataclasses.replace(rel, element=sym_lower(ring, {EX_T: 1}))
+            return rel
+
+        monkeypatch.setattr(weyl, "dual_snake", corrupted)
+        report = verify_weyl_kernel((2, 2), 2, ring)
+        assert not report["ok"]
+        assert [c["name"] for c in report["checks"] if not c["ok"]] == ["snakes_lie_in_kernel"]
+        label = report["checks"][1]["counterexample"]["label"]
+        assert (label["tableau"], label["row"], label["cols"]) == (t.to_json(), 1, [1, 1])
+        assert report["ranks"]["snake_span"] is None
