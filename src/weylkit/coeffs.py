@@ -78,11 +78,15 @@ class CoefficientRing:
         return Fraction(1) if self.kind == "q" else 1 % self.modulus if self.kind == "zmod" else 1
 
     def normalize(self, value):
-        """Coerce ``value`` into canonical form, rejecting non-exact input."""
+        """Coerce ``value`` into canonical form, rejecting non-exact input and bools."""
+        if type(value) is int:
+            if self.kind == "z":
+                return value
+            return Fraction(value) if self.kind == "q" else value % self.modulus
+        if isinstance(value, (bool, float)):
+            raise TypeError(f"{value!r} is not an exact element of {self}")
         if self.kind == "q":
-            if isinstance(value, float):
-                raise TypeError("rationals require exact input, not float")
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise TypeError(f"{value} is not an element of {self}")

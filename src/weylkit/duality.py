@@ -96,7 +96,7 @@ class EntryMatrix:
         self.size = m
         self._images: dict = {}
         det = self._det()
-        if not self._det_is_unit(det):
+        if not self.ring.is_unit(det):
             raise ValueError("non-invertible entry matrix")
 
     def _det(self):
@@ -111,13 +111,6 @@ class EntryMatrix:
             d = _det_int(int_rows)
             return Fraction(d, scale**self.size)
         return _det_int([list(row) for row in self.entries])
-
-    def _det_is_unit(self, det) -> bool:
-        if self.ring.kind == "z":
-            return det in (1, -1)
-        if self.ring == QQ:
-            return det != 0
-        return gcd(det % self.ring.modulus, self.ring.modulus) == 1
 
     @classmethod
     def identity(cls, m: int, ring: CoefficientRing = ZZ) -> "EntryMatrix":

@@ -71,7 +71,7 @@ def rank_of_rows(rows, ring: CoefficientRing) -> int:
     return rank
 
 
-def solve_exact(columns: list[dict], target: dict, nrows_hint=None) -> list[Fraction] | None:
+def solve_exact(columns: list[dict], target: dict) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target exactly over the rationals.
 
     Columns and target are sparse dicts over an arbitrary hashable row key.

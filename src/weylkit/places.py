@@ -1,20 +1,25 @@
-"""Place permutations of a Young diagram and the orbit machinery they drive.
+"""Place permutations of a Young diagram and the coset sums built on them.
 
 Permutations act on boxes on the right; a tableau entry at box b moves to
-box b.sigma.  Sums over cosets of row groups are never computed by listing
-group elements: they are replaced by enumeration of distinct tableaux
-(orbits) together with closed-form stabilizer orders, which the two-row
-relation constructors below rely on.  A brute-force positional double-coset
-enumerator is kept as an oracle for small box sets.
+box b.sigma.  The Garnir, dual Garnir and star relations are all sums over
+the left cosets of S_A x S_B in S_{A|B} for two box sets A and B, and all
+of them walk those cosets with one positional enumerator, :func:`shuffles`,
+which writes each |A|-subset of the entries on A | B into A and the rest
+into B and reports the sign of that move.  Row orbits are listed as
+distinct tableaux with closed-form stabilizer orders, never as group
+elements.  :class:`PlacePermutation`, the coset representatives of
+:func:`left_coset_reps` and a brute-force double-coset enumerator for small
+box sets are kept as oracles for those constructions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
-from .tableaux import Tableau, check_partition, conjugate, diagram_boxes, sort_rows
+from .tableaux import Tableau, check_partition, diagram_boxes, sort_rows
 
 
 def permutation_parity(images) -> int:
@@ -203,32 +208,7 @@ def class_index(t: Tableau, members: frozenset) -> int:
 
 
 # ---------------------------------------------------------------------------
-# two-row box-set sums
-
-
-def _box_row(box) -> int:
-    return box[0]
-
-
-def check_two_row_boxsets(t: Tableau, box_a: frozenset, box_b: frozenset, allow_empty_b=False):
-    """Validate that A and B are disjoint and each inside a single row of t."""
-    boxes = set(diagram_boxes(t.shape))
-    for name, s in (("A", box_a), ("B", box_b)):
-        if not s <= boxes:
-            raise ValueError(f"box set {name} lies outside the diagram of {t.shape}")
-    if box_a & box_b:
-        raise ValueError("box sets A and B must be disjoint")
-    if not box_a:
-        raise ValueError("box set A must be nonempty")
-    if not box_b and not allow_empty_b:
-        raise ValueError("box set B must be nonempty")
-    rows_a = {_box_row(b) for b in box_a}
-    rows_b = {_box_row(b) for b in box_b}
-    if len(rows_a) != 1 or len(rows_b) > 1:
-        raise ValueError("each box set must lie within a single row")
-    if box_b and rows_a == rows_b:
-        raise ValueError("box sets A and B must lie in different rows")
-    return min(rows_a), min(rows_b) if box_b else None
+# two-line box-set sums
 
 
 def check_line_label(t: Tableau, box_a: frozenset, box_b: frozenset, rows: bool) -> None:
@@ -239,7 +219,8 @@ def check_line_label(t: Tableau, box_a: frozenset, box_b: frozenset, rows: bool)
     of A's line.
     """
     axis, line = (0, "row") if rows else (1, "column")
-    if not box_a | box_b <= set(diagram_boxes(t.shape)):
+    shape = t.shape
+    if not all(1 <= i <= len(shape) and 1 <= j <= shape[i - 1] for i, j in box_a | box_b):
         raise ValueError("box sets lie outside the diagram")
     if not box_a or not box_b:
         raise ValueError("box sets A and B must be nonempty")
@@ -249,60 +230,73 @@ def check_line_label(t: Tableau, box_a: frozenset, box_b: frozenset, rows: bool)
     (line_a,), (line_b,) = lines_a, lines_b
     if not line_a < line_b:
         raise ValueError(f"box set A must lie in an earlier {line} than B")
-    lengths = t.shape if rows else conjugate(t.shape)
-    if len(box_a) + len(box_b) <= lengths[line_a - 1]:
+    length = shape[line_a - 1] if rows else sum(1 for p in shape if p >= line_a)
+    if len(box_a) + len(box_b) <= length:
         kind = "dual Garnir" if rows else "Garnir"
         raise ValueError(f"invalid {kind} label: |A| + |B| must exceed the length of A's {line}")
 
 
-def _fill_boxes(t: Tableau, boxes, values) -> Tableau:
-    grid = [list(r) for r in t.rows]
-    for (i, j), v in zip(boxes, values):
-        grid[i - 1][j - 1] = v
-    return Tableau._fresh(tuple(tuple(r) for r in grid))
+def shuffles(t: Tableau, box_a: frozenset, box_b: frozenset, values=None):
+    """One tableau and sign per left coset of S_A x S_B in S_{A|B}.
+
+    The positions are the boxes of A | B in box order, and ``values`` gives
+    one entry per position (by default the entries of t there).  For each
+    |A|-subset S of the positions, in lexicographic order, yields t with
+    the values on S written into A and the others into B, each in box
+    order, together with the sign of that permutation of the boxes: this is
+    t acted on by the representative :func:`left_coset_reps` picks for S.
+    """
+    union = sorted(box_a | box_b)
+    if values is None:
+        values = [t.rows[i - 1][j - 1] for i, j in union]
+    targets = sorted(box_a) + sorted(box_b)
+    # Read as a word in the positions, S followed by the rest is a permutation
+    # of sign (-1)^(sum(S) - C(|A|, 2)), and likewise A's positions followed
+    # by B's.  The box permutation sends the first word onto the second, so
+    # its sign is (-1)^(sum(S) + sum of A's positions).
+    parity = sum(n for n, b in enumerate(union) if b in box_a)
+    k = len(union)
+    for chosen in combinations(range(k), len(box_a)):
+        order = chosen + tuple(n for n in range(k) if n not in chosen)
+        grid = [list(row) for row in t.rows]
+        for (i, j), n in zip(targets, order):
+            grid[i - 1][j - 1] = values[n]
+        sign = -1 if (parity + sum(chosen)) % 2 else 1
+        yield Tableau._fresh(tuple(map(tuple, grid))), sign
 
 
-def sab_orbit_row_classes(
-    t: Tableau, box_a: frozenset, box_b: frozenset, rep_choice: str = "min"
-) -> list[tuple[Tableau, int]]:
+def _row_class_reps(t: Tableau, box_a: frozenset, box_b: frozenset) -> dict[Tableau, Tableau]:
+    """Row classes reached by rearranging the entries of t on A | B, each to its least member.
+
+    A class is fixed by the multiset of entries written into A.  With
+    the entries sorted, every shuffle writes A and B in ascending order, so
+    all the shuffles landing in a class give one tableau, its least member.
+    The label is not validated.
+    """
+    values = sorted(t.rows[i - 1][j - 1] for i, j in box_a | box_b)
+    return {sort_rows(u): u for u, _ in shuffles(t, box_a, box_b, values)}
+
+
+def sab_orbit_row_classes(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[tuple[Tableau, int]]:
     """Row classes of the tableaux reachable by permuting the boxes of A | B.
 
-    Enumerates the distinct tableaux obtained by rearranging the entries of
-    t on A | B, groups them by row equivalence, and returns one
-    representative per class (drawn from the reachable set) together with
-    the index of its split row stabilizer inside its full row stabilizer.
+    Returns, in the order of the classes, the least reachable member of
+    each class together with the index of its split row stabilizer inside
+    its full row stabilizer; the index is the same for every member.
     """
-    check_two_row_boxsets(t, box_a, box_b)
-    if rep_choice not in ("min", "max"):
-        raise ValueError("rep_choice must be 'min' or 'max'")
-    union = tuple(sorted(box_a | box_b))
-    members = frozenset(union)
-    entries = [t.entry(i, j) for i, j in union]
-    classes: dict[Tableau, list[Tableau]] = {}
-    for arrangement in multiset_permutations(entries):
-        u = _fill_boxes(t, union, arrangement)
-        classes.setdefault(sort_rows(u), []).append(u)
-    pick = min if rep_choice == "min" else max
-    out = []
-    for canon in sorted(classes, key=lambda s: s.sort_key):
-        rep = pick(classes[canon], key=lambda s: s.sort_key)
-        out.append((rep, class_index(rep, members)))
-    return out
+    check_line_label(t, box_a, box_b, rows=True)
+    members = box_a | box_b
+    reps = _row_class_reps(t, box_a, box_b)
+    return [(reps[c], class_index(reps[c], members)) for c in sorted(reps)]
 
 
 def sab_cosets_star(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[tuple[Tableau, int]]:
     """Multiset of tableaux reached by one representative per left coset.
 
-    Representatives of the left cosets of the A-and-B-preserving subgroup
-    are indexed by which boxes of A | B flow into A; each acts on t, and
-    identical result tableaux are tallied with multiplicities.
+    The tableaux of :func:`shuffles`, tallied with multiplicities.
     """
-    check_two_row_boxsets(t, box_a, box_b, allow_empty_b=True)
-    tally: dict[Tableau, int] = {}
-    for rep in left_coset_reps(t.shape, box_a, box_b):
-        u = rep.act(t)
-        tally[u] = tally.get(u, 0) + 1
-    return sorted(tally.items(), key=lambda kv: kv[0].sort_key)
+    check_line_label(t, box_a, box_b, rows=True)
+    return sorted(Counter(u for u, _ in shuffles(t, box_a, box_b)).items())
 
 
 def left_coset_reps(shape, box_a: frozenset, box_b: frozenset):
@@ -310,12 +304,11 @@ def left_coset_reps(shape, box_a: frozenset, box_b: frozenset):
 
     Cosets correspond to the subsets of A | B flowing into A; the chosen
     representative maps that subset and its complement order-preservingly.
+    Oracle for :func:`shuffles`.
     """
     union = tuple(sorted(box_a | box_b))
     a_sorted = tuple(sorted(box_a))
     b_sorted = tuple(sorted(box_b))
-    from itertools import combinations
-
     reps = []
     for chosen in combinations(union, len(a_sorted)):
         rest = tuple(b for b in union if b not in set(chosen))
@@ -368,7 +361,7 @@ def double_coset_reps(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[Pl
     Refuses box sets with more than six boxes; this path exists to validate
     the orbit construction, not to compute with.
     """
-    check_two_row_boxsets(t, box_a, box_b)
+    check_line_label(t, box_a, box_b, rows=True)
     union = tuple(sorted(box_a | box_b))
     k = len(union)
     if k > 6:

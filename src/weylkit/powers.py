@@ -165,14 +165,18 @@ def wedge_project(x: TensorElement) -> ColumnTabloidElement:
     Labels with a repeated column entry vanish; all others sort to their
     column-standard form with the sign of the sorting permutation.
     """
-    terms = []
+    terms: dict = {}
     for t, c in x.lin.items():
-        sorted_ = sort_columns(t)
-        if sorted_ is None:
-            continue
-        sign, u = sorted_
-        terms.append((u, c if sign == 1 else -c))
+        _add_wedge_term(terms, t, c)
     return ColumnTabloidElement(LinComb(x.ring, terms))
+
+
+def _add_wedge_term(terms: dict, t: Tableau, c) -> None:
+    """Add c times the wedge projection of the pure tensor t to ``terms``."""
+    sorted_ = sort_columns(t)
+    if sorted_ is not None:
+        sign, u = sorted_
+        terms[u] = terms.get(u, 0) + (c if sign == 1 else -c)
 
 
 def sym_lower_coords(x: TensorElement) -> SymLowerElement:
@@ -199,11 +203,7 @@ def _wedge_of_rsym_int(t_sorted: Tableau) -> LinComb:
     """Integer expansion of the wedge projection of one row symmetrisation."""
     terms: dict[Tableau, int] = {}
     for u in row_orbit(t_sorted):
-        sorted_ = sort_columns(u)
-        if sorted_ is None:
-            continue
-        sign, w = sorted_
-        terms[w] = terms.get(w, 0) + sign
+        _add_wedge_term(terms, u, 1)
     return LinComb(ZZ, terms)
 
 

@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .places import boxset_to_json, check_line_label, left_coset_reps, permutation_parity
+from .places import boxset_to_json, check_line_label, permutation_parity, shuffles
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -33,7 +33,7 @@ from .tableaux import (
     sort_rows,
     transpose,
 )
-from .powers import ColumnTabloidElement, RowTabloidElement
+from .powers import ColumnTabloidElement, RowTabloidElement, _add_wedge_term
 from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
 from .verify import check, checked_shape, image_rank, relation_span, report
 
@@ -92,16 +92,9 @@ class SchurRelation:
 
 @cache
 def _garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
-    from .tableaux import sort_columns
-
     terms: dict[Tableau, int] = {}
-    for rep in left_coset_reps(t.shape, box_a, box_b):
-        u = rep.act(t)
-        sorted_ = sort_columns(u)
-        if sorted_ is None:
-            continue
-        sign, w = sorted_
-        terms[w] = terms.get(w, 0) + rep.sign * sign
+    for u, sign in shuffles(t, box_a, box_b):
+        _add_wedge_term(terms, u, sign)
     return LinComb(ZZ, terms)
 
 

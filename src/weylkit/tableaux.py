@@ -28,7 +28,7 @@ def check_partition(parts) -> tuple[int, ...]:
     """Validate and return a partition as a tuple."""
     shape = tuple(parts)
     for p in shape:
-        if not isinstance(p, int) or p < 1:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"invalid partition {shape}: parts must be positive integers")
     for a, b in zip(shape, shape[1:]):
         if a < b:
@@ -84,7 +84,7 @@ class Tableau:
         check_partition(shape)
         for row in rows:
             for v in row:
-                if not isinstance(v, int) or v < 1:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                     raise ValueError(f"tableau entries must be positive integers, got {v!r}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shape", shape)

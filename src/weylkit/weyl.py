@@ -31,12 +31,12 @@ from functools import cache
 
 from .coeffs import ZZ, CoefficientRing, LinComb
 from .places import (
+    _row_class_reps,
     check_line_label,
     class_index,
     double_coset_reps,
     row_stabilizer_order,
     sab_cosets_star,
-    sab_orbit_row_classes,
 )
 from .powers import ColumnTabloidElement, SymLowerElement, _wedge_of_rsym_int, wedge_of_sym_lower
 from .schur import garnir_labels
@@ -92,8 +92,9 @@ class WeylRelation:
 
 @cache
 def _dual_garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
-    classes = sab_orbit_row_classes(t, box_a, box_b)
-    return LinComb(ZZ, {sort_rows(u): index for u, index in classes})
+    members = box_a | box_b
+    reps = _row_class_reps(t, box_a, box_b)
+    return LinComb(ZZ, {c: class_index(u, members) for c, u in reps.items()})
 
 
 def dual_garnir(
@@ -112,7 +113,6 @@ def dual_garnir_double_coset(
 
     Oracle path: refuses |A| + |B| > 6.  Must agree with :func:`dual_garnir`.
     """
-    check_line_label(t, box_a, box_b, rows=True)
     members = frozenset(box_a | box_b)
     coords = {}
     for rep in double_coset_reps(t, box_a, box_b):
@@ -137,7 +137,6 @@ def variant_relation(
     second acquires scalar factors -- but both are useful regression
     targets.
     """
-    check_line_label(t, box_a, box_b, rows=True)
     if kind not in (STAR_VARIANT, STAR_STAR_VARIANT):
         raise ValueError(f"unknown variant kind {kind!r}")
     coords: dict[Tableau, int] = {}

@@ -1,4 +1,4 @@
-"""Place-permutation group oracles: whole groups listed element by element.
+"""Place-permutation oracles: whole groups and arrangements listed one by one.
 
 Factorially many elements, so test scale only.  The library never lists a
 group; the tests compare its orbit and coset constructions with these.
@@ -6,8 +6,8 @@ group; the tests compare its orbit and coset constructions with these.
 
 from itertools import permutations, product
 
-from weylkit.places import PlacePermutation
-from weylkit.tableaux import check_partition, diagram_boxes
+from weylkit.places import PlacePermutation, class_index, multiset_permutations
+from weylkit.tableaux import Tableau, check_partition, diagram_boxes, sort_rows
 
 
 def all_place_permutations(shape):
@@ -42,3 +42,31 @@ def column_preserving_permutations(shape):
         for j in range(1, ncols + 1)
     ]
     yield from _per_line_permutations(cols, shape)
+
+
+def _fill_boxes(t, boxes, values):
+    grid = [list(r) for r in t.rows]
+    for (i, j), v in zip(boxes, values):
+        grid[i - 1][j - 1] = v
+    return Tableau._fresh(tuple(tuple(r) for r in grid))
+
+
+def full_arrangement_row_classes(t, box_a, box_b):
+    """Row classes of every rearrangement of the entries of t on A | B.
+
+    Lists all the distinct arrangements, groups them by row class, and
+    returns per class (in class order) its least member and that member's
+    split row stabilizer index.
+    """
+    union = tuple(sorted(box_a | box_b))
+    members = frozenset(union)
+    entries = [t.entry(i, j) for i, j in union]
+    classes = {}
+    for arrangement in multiset_permutations(entries):
+        u = _fill_boxes(t, union, arrangement)
+        classes.setdefault(sort_rows(u), []).append(u)
+    out = []
+    for canon in sorted(classes, key=lambda s: s.sort_key):
+        rep = min(classes[canon], key=lambda s: s.sort_key)
+        out.append((rep, class_index(rep, members)))
+    return out

@@ -217,6 +217,22 @@ class TestExitCodes:
         assert code == 2
         assert "malformed tableau JSON" in err
 
+    def test_bool_tableau_entry(self, capsys):
+        code, out, _ = run(capsys, "rsym", "--tableau", "[[true,2]]")
+        assert (code, out) == (2, "")
+
+    def test_bool_matrix_entry(self, capsys):
+        code, out, err = run(
+            capsys,
+            "equivariance",
+            "--shape", "1",
+            "--entries", "2",
+            "--matrix", "[[true,0],[0,1]]",
+            "--map", "e",
+        )
+        assert (code, out) == (2, "")
+        assert "bad entry matrix" in err
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
             capsys, "weyl-verify", "--shape", "3,1", "--entries", "99", "--ring", "q"

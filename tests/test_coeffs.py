@@ -38,6 +38,14 @@ class TestRings:
             ZZ.normalize(Fraction(1, 2))
         assert ZZ.normalize(Fraction(4, 2)) == 2
 
+    def test_bools_are_rejected(self):
+        # True == 1, so accepting it would give equal elements unequal JSON
+        for ring in (ZZ, QQ, Z3):
+            with pytest.raises(TypeError):
+                ring.normalize(True)
+        with pytest.raises(TypeError):
+            LinComb(ZZ, {"x": True})
+
     def test_field_detection(self):
         assert QQ.is_field
         assert integers_mod(7).is_field

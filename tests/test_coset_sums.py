@@ -1,0 +1,78 @@
+"""The relations built on ``places.shuffles`` against the place-permutation oracles.
+
+Each test runs one shape of size at most 5, over every tableau with entries
+at most 3 and every Garnir or dual Garnir label of the shape.
+"""
+
+from collections import Counter
+
+import pytest
+
+from weylkit.coeffs import ZZ, LinComb
+from weylkit.places import (
+    left_coset_reps,
+    row_stabilizer_order,
+    sab_cosets_star,
+    sab_orbit_row_classes,
+    shuffles,
+)
+from weylkit.schur import _garnir_int, garnir_labels
+from weylkit.tableaux import ALL, enumerate_tableaux, partitions_up_to, sort_columns, sort_rows
+from weylkit.weyl import (
+    STAR_STAR_VARIANT,
+    STAR_VARIANT,
+    _dual_garnir_int,
+    dual_garnir_labels,
+    variant_relation,
+)
+
+from place_oracles import full_arrangement_row_classes
+
+each_shape = pytest.mark.parametrize(
+    "shape", list(partitions_up_to(5)), ids=lambda s: ",".join(map(str, s))
+)
+
+
+def coset_sweep(shape, labels):
+    """(t, A, B, t acted on by each coset representative with its sign)."""
+    tableaux = enumerate_tableaux(shape, 3, ALL)
+    for box_a, box_b in labels(shape):
+        reps = [(rep, rep.sign) for rep in left_coset_reps(shape, box_a, box_b)]
+        for t in tableaux:
+            yield t, box_a, box_b, [(rep.act(t), sign) for rep, sign in reps]
+
+
+@each_shape
+def test_garnir_relations_match_coset_representatives(shape):
+    for t, box_a, box_b, acted in coset_sweep(shape, garnir_labels):
+        assert list(shuffles(t, box_a, box_b)) == acted
+        terms = {}
+        for u, sign in acted:
+            sorted_ = sort_columns(u)
+            if sorted_ is not None:
+                terms[sorted_[1]] = terms.get(sorted_[1], 0) + sign * sorted_[0]
+        assert _garnir_int(t, box_a, box_b) == LinComb(ZZ, terms)
+
+
+@each_shape
+def test_star_variants_match_coset_representatives(shape):
+    for t, box_a, box_b, acted in coset_sweep(shape, dual_garnir_labels):
+        assert list(shuffles(t, box_a, box_b)) == acted
+        tally = Counter(u for u, _ in acted)
+        assert sab_cosets_star(t, box_a, box_b) == sorted(tally.items(), key=lambda kv: kv[0].sort_key)
+        for kind, weight in ((STAR_VARIANT, lambda u: 1), (STAR_STAR_VARIANT, row_stabilizer_order)):
+            coords = {}
+            for u, mult in tally.items():
+                label = sort_rows(u)
+                coords[label] = coords.get(label, 0) + mult * weight(u)
+            assert variant_relation(t, box_a, box_b, kind).element.lin == LinComb(ZZ, coords)
+
+
+@each_shape
+def test_row_classes_match_full_arrangements(shape):
+    tableaux = enumerate_tableaux(shape, 3, ALL)
+    for box_a, box_b in dual_garnir_labels(shape):
+        for t in tableaux:
+            expected = full_arrangement_row_classes(t, box_a, box_b)
+            assert sab_orbit_row_classes(t, box_a, box_b) == expected
+            assert _dual_garnir_int(t, box_a, box_b) == LinComb(ZZ, {sort_rows(u): i for u, i in expected})

@@ -72,6 +72,12 @@ class TestTableau:
         with pytest.raises(ValueError):
             T([[0, 1]])
 
+    def test_bools_are_not_entries_or_parts(self):
+        with pytest.raises(ValueError):
+            T([[True, 2]])
+        with pytest.raises(ValueError):
+            check_partition((True,))
+
     def test_predicates(self):
         assert T([[1, 2, 2], [3, 3]]).is_semistandard
         assert T([[2, 1], [3, 3]]).is_column_standard
