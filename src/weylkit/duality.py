@@ -286,7 +286,7 @@ def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
         pairs = ((c, _act_on_label(t, g)) for t, c in x.lin.items())
         return TensorElement(LinComb.linear_combination(x.ring, pairs))
     if isinstance(x, (ColumnTabloidElement, RowTabloidElement, SymLowerElement)):
-        return type(x)(_functorial_action(x, g))
+        return type(x)._trusted(_functorial_action(x, g))
     raise TypeError(f"unsupported element type {type(x).__name__}")
 
 

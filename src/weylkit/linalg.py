@@ -1,18 +1,25 @@
 """Exact linear algebra helpers for small instances: no floating point.
 
-Rank is computed by incremental Gaussian elimination on sparse dict rows
-over an exact field (the rationals, or a prime residue field).
+The verify paths compute no rank.  They read both ranks of a kernel
+theorem off unitriangular certificates (see :mod:`weylkit.verify`), built
+with :func:`leading_coefficient`: a row whose coefficient on one label is
+1 and whose other labels all sort strictly below it.
 
-Over the integers a relation lattice is certified a direct summand by
-unitriangular pivots: for each label outside the semistandard basis, one
-relation whose coefficient on that label is a unit and whose other labels
-all sort strictly below it (:func:`leading_coefficient`).  The N pivot rows
-are then unitriangular on the N non-basis columns, so their Z-span is
-saturated and the basis vectors complete it to a basis of the whole
-lattice; if in addition the rational rank of all the relations is N, every
-integer relation lies in that span, which is a direct summand.  Smith
-normal form on dense integer matrices (:func:`smith_elementary_divisors`)
-proves the same thing far more slowly and is kept as the tests' oracle.
+Over the integers the same pivots certify that a relation lattice is a
+direct summand.  For each label outside the semistandard basis there is
+one relation with coefficient 1 on that label and every other label lower,
+so the N pivot rows are unitriangular on the N non-basis columns: their
+Z-span is saturated, and the basis vectors complete it to a basis of the
+whole lattice.  The semistandard images bound the rational nullity by N,
+so every integer relation lies in the rational span of the pivots, and by
+back substitution along the unit diagonal in their Z-span, which is
+therefore the whole relation lattice and a direct summand.
+
+:func:`rank_of_rows` (incremental Gaussian elimination on sparse dict
+rows over the rationals or a prime residue field) and
+:func:`smith_elementary_divisors` (Smith normal form of a dense integer
+matrix) decide the same questions far more slowly; the tests keep them as
+the certificates' oracles.
 """
 
 from __future__ import annotations

@@ -39,12 +39,19 @@ class TableauElement:
         pass
 
     @classmethod
-    def zero(cls, ring: CoefficientRing = ZZ):
-        return cls(LinComb.zero(ring))
+    def _trusted(cls, lin: LinComb):
+        """An element on labels of one shape already canonical for the space, unchecked.
+
+        For builders whose labels are canonical by construction; every
+        other caller goes through the checking constructor.
+        """
+        x = cls.__new__(cls)
+        x.lin = lin
+        return x
 
     @classmethod
-    def from_terms(cls, ring: CoefficientRing, terms):
-        return cls(LinComb(ring, terms))
+    def zero(cls, ring: CoefficientRing = ZZ):
+        return cls(LinComb.zero(ring))
 
     @property
     def ring(self) -> CoefficientRing:
@@ -210,4 +217,4 @@ def _wedge_of_rsym_int(t_sorted: Tableau) -> LinComb:
 def wedge_of_sym_lower(x: SymLowerElement) -> ColumnTabloidElement:
     """Wedge projection of a symmetric tensor given by its coordinates."""
     pairs = ((c, _wedge_of_rsym_int(t)) for t, c in x.lin.items())
-    return ColumnTabloidElement(LinComb.linear_combination(x.ring, pairs))
+    return ColumnTabloidElement._trusted(LinComb.linear_combination(x.ring, pairs))

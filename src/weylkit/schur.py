@@ -9,7 +9,8 @@ representatives mixing a column subset A with a later-column subset B once
 :mod:`weylkit.weyl` read along columns instead of rows: the labels, the
 label check and the kernel check are the transposes of the dual Garnir
 ones.  ``verify_schur_ses`` checks the kernel description on one instance
-with the relation loop of :mod:`weylkit.verify`, over column-sorted labels.
+with the integer certificate of :mod:`weylkit.verify`, over column-sorted
+labels, built once per (shape, max_entry) and shared by every ring.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from .tableaux import (
     column_order_key,
     conjugate,
     enumerate_tableaux,
+    row_order_key,
     sort_rows,
     transpose,
 )
 from .powers import ColumnTabloidElement, RowTabloidElement, _add_wedge_term
 from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
-from .verify import check, checked_shape, image_rank, relation_span, report
+from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
 
 
 @cache
@@ -65,13 +67,13 @@ def _polytabloid_int(t: Tableau) -> LinComb:
 
 def polytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> RowTabloidElement:
     """Signed column-orbit sum of row tabloids; zero on repeated column entries."""
-    return RowTabloidElement(_polytabloid_int(t).change_ring(ring))
+    return RowTabloidElement._trusted(_polytabloid_int(t).change_ring(ring))
 
 
 def apply_polytabloid_map(x: ColumnTabloidElement) -> RowTabloidElement:
     """Linear extension of column tabloid -> polytabloid."""
     pairs = ((c, _polytabloid_int(t)) for t, c in x.lin.items())
-    return RowTabloidElement(LinComb.linear_combination(x.ring, pairs))
+    return RowTabloidElement._trusted(LinComb.linear_combination(x.ring, pairs))
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def garnir(t: Tableau, box_a: frozenset, box_b: frozenset, ring: CoefficientRing
     """The signed coset-representative sum labelled by (t, A, B)."""
     check_line_label(t, box_a, box_b, rows=False)
     lin = _garnir_int(t, box_a, box_b).change_ring(ring)
-    return SchurRelation(t, box_a, box_b, ColumnTabloidElement(lin))
+    return SchurRelation(t, box_a, box_b, ColumnTabloidElement._trusted(lin))
 
 
 def garnir_labels(shape):
@@ -121,10 +123,6 @@ def garnir_labels(shape):
                     for sub_a in combinations(col_a, na):
                         for sub_b in combinations(col_b, nb):
                             yield frozenset(sub_a), frozenset(sub_b)
-
-
-def _counterexample(rel: SchurRelation | None) -> dict | None:
-    return None if rel is None else rel.to_json()
 
 
 def _garnir_pivot(t: Tableau) -> tuple[frozenset, frozenset] | None:
@@ -148,6 +146,29 @@ def _garnir_pivot(t: Tableau) -> tuple[frozenset, frozenset] | None:
     return None
 
 
+@cache
+def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
+    """The integer certificate of the Schur side, shared by every ring.
+
+    Garnir relations on the column-sorted labels, pivots on the first row
+    descent (:func:`_garnir_pivot`), and the semistandard polytabloids,
+    whose every other row tabloid is above their own in the row order.
+    """
+    return kernel_certificate(
+        labels=[transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)],
+        relation_labels=list(garnir_labels(shape)),
+        build=lambda t, boxes: garnir(t, *boxes),
+        kernel_map=apply_polytabloid_map,
+        pivot=_garnir_pivot,
+        key=lambda u: column_order_key(u, max_entry),
+        dimension=len(enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)),
+        semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
+        image=polytabloid,
+        image_key=lambda u: row_order_key(u, max_entry),
+        describe=SchurRelation.to_json,
+    )
+
+
 def verify_schur_ses(
     shape,
     max_entry: int,
@@ -158,39 +179,33 @@ def verify_schur_ses(
     """Check rank(Garnir span) + rank(polytabloid map) = dim of the exterior power.
 
     Also checks that every Garnir relation maps to zero, which combined with
-    the rank identity pins the kernel exactly.  The relations are built on
-    the column-sorted labels, which give every Garnir relation up to sign.
-    Over the integers the ranks are taken over the rationals, and the
-    relation lattice is in addition shown to be a direct summand: for each
-    column-standard label that is not semistandard, the Garnir relation on
-    its first row descent must have coefficient 1 on it and all its other
-    labels strictly below it in the column order.
+    the rank identity pins the kernel exactly.  Both follow from the integer
+    certificate of :mod:`weylkit.verify`, built once per (shape, max_entry):
+    every Garnir relation on a column-sorted label maps to zero over Z; for
+    each column-standard label that is not semistandard, the relation on
+    its first row descent has coefficient 1 on it and all its other labels
+    strictly below it in the column order; and each semistandard
+    polytabloid has coefficient 1 on its own row tabloid and all its other
+    row tabloids strictly above it in the row order.  Then over every ring
+    the map has rank #ssyt and the relations span its kernel, of rank
+    #csyt - #ssyt; over the integers the ranks are rational, and the
+    relation lattice is in addition a direct summand.
     """
     shape = checked_shape(shape, max_entry, ring, size_cap, entry_cap)
     started = time.perf_counter()
     csyt = enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)
     ssyt = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
-    rank_image = image_rank(csyt, lambda u: polytabloid(u, ring), ring)
-    span = relation_span(
-        labels=[transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)],
-        relation_labels=list(garnir_labels(shape)),
-        build=lambda t, boxes: garnir(t, *boxes, ring),
-        kernel_map=apply_polytabloid_map,
-        basis=csyt,
-        ring=ring,
-        pivot=_garnir_pivot,
-        key=lambda u: column_order_key(u, max_entry),
-    )
-    checks = [check("garnir_relations_map_to_zero", span.bad is None, _counterexample(span.bad))]
-    ranks = {"polytabloid_map": rank_image, "garnir_span": span.rank}
-    if span.bad is None:
-        checks.append(check("image_rank_is_ssyt_count", rank_image == len(ssyt)))
-        checks.append(check("rank_sum_matches_wedge_dim", span.rank + rank_image == len(csyt)))
+    cert = _certificate(shape, max_entry)
+    rank_image, span = cert.ranks(ring)
+    checks = [check("garnir_relations_map_to_zero", cert.bad is None, cert.membership_failure)]
+    ranks = {"polytabloid_map": rank_image, "garnir_span": span}
+    if cert.bad is None:
+        checks.append(check("image_rank_is_ssyt_count", rank_image == len(ssyt), cert.image_failure(ring)))
+        rank_sum = span is not None and span + rank_image == len(csyt)
+        checks.append(check("rank_sum_matches_wedge_dim", rank_sum, cert.pivot_failure(ring)))
         if ring.kind == "z":
-            ranks["garnir_certificate"] = {"pivots": span.pivots}
-            checks.append(
-                check("garnir_lattice_is_direct_summand", span.certified, _counterexample(span.broken))
-            )
+            ranks["garnir_certificate"] = {"pivots": cert.pivots}
+            checks.append(check("garnir_lattice_is_direct_summand", cert.direct_summand, cert.lattice_failure))
     instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
     dims = {"csyt": len(csyt), "ssyt": len(ssyt), "wedge_dim": len(csyt)}
     return report("schur-verify", instance, dims, checks, started, ranks)

@@ -1,13 +1,27 @@
-"""The parts the verify paths share: size caps, reports, ranks, and the relation check.
+"""The parts the verify paths share: size caps, reports, and the kernel certificate.
 
-Both kernel checks run one loop.  For every label t of the loop and every
-relation label r, build the relation on (t, r), require that it maps to
-zero, and record it as a sparse row over the basis of its space; then take
-the rank of the rows over Q or over the field.  Over the integers the same
-loop collects the unitriangular certificate described in
-:mod:`weylkit.linalg`: for each label t that is not semistandard, the
-relation on the side's pivot label must have coefficient exactly 1 on t and
-every other label strictly below t in the side's order.
+Both kernel checks prove their theorem with one integer certificate per
+(shape, max_entry), built by :func:`kernel_certificate` and reused for
+every ring.  Let N be the number of labels of the domain's basis that are
+not semistandard.  The certificate has three parts:
+
+1. every relation maps to zero over the integers;
+2. for each of those N labels t, the relation on the side's pivot label has
+   coefficient exactly 1 on t and every other label strictly below t in
+   the side's order;
+3. the image of each semistandard label s has coefficient exactly 1 on s
+   and every other label strictly above s in the image's order.
+
+Relations and kernel maps are defined over the integers and commute with
+base change, so over every ring R the N pivots stay independent in the
+relation span, which lies in the kernel, and the semistandard images stay
+independent.  Hence the nullity is at least N and the rank at least
+#ssyt; as the two add up to the dimension of the domain, the rank is
+#ssyt, the nullity N, and the relation span is the whole kernel.  Over the
+integers the pivots in addition make the relation lattice a direct summand
+(see :mod:`weylkit.linalg`).  A leading coefficient other than 1 still
+proves the ranks over a ring where it is a unit (over the integers the
+ranks are rational), but never the direct summand.
 
 The Weyl side runs the loop over row-sorted labels with dual snake
 relations.  The Schur side is its transpose: column-sorted labels, which
@@ -22,8 +36,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .coeffs import QQ, CoefficientRing
-from .linalg import leading_coefficient, rank_of_rows
+from .coeffs import QQ, ZZ, CoefficientRing
+from .linalg import leading_coefficient
 from .tableaux import check_partition
 
 
@@ -62,50 +76,119 @@ def report(command: str, instance: dict, dims: dict, checks: list, started: floa
     return out
 
 
-def image_rank(labels, image, ring: CoefficientRing) -> int:
-    """Rank over Q, or over the field, of the map sending each label u to ``image(u)``."""
-    columns: dict = {}
-    rows = [{columns.setdefault(l, len(columns)): c for l, c in image(u).items()} for u in labels]
-    return rank_of_rows(rows, ring if ring.is_field else QQ)
+def _is_unit(lead, ring: CoefficientRing) -> bool:
+    """Whether ``lead`` is a unit where the ranks over ``ring`` are taken (Q for Z)."""
+    return lead is not None and (ring if ring.is_field else QQ).is_unit(lead)
 
 
 @dataclass(frozen=True)
-class RelationSpan:
-    """What :func:`relation_span` found; ``rank`` is None when ``bad`` is set."""
+class KernelCertificate:
+    """What :func:`kernel_certificate` found on one (shape, max_entry).
 
-    bad: object  # the first relation that does not map to zero
-    rank: int | None
-    pivots: int
-    broken: object  # the first pivot relation that is not unitriangular
+    ``odd_pivots`` holds (lead, label, relation) for each label whose pivot
+    relation does not have leading coefficient exactly 1, and
+    ``odd_images`` holds (lead, label, image) for each semistandard label
+    whose image does not have coefficient exactly 1 on it.  A lead is None
+    when some other label lies on the wrong side, or when no relation
+    carries the pivot label; the relation is then None too.  Both are empty
+    on every instance the theorem covers.  The failure methods give
+    counterexamples as JSON, relations as ``describe`` writes them.
+    """
+
+    bad: object  # the first relation that does not map to zero; the scan stops there
+    nullity: int  # N: the basis labels that are not semistandard
+    rank: int  # the semistandard labels
+    pivots: int  # pivot relations with leading coefficient exactly 1
+    odd_pivots: tuple
+    odd_images: tuple
+    describe: object
 
     @property
-    def certified(self) -> bool:
+    def membership_failure(self) -> dict | None:
+        return None if self.bad is None else self.describe(self.bad)
+
+    def image_failure(self, ring: CoefficientRing) -> dict | None:
+        """The first semistandard label whose image is not unitriangular over ``ring``."""
+        for lead, s, image in self.odd_images:
+            if not _is_unit(lead, ring):
+                return {"tableau": s.to_json(), "image": image.to_json()}
+        return None
+
+    def pivot_failure(self, ring: CoefficientRing) -> dict | None:
+        """The first pivot whose leading coefficient is not a unit over ``ring``."""
+        failed = (self._pivot(t, rel) for lead, t, rel in self.odd_pivots if not _is_unit(lead, ring))
+        return next(failed, None)
+
+    @property
+    def lattice_failure(self) -> dict | None:
+        """The first pivot whose leading coefficient is not exactly 1."""
+        return next((self._pivot(t, rel) for _, t, rel in self.odd_pivots), None)
+
+    def _pivot(self, t, rel) -> dict:
+        return {"tableau": t.to_json()} if rel is None else self.describe(rel)
+
+    def ranks(self, ring: CoefficientRing) -> tuple[int | None, int | None]:
+        """Ranks over ``ring`` (over Q for Z) of the map and of the relation span.
+
+        The map's rank is #ssyt when its images are unitriangular, and the
+        span's is N when in addition every relation maps to zero and the N
+        pivots' leading coefficients are units; each is None otherwise.
+        """
+        if self.image_failure(ring) is not None:
+            return None, None
+        every_pivot = self.pivots + len(self.odd_pivots) == self.nullity
+        proved = self.bad is None and every_pivot and self.pivot_failure(ring) is None
+        return self.rank, self.nullity if proved else None
+
+    @property
+    def direct_summand(self) -> bool:
         """The relation lattice is a direct summand (over the integers)."""
-        return self.broken is None and self.rank == self.pivots
+        return self.ranks(ZZ)[1] is not None and self.pivots == self.nullity
 
 
-def relation_span(labels, relation_labels, build, kernel_map, basis, ring, pivot, key) -> RelationSpan:
-    """Build ``build(t, r)`` for every label t and relation label r, and rank them.
-
-    Stops at the first relation whose image under ``kernel_map`` is not
-    zero.  Over the integers, for each t that is not semistandard, the
-    relation on ``pivot(t)`` (None for no pivot) must have coefficient 1 on
-    t and every other label strictly below t under ``key``.
-    """
-    index = {u: k for k, u in enumerate(basis)}
-    rows = []
-    pivots = 0
-    broken = None
+def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key):
+    """(first relation not mapping to zero, pivots with lead 1, the other pivots)."""
+    pivots, odd = 0, []
     for t in labels:
-        target = pivot(t) if ring.kind == "z" and not t.is_semistandard else None
+        target = None if t.is_semistandard else pivot(t)
+        found = None
         for r in relation_labels:
             rel = build(t, r)
             if not kernel_map(rel.element).is_zero:
-                return RelationSpan(rel, None, pivots, broken)
-            rows.append({index[u]: c for u, c in rel.element.items()})
-            if r == target and broken is None:
-                if leading_coefficient(rel.element, t, key) == 1:
-                    pivots += 1
-                else:
-                    broken = rel
-    return RelationSpan(None, rank_of_rows(rows, ring if ring.is_field else QQ), pivots, broken)
+                return rel, pivots, odd
+            if r == target:
+                found = rel
+        if target is not None:
+            lead = None if found is None else leading_coefficient(found.element, t, key)
+            if lead == 1:
+                pivots += 1
+            else:
+                odd.append((lead, t, found))
+    return None, pivots, odd
+
+
+def kernel_certificate(
+    labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key,
+    describe,
+) -> KernelCertificate:
+    """Build the integer certificate of a kernel theorem on one (shape, max_entry).
+
+    Builds ``build(t, r)`` for every label t and relation label r, stopping
+    at the first relation whose image under ``kernel_map`` is not zero.  For
+    each t that is not semistandard, the relation on ``pivot(t)`` (None for
+    no pivot) should have coefficient 1 on t and every other label strictly
+    below t under ``key``.  The domain has ``dimension`` basis labels, and
+    ``image(s)`` of each label s in ``semistandard`` should have coefficient
+    1 on s and every other label strictly above s under ``image_key``.
+    ``describe`` writes a relation as a counterexample.
+    """
+    bad, pivots, odd_pivots = _scan_relations(labels, relation_labels, build, kernel_map, pivot, key)
+    odd_images = []
+    for s in semistandard:
+        element = image(s)
+        lead = leading_coefficient(element, s, lambda u: tuple(-v for v in image_key(u)))
+        if lead != 1:
+            odd_images.append((lead, s, element))
+    rank = len(semistandard)
+    odd_pivots, odd_images = tuple(odd_pivots), tuple(odd_images)
+    return KernelCertificate(bad, dimension - rank, rank, pivots, odd_pivots, odd_images, describe)

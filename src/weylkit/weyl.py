@@ -18,8 +18,9 @@ are aligned with runs of equal entries, the relation has unit leading
 coefficient on its own label and all other labels strictly smaller in the
 row order, which is exactly what ``straighten`` exploits to rewrite any
 element into semistandard coordinates with a certificate, and what
-``verify_weyl_kernel`` certifies with the relation loop of
-:mod:`weylkit.verify`.
+``verify_weyl_kernel`` certifies with the integer certificate of
+:mod:`weylkit.verify`, built once per (shape, max_entry) and shared by
+every ring.
 """
 
 from __future__ import annotations
@@ -46,17 +47,18 @@ from .tableaux import (
     COLUMN_STANDARD,
     Tableau,
     check_partition,
+    column_order_key,
     conjugate,
     enumerate_tableaux,
     row_order_key,
     sort_rows,
 )
-from .verify import check, checked_shape, image_rank, relation_span, report
+from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
 
 
 def copolytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> ColumnTabloidElement:
     """Wedge projection of the row symmetrisation of t; constant on row classes."""
-    return ColumnTabloidElement(_wedge_of_rsym_int(sort_rows(t)).change_ring(ring))
+    return ColumnTabloidElement._trusted(_wedge_of_rsym_int(sort_rows(t)).change_ring(ring))
 
 
 DUAL_GARNIR = "dual_garnir"
@@ -103,7 +105,7 @@ def dual_garnir(
     """The index-weighted row-class sum labelled by (t, A, B)."""
     check_line_label(t, box_a, box_b, rows=True)
     lin = _dual_garnir_int(t, box_a, box_b).change_ring(ring)
-    return WeylRelation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement(lin))
+    return WeylRelation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement._trusted(lin))
 
 
 def dual_garnir_double_coset(
@@ -208,12 +210,6 @@ class StraighteningCertificate:
         ring = self.source.ring
         pairs = ((coeff, dual_snake(t, i, j, jp).element.lin) for t, i, j, jp, coeff in self.gamma)
         return SymLowerElement(LinComb.linear_combination(ring, pairs))
-
-    def residual(self) -> SymLowerElement:
-        """source - coords + gamma combination; zero for a valid certificate."""
-        lin = self.source.lin.combine(self.coords.lin, 1, -1)
-        lin = lin.combine(self.gamma_combination().lin, 1, 1)
-        return SymLowerElement(lin)
 
     def verify(self) -> bool:
         from .powers import sym_lower_expand
@@ -327,10 +323,38 @@ def weyl_basis(shape, max_entry: int, ring: CoefficientRing = ZZ):
     ]
 
 
-def _counterexample(rel: WeylRelation | None) -> dict | None:
-    if rel is None:
-        return None
+def _counterexample(rel: WeylRelation) -> dict:
     return {"label": rel.label_json(), "element": rel.element.to_json()}
+
+
+def _snake_pivot(t: Tableau) -> tuple[int, int, int]:
+    """The snake that :func:`straighten` applies to a label that is not semistandard."""
+    i, j0 = _first_violation(t)
+    return (i, *_snake_for_violation(t, i, j0))
+
+
+@cache
+def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
+    """The integer certificate of the Weyl side, shared by every ring.
+
+    Dual snake relations on the row-sorted labels, pivots on the snakes
+    that ``straighten`` applies, and the semistandard copolytabloids, whose
+    every other column tabloid is above their own in the column order.
+    """
+    rssyt = enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD)
+    return kernel_certificate(
+        labels=rssyt,
+        relation_labels=list(snake_labels(shape)),
+        build=lambda t, snake: dual_snake(t, *snake),
+        kernel_map=wedge_of_sym_lower,
+        pivot=_snake_pivot,
+        key=lambda u: row_order_key(u, max_entry),
+        dimension=len(rssyt),
+        semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
+        image=copolytabloid,
+        image_key=lambda u: column_order_key(u, max_entry),
+        describe=_counterexample,
+    )
 
 
 def verify_weyl_kernel(
@@ -342,53 +366,42 @@ def verify_weyl_kernel(
 ) -> dict:
     """Check that the dual snake relations are exactly the wedge projection kernel.
 
-    Computes the rank of the projection restricted to symmetric tensors (in
-    the row-symmetrised / column-standard bases), checks it equals the
-    semistandard count, checks every snake relation projects to zero, and
-    checks the snake span has rank equal to the nullity.  Over the integers
-    the ranks are rational, and the snake lattice is in addition shown to
-    be a direct summand: for each label that is not semistandard, the snake
-    that ``straighten`` would apply to it must have coefficient 1 on it and
-    all its other labels strictly below it in the row order.
+    Checks that the projection restricted to symmetric tensors (in the
+    row-symmetrised / column-standard bases) has rank equal to the
+    semistandard count, that every snake relation projects to zero, and
+    that the snake span has rank equal to the nullity.  All three follow
+    from the integer certificate of :mod:`weylkit.verify`, built once per
+    (shape, max_entry): every snake on a row-sorted label projects to zero
+    over Z; for each label that is not semistandard, the snake that
+    ``straighten`` would apply to it has coefficient 1 on it and all its
+    other labels strictly below it in the row order; and each semistandard
+    copolytabloid has coefficient 1 on its own label and all its other
+    labels strictly above it in the column order.  Over the integers the
+    ranks are rational, and the snake lattice is in addition a direct
+    summand.
     """
     shape = checked_shape(shape, max_entry, ring, size_cap, entry_cap)
     started = time.perf_counter()
     rssyt = enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD)
     ssyt = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
     csyt = enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)
-    rank_projection = image_rank(rssyt, lambda t: copolytabloid(t, ring), ring)
-
-    def pivot(t):
-        i, j0 = _first_violation(t)
-        return (i, *_snake_for_violation(t, i, j0))
-
-    span = relation_span(
-        labels=rssyt,
-        relation_labels=list(snake_labels(shape)),
-        build=lambda t, snake: dual_snake(t, *snake, ring),
-        kernel_map=wedge_of_sym_lower,
-        basis=rssyt,
-        ring=ring,
-        pivot=pivot,
-        key=lambda u: row_order_key(u, max_entry),
-    )
+    cert = _certificate(shape, max_entry)
+    rank_projection, span = cert.ranks(ring)
     checks = [
-        check("projection_rank_is_ssyt_count", rank_projection == len(ssyt)),
-        check("snakes_lie_in_kernel", span.bad is None, _counterexample(span.bad)),
+        check("projection_rank_is_ssyt_count", rank_projection == len(ssyt), cert.image_failure(ring)),
+        check("snakes_lie_in_kernel", cert.bad is None, cert.membership_failure),
     ]
     expected_nullity = len(rssyt) - len(ssyt)
     ranks = {
         "projection": rank_projection,
-        "snake_span": span.rank,
+        "snake_span": span,
         "expected_nullity": expected_nullity,
     }
-    if span.bad is None:
-        checks.append(check("snake_span_rank_is_nullity", span.rank == expected_nullity))
+    if cert.bad is None:
+        checks.append(check("snake_span_rank_is_nullity", span == expected_nullity, cert.pivot_failure(ring)))
         if ring.kind == "z":
-            ranks["snake_certificate"] = {"pivots": span.pivots}
-            checks.append(
-                check("snake_lattice_is_direct_summand", span.certified, _counterexample(span.broken))
-            )
+            ranks["snake_certificate"] = {"pivots": cert.pivots}
+            checks.append(check("snake_lattice_is_direct_summand", cert.direct_summand, cert.lattice_failure))
     instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
     dims = {"rssyt": len(rssyt), "ssyt": len(ssyt), "csyt": len(csyt)}
     return report("weyl-verify", instance, dims, checks, started, ranks)

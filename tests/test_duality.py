@@ -163,6 +163,7 @@ class TestEntryAction:
                         x = random_element(rng, cls, shape, m, ring)
                         acted = entry_action(x, g)
                         assert type(acted) is cls
+                        assert cls(acted.lin) == acted  # built unchecked, so re-validate
                         assert acted == tensor_oracle(x, g), (shape, m, cls.__name__, x)
                         checked += 1
         assert checked == 11 * 3 * 3 * 2

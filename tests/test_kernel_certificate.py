@@ -1,0 +1,211 @@
+"""The integer kernel certificates of the verify paths.
+
+One certificate per (side, shape, m), built over Z, must give the verdict
+and the ranks of Gaussian elimination over every ring, must fail every
+ring through the integer membership check when a relation is broken only
+by a multiple of 2, and must be reused for the second ring onwards.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import weylkit.schur as schur
+import weylkit.weyl as weyl
+from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod, parse_ring
+from weylkit.powers import ColumnTabloidElement, SymLowerElement, wedge_of_sym_lower
+from weylkit.tableaux import (
+    ALL,
+    COLUMN_STANDARD,
+    ROW_SEMISTANDARD,
+    Tableau,
+    enumerate_tableaux,
+    partitions_up_to,
+)
+
+from rank_oracle import schur_verdict, weyl_verdict
+
+T = Tableau
+
+RINGS = ("q", "zmod:2", "zmod:3", "z")
+SIDES = {
+    "schur": (schur.verify_schur_ses, schur_verdict, ("polytabloid_map", "garnir_span")),
+    "weyl": (weyl.verify_weyl_kernel, weyl_verdict, ("projection", "snake_span")),
+}
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+@pytest.mark.parametrize("shape", tuple(partitions_up_to(5)), ids=str)
+def test_certificate_matches_elimination_on_every_ring(shape, side):
+    verify, oracle, (rank_key, span_key) = SIDES[side]
+    for m in (1, 2, 3):
+        for tag in RINGS:
+            ring = parse_ring(tag)
+            report = verify(shape, m, ring)
+            ok, rank, span = oracle(shape, m, ring)
+            got = (report["ok"], report["ranks"][rank_key], report["ranks"][span_key])
+            assert got == (ok, rank, span), (shape, m, tag)
+
+
+# A relation of each side and a label of its space: adding twice the label
+# breaks the relation over Z and Q but not modulo 2.
+MUTATIONS = {
+    "schur": (
+        "garnir",
+        (T([[1, 2], [3]]), frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})),
+        ColumnTabloidElement,
+        T([[1, 2], [3]]),
+        ((2, 1), 3),
+        "garnir_relations_map_to_zero",
+    ),
+    "weyl": (
+        "dual_snake",
+        (T([[1, 2], [1, 2]]), 1, 1, 1),
+        SymLowerElement,
+        T([[1, 1], [2, 2]]),
+        ((2, 2), 2),
+        "snakes_lie_in_kernel",
+    ),
+}
+
+
+@pytest.mark.parametrize("side", sorted(MUTATIONS))
+def test_a_relation_broken_only_away_from_2_fails_modulo_2(side, monkeypatch):
+    verify, oracle, (_, span_key) = SIDES[side]
+    builder, target, space, label, (shape, m), check_name = MUTATIONS[side]
+    module = schur if side == "schur" else weyl
+    original = getattr(module, builder)
+
+    def plus_twice_a_label(*args):
+        rel = original(*args)
+        if args[: len(target)] == target:
+            twice = space(LinComb(rel.element.ring, {label: 2}))
+            return dataclasses.replace(rel, element=rel.element + twice)
+        return rel
+
+    monkeypatch.setattr(module, builder, plus_twice_a_label)
+    z2 = integers_mod(2)
+    # Elimination over each ring sees the mutation over Q but not modulo 2,
+    # where twice a label is zero.
+    assert not oracle(shape, m, QQ)[0]
+    assert oracle(shape, m, z2)[0]
+    for ring in (z2, integers_mod(3), QQ, ZZ):
+        report = verify(shape, m, ring)
+        assert not report["ok"], ring
+        failed = [c for c in report["checks"] if not c["ok"]]
+        assert [c["name"] for c in failed] == [check_name]
+        assert failed[0]["counterexample"] is not None
+        assert report["ranks"][span_key] is None
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_a_second_ring_builds_no_relation(side, monkeypatch):
+    module, builder = (schur, "garnir") if side == "schur" else (weyl, "dual_snake")
+    original = getattr(module, builder)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, builder, counting)
+    verify = SIDES[side][0]
+    assert verify((3, 2), 3, QQ)["ok"]
+    assert calls
+    calls.clear()
+    for tag in ("zmod:2", "zmod:3", "z"):
+        assert verify((3, 2), 3, parse_ring(tag))["ok"]
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# base change: the soundness of one integer certificate for every ring
+
+
+TARGETS = (QQ, integers_mod(2), integers_mod(3), integers_mod(4), integers_mod(6))
+SHAPES = tuple(partitions_up_to(5))
+
+
+@st.composite
+def shapes_and_labels(draw, kind=ALL):
+    shape = draw(st.sampled_from(SHAPES))
+    return shape, enumerate_tableaux(shape, draw(st.integers(1, 3)), kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes_and_labels(), st.data())
+def test_garnir_commutes_with_base_change(drawn, data):
+    shape, labels = drawn
+    boxes = list(schur.garnir_labels(shape))
+    assume(boxes)
+    t = data.draw(st.sampled_from(labels))
+    box_a, box_b = data.draw(st.sampled_from(boxes))
+    integral = schur.garnir(t, box_a, box_b).element
+    for ring in TARGETS:
+        assert schur.garnir(t, box_a, box_b, ring).element == integral.change_ring(ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes_and_labels(), st.data())
+def test_dual_snake_commutes_with_base_change(drawn, data):
+    shape, labels = drawn
+    snakes = list(weyl.snake_labels(shape))
+    assume(snakes)
+    t = data.draw(st.sampled_from(labels))
+    snake = data.draw(st.sampled_from(snakes))
+    integral = weyl.dual_snake(t, *snake).element
+    for ring in TARGETS:
+        assert weyl.dual_snake(t, *snake, ring).element == integral.change_ring(ring)
+
+
+def _integral_element(data, space, labels):
+    chosen = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=6))
+    coeffs = data.draw(st.lists(st.integers(-7, 7), min_size=len(chosen), max_size=len(chosen)))
+    return space(LinComb(ZZ, zip(chosen, coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes_and_labels(COLUMN_STANDARD), st.data())
+def test_polytabloid_map_commutes_with_base_change(drawn, data):
+    _, labels = drawn
+    assume(labels)
+    x = _integral_element(data, ColumnTabloidElement, labels)
+    image = schur.apply_polytabloid_map(x)
+    for ring in TARGETS:
+        assert schur.apply_polytabloid_map(x.change_ring(ring)) == image.change_ring(ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes_and_labels(ROW_SEMISTANDARD), st.data())
+def test_wedge_projection_commutes_with_base_change(drawn, data):
+    _, labels = drawn
+    x = _integral_element(data, SymLowerElement, labels)
+    image = wedge_of_sym_lower(x)
+    for ring in TARGETS:
+        assert wedge_of_sym_lower(x.change_ring(ring)) == image.change_ring(ring)
+
+
+def test_an_image_that_is_not_unitriangular_is_named(monkeypatch):
+    # Doubling every copolytabloid keeps its leading coefficient a unit
+    # except modulo 2, where the rank is no longer proved.
+    original = weyl.copolytabloid
+    monkeypatch.setattr(weyl, "copolytabloid", lambda t, ring=ZZ: original(t, ring).scaled(2))
+    assert weyl.verify_weyl_kernel((2, 1), 2, QQ)["ok"]
+    report = weyl.verify_weyl_kernel((2, 1), 2, integers_mod(2))
+    failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
+    assert set(failed) == {"projection_rank_is_ssyt_count", "snake_span_rank_is_nullity"}
+    assert failed["projection_rank_is_ssyt_count"]["tableau"] == T([[1, 1], [2]]).to_json()
+    assert (report["ranks"]["projection"], report["ranks"]["snake_span"]) == (None, None)
+
+
+def test_a_label_without_its_pivot_relation_is_named(monkeypatch):
+    # A pivot label that is no Garnir label leaves [[2,1],[3]] without a pivot.
+    t, original = T([[2, 1], [3]]), schur._garnir_pivot
+    monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t else original(u))
+    for ring in (QQ, ZZ):
+        report = schur.verify_schur_ses((2, 1), 3, ring)
+        failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
+        assert "rank_sum_matches_wedge_dim" in failed
+        assert failed["rank_sum_matches_wedge_dim"] == {"tableau": t.to_json()}
+        assert report["ranks"]["garnir_span"] is None

@@ -16,6 +16,8 @@ from weylkit.powers import (
     wedge_of_sym_lower,
     wedge_project,
 )
+from weylkit.schur import polytabloid
+from weylkit.weyl import copolytabloid, dual_snake
 from weylkit.tableaux import (
     ALL,
     ROW_SEMISTANDARD,
@@ -147,6 +149,32 @@ class TestElementWrappers:
             ColumnTabloidElement(LinComb(ZZ, {T([[1, 1], [1, 2]]): 1}))
         with pytest.raises(ValueError):
             SymLowerElement(LinComb(ZZ, {T([[2, 1]]): 1}))
+
+    @pytest.mark.parametrize(
+        "space, label, build",
+        [
+            (RowTabloidElement, T([[2, 1], [1]]), lambda t: polytabloid(t)),
+            (SymLowerElement, T([[2, 1], [1]]), lambda t: dual_snake(t, 1, 1, 1).element),
+            (ColumnTabloidElement, T([[2, 1], [1]]), lambda t: copolytabloid(t)),
+        ],
+        ids=["sym_upper", "sym_lower", "wedge"],
+    )
+    def test_builders_skip_only_the_checks_they_need_not_make(self, space, label, build):
+        # The public constructor still rejects a label that is not canonical
+        # for the space, while elements from the builders that skip the
+        # check re-validate through it unchanged.
+        with pytest.raises(ValueError):
+            space(LinComb(ZZ, {label: 1}))
+        checked = 0
+        for shape in partitions_up_to(4):
+            if len(shape) < 2:  # a dual snake needs two rows
+                continue
+            for t in enumerate_tableaux(shape, 3, ALL):
+                x = build(t)
+                assert type(x) is space
+                assert space(x.lin) == x
+                checked += 1
+        assert checked > 100
 
     def test_shapes_must_agree(self):
         with pytest.raises(ValueError):
