@@ -2,10 +2,13 @@
 
 Permutations act on boxes on the right; a tableau entry at box b moves to
 box b.sigma.  The Garnir, dual Garnir and star relations are all sums over
-the left cosets of S_A x S_B in S_{A|B} for two box sets A and B, and all
-of them walk those cosets with one positional enumerator, :func:`shuffles`,
-which writes each |A|-subset of the entries on A | B into A and the rest
-into B and reports the sign of that move.  Row orbits are listed as
+the left cosets of S_A x S_B in S_{A|B} for two box sets A and B.  The
+Garnir and star relations walk those cosets with one positional
+enumerator, :func:`coset_fillings`, which writes each |A|-subset of the
+entries on A | B into A and the rest into B and reports the sign of that
+move.  The dual Garnir relations need one term per row class only, and
+:func:`row_classes` lists the classes directly, one per distinct
+sub-multiset of the entries that goes into A.  Row orbits are listed as
 distinct tableaux with closed-form stabilizer orders, never as group
 elements.  :class:`PlacePermutation`, the coset representatives of
 :func:`left_coset_reps` and a brute-force double-coset enumerator for small
@@ -17,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 
 from .tableaux import Tableau, check_partition, diagram_boxes, sort_rows
 
@@ -236,20 +239,18 @@ def check_line_label(t: Tableau, box_a: frozenset, box_b: frozenset, rows: bool)
         raise ValueError(f"invalid {kind} label: |A| + |B| must exceed the length of A's {line}")
 
 
-def shuffles(t: Tableau, box_a: frozenset, box_b: frozenset, values=None):
-    """One tableau and sign per left coset of S_A x S_B in S_{A|B}.
+def coset_fillings(t: Tableau, box_a: frozenset, box_b: frozenset):
+    """One (entries into A, entries into B, sign) per left coset of S_A x S_B in S_{A|B}.
 
-    The positions are the boxes of A | B in box order, and ``values`` gives
-    one entry per position (by default the entries of t there).  For each
-    |A|-subset S of the positions, in lexicographic order, yields t with
-    the values on S written into A and the others into B, each in box
-    order, together with the sign of that permutation of the boxes: this is
-    t acted on by the representative :func:`left_coset_reps` picks for S.
+    The positions are the boxes of A | B in box order, each holding its
+    entry of t.  For each |A|-subset S of the positions, in lexicographic
+    order, yields the entries on S, which go into A, and the others, which
+    go into B, each in box order, together with the sign of that
+    permutation of the boxes: the filling of A | B by the representative
+    :func:`left_coset_reps` picks for S.
     """
     union = sorted(box_a | box_b)
-    if values is None:
-        values = [t.rows[i - 1][j - 1] for i, j in union]
-    targets = sorted(box_a) + sorted(box_b)
+    values = [t.rows[i - 1][j - 1] for i, j in union]
     # Read as a word in the positions, S followed by the rest is a permutation
     # of sign (-1)^(sum(S) - C(|A|, 2)), and likewise A's positions followed
     # by B's.  The box permutation sends the first word onto the second, so
@@ -257,37 +258,89 @@ def shuffles(t: Tableau, box_a: frozenset, box_b: frozenset, values=None):
     parity = sum(n for n, b in enumerate(union) if b in box_a)
     k = len(union)
     for chosen in combinations(range(k), len(box_a)):
-        order = chosen + tuple(n for n in range(k) if n not in chosen)
-        grid = [list(row) for row in t.rows]
-        for (i, j), n in zip(targets, order):
-            grid[i - 1][j - 1] = values[n]
-        sign = -1 if (parity + sum(chosen)) % 2 else 1
-        yield Tableau._fresh(tuple(map(tuple, grid))), sign
+        rest = [values[n] for n in range(k) if n not in chosen]
+        yield [values[n] for n in chosen], rest, -1 if (parity + sum(chosen)) % 2 else 1
 
 
-def _row_class_reps(t: Tableau, box_a: frozenset, box_b: frozenset) -> dict[Tableau, Tableau]:
-    """Row classes reached by rearranging the entries of t on A | B, each to its least member.
+def _written(t: Tableau, boxes, values) -> Tableau:
+    """t with ``values`` written into ``boxes``, in order."""
+    grid = [list(row) for row in t.rows]
+    for (i, j), v in zip(boxes, values):
+        grid[i - 1][j - 1] = v
+    return Tableau._fresh(tuple(map(tuple, grid)))
 
-    A class is fixed by the multiset of entries written into A.  With
-    the entries sorted, every shuffle writes A and B in ascending order, so
-    all the shuffles landing in a class give one tableau, its least member.
-    The label is not validated.
+
+def shuffles(t: Tableau, box_a: frozenset, box_b: frozenset):
+    """t acted on by one representative per left coset, with its sign.
+
+    Each filling of :func:`coset_fillings`, written into A and B.
     """
-    values = sorted(t.rows[i - 1][j - 1] for i, j in box_a | box_b)
-    return {sort_rows(u): u for u, _ in shuffles(t, box_a, box_b, values)}
+    targets = sorted(box_a) + sorted(box_b)
+    for into_a, into_b, sign in coset_fillings(t, box_a, box_b):
+        yield _written(t, targets, into_a + into_b), sign
+
+
+def _sub_multisets(values: tuple, k: int):
+    """Each distinct k-element sub-multiset of the sorted ``values``, with the rest.
+
+    Both come as ascending tuples, in lexicographic order of the first.
+    """
+    if not values:
+        yield (), ()
+        return
+    v = values[0]
+    count = values.count(v)
+    later = values[count:]
+    for c in range(min(k, count), max(0, k - len(later)) - 1, -1):
+        for chosen, rest in _sub_multisets(later, k - c):
+            yield (v,) * c + chosen, (v,) * (count - c) + rest
+
+
+def _split_weight(row: tuple, part: tuple) -> int:
+    """prod over values v of C(copies of v in ``row``, copies of v in ``part``)."""
+    weight = 1
+    for v in set(part):
+        weight *= comb(row.count(v), part.count(v))
+    return weight
+
+
+def row_classes(t: Tableau, box_a: frozenset, box_b: frozenset):
+    """One (entries into A, entries into B, class, weight) per row class of the dual Garnir label.
+
+    The classes are those reached by rearranging the entries of t on A | B.
+    A class is fixed by the multiset of entries written into A: these run
+    over the distinct |A|-sub-multisets of the entries on A | B, ascending
+    and in lexicographic order, and the rest go into B, ascending.  Only
+    A's row and B's row change, so the class, t with every row sorted, is
+    rewritten in those two rows only.  The weight is :func:`class_index` of
+    any member, prod_v C(copies of v in the row, copies of v written into
+    A) in A's row times the same in B's row, as every other box lies
+    outside A | B.  The label is not validated.
+    """
+    (ia,), (ib,) = {i for i, _ in box_a}, {i for i, _ in box_b}
+    fixed_a = tuple(v for j, v in enumerate(t.rows[ia - 1], 1) if (ia, j) not in box_a)
+    fixed_b = tuple(v for j, v in enumerate(t.rows[ib - 1], 1) if (ib, j) not in box_b)
+    rows = [tuple(sorted(row)) for row in t.rows]
+    values = tuple(sorted(t.rows[i - 1][j - 1] for i, j in box_a | box_b))
+    for into_a, into_b in _sub_multisets(values, len(box_a)):
+        rows[ia - 1] = row_a = tuple(sorted(fixed_a + into_a))
+        rows[ib - 1] = row_b = tuple(sorted(fixed_b + into_b))
+        weight = _split_weight(row_a, into_a) * _split_weight(row_b, into_b)
+        yield into_a, into_b, Tableau._fresh(tuple(rows)), weight
 
 
 def sab_orbit_row_classes(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[tuple[Tableau, int]]:
     """Row classes of the tableaux reachable by permuting the boxes of A | B.
 
     Returns, in the order of the classes, the least reachable member of
-    each class together with the index of its split row stabilizer inside
+    each class, which has the entries written into A and into B each
+    ascending, together with the index of its split row stabilizer inside
     its full row stabilizer; the index is the same for every member.
     """
     check_line_label(t, box_a, box_b, rows=True)
-    members = box_a | box_b
-    reps = _row_class_reps(t, box_a, box_b)
-    return [(reps[c], class_index(reps[c], members)) for c in sorted(reps)]
+    targets = sorted(box_a) + sorted(box_b)
+    classes = sorted(row_classes(t, box_a, box_b), key=lambda found: found[2])
+    return [(_written(t, targets, into_a + into_b), weight) for into_a, into_b, _, weight in classes]
 
 
 def sab_cosets_star(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[tuple[Tableau, int]]:

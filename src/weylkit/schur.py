@@ -11,6 +11,14 @@ label check and the kernel check are the transposes of the dual Garnir
 ones.  ``verify_schur_ses`` checks the kernel description on one instance
 with the integer certificate of :mod:`weylkit.verify`, over column-sorted
 labels, built once per (shape, max_entry) and shared by every ring.
+
+A Garnir relation on (t, A, B) is zero when t repeats an entry v on
+A | B: swapping the two boxes that hold v is a sign-reversing involution
+on the coset terms.  A term with both copies of v in one column vanishes
+in the exterior power, and a term with one copy in A's column and one in
+B's meets its partner, the same column tabloid with the opposite sign.
+The certificate skips those relations, and builds each other one by
+sorting, term by term, only the two columns the coset terms change.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .places import boxset_to_json, check_line_label, permutation_parity, shuffles
+from .places import boxset_to_json, check_line_label, coset_fillings, permutation_parity
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -31,11 +39,13 @@ from .tableaux import (
     column_order_key,
     conjugate,
     enumerate_tableaux,
+    from_columns,
     row_order_key,
+    sort_line,
     sort_rows,
     transpose,
 )
-from .powers import ColumnTabloidElement, RowTabloidElement, _add_wedge_term
+from .powers import ColumnTabloidElement, RowTabloidElement
 from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
 from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
 
@@ -92,11 +102,47 @@ class SchurRelation:
         }
 
 
+def _repeats_an_entry(t: Tableau, boxes) -> bool:
+    """Whether two boxes of ``boxes`` hold equal entries of t.
+
+    On A | B this makes the Garnir relation on (t, A, B) zero (see the
+    module docstring).
+    """
+    values = [t.rows[i - 1][j - 1] for i, j in boxes]
+    return len(set(values)) < len(values)
+
+
 @cache
 def _garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
-    terms: dict[Tableau, int] = {}
-    for u, sign in shuffles(t, box_a, box_b):
-        _add_wedge_term(terms, u, sign)
+    """The Garnir relation on (t, A, B) over Z, each term sorted in the two columns it changes.
+
+    Every other column is the same in every coset term, so it is sorted
+    once, with its sign; a repeat in it, or on A | B, makes the relation
+    zero.
+    """
+    if _repeats_an_entry(t, box_a | box_b):
+        return LinComb.zero(ZZ)
+    cols, sign = list(t.columns), 1
+    (ja,), (jb,) = {j for _, j in box_a}, {j for _, j in box_b}
+    for j, col in enumerate(cols, 1):
+        if j != ja and j != jb:
+            sorted_ = sort_line(col)
+            if sorted_ is None:
+                return LinComb.zero(ZZ)
+            sign *= sorted_[0]
+            cols[j - 1] = sorted_[1]
+    col_a, col_b = list(cols[ja - 1]), list(cols[jb - 1])
+    rows_a, rows_b = [i - 1 for i, _ in sorted(box_a)], [i - 1 for i, _ in sorted(box_b)]
+    terms = []
+    for into_a, into_b, coset_sign in coset_fillings(t, box_a, box_b):
+        for i, v in zip(rows_a, into_a):
+            col_a[i] = v
+        for i, v in zip(rows_b, into_b):
+            col_b[i] = v
+        sorted_a, sorted_b = sort_line(col_a), sort_line(col_b)
+        if sorted_a is not None and sorted_b is not None:
+            cols[ja - 1], cols[jb - 1] = sorted_a[1], sorted_b[1]
+            terms.append((from_columns(t.shape, cols), sign * coset_sign * sorted_a[0] * sorted_b[0]))
     return LinComb(ZZ, terms)
 
 
@@ -150,13 +196,17 @@ def _garnir_pivot(t: Tableau) -> tuple[frozenset, frozenset] | None:
 def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of the Schur side, shared by every ring.
 
-    Garnir relations on the column-sorted labels, pivots on the first row
-    descent (:func:`_garnir_pivot`), and the semistandard polytabloids,
-    whose every other row tabloid is above their own in the row order.
+    Garnir relations on the column-sorted labels, except those on which the
+    label repeats an entry on A | B, which are zero
+    (:func:`_repeats_an_entry`); pivots on the first row descent
+    (:func:`_garnir_pivot`), which never repeat an entry; and the
+    semistandard polytabloids, whose every other row tabloid is above their
+    own in the row order.
     """
+    boxsets = list(garnir_labels(shape))
     return kernel_certificate(
         labels=[transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)],
-        relation_labels=list(garnir_labels(shape)),
+        relation_labels=lambda t: [(a, b) for a, b in boxsets if not _repeats_an_entry(t, a | b)],
         build=lambda t, boxes: garnir(t, *boxes),
         kernel_map=apply_polytabloid_map,
         pivot=_garnir_pivot,
@@ -181,7 +231,12 @@ def verify_schur_ses(
     Also checks that every Garnir relation maps to zero, which combined with
     the rank identity pins the kernel exactly.  Both follow from the integer
     certificate of :mod:`weylkit.verify`, built once per (shape, max_entry):
-    every Garnir relation on a column-sorted label maps to zero over Z; for
+    every Garnir relation on a column-sorted label maps to zero over Z (the
+    relations on labels that repeat an entry v on A | B are skipped, as
+    they are zero: swapping the two boxes holding v pairs off the coset
+    terms that put one copy in each column, on the same column tabloid with
+    opposite signs, and fixes the others, which put both copies in one
+    column and vanish); for
     each column-standard label that is not semistandard, the relation on
     its first row descent has coefficient 1 on it and all its other labels
     strictly below it in the column order; and each semistandard

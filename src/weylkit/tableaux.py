@@ -261,6 +261,23 @@ def _inversions(seq) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if seq[i] > seq[j])
 
 
+def sort_line(line):
+    """``(sign, line sorted ascending)``, or ``None`` when the line repeats an entry.
+
+    The sign is that of the sorting permutation, so a line read as a wedge
+    of its entries equals sign times its sorted wedge, and is zero with a
+    repeat.
+    """
+    if len(set(line)) != len(line):
+        return None
+    return (-1 if _inversions(line) % 2 else 1), tuple(sorted(line))
+
+
+def from_columns(shape, cols) -> Tableau:
+    """The tableau of the shape with the given columns, unchecked."""
+    return Tableau._fresh(tuple([tuple([col[i] for col in cols[:row_len]]) for i, row_len in enumerate(shape)]))
+
+
 def sort_columns(t: Tableau):
     """Sort every column ascending, tracking the sign of the permutation used.
 
@@ -268,19 +285,15 @@ def sort_columns(t: Tableau):
     entry (so no column-standard rearrangement exists and the alternating
     class collapses to zero).
     """
-    ncols = t.shape[0] if t.shape else 0
     sign = 1
     cols = []
-    for j in range(1, ncols + 1):
-        col = t.column_entries(j)
-        if len(set(col)) != len(col):
+    for j in range(1, (t.shape[0] if t.shape else 0) + 1):
+        sorted_ = sort_line(t.column_entries(j))
+        if sorted_ is None:
             return None
-        sign *= -1 if _inversions(col) % 2 else 1
-        cols.append(sorted(col))
-    rows = tuple(
-        tuple(cols[j][i] for j in range(row_len)) for i, row_len in enumerate(t.shape)
-    )
-    return sign, Tableau._fresh(rows)
+        sign *= sorted_[0]
+        cols.append(sorted_[1])
+    return sign, from_columns(t.shape, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +328,7 @@ def _iter_column_standard(shape, m):
     cols_shape = conjugate(shape)
     per_col = [list(combinations(range(1, m + 1), k)) for k in cols_shape]
     for cols in product(*per_col):
-        rows = tuple(
-            tuple(cols[j][i] for j in range(row_len)) for i, row_len in enumerate(shape)
-        )
-        yield Tableau._fresh(rows)
+        yield from_columns(shape, cols)
 
 
 def _iter_semistandard(shape, m):

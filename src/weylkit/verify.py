@@ -5,7 +5,8 @@ Both kernel checks prove their theorem with one integer certificate per
 every ring.  Let N be the number of labels of the domain's basis that are
 not semistandard.  The certificate has three parts:
 
-1. every relation maps to zero over the integers;
+1. every relation maps to zero over the integers (a relation the scan
+   skips because it is provably zero does so trivially);
 2. for each of those N labels t, the relation on the side's pivot label has
    coefficient exactly 1 on t and every other label strictly below t in
    the side's order;
@@ -28,7 +29,13 @@ relations.  The Schur side is its transpose: column-sorted labels, which
 are the transposes of the row-sorted labels of the conjugate shape, with
 Garnir relations.  A column permutation σ sends the relation on (t, A, B)
 to ± the one on (σt, σA, σB), so these labels give every Garnir relation up
-to sign.
+to sign.  The Schur side skips the labels that repeat an entry on A | B,
+whose relations are zero: swapping the two boxes holding equal entries v
+is a sign-reversing involution on the coset terms, because a term with
+both copies of v in one column vanishes in the exterior power, and a term
+with one copy in A's column and one in B's meets its partner, the same
+column tabloid with the opposite sign.  A pivot relation never repeats an
+entry on A | B, so no pivot is skipped.
 """
 
 from __future__ import annotations
@@ -152,7 +159,7 @@ def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key):
     for t in labels:
         target = None if t.is_semistandard else pivot(t)
         found = None
-        for r in relation_labels:
+        for r in relation_labels(t):
             rel = build(t, r)
             if not kernel_map(rel.element).is_zero:
                 return rel, pivots, odd
@@ -173,8 +180,10 @@ def kernel_certificate(
 ) -> KernelCertificate:
     """Build the integer certificate of a kernel theorem on one (shape, max_entry).
 
-    Builds ``build(t, r)`` for every label t and relation label r, stopping
-    at the first relation whose image under ``kernel_map`` is not zero.  For
+    Builds ``build(t, r)`` for every label t and every relation label r in
+    ``relation_labels(t)``, stopping at the first relation whose image under
+    ``kernel_map`` is not zero; a side leaves out of ``relation_labels(t)``
+    only labels whose relation on t is zero, and never ``pivot(t)``.  For
     each t that is not semistandard, the relation on ``pivot(t)`` (None for
     no pivot) should have coefficient 1 on t and every other label strictly
     below t under ``key``.  The domain has ``dimension`` basis labels, and

@@ -6,7 +6,11 @@ spanned by the dual Garnir relations: for box sets A, B in two rows with
 |A| + |B| exceeding the upper row's length, sum the row symmetrisations of
 the distinct rearrangements of the entries on A | B, one term per row
 class, each weighted by the index of its split row stabilizer inside its
-full row stabilizer.  Those weights are what make the sums land in the
+full row stabilizer.  A class is fixed by the sub-multiset of those
+entries written into A, and only the rows of A and B change; its weight
+is prod_v C(n_v, a_v) over the values v in A's row, where n_v counts v in
+the class's row and a_v the copies of v written into A, times the same
+product for B's row.  Those weights are what make the sums land in the
 kernel; the two tempting simplifications (plain coset sums, and full
 row-group sums) are kept as named variants because they fail in
 instructive ways.  The labels are the Garnir labels of :mod:`weylkit.schur`
@@ -32,10 +36,10 @@ from functools import cache
 
 from .coeffs import ZZ, CoefficientRing, LinComb
 from .places import (
-    _row_class_reps,
     check_line_label,
     class_index,
     double_coset_reps,
+    row_classes,
     row_stabilizer_order,
     sab_cosets_star,
 )
@@ -94,9 +98,7 @@ class WeylRelation:
 
 @cache
 def _dual_garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
-    members = box_a | box_b
-    reps = _row_class_reps(t, box_a, box_b)
-    return LinComb(ZZ, {c: class_index(u, members) for c, u in reps.items()})
+    return LinComb(ZZ, {c: weight for _, _, c, weight in row_classes(t, box_a, box_b)})
 
 
 def dual_garnir(
@@ -342,9 +344,10 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     every other column tabloid is above their own in the column order.
     """
     rssyt = enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD)
+    snakes = list(snake_labels(shape))
     return kernel_certificate(
         labels=rssyt,
-        relation_labels=list(snake_labels(shape)),
+        relation_labels=lambda t: snakes,
         build=lambda t, snake: dual_snake(t, *snake),
         kernel_map=wedge_of_sym_lower,
         pivot=_snake_pivot,

@@ -6,8 +6,9 @@ group; the tests compare its orbit and coset constructions with these.
 
 from itertools import permutations, product
 
-from weylkit.places import PlacePermutation, class_index, multiset_permutations
-from weylkit.tableaux import Tableau, check_partition, diagram_boxes, sort_rows
+from weylkit.coeffs import ZZ, LinComb
+from weylkit.places import PlacePermutation, class_index, multiset_permutations, shuffles
+from weylkit.tableaux import Tableau, check_partition, diagram_boxes, sort_columns, sort_rows
 
 
 def all_place_permutations(shape):
@@ -70,3 +71,26 @@ def full_arrangement_row_classes(t, box_a, box_b):
         rep = min(classes[canon], key=lambda s: s.sort_key)
         out.append((rep, class_index(rep, members)))
     return out
+
+
+def shuffle_garnir(t, box_a, box_b):
+    """The Garnir relation on (t, A, B) over Z: every coset term written out and column-sorted."""
+    terms = {}
+    for u, sign in shuffles(t, box_a, box_b):
+        sorted_ = sort_columns(u)
+        if sorted_ is not None:
+            terms[sorted_[1]] = terms.get(sorted_[1], 0) + sign * sorted_[0]
+    return LinComb(ZZ, terms)
+
+
+def shuffle_dual_garnir(t, box_a, box_b):
+    """The dual Garnir relation on (t, A, B) over Z, from every coset term.
+
+    With the entries on A | B sorted first, every coset term writes A and B
+    ascending, so the terms landing in one row class are one tableau; each
+    class is weighted by that tableau's split row stabilizer index.
+    """
+    union = sorted(box_a | box_b)
+    ascending = _fill_boxes(t, union, sorted(t.entry(i, j) for i, j in union))
+    members = frozenset(union)
+    return LinComb(ZZ, {sort_rows(u): class_index(u, members) for u, _ in shuffles(ascending, box_a, box_b)})

@@ -1,7 +1,10 @@
-"""The relations built on ``places.shuffles`` against the place-permutation oracles.
+"""The coset enumerators and the relations built on them against the place-permutation oracles.
 
 Each test runs one shape of size at most 5, over every tableau with entries
-at most 3 and every Garnir or dual Garnir label of the shape.
+at most 3 (at most 4 on shapes of size at most 4, so that A | B can hold
+four distinct entries) and every Garnir or dual Garnir label of the shape.
+The Garnir and dual Garnir kernels, which sort only the two lines a term
+changes, must equal the sums that write out and sort every coset term.
 """
 
 from collections import Counter
@@ -17,7 +20,7 @@ from weylkit.places import (
     shuffles,
 )
 from weylkit.schur import _garnir_int, garnir_labels
-from weylkit.tableaux import ALL, enumerate_tableaux, partitions_up_to, sort_columns, sort_rows
+from weylkit.tableaux import ALL, enumerate_tableaux, partitions_up_to, sort_rows
 from weylkit.weyl import (
     STAR_STAR_VARIANT,
     STAR_VARIANT,
@@ -26,16 +29,20 @@ from weylkit.weyl import (
     variant_relation,
 )
 
-from place_oracles import full_arrangement_row_classes
+from place_oracles import full_arrangement_row_classes, shuffle_dual_garnir, shuffle_garnir
 
 each_shape = pytest.mark.parametrize(
     "shape", list(partitions_up_to(5)), ids=lambda s: ",".join(map(str, s))
 )
 
 
+def every_tableau(shape):
+    return enumerate_tableaux(shape, 4 if sum(shape) <= 4 else 3, ALL)
+
+
 def coset_sweep(shape, labels):
     """(t, A, B, t acted on by each coset representative with its sign)."""
-    tableaux = enumerate_tableaux(shape, 3, ALL)
+    tableaux = every_tableau(shape)
     for box_a, box_b in labels(shape):
         reps = [(rep, rep.sign) for rep in left_coset_reps(shape, box_a, box_b)]
         for t in tableaux:
@@ -46,12 +53,7 @@ def coset_sweep(shape, labels):
 def test_garnir_relations_match_coset_representatives(shape):
     for t, box_a, box_b, acted in coset_sweep(shape, garnir_labels):
         assert list(shuffles(t, box_a, box_b)) == acted
-        terms = {}
-        for u, sign in acted:
-            sorted_ = sort_columns(u)
-            if sorted_ is not None:
-                terms[sorted_[1]] = terms.get(sorted_[1], 0) + sign * sorted_[0]
-        assert _garnir_int(t, box_a, box_b) == LinComb(ZZ, terms)
+        assert _garnir_int(t, box_a, box_b) == shuffle_garnir(t, box_a, box_b), (t, box_a, box_b)
 
 
 @each_shape
@@ -70,9 +72,11 @@ def test_star_variants_match_coset_representatives(shape):
 
 @each_shape
 def test_row_classes_match_full_arrangements(shape):
-    tableaux = enumerate_tableaux(shape, 3, ALL)
+    tableaux = every_tableau(shape)
     for box_a, box_b in dual_garnir_labels(shape):
         for t in tableaux:
             expected = full_arrangement_row_classes(t, box_a, box_b)
             assert sab_orbit_row_classes(t, box_a, box_b) == expected
-            assert _dual_garnir_int(t, box_a, box_b) == LinComb(ZZ, {sort_rows(u): i for u, i in expected})
+            relation = _dual_garnir_int(t, box_a, box_b)
+            assert relation == LinComb(ZZ, {sort_rows(u): i for u, i in expected})
+            assert relation == shuffle_dual_garnir(t, box_a, box_b), (t, box_a, box_b)

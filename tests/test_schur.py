@@ -20,15 +20,18 @@ from weylkit.schur import (
 from weylkit.tableaux import (
     ALL,
     COLUMN_STANDARD,
+    ROW_SEMISTANDARD,
     Tableau,
     column_order_key,
+    conjugate,
     enumerate_tableaux,
     partitions_up_to,
     sort_columns,
     sort_rows,
+    transpose,
 )
 
-from place_oracles import column_preserving_permutations
+from place_oracles import column_preserving_permutations, shuffle_garnir
 from smith_oracle import schur_relation_rows, smith_verdict
 
 T = Tableau
@@ -191,31 +194,56 @@ class TestVerify:
             verify_schur_ses((2, 1), 2, integers_mod(4))
 
 
-def _up_to_sign(element):
-    return frozenset({element.lin, element.lin.scaled(-1)})
+def _up_to_sign(lin):
+    return frozenset({lin, lin.scaled(-1)})
 
 
 class TestColumnSortedLabels:
     """The verify loop builds Garnir relations on column-sorted labels only."""
 
-    @pytest.mark.parametrize("m", (1, 2, 3))
-    @pytest.mark.parametrize("shape", tuple(partitions_up_to(4)), ids=str)
-    def test_relations_match_the_all_labels_loop_up_to_sign(self, shape, m, monkeypatch):
-        built = set()
+    @staticmethod
+    def scanned(shape, m, monkeypatch):
+        """The (t, A, B) the Z certificate builds, and those it skips, on column-sorted labels."""
+        built = {}
 
         def recording(*args):
             rel = garnir(*args)
-            built.add(_up_to_sign(rel.element))
+            built[args] = rel
             return rel
 
         monkeypatch.setattr(schur, "garnir", recording)
         assert verify_schur_ses(shape, m, ZZ)["ok"]
+        column_sorted = [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)]
+        every = [(t, box_a, box_b) for t in column_sorted for box_a, box_b in garnir_labels(shape)]
+        return built, [label for label in every if label not in built]
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("shape", tuple(partitions_up_to(4)), ids=str)
+    def test_relations_match_the_all_labels_loop_up_to_sign(self, shape, m, monkeypatch):
+        built, skipped = self.scanned(shape, m, monkeypatch)
+        zeros = [shuffle_garnir(*label) for label in skipped]
+        assert all(lin.is_zero for lin in zeros)
+        found = {_up_to_sign(rel.element.lin) for rel in built.values()} | {_up_to_sign(lin) for lin in zeros}
         oracle = {
-            _up_to_sign(garnir(t, box_a, box_b).element)
+            _up_to_sign(shuffle_garnir(t, box_a, box_b))
             for t in enumerate_tableaux(shape, m, ALL)
             for box_a, box_b in garnir_labels(shape)
         }
-        assert built == oracle
+        assert found == oracle
+
+    def test_the_scan_skips_only_zero_relations_and_no_pivot(self, monkeypatch):
+        skipped_in_all = 0
+        for shape in partitions_up_to(5):
+            for m in (1, 2, 3):
+                schur._certificate.cache_clear()
+                built, skipped = self.scanned(shape, m, monkeypatch)
+                for label in skipped:
+                    assert shuffle_garnir(*label).is_zero, label
+                for t in enumerate_tableaux(shape, m, COLUMN_STANDARD):
+                    if not t.is_semistandard:
+                        assert (t, *schur._garnir_pivot(t)) in built, t
+                skipped_in_all += len(skipped)
+        assert skipped_in_all > 3000
 
     def test_every_pivot_has_leading_coefficient_one(self):
         checked = 0
