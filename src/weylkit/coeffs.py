@@ -185,7 +185,7 @@ def _label_key(label):
 class LinComb:
     """An immutable sparse linear combination of labels over one ring.
 
-    ``terms`` may be a mapping or an iterable of (label, coefficient) pairs;
+    ``terms`` may be a dict or an iterable of (label, coefficient) pairs;
     repeated labels are summed and zero coefficients dropped.
     """
 
@@ -193,15 +193,18 @@ class LinComb:
 
     def __init__(self, ring: CoefficientRing, terms=()):
         self.ring = ring
-        tally: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for label, coeff in items:
-            coeff = ring.normalize(coeff)
-            if label in tally:
-                coeff = tally[label] + coeff
-                coeff = ring.normalize(coeff)
-            tally[label] = coeff
-        self._terms = {l: c for l, c in tally.items() if c != 0}
+        normalize = ring.normalize
+        if isinstance(terms, dict):
+            # a dict repeats no label, so each value is normalised once
+            self._terms = {l: v for l, c in terms.items() if (v := normalize(c)) != 0}
+        else:
+            tally: dict = {}
+            for label, coeff in terms:
+                coeff = normalize(coeff)
+                if label in tally:
+                    coeff = normalize(tally[label] + coeff)
+                tally[label] = coeff
+            self._terms = {l: c for l, c in tally.items() if c != 0}
         self._hash = None
 
     @classmethod
@@ -244,6 +247,10 @@ class LinComb:
         """Terms in the deterministic label order."""
         return sorted(self._terms.items(), key=lambda kv: _label_key(kv[0]))
 
+    def unordered_items(self):
+        """Terms in no fixed order, for sums and maps whose result does not depend on it."""
+        return self._terms.items()
+
     def combine(self, other: "LinComb", ca=1, cb=1) -> "LinComb":
         """Return ca*self + cb*other."""
         if self.ring != other.ring:
@@ -275,14 +282,13 @@ class LinComb:
         return LinComb(self.ring, {l: c * v for l, v in self._terms.items()})
 
     def map_labels(self, f) -> "LinComb":
-        """Linear extension of a basis map: f(label) must return a LinComb."""
-        images = []
-        for label, c in self._terms.items():
-            image = f(label)
-            if image.ring != self.ring:
-                raise ValueError("ring mismatch")
-            images.append((c, image))
-        return LinComb.linear_combination(self.ring, images)
+        """Linear extension of a basis map: f(label) must return a LinComb.
+
+        Each image is over this ring or over the integers, as in
+        :meth:`linear_combination`.  The terms are read in no fixed order,
+        which the exact sum does not see.
+        """
+        return LinComb.linear_combination(self.ring, ((c, f(label)) for label, c in self._terms.items()))
 
     def change_ring(self, target: CoefficientRing) -> "LinComb":
         """Push integral coefficients through the canonical map Z -> target."""

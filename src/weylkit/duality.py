@@ -15,6 +15,18 @@ the symmetric power on each row of a row tabloid, and the divided power on
 each row of a row-symmetrised coordinate label.  Every coefficient is an
 integer polynomial in the entries of g, so the actions are exact over
 every coefficient ring, Z/n included.
+
+The exterior and symmetric powers of g on one line are expanded one factor
+at a time, as the products g e_{c_1} ^ ... ^ g e_{c_k} and
+g e_{r_1} ... g e_{r_k}.  The divided power is read off the symmetric one:
+with |Stab x| the product of the factorials of the multiplicities in x,
+
+    D(g)[s, r] * |Stab r| = S(g)[s, r] * |Stab s|,
+
+since both sides equal the sum over every sigma in S_k of
+prod_i g[s_sigma(i), r_i].  The quotient is an integer polynomial in the
+entries of g, so over Z and Z/n the division is exact on the integer
+representatives before they are reduced.
 """
 
 from __future__ import annotations
@@ -23,12 +35,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, product
-from math import gcd, prod
+from itertools import groupby, product
+from math import factorial, gcd, prod
 
 from .coeffs import QQ, ZZ, CoefficientRing, LinComb
 from .linalg import solve_exact
-from .places import multiset_permutations
 from .powers import (
     ColumnTabloidElement,
     RowTabloidElement,
@@ -195,46 +206,67 @@ def _reduced(ring: CoefficientRing, acc: dict) -> tuple[tuple, tuple]:
     return tuple(keys), tuple(values)
 
 
-def _wedge_image(g: EntryMatrix, column: tuple[int, ...]) -> tuple:
-    """The exterior power of g on one strictly increasing column.
+def _line_product(g: EntryMatrix, line: tuple[int, ...], alternating: bool) -> dict:
+    """The product g e_{l_1} ... g e_{l_k}, exterior when alternating, else symmetric.
 
-    Returns the increasing tuples d with a nonzero minor det g[d, column],
-    and those minors.  The minors come from the wedge product
-    g e_{c_1} ^ ... ^ g e_{c_k}, taken one factor at a time: putting e_a
-    after e_d costs the sign of the entries of d above a.
+    Taken one factor at a time over sorted keys, with integer
+    representatives left unreduced: e_a goes in after the entries of d
+    that are at most a, and in the exterior product a repeat vanishes and
+    putting e_a in costs the sign of the entries of d above it.
     """
     partial: dict[tuple[int, ...], object] = {(): 1}
-    for c in column:
+    for c in line:
         image = [(a, row[c - 1]) for a, row in enumerate(g.entries, 1) if row[c - 1] != 0]
         new: dict[tuple[int, ...], object] = {}
         for d, v in partial.items():
             for a, gv in image:
                 pos = bisect_right(d, a)
-                if pos and d[pos - 1] == a:
-                    continue
+                if alternating:
+                    if pos and d[pos - 1] == a:
+                        continue
+                    if (len(d) - pos) % 2:
+                        gv = -gv
                 key = d[:pos] + (a,) + d[pos:]
-                term = v * gv if (len(d) - pos) % 2 == 0 else -v * gv
-                new[key] = new.get(key, 0) + term
+                new[key] = new.get(key, 0) + v * gv
         partial = new
-    return _reduced(g.ring, partial)
+    return partial
+
+
+def _wedge_image(g: EntryMatrix, column: tuple[int, ...]) -> tuple:
+    """The exterior power of g on one strictly increasing column.
+
+    Returns the increasing tuples d with a nonzero minor det g[d, column],
+    and those minors, the coefficients of the wedge product
+    g e_{c_1} ^ ... ^ g e_{c_k}.
+    """
+    return _reduced(g.ring, _line_product(g, column, alternating=True))
+
+
+def _stabiliser_order(line: tuple[int, ...]) -> int:
+    """|Stab line|: the product of the factorials of the multiplicities in a sorted line."""
+    return prod(factorial(len(tuple(run))) for _, run in groupby(line))
 
 
 def _row_image(g: EntryMatrix, row: tuple[int, ...], divided: bool) -> tuple:
     """The symmetric (or, when divided, the divided) power of g on one sorted row.
 
-    The coefficient of a sorted s is the sum over the distinct arrangements
-    w of s of prod g[w_i, row_i]; in the divided power it is the sum over
-    the distinct arrangements v of the row of prod g[s_i, v_i].
+    Returns the sorted s with a nonzero coefficient, and those coefficients.
+    The symmetric power S(g)[s, row] is the coefficient of e_s in the product
+    g e_{r_1} ... g e_{r_k}.  The divided power is D(g)[s, row] =
+    S(g)[s, row] * |Stab s| / |Stab row|: both D(g)[s, row] * |Stab row| and
+    S(g)[s, row] * |Stab s| sum prod_i g[s_sigma(i), r_i] over every sigma
+    in S_k.  D(g)[s, row] is an integer polynomial in the entries of g, so
+    the division is exact: ``//`` on the integer representatives over Z and
+    Z/n, ``/`` on Fractions over Q.
     """
-    entries = g.entries
-    acc = {}
-    for s in combinations_with_replacement(range(1, g.size + 1), len(row)):
-        if divided:
-            pairs = ((s, v) for v in multiset_permutations(row))
+    partial = _line_product(g, row, alternating=False)
+    if divided:
+        stab = _stabiliser_order(row)
+        if g.ring == QQ:
+            partial = {s: v * _stabiliser_order(s) / stab for s, v in partial.items()}
         else:
-            pairs = ((w, row) for w in multiset_permutations(s))
-        acc[s] = sum(prod(entries[a - 1][b - 1] for a, b in zip(x, y)) for x, y in pairs)
-    return _reduced(g.ring, acc)
+            partial = {s: v * _stabiliser_order(s) // stab for s, v in partial.items()}
+    return _reduced(g.ring, partial)
 
 
 def _part_image(g: EntryMatrix, space: str, part: tuple[int, ...]) -> tuple:
@@ -253,20 +285,20 @@ def _functorial_action(x: TableauElement, g: EntryMatrix) -> LinComb:
     """Act on each column (exterior power) or each row (symmetric powers) apart."""
     by_columns = isinstance(x, ColumnTabloidElement)
     acc: dict[tuple[tuple[int, ...], ...], object] = {}
-    for t, c in x.lin.items():
+    for t, c in x.lin.unordered_items():
         parts = t.columns if by_columns else t.rows
         images = [_part_image(g, x.space, part) for part in parts]
         keys = product(*(image_keys for image_keys, _ in images))
         values = product(*(image_values for _, image_values in images))
         for key, factors in zip(keys, values):
             acc[key] = acc.get(key, 0) + c * prod(factors)
-    shape = x.shape
-    terms = []
-    for parts, coeff in acc.items():
-        if by_columns:
-            parts = tuple(tuple(parts[j][i] for j in range(n)) for i, n in enumerate(shape))
-        terms.append((Tableau._fresh(parts), coeff))
-    return LinComb(x.ring, terms)
+    if by_columns:
+        shape = x.shape
+        return LinComb(x.ring, {
+            Tableau._fresh(tuple(tuple(cols[j][i] for j in range(n)) for i, n in enumerate(shape))): coeff
+            for cols, coeff in acc.items()
+        })
+    return LinComb(x.ring, {Tableau._fresh(rows): coeff for rows, coeff in acc.items()})
 
 
 def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
@@ -283,8 +315,7 @@ def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
         if t.max_entry > g.size:
             raise ValueError("entry matrix too small for the element's alphabet")
     if isinstance(x, TensorElement):
-        pairs = ((c, _act_on_label(t, g)) for t, c in x.lin.items())
-        return TensorElement(LinComb.linear_combination(x.ring, pairs))
+        return TensorElement(x.lin.map_labels(lambda t: _act_on_label(t, g)))
     if isinstance(x, (ColumnTabloidElement, RowTabloidElement, SymLowerElement)):
         return type(x)._trusted(_functorial_action(x, g))
     raise TypeError(f"unsupported element type {type(x).__name__}")
@@ -411,7 +442,7 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
     else:
         raise ValueError(f"unknown map {which!r}")
     for t in enumerate_tableaux(shape, max_entry, kind):
-        lhs = project(entry_action(space(LinComb(g.ring, {t: 1})), g))
+        lhs = project(entry_action(space._trusted(LinComb(g.ring, {t: 1})), g))
         rhs = entry_action(image(t, g.ring), g)
         if lhs != rhs:
             return {"tableau": t.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}

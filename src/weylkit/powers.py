@@ -163,7 +163,7 @@ def rsym(t: Tableau, ring: CoefficientRing = ZZ) -> TensorElement:
 
 def to_row_tabloid(x: TensorElement) -> RowTabloidElement:
     """Project a tensor onto the upper symmetric power (sort each label's rows)."""
-    return RowTabloidElement(LinComb(x.ring, ((sort_rows(t), c) for t, c in x.lin.items())))
+    return RowTabloidElement(LinComb(x.ring, ((sort_rows(t), c) for t, c in x.lin.unordered_items())))
 
 
 def wedge_project(x: TensorElement) -> ColumnTabloidElement:
@@ -173,7 +173,7 @@ def wedge_project(x: TensorElement) -> ColumnTabloidElement:
     column-standard form with the sign of the sorting permutation.
     """
     terms: dict = {}
-    for t, c in x.lin.items():
+    for t, c in x.lin.unordered_items():
         _add_wedge_term(terms, t, c)
     return ColumnTabloidElement(LinComb(x.ring, terms))
 
@@ -201,8 +201,7 @@ def sym_lower_coords(x: TensorElement) -> SymLowerElement:
 
 def sym_lower_expand(x: SymLowerElement) -> TensorElement:
     """The symmetric tensor with the given row-symmetrised coordinates."""
-    pairs = ((c, rsym(t).lin) for t, c in x.lin.items())
-    return TensorElement(LinComb.linear_combination(x.ring, pairs))
+    return TensorElement(x.lin.map_labels(lambda t: rsym(t).lin))
 
 
 @cache
@@ -216,5 +215,4 @@ def _wedge_of_rsym_int(t_sorted: Tableau) -> LinComb:
 
 def wedge_of_sym_lower(x: SymLowerElement) -> ColumnTabloidElement:
     """Wedge projection of a symmetric tensor given by its coordinates."""
-    pairs = ((c, _wedge_of_rsym_int(t)) for t, c in x.lin.items())
-    return ColumnTabloidElement._trusted(LinComb.linear_combination(x.ring, pairs))
+    return ColumnTabloidElement._trusted(x.lin.map_labels(_wedge_of_rsym_int))

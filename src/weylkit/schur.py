@@ -17,8 +17,11 @@ A | B: swapping the two boxes that hold v is a sign-reversing involution
 on the coset terms.  A term with both copies of v in one column vanishes
 in the exterior power, and a term with one copy in A's column and one in
 B's meets its partner, the same column tabloid with the opposite sign.
-The certificate skips those relations, and builds each other one by
-sorting, term by term, only the two columns the coset terms change.
+It is zero too when t repeats an entry in a column other than A's and
+B's: every coset term leaves that column as it is, so every term vanishes
+in the exterior power.  The certificate skips both kinds of relation, and
+builds each other one by sorting, term by term, only the two columns the
+coset terms change.
 """
 
 from __future__ import annotations
@@ -82,8 +85,7 @@ def polytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> RowTabloidElement:
 
 def apply_polytabloid_map(x: ColumnTabloidElement) -> RowTabloidElement:
     """Linear extension of column tabloid -> polytabloid."""
-    pairs = ((c, _polytabloid_int(t)) for t, c in x.lin.items())
-    return RowTabloidElement._trusted(LinComb.linear_combination(x.ring, pairs))
+    return RowTabloidElement._trusted(x.lin.map_labels(_polytabloid_int))
 
 
 @dataclass(frozen=True)
@@ -197,16 +199,26 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of the Schur side, shared by every ring.
 
     Garnir relations on the column-sorted labels, except those on which the
-    label repeats an entry on A | B, which are zero
-    (:func:`_repeats_an_entry`); pivots on the first row descent
-    (:func:`_garnir_pivot`), which never repeat an entry; and the
-    semistandard polytabloids, whose every other row tabloid is above their
-    own in the row order.
+    label repeats an entry on A | B (:func:`_repeats_an_entry`) or in a
+    column other than A's and B's, which are zero; pivots on the first row
+    descent (:func:`_garnir_pivot`), whose labels are column standard and
+    which never repeat an entry on A | B; and the semistandard
+    polytabloids, whose every other row tabloid is above their own in the
+    row order.
     """
-    boxsets = list(garnir_labels(shape))
+    boxsets = [(a, b, {j for _, j in a | b}) for a, b in garnir_labels(shape)]
+    # 0-based (row, column) of every box with a box below it
+    stacked = [(i, j) for j, n in enumerate(conjugate(shape)) for i in range(n - 1)]
+
+    def relation_labels(t: Tableau) -> list:
+        # t is column sorted: a column repeats an entry where two neighbours in it are equal
+        rows = t.rows
+        repeating = {j + 1 for i, j in stacked if rows[i][j] == rows[i + 1][j]}
+        return [(a, b) for a, b, cols in boxsets if repeating <= cols and not _repeats_an_entry(t, a | b)]
+
     return kernel_certificate(
         labels=[transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)],
-        relation_labels=lambda t: [(a, b) for a, b in boxsets if not _repeats_an_entry(t, a | b)],
+        relation_labels=relation_labels,
         build=lambda t, boxes: garnir(t, *boxes),
         kernel_map=apply_polytabloid_map,
         pivot=_garnir_pivot,
@@ -236,7 +248,9 @@ def verify_schur_ses(
     they are zero: swapping the two boxes holding v pairs off the coset
     terms that put one copy in each column, on the same column tabloid with
     opposite signs, and fixes the others, which put both copies in one
-    column and vanish); for
+    column and vanish; so are those on labels that repeat an entry in a
+    column other than A's and B's, which every coset term leaves as it is,
+    so that every term vanishes); for
     each column-standard label that is not semistandard, the relation on
     its first row descent has coefficient 1 on it and all its other labels
     strictly below it in the column order; and each semistandard

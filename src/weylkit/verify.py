@@ -34,8 +34,11 @@ whose relations are zero: swapping the two boxes holding equal entries v
 is a sign-reversing involution on the coset terms, because a term with
 both copies of v in one column vanishes in the exterior power, and a term
 with one copy in A's column and one in B's meets its partner, the same
-column tabloid with the opposite sign.  A pivot relation never repeats an
-entry on A | B, so no pivot is skipped.
+column tabloid with the opposite sign.  It also skips the labels that
+repeat an entry in a column other than A's and B's, which every coset
+term keeps, so that every term vanishes.  A pivot relation never repeats
+an entry on A | B, and its label is column standard, so no pivot is
+skipped.
 """
 
 from __future__ import annotations

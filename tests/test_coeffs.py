@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weylkit.coeffs import QQ, ZZ, CoefficientRing, LinComb, integers_mod, parse_ring
 
@@ -95,6 +95,16 @@ class TestMapLabels:
         x = lc(ZZ, {"u": 1, "v": 1})
         assert x.map_labels(lambda l: lc(ZZ, {"w": 1})) == lc(ZZ, {"w": 2})
 
+    def test_integral_images_pass_to_the_ring(self):
+        x = lc(Z3, {"u": 1, "v": 1})
+        assert x.map_labels(lambda l: lc(ZZ, {"w": 4, l: 3})) == lc(Z3, {"w": 2})
+        y = lc(QQ, {"u": Fraction(1, 2)})
+        assert y.map_labels(lambda l: lc(ZZ, {"w": 3})) == lc(QQ, {"w": Fraction(3, 2)})
+
+    def test_ring_mismatch(self):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            lc(Z3, {"u": 1}).map_labels(lambda l: lc(QQ, {l: 1}))
+
 
 class TestLinearCombination:
     def test_integral_terms_pass_to_the_ring(self):
@@ -166,6 +176,36 @@ def test_json_round_trip():
         obj = x.to_json(lambda l: l)
         assert LinComb.from_json(obj, lambda l: l) == x
         assert json.loads(json.dumps(obj)) == obj
+
+
+def _built(ring, terms):
+    """LinComb(ring, terms), or TypeError when a coefficient is rejected."""
+    try:
+        return LinComb(ring, terms)
+    except TypeError:
+        return TypeError
+
+
+coefficient_values = st.one_of(
+    st.integers(-30, 30),  # unreduced modulo 4 and 6, and multiples of both
+    st.fractions(min_value=-6, max_value=6, max_denominator=3),  # integral ones only pass outside Q
+    st.booleans(),
+    st.floats(allow_nan=False),
+)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, integers_mod(4), integers_mod(6)], ids=lambda r: r.tag)
+@given(terms=st.dictionaries(st.sampled_from("abcde"), coefficient_values, max_size=5))
+@example(terms={"a": 12, "b": -7, "c": Fraction(8, 2)})
+@example(terms={"a": 1, "b": True})
+@example(terms={"a": 0.0})
+def test_dict_constructor_matches_the_pairs_constructor(ring, terms):
+    from_dict = _built(ring, terms)
+    assert from_dict == _built(ring, list(terms.items()))
+    if any(isinstance(v, (bool, float)) for v in terms.values()):
+        assert from_dict is TypeError
+    elif from_dict is not TypeError:
+        assert all(c != 0 and ring.normalize(c) == c for _, c in from_dict.items())
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, integers_mod(6)], ids=lambda r: r.tag)

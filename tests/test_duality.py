@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import permutations as iperms
 
 import pytest
 
 import weylkit.duality as duality
-from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
+from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod, parse_ring
 from weylkit.duality import (
     POLYTABLOID_MAP,
     WEDGE_MAP,
@@ -42,6 +43,8 @@ from weylkit.tableaux import (
 )
 from weylkit.weyl import copolytabloid, dual_garnir, dual_garnir_labels
 
+from row_image_oracle import arrangement_row_image
+
 T = Tableau
 
 
@@ -61,6 +64,7 @@ RING_UNITS = {
     "z": (1, -1),
     "q": (Fraction(1, 2), Fraction(-3), Fraction(2, 5)),
     "zmod:2": (1,),
+    "zmod:4": (1, 3),
     "zmod:6": (1, 5),
 }
 ORACLE_RINGS = {"z": ZZ, "q": QQ, "zmod:2": integers_mod(2), "zmod:6": integers_mod(6)}
@@ -68,7 +72,7 @@ ORACLE_RINGS = {"z": ZZ, "q": QQ, "zmod:2": integers_mod(2), "zmod:6": integers_
 
 def random_invertible(rng, m, tag):
     """A random unimodular matrix times a diagonal of random units of the ring."""
-    ring = ORACLE_RINGS[tag]
+    ring = parse_ring(tag)
     diag = [[rng.choice(RING_UNITS[tag]) if i == j else 0 for j in range(m)] for i in range(m)]
     return random_unimodular(rng, m, ring).compose(EntryMatrix(ring, diag))
 
@@ -182,6 +186,33 @@ class TestEntryAction:
             entry_action(rsym(T([[1, 2]])), g)
 
 
+class TestRowImage:
+    """The one-factor-at-a-time row kernel against the arrangement sums."""
+
+    @pytest.mark.parametrize("tag", ("z", "q", "zmod:4", "zmod:6"))
+    def test_matches_the_arrangement_sums(self, tag):
+        rng = random.Random(f"rows:{tag}")
+        checked = 0
+        non_integral = False
+        for m in (1, 2, 3, 4):
+            g = random_invertible(rng, m, tag)
+            non_integral |= any(getattr(v, "denominator", 1) != 1 for row in g.entries for v in row)
+            for k in range(1, 6):
+                for row in combinations_with_replacement(range(1, m + 1), k):
+                    for divided in (False, True):
+                        keys, values = duality._row_image(g, row, divided)
+                        assert dict(zip(keys, values)) == arrangement_row_image(g, row, divided), (g, row)
+                        checked += 1
+        assert checked == 2 * (5 + 20 + 55 + 125)  # sorted rows of length 1..5 for m = 1, 2, 3, 4
+        assert non_integral == (tag == "q")
+
+    def test_divided_power_rescales_by_the_stabilisers(self):
+        g = EntryMatrix(ZZ, [[1, 1], [0, 1]])
+        # g e_1 . g e_2 = e_1 (e_1 + e_2): S[(1,1), (1,2)] = 1, and |Stab (1,1)| / |Stab (1,2)| = 2
+        assert dict(zip(*duality._row_image(g, (1, 2), False))) == {(1, 1): 1, (1, 2): 1}
+        assert dict(zip(*duality._row_image(g, (1, 2), True))) == {(1, 1): 2, (1, 2): 1}
+
+
 class TestPairing:
     def test_square_semistandard(self):
         t = T([[1, 1], [2, 2]])
@@ -271,6 +302,15 @@ class TestEquivariance:
         assert equivariance_counterexample((2, 1), 3, g, WEDGE_MAP) is not None
         assert equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP) is not None
         assert equivariance_counterexample((1, 1), 2, EntryMatrix.identity(2), WEDGE_MAP) is not None
+
+    def test_a_divided_power_without_the_stabiliser_rescale_gives_counterexamples(self, monkeypatch):
+        original = duality._row_image
+        monkeypatch.setattr(duality, "_row_image", lambda g, row, divided: original(g, row, False))
+        g = random_unimodular(random.Random(5), 3)
+        assert equivariance_counterexample((2, 1), 3, g, WEDGE_MAP) is not None
+        assert equivariance_counterexample((2,), 2, EntryMatrix(ZZ, [[1, 1], [0, 1]]), WEDGE_MAP) is not None
+        # the symmetric power, on the polytabloid side, is untouched
+        assert equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP) is None
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):

@@ -245,6 +245,18 @@ class TestColumnSortedLabels:
                 skipped_in_all += len(skipped)
         assert skipped_in_all > 3000
 
+    def test_the_scan_builds_no_zero_relation(self, monkeypatch):
+        # a repeat on A | B, or in a column other than A's and B's, is skipped;
+        # at this scale those are all the zero relations there are
+        built_in_all = 0
+        for shape in partitions_up_to(4):
+            for m in (1, 2, 3):
+                schur._certificate.cache_clear()
+                built, _ = self.scanned(shape, m, monkeypatch)
+                assert not any(rel.element.is_zero for rel in built.values()), (shape, m)
+                built_in_all += len(built)
+        assert built_in_all > 300
+
     def test_every_pivot_has_leading_coefficient_one(self):
         checked = 0
         for shape in partitions_up_to(5):
