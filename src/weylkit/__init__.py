@@ -7,7 +7,7 @@ with a straightening algorithm and verification sweeps that check the
 defining theorems exactly at desk scale.
 """
 
-from .coeffs import QQ, ZZ, CoefficientRing, LinComb, integers_mod, parse_ring
+from .coeffs import QQ, ZZ, CoefficientRing, InputError, LinComb, integers_mod, parse_ring
 from .tableaux import (
     ALL,
     COLUMN_STANDARD,

@@ -2,7 +2,13 @@
 
 Exit codes: 0 success / all checks passed, 1 a verification check failed
 (the report carries a replayable counterexample), 2 usage error (unknown
-subcommand, malformed input, size cap exceeded).
+subcommand, malformed input, size cap exceeded: a :class:`CliError` or an
+:class:`~weylkit.coeffs.InputError`), 3 internal error (any other
+exception, which is a bug in weylkit).
+
+Each subcommand is described once, as a :class:`Command`.  The top-level
+parser lists every name and help line, but a subcommand's own parser is
+built only when that subcommand is chosen.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-from .coeffs import QQ, CoefficientRing, LinComb, parse_ring
+from .coeffs import QQ, CoefficientRing, InputError, LinComb, parse_ring
 from .duality import (
     POLYTABLOID_MAP,
     WEDGE_MAP,
@@ -75,6 +81,8 @@ class RunConfig:
                 cap = int(override)
             except ValueError as exc:
                 raise CliError(f"WEYLKIT_MAX_SIZE must be an integer, got {override!r}") from exc
+            if cap <= 0:
+                raise CliError(f"WEYLKIT_MAX_SIZE must be positive, got {override!r}")
             cfg.element_size_cap = cap
             cfg.verify_size_cap = cap
         return cfg
@@ -99,7 +107,7 @@ def parse_tableau_arg(text: str) -> Tableau:
         raise CliError(f"malformed tableau JSON: {exc}") from exc
     try:
         return Tableau.from_json(obj)
-    except (ValueError, TypeError, KeyError) as exc:
+    except InputError as exc:
         raise CliError(f"malformed tableau JSON: {exc}") from exc
 
 
@@ -113,13 +121,6 @@ def parse_boxes(text: str) -> frozenset:
     return frozenset((int(i), int(j)) for i, j in found)
 
 
-def parse_ring_arg(text: str) -> CoefficientRing:
-    try:
-        return parse_ring(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def parse_matrix_arg(text: str, ring: CoefficientRing) -> EntryMatrix:
     try:
         rows = json.loads(text)
@@ -127,7 +128,7 @@ def parse_matrix_arg(text: str, ring: CoefficientRing) -> EntryMatrix:
         raise CliError(f"malformed matrix JSON: {exc}") from exc
     try:
         return EntryMatrix(ring, rows)
-    except (ValueError, TypeError) as exc:
+    except InputError as exc:
         raise CliError(f"bad entry matrix: {exc}") from exc
 
 
@@ -250,7 +251,7 @@ def _element_op_common(args, cfg) -> tuple[Tableau, CoefficientRing]:
     check_caps(t.shape, entries or t.max_entry, cfg.element_size_cap, cfg.max_entries)
     if entries is not None and t.max_entry > entries:
         raise CliError(f"tableau entries exceed --entries {entries}")
-    return t, parse_ring_arg(args.ring)
+    return t, parse_ring(args.ring)
 
 
 def _cmd_rsym(args, cfg):
@@ -340,7 +341,7 @@ def _cmd_verify(args, cfg):
     shape = parse_shape(args.shape)
     check_caps(shape, args.entries, cfg.verify_size_cap, cfg.verify_entry_cap)
     verify = verify_schur_ses if args.command == "schur-verify" else verify_weyl_kernel
-    return _emit_report(verify(shape, args.entries, parse_ring_arg(args.ring), None, None))
+    return _emit_report(verify(shape, args.entries, parse_ring(args.ring), None, None))
 
 
 def _cmd_duality_check(args, cfg):
@@ -368,14 +369,11 @@ def _cmd_duality_check(args, cfg):
 def _cmd_equivariance(args, cfg):
     shape = parse_shape(args.shape)
     check_caps(shape, args.entries, cfg.verify_size_cap, cfg.verify_entry_cap)
-    ring = parse_ring_arg(args.ring)
+    ring = parse_ring(args.ring)
     g = parse_matrix_arg(args.matrix, ring)
     started = time.perf_counter()
     which = WEDGE_MAP if args.map == "lambda" else POLYTABLOID_MAP
-    try:
-        counterexample = equivariance_counterexample(shape, args.entries, g, which)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    counterexample = equivariance_counterexample(shape, args.entries, g, which)
     instance = {
         "shape": list(shape),
         "entries": args.entries,
@@ -392,96 +390,135 @@ def _cmd_equivariance(args, cfg):
 # parser
 
 
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler, its line in ``weylkit --help`` and its arguments.
+
+    Each argument is a pair (flag, keyword arguments of ``add_argument``).
+    """
+
+    name: str
+    handler: object
+    help: str
+    args: tuple
+
+
+_SHAPE = ("--shape", {"required": True})
+_SHAPE_CHECK = ("--shape", {})
+_ENTRIES = ("--entries", {"type": int, "required": True})
+_ENTRIES_BOUND = ("--entries", {"type": int})
+_TABLEAU = ("--tableau", {"required": True})
+_BOXES = (("--boxA", {"required": True}), ("--boxB", {"required": True}))
+_RING = ("--ring", {"default": "z", "help": "z | q | zmod:<n>"})
+_RING_Q = ("--ring", {"default": "q", "help": "z | q | zmod:<n>"})
+_FORMAT = ("--format", {"choices": ("json", "text", "latex"), "default": "json"})
+_ELEMENT = (_TABLEAU, _SHAPE_CHECK, _ENTRIES_BOUND, _RING, _FORMAT)
+
+_COMMANDS = (
+    Command("dims", _cmd_dims, "basis cardinalities for one shape and alphabet", (_SHAPE, _ENTRIES)),
+    Command(
+        "basis",
+        _cmd_basis,
+        "list the tableaux of one classification",
+        (
+            _SHAPE,
+            _ENTRIES,
+            ("--class", {"dest": "cls", "choices": tuple(sorted(_CLASS_NAMES)), "default": "semistandard"}),
+        ),
+    ),
+    Command("rsym", _cmd_rsym, "rsym of a tableau", _ELEMENT),
+    Command("polytabloid", _cmd_polytabloid, "polytabloid of a tableau", _ELEMENT),
+    Command("copolytabloid", _cmd_copolytabloid, "copolytabloid of a tableau", _ELEMENT),
+    Command(
+        "garnir",
+        _cmd_garnir,
+        "column-pair relation for (tableau, A, B)",
+        (_TABLEAU, *_BOXES, _SHAPE_CHECK, _ENTRIES_BOUND, _RING, _FORMAT),
+    ),
+    Command(
+        "dual-garnir",
+        _cmd_dual_garnir,
+        "row-pair relation for (tableau, A, B)",
+        (
+            _TABLEAU,
+            *_BOXES,
+            _SHAPE_CHECK,
+            ("--rows", {"help": "i:i' sanity check against the box sets"}),
+            _ENTRIES_BOUND,
+            ("--variant", {"choices": ("plain", "dc", "star", "star-star"), "default": "plain"}),
+            _RING,
+            _FORMAT,
+        ),
+    ),
+    Command(
+        "snake",
+        _cmd_snake,
+        "adjacent-row relation labelled (tableau, i, (j, j'))",
+        (
+            _TABLEAU,
+            ("--row", {"type": int, "required": True}),
+            ("--cols", {"required": True, "help": "j:j'"}),
+            _ENTRIES_BOUND,
+            _RING,
+            _FORMAT,
+        ),
+    ),
+    Command(
+        "straighten", _cmd_straighten, "semistandard coordinates with certificate", (_TABLEAU, _ENTRIES, _RING)
+    ),
+    Command(
+        "schur-verify", _cmd_verify, "rank bookkeeping of the column-side kernel", (_SHAPE, _ENTRIES, _RING_Q)
+    ),
+    Command("weyl-verify", _cmd_verify, "rank bookkeeping of the row-side kernel", (_SHAPE, _ENTRIES, _RING_Q)),
+    Command("duality-check", _cmd_duality_check, "pairing image against copolytabloids", (_SHAPE, _ENTRIES)),
+    Command(
+        "equivariance",
+        _cmd_equivariance,
+        "map commutation with an entry matrix",
+        (
+            _SHAPE,
+            _ENTRIES,
+            ("--matrix", {"required": True}),
+            ("--map", {"choices": ("e", "lambda"), "required": True}),
+            _RING,
+        ),
+    ),
+)
+
+
+class _LazySubparsers(argparse._SubParsersAction):
+    """The subcommands action, building a subcommand's parser only when ``parse_args`` picks it.
+
+    Its name -> parser map holds each :class:`Command` until then.  Usage
+    lines, ``--help`` and "invalid choice" errors read only the names and
+    help lines, which are all there from the start.
+    """
+
+    def __init__(self, option_strings, commands, **kwargs):
+        super().__init__(option_strings, **kwargs)
+        for command in commands:
+            self._choices_actions.append(self._ChoicesPseudoAction(command.name, (), command.help))
+            self._name_parser_map[command.name] = command
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        command = self._name_parser_map.get(values[0])
+        if isinstance(command, Command):
+            subparser = self._parser_class(prog=f"{self._prog_prefix} {command.name}")
+            for flag, kwargs in command.args:
+                subparser.add_argument(flag, **kwargs)
+            subparser.set_defaults(func=command.handler)
+            self._name_parser_map[command.name] = subparser
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on each call; a subcommand's own parser is built once ``parse_args`` chooses it."""
     parser = argparse.ArgumentParser(
         prog="weylkit",
         description="Exact polytabloid/copolytabloid computations and theorem checks.",
     )
     parser.add_argument("--output", help="write the result here instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=handler)
-        return p
-
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "text", "latex"), default="json")
-
-    def add_ring(p, default="z"):
-        p.add_argument("--ring", default=default, help="z | q | zmod:<n>")
-
-    p = add("dims", _cmd_dims, help="basis cardinalities for one shape and alphabet")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
-
-    p = add("basis", _cmd_basis, help="list the tableaux of one classification")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
-    p.add_argument("--class", dest="cls", choices=sorted(_CLASS_NAMES), default="semistandard")
-
-    for name, handler in (
-        ("rsym", _cmd_rsym),
-        ("polytabloid", _cmd_polytabloid),
-        ("copolytabloid", _cmd_copolytabloid),
-    ):
-        p = add(name, handler, help=f"{name} of a tableau")
-        p.add_argument("--tableau", required=True)
-        p.add_argument("--shape")
-        p.add_argument("--entries", type=int)
-        add_ring(p)
-        add_format(p)
-
-    p = add("garnir", _cmd_garnir, help="column-pair relation for (tableau, A, B)")
-    p.add_argument("--tableau", required=True)
-    p.add_argument("--boxA", required=True)
-    p.add_argument("--boxB", required=True)
-    p.add_argument("--shape")
-    p.add_argument("--entries", type=int)
-    add_ring(p)
-    add_format(p)
-
-    p = add("dual-garnir", _cmd_dual_garnir, help="row-pair relation for (tableau, A, B)")
-    p.add_argument("--tableau", required=True)
-    p.add_argument("--boxA", required=True)
-    p.add_argument("--boxB", required=True)
-    p.add_argument("--shape")
-    p.add_argument("--rows", help="i:i' sanity check against the box sets")
-    p.add_argument("--entries", type=int)
-    p.add_argument("--variant", choices=("plain", "dc", "star", "star-star"), default="plain")
-    add_ring(p)
-    add_format(p)
-
-    p = add("snake", _cmd_snake, help="adjacent-row relation labelled (tableau, i, (j, j'))")
-    p.add_argument("--tableau", required=True)
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--cols", required=True, help="j:j'")
-    p.add_argument("--entries", type=int)
-    add_ring(p)
-    add_format(p)
-
-    p = add("straighten", _cmd_straighten, help="semistandard coordinates with certificate")
-    p.add_argument("--tableau", required=True)
-    p.add_argument("--entries", type=int, required=True)
-    add_ring(p)
-
-    for name, side in (("schur-verify", "column"), ("weyl-verify", "row")):
-        p = add(name, _cmd_verify, help=f"rank bookkeeping of the {side}-side kernel")
-        p.add_argument("--shape", required=True)
-        p.add_argument("--entries", type=int, required=True)
-        add_ring(p, default="q")
-
-    p = add("duality-check", _cmd_duality_check, help="pairing image against copolytabloids")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
-
-    p = add("equivariance", _cmd_equivariance, help="map commutation with an entry matrix")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--map", choices=("e", "lambda"), required=True)
-    add_ring(p)
-
+    parser.add_subparsers(dest="command", required=True, action=_LazySubparsers, commands=_COMMANDS)
     return parser
 
 
@@ -537,12 +574,15 @@ def dispatch(argv=None) -> int:
         if args.output:
             return _run_to_file(args.output, lambda: args.func(args, cfg))
         return args.func(args, cfg)
-    except CliError as exc:
+    except (CliError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        import traceback  # only on this path: importing it costs a cold start about 2 ms
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,10 @@ from fractions import Fraction
 from math import gcd
 
 
+class InputError(ValueError):
+    """Malformed or out-of-range input from a caller; the CLI reports it as a usage error."""
+
+
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -50,12 +54,12 @@ class CoefficientRing:
 
     def __post_init__(self):
         if self.kind not in ("z", "q", "zmod"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise InputError(f"unknown ring kind {self.kind!r}")
         if self.kind == "zmod":
             if not isinstance(self.modulus, int) or self.modulus < 2:
-                raise ValueError("modulus must be an integer >= 2")
+                raise InputError("modulus must be an integer >= 2")
         elif self.modulus is not None:
-            raise ValueError("modulus only makes sense for zmod")
+            raise InputError("modulus only makes sense for zmod")
 
     @classmethod
     def integers(cls) -> "CoefficientRing":
@@ -173,8 +177,12 @@ def parse_ring(tag: str) -> CoefficientRing:
     if tag == "q":
         return QQ
     if tag.startswith("zmod:"):
-        return integers_mod(int(tag.split(":", 1)[1]))
-    raise ValueError(f"unknown ring tag {tag!r}")
+        try:
+            modulus = int(tag.split(":", 1)[1])
+        except ValueError as exc:
+            raise InputError(f"unknown ring tag {tag!r}") from exc
+        return integers_mod(modulus)
+    raise InputError(f"unknown ring tag {tag!r}")
 
 
 def _label_key(label):

@@ -38,7 +38,7 @@ from functools import cache
 from itertools import groupby, product
 from math import factorial, gcd, prod
 
-from .coeffs import QQ, ZZ, CoefficientRing, LinComb
+from .coeffs import QQ, ZZ, CoefficientRing, InputError, LinComb
 from .linalg import solve_exact
 from .powers import (
     ColumnTabloidElement,
@@ -98,17 +98,20 @@ class EntryMatrix:
     __slots__ = ("ring", "entries", "size", "_images")
 
     def __init__(self, ring: CoefficientRing, entries):
-        rows = tuple(tuple(ring.normalize(v) for v in row) for row in entries)
+        try:
+            rows = tuple(tuple(ring.normalize(v) for v in row) for row in entries)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(str(exc)) from exc
         m = len(rows)
         if any(len(r) != m for r in rows):
-            raise ValueError("entry matrix must be square")
+            raise InputError("entry matrix must be square")
         self.ring = ring
         self.entries = rows
         self.size = m
         self._images: dict = {}
         det = self._det()
         if not self.ring.is_unit(det):
-            raise ValueError("non-invertible entry matrix")
+            raise InputError("non-invertible entry matrix")
 
     def _det(self):
         if self.ring == QQ:
@@ -432,7 +435,7 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
     """First basis label where the map fails to commute with the action, or None."""
     shape = check_partition(shape)
     if g.size < max_entry:
-        raise ValueError("entry matrix too small for the alphabet")
+        raise InputError("entry matrix too small for the alphabet")
     if which == WEDGE_MAP:
         kind, space = ROW_SEMISTANDARD, SymLowerElement
         project, image = wedge_of_sym_lower, copolytabloid
@@ -440,7 +443,7 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
         kind, space = COLUMN_STANDARD, ColumnTabloidElement
         project, image = apply_polytabloid_map, polytabloid
     else:
-        raise ValueError(f"unknown map {which!r}")
+        raise InputError(f"unknown map {which!r}")
     for t in enumerate_tableaux(shape, max_entry, kind):
         lhs = project(entry_action(space._trusted(LinComb(g.ring, {t: 1})), g))
         rhs = entry_action(image(t, g.ring), g)

@@ -22,6 +22,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
+from .coeffs import InputError
 from .tableaux import Tableau, check_partition, diagram_boxes, sort_rows
 
 
@@ -224,19 +225,19 @@ def check_line_label(t: Tableau, box_a: frozenset, box_b: frozenset, rows: bool)
     axis, line = (0, "row") if rows else (1, "column")
     shape = t.shape
     if not all(1 <= i <= len(shape) and 1 <= j <= shape[i - 1] for i, j in box_a | box_b):
-        raise ValueError("box sets lie outside the diagram")
+        raise InputError("box sets lie outside the diagram")
     if not box_a or not box_b:
-        raise ValueError("box sets A and B must be nonempty")
+        raise InputError("box sets A and B must be nonempty")
     lines_a, lines_b = {b[axis] for b in box_a}, {b[axis] for b in box_b}
     if len(lines_a) != 1 or len(lines_b) != 1:
-        raise ValueError(f"each box set must lie within a single {line}")
+        raise InputError(f"each box set must lie within a single {line}")
     (line_a,), (line_b,) = lines_a, lines_b
     if not line_a < line_b:
-        raise ValueError(f"box set A must lie in an earlier {line} than B")
+        raise InputError(f"box set A must lie in an earlier {line} than B")
     length = shape[line_a - 1] if rows else sum(1 for p in shape if p >= line_a)
     if len(box_a) + len(box_b) <= length:
         kind = "dual Garnir" if rows else "Garnir"
-        raise ValueError(f"invalid {kind} label: |A| + |B| must exceed the length of A's {line}")
+        raise InputError(f"invalid {kind} label: |A| + |B| must exceed the length of A's {line}")
 
 
 def coset_fillings(t: Tableau, box_a: frozenset, box_b: frozenset):
@@ -418,7 +419,7 @@ def double_coset_reps(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[Pl
     union = tuple(sorted(box_a | box_b))
     k = len(union)
     if k > 6:
-        raise ValueError("double-coset oracle refuses |A| + |B| > 6")
+        raise InputError("double-coset oracle refuses |A| + |B| > 6")
     entries = [t.entry(i, j) for i, j in union]
     ids = {v: n for n, v in enumerate(sorted(set(entries)))}
     pattern = tuple(ids[v] for v in entries)

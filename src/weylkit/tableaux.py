@@ -19,6 +19,8 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
+from .coeffs import InputError
+
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -29,10 +31,10 @@ def check_partition(parts) -> tuple[int, ...]:
     shape = tuple(parts)
     for p in shape:
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"invalid partition {shape}: parts must be positive integers")
+            raise InputError(f"invalid partition {shape}: parts must be positive integers")
     for a, b in zip(shape, shape[1:]):
         if a < b:
-            raise ValueError(f"invalid partition {shape}: parts must weakly decrease")
+            raise InputError(f"invalid partition {shape}: parts must weakly decrease")
     return shape
 
 
@@ -85,7 +87,7 @@ class Tableau:
         for row in rows:
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise ValueError(f"tableau entries must be positive integers, got {v!r}")
+                    raise InputError(f"tableau entries must be positive integers, got {v!r}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_hash", hash(rows))
@@ -169,10 +171,15 @@ class Tableau:
 
     @classmethod
     def from_json(cls, obj) -> "Tableau":
-        rows = obj["rows"] if isinstance(obj, dict) else obj
+        """The tableau of a list of rows, or of an object with ``rows`` and optionally ``shape``."""
+        rows = obj.get("rows") if isinstance(obj, dict) else obj
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+            raise InputError('expected a list of rows, or an object with "rows": a list of rows')
         t = cls(rows)
-        if isinstance(obj, dict) and "shape" in obj and tuple(obj["shape"]) != t.shape:
-            raise ValueError("tableau shape field disagrees with rows")
+        if isinstance(obj, dict) and "shape" in obj:
+            shape = obj["shape"]
+            if not isinstance(shape, (list, tuple)) or tuple(shape) != t.shape:
+                raise InputError("tableau shape field disagrees with rows")
         return t
 
 
@@ -359,9 +366,9 @@ def enumerate_tableaux(shape, max_entry: int, kind: str = ALL) -> tuple[Tableau,
     """All tableaux of the shape with entries in {1..max_entry}, in reading-word order."""
     shape = check_partition(shape)
     if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
+        raise InputError("max_entry must be >= 1")
     if kind not in _CLASSES:
-        raise ValueError(f"unknown tableau class {kind!r}")
+        raise InputError(f"unknown tableau class {kind!r}")
     gen = {
         ALL: _iter_all,
         ROW_SEMISTANDARD: _iter_row_semistandard,

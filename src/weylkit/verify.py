@@ -46,12 +46,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .coeffs import QQ, ZZ, CoefficientRing
+from .coeffs import QQ, ZZ, CoefficientRing, InputError
 from .linalg import leading_coefficient
 from .tableaux import check_partition
 
 
-class SizeCapExceeded(ValueError):
+class SizeCapExceeded(InputError):
     pass
 
 
@@ -67,7 +67,7 @@ def checked_shape(shape, max_entry: int, ring: CoefficientRing, size_cap, entry_
     shape = check_partition(shape)
     check_caps(shape, max_entry, size_cap, entry_cap)
     if not (ring.is_field or ring.kind == "z"):
-        raise ValueError("verification needs a field or the integers")
+        raise InputError("verification needs a field or the integers")
     return shape
 
 

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 
-from .coeffs import ZZ, CoefficientRing, LinComb
+from .coeffs import ZZ, CoefficientRing, InputError, LinComb
 from .places import (
     check_line_label,
     class_index,
@@ -154,13 +154,13 @@ def variant_relation(
 def snake_boxsets(shape, i: int, j: int, jp: int) -> tuple[frozenset, frozenset]:
     shape = check_partition(shape)
     if not 1 <= i < len(shape):
-        raise ValueError("snake row index out of range")
+        raise InputError("snake row index out of range")
     if not 1 <= j <= shape[i - 1]:
-        raise ValueError("snake start column out of range")
+        raise InputError("snake start column out of range")
     if not 1 <= jp <= shape[i]:
-        raise ValueError("snake end column exceeds the lower row")
+        raise InputError("snake end column exceeds the lower row")
     if j > jp:
-        raise ValueError("snake columns must satisfy j <= j'")
+        raise InputError("snake columns must satisfy j <= j'")
     box_a = frozenset((i, r) for r in range(j, shape[i - 1] + 1))
     box_b = frozenset((i + 1, r) for r in range(1, jp + 1))
     return box_a, box_b

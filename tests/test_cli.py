@@ -1,12 +1,18 @@
 import json
 import random
+import re
 import subprocess
 import sys
 
 import pytest
+from parser_oracle import build_parser as eager_build_parser
 
-from weylkit.cli import dispatch, parse_boxes, parse_shape, render_element
-from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
+import weylkit.cli as cli
+from weylkit import InputError
+from weylkit.cli import build_parser, dispatch, parse_boxes, parse_shape, render_element
+from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod, parse_ring
+from weylkit.duality import EntryMatrix
+from weylkit.places import check_line_label
 from weylkit.powers import (
     ColumnTabloidElement,
     RowTabloidElement,
@@ -14,7 +20,9 @@ from weylkit.powers import (
     TensorElement,
     element_from_json,
 )
-from weylkit.tableaux import ROW_SEMISTANDARD, Tableau, enumerate_tableaux
+from weylkit.tableaux import ROW_SEMISTANDARD, Tableau, check_partition, enumerate_tableaux
+from weylkit.verify import check_caps
+from weylkit.weyl import dual_snake
 
 T = Tableau
 
@@ -217,6 +225,14 @@ class TestExitCodes:
         assert code == 2
         assert "malformed tableau JSON" in err
 
+    @pytest.mark.parametrize("text", ["{}", "[1,2]", '{"rows": 5}', "null"])
+    def test_tableau_json_of_the_wrong_form(self, capsys, text):
+        code, out, err = run(capsys, "rsym", "--tableau", text)
+        assert (code, out) == (2, "")
+        assert err == (
+            'error: malformed tableau JSON: expected a list of rows, or an object with "rows": a list of rows\n'
+        )
+
     def test_bool_tableau_entry(self, capsys):
         code, out, _ = run(capsys, "rsym", "--tableau", "[[true,2]]")
         assert (code, out) == (2, "")
@@ -250,6 +266,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, "dims", "--shape", "9,8,7", "--entries", "2")
         assert code == 0
         assert json.loads(out)["rssyt"] > 0
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_env_override_must_be_positive(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("WEYLKIT_MAX_SIZE", value)
+        code, out, err = run(capsys, "dims", "--shape", "2", "--entries", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: WEYLKIT_MAX_SIZE must be positive, got {value!r}\n"
 
     def test_tableau_entry_bound(self, capsys):
         code, _, err = run(
@@ -312,9 +335,7 @@ def test_output_naming_a_directory_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [target]
 
 
-def test_output_kept_when_the_handler_raises(tmp_path, monkeypatch):
-    import weylkit.cli as cli
-
+def test_output_kept_when_the_handler_raises(tmp_path, monkeypatch, capsys):
     def broken(*args):
         print("partial")
         raise RuntimeError("library bug")
@@ -322,15 +343,47 @@ def test_output_kept_when_the_handler_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "count_tableaux", broken)
     target = tmp_path / "dims.json"
     target.write_text("previous result\n")
-    with pytest.raises(RuntimeError, match="library bug"):
-        dispatch(["--output", str(target), "dims", "--shape", "2,1", "--entries", "2"])
+    assert dispatch(["--output", str(target), "dims", "--shape", "2,1", "--entries", "2"]) == 3
+    assert capsys.readouterr().err.endswith("internal error: RuntimeError: library bug\n")
     assert target.read_text() == "previous result\n"
     assert list(tmp_path.iterdir()) == [target]
 
 
-def test_output_replaced_on_failed_check(tmp_path, monkeypatch):
-    import weylkit.cli as cli
+def test_a_library_value_error_is_an_internal_error(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("library bug")
 
+    monkeypatch.setattr(cli, "copolytabloid", broken)
+    code, out, err = run(capsys, "copolytabloid", "--tableau", "[[2,1],[1,2]]", "--entries", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and err.endswith("internal error: ValueError: library bug\n")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: check_partition((1, 2)), id="check_partition"),
+        pytest.param(lambda: Tableau([[0]]), id="Tableau"),
+        pytest.param(lambda: Tableau.from_json({"rows": [[1]], "shape": [2]}), id="Tableau.from_json"),
+        pytest.param(lambda: check_caps((3, 3), 2, 5, None), id="check_caps"),
+        pytest.param(
+            lambda: check_line_label(T([[1, 2], [3, 4]]), frozenset({(1, 1)}), frozenset({(1, 2)}), rows=False),
+            id="check_line_label",
+        ),
+        pytest.param(lambda: dual_snake(T([[1, 1], [2, 2]]), 2, 1, 1), id="dual_snake"),
+        pytest.param(lambda: parse_ring("zmod:x"), id="parse_ring-modulus"),
+        pytest.param(lambda: parse_ring("zmod:1"), id="parse_ring-small"),
+        pytest.param(lambda: EntryMatrix(ZZ, [[1, 1], [1, 1]]), id="EntryMatrix-singular"),
+        pytest.param(lambda: EntryMatrix(QQ, [["1/0"]]), id="EntryMatrix-zero-denominator"),
+        pytest.param(lambda: EntryMatrix(ZZ, [[True]]), id="EntryMatrix-bool"),
+    ],
+)
+def test_validators_raise_input_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_output_replaced_on_failed_check(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "verify_weyl_kernel", lambda *args: {"ok": False, "checks": []})
     target = tmp_path / "report.json"
     target.write_text("previous result\n")
@@ -366,3 +419,85 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"ssyt": 1, "rssyt": 9, "csyt": 1}
+
+
+def test_module_entry_point_help_subprocess():
+    def weylkit(*argv):
+        return subprocess.run([sys.executable, "-m", "weylkit", *argv], capture_output=True, text=True)
+
+    proc = weylkit("--help")
+    assert proc.returncode == 0
+    listed = re.findall(r"^    (\S+)", proc.stdout, re.MULTILINE)
+    assert listed == list(VALID_REQUESTS)
+    proc = weylkit("snake", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: weylkit snake")
+
+
+# ---------------------------------------------------------------------------
+# the parser against the eager oracle, which builds every subcommand's parser
+
+VALID_REQUESTS = {
+    "dims": ["--shape", "2,1", "--entries", "2"],
+    "basis": ["--shape", "2,1", "--entries", "2"],
+    "rsym": ["--tableau", "[[2,1],[1,2]]"],
+    "polytabloid": ["--tableau", "[[2,1],[1,2]]", "--ring", "zmod:3"],
+    "copolytabloid": ["--tableau", "[[2,1],[1,2]]", "--entries", "2"],
+    "garnir": ["--tableau", "[[1,2],[3,4]]", "--boxA", "(1,1),(2,1)", "--boxB", "(1,2)"],
+    "dual-garnir": ["--tableau", "[[1,1],[2,2]]", "--boxA", "(1,1),(1,2)", "--boxB", "(2,1)", "--rows", "1:2"],
+    "snake": ["--tableau", "[[1,1],[2,2]]", "--row", "1", "--cols", "1:1"],
+    "straighten": ["--tableau", "[[2,1],[1,2]]", "--entries", "2"],
+    "schur-verify": ["--shape", "2,1", "--entries", "2"],
+    "weyl-verify": ["--shape", "2,1", "--entries", "2", "--ring", "z"],
+    "duality-check": ["--shape", "2,1", "--entries", "2"],
+    "equivariance": ["--shape", "2,1", "--entries", "2", "--matrix", "[[0,1],[1,0]]", "--map", "e"],
+}
+CHOICE_FLAGS = {"basis": ["--class"], "dual-garnir": ["--variant", "--format"], "equivariance": ["--map"]}
+CHOICE_FLAGS.update({name: ["--format"] for name in ("rsym", "polytabloid", "copolytabloid", "garnir", "snake")})
+OUT = "<output file>"
+
+PARSED_REQUESTS = [
+    *([name, *argv] for name, argv in VALID_REQUESTS.items()),
+    ["basis", *VALID_REQUESTS["basis"], "--cla", "row"],
+    ["dual-garnir", *VALID_REQUESTS["dual-garnir"], "--var", "star", "--format", "text"],
+    ["--out", OUT, "snake", *VALID_REQUESTS["snake"]],
+]
+ORACLE_REQUESTS = [
+    *PARSED_REQUESTS,
+    *([name, "--help"] for name in VALID_REQUESTS),
+    *([name] for name in VALID_REQUESTS),
+    *([name, *argv, "--frobnicate"] for name, argv in VALID_REQUESTS.items()),
+    *([name, *VALID_REQUESTS[name], flag, "nope"] for name, flags in CHOICE_FLAGS.items() for flag in flags),
+    *(["--out", OUT, name, *argv] for name, argv in VALID_REQUESTS.items()),
+    ["--help"],
+    [],
+    ["frobnicate"],
+]
+_WALL_TIME = re.compile(r',\n  "wall_time_s": [-+0-9.eE]+')
+
+
+def outcome(build, argv, monkeypatch, capsys, tmp_path):
+    """Exit code, stdout, stderr and ``--output`` file of one request parsed by ``build``."""
+    monkeypatch.setattr(cli, "build_parser", build)
+    target = tmp_path / "out.json"
+    code = dispatch([str(target) if arg == OUT else arg for arg in argv])
+    captured = capsys.readouterr()
+    written = target.read_text() if target.exists() else None
+    target.unlink(missing_ok=True)
+    return code, _WALL_TIME.sub("", captured.out), captured.err, written and _WALL_TIME.sub("", written)
+
+
+@pytest.mark.parametrize("argv", ORACLE_REQUESTS, ids=" ".join)
+def test_dispatch_matches_the_eager_parser(argv, monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = outcome(build_parser, argv, monkeypatch, capsys, tmp_path)
+    assert got == outcome(eager_build_parser, argv, monkeypatch, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("argv", PARSED_REQUESTS, ids=" ".join)
+def test_namespaces_match_the_eager_parser(argv):
+    assert build_parser().parse_args(argv) == eager_build_parser().parse_args(argv)
+
+
+def test_each_call_builds_a_new_parser():
+    assert build_parser() is not build_parser()
