@@ -29,6 +29,7 @@ from .tableaux import (
 )
 from .places import (
     PlacePermutation,
+    Relation,
     act,
     row_orbit,
     row_stabilizer_order,

@@ -6,7 +6,7 @@ subcommand, malformed input, size cap exceeded: a :class:`CliError` or an
 :class:`~weylkit.coeffs.InputError`), 3 internal error (any other
 exception, which is a bug in weylkit).
 
-Each subcommand is described once, as a :class:`Command`.  The top-level
+Each subcommand is declared once, as a :class:`Command`.  The top-level
 parser lists every name and help line, but a subcommand's own parser is
 built only when that subcommand is chosen.
 """
@@ -32,6 +32,7 @@ from .duality import (
     equivariance_counterexample,
     pairing_image,
 )
+from .places import Relation
 from .powers import SymLowerElement, TableauElement, rsym
 from .schur import garnir, polytabloid, verify_schur_ses
 from .tableaux import (
@@ -194,6 +195,13 @@ def _emit_element(x: TableauElement, args) -> int:
     return 0
 
 
+def _emit_relation(rel: Relation, args) -> int:
+    if args.format == "json":
+        _emit(rel.to_json())
+        return 0
+    return _emit_element(rel.element, args)
+
+
 def _emit_report(report: dict) -> int:
     _emit(report)
     return 0 if report["ok"] else 1
@@ -271,11 +279,7 @@ def _cmd_copolytabloid(args, cfg):
 
 def _cmd_garnir(args, cfg):
     t, ring = _element_op_common(args, cfg)
-    rel = garnir(t, parse_boxes(args.boxA), parse_boxes(args.boxB), ring)
-    if args.format == "json":
-        _emit({"kind": "garnir", **rel.to_json()})
-        return 0
-    return _emit_element(rel.element, args)
+    return _emit_relation(garnir(t, parse_boxes(args.boxA), parse_boxes(args.boxB), ring), args)
 
 
 def _cmd_dual_garnir(args, cfg):
@@ -294,11 +298,7 @@ def _cmd_dual_garnir(args, cfg):
         "star": lambda *a: variant_relation(*a[:3], STAR_VARIANT, a[3]),
         "star-star": lambda *a: variant_relation(*a[:3], STAR_STAR_VARIANT, a[3]),
     }
-    rel = builders[args.variant](t, box_a, box_b, ring)
-    if args.format == "json":
-        _emit({**rel.label_json(), "element": rel.element.to_json()})
-        return 0
-    return _emit_element(rel.element, args)
+    return _emit_relation(builders[args.variant](t, box_a, box_b, ring), args)
 
 
 def _cmd_snake(args, cfg):
@@ -307,11 +307,7 @@ def _cmd_snake(args, cfg):
         j, jp = (int(v) for v in args.cols.split(":"))
     except ValueError as exc:
         raise CliError(f"malformed --cols {args.cols!r}: expected j:j'") from exc
-    rel = dual_snake(t, args.row, j, jp, ring)
-    if args.format == "json":
-        _emit({**rel.label_json(), "element": rel.element.to_json()})
-        return 0
-    return _emit_element(rel.element, args)
+    return _emit_relation(dual_snake(t, args.row, j, jp, ring), args)
 
 
 def _cmd_straighten(args, cfg):

@@ -84,6 +84,16 @@ def _det_int(rows: list[list[int]]) -> int:
     return sign * mat[n - 1][n - 1]
 
 
+def _matrix_entry(ring: CoefficientRing, value, a: int, b: int):
+    """Entry (a, b) of a matrix over ``ring``, or an error that names it and the problem."""
+    try:
+        return ring.normalize(value)
+    except ZeroDivisionError as exc:
+        raise InputError(f"entry ({a}, {b}) {value!r} has a zero denominator") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"entry ({a}, {b}): {exc}") from exc
+
+
 class EntryMatrix:
     """An invertible matrix acting on the entry alphabet {1..m}.
 
@@ -98,10 +108,11 @@ class EntryMatrix:
     __slots__ = ("ring", "entries", "size", "_images")
 
     def __init__(self, ring: CoefficientRing, entries):
-        try:
-            rows = tuple(tuple(ring.normalize(v) for v in row) for row in entries)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(str(exc)) from exc
+        if not isinstance(entries, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in entries):
+            raise InputError("entry matrix must be a list of rows, each a list of entries")
+        rows = tuple(
+            tuple(_matrix_entry(ring, v, a, b) for b, v in enumerate(row, 1)) for a, row in enumerate(entries, 1)
+        )
         m = len(rows)
         if any(len(r) != m for r in rows):
             raise InputError("entry matrix must be square")

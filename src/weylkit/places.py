@@ -10,7 +10,9 @@ move.  The dual Garnir relations need one term per row class only, and
 :func:`row_classes` lists the classes directly, one per distinct
 sub-multiset of the entries that goes into A.  Row orbits are listed as
 distinct tableaux with closed-form stabilizer orders, never as group
-elements.  :class:`PlacePermutation`, the coset representatives of
+elements.  Every such relation, whatever its kind, is one
+:class:`Relation`: a tableau, two box sets and the element they label.
+:class:`PlacePermutation`, the coset representatives of
 :func:`left_coset_reps` and a brute-force double-coset enumerator for small
 box sets are kept as oracles for those constructions.
 """
@@ -18,6 +20,7 @@ box sets are kept as oracles for those constructions.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -443,3 +446,35 @@ def boxset_from_json(obj) -> frozenset:
         i, j = pair
         out.add((int(i), int(j)))
     return frozenset(out)
+
+
+@dataclass(frozen=True)
+class Relation:
+    """A two-line relation: its kind, its label (t, A, B) and the element it labels.
+
+    The kind is "garnir" (A and B in two columns, the element a column
+    tabloid element), or "dual_garnir", "dual_snake", "star" or "star_star"
+    (A and B in two rows, the element a :class:`~weylkit.powers.SymLowerElement`).
+    A dual snake also keeps its (i, j, j').
+    """
+
+    kind: str
+    tableau: Tableau
+    box_a: frozenset
+    box_b: frozenset
+    element: object
+    snake: tuple[int, int, int] | None = None
+
+    def to_json(self) -> dict:
+        """The relation as the CLI prints it and as a failed check reports it."""
+        out = {
+            "kind": self.kind,
+            "tableau": self.tableau.to_json(),
+            "boxA": boxset_to_json(self.box_a),
+            "boxB": boxset_to_json(self.box_b),
+        }
+        if self.snake is not None:
+            i, j, jp = self.snake
+            out.update(row=i, cols=[j, jp])
+        out["element"] = self.element.to_json()
+        return out

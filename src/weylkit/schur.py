@@ -8,9 +8,12 @@ representatives mixing a column subset A with a later-column subset B once
 |A| + |B| exceeds the length of A's column.  This is the Weyl side of
 :mod:`weylkit.weyl` read along columns instead of rows: the labels, the
 label check and the kernel check are the transposes of the dual Garnir
-ones.  ``verify_schur_ses`` checks the kernel description on one instance
-with the integer certificate of :mod:`weylkit.verify`, over column-sorted
-labels, built once per (shape, max_entry) and shared by every ring.
+ones, and both kinds of relation are one :class:`~weylkit.places.Relation`
+record (``SchurRelation`` is its old name here), so a failed check reports
+either in the same JSON shape.  ``verify_schur_ses`` checks the kernel
+description on one instance with the integer certificate of
+:mod:`weylkit.verify`, over column-sorted labels, built once per
+(shape, max_entry) and shared by every ring.
 
 A Garnir relation on (t, A, B) is zero when t repeats an entry v on
 A | B: swapping the two boxes that hold v is a sign-reversing involution
@@ -27,12 +30,11 @@ coset terms change.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .places import boxset_to_json, check_line_label, coset_fillings, permutation_parity
+from .places import Relation, check_line_label, coset_fillings, permutation_parity
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -88,20 +90,7 @@ def apply_polytabloid_map(x: ColumnTabloidElement) -> RowTabloidElement:
     return RowTabloidElement._trusted(x.lin.map_labels(_polytabloid_int))
 
 
-@dataclass(frozen=True)
-class SchurRelation:
-    tableau: Tableau
-    box_a: frozenset
-    box_b: frozenset
-    element: ColumnTabloidElement
-
-    def to_json(self) -> dict:
-        return {
-            "tableau": self.tableau.to_json(),
-            "boxA": boxset_to_json(self.box_a),
-            "boxB": boxset_to_json(self.box_b),
-            "element": self.element.to_json(),
-        }
+SchurRelation = Relation  # the record's old name, kept importable
 
 
 def _repeats_an_entry(t: Tableau, boxes) -> bool:
@@ -148,11 +137,11 @@ def _garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
     return LinComb(ZZ, terms)
 
 
-def garnir(t: Tableau, box_a: frozenset, box_b: frozenset, ring: CoefficientRing = ZZ) -> SchurRelation:
+def garnir(t: Tableau, box_a: frozenset, box_b: frozenset, ring: CoefficientRing = ZZ) -> Relation:
     """The signed coset-representative sum labelled by (t, A, B)."""
     check_line_label(t, box_a, box_b, rows=False)
     lin = _garnir_int(t, box_a, box_b).change_ring(ring)
-    return SchurRelation(t, box_a, box_b, ColumnTabloidElement._trusted(lin))
+    return Relation("garnir", t, box_a, box_b, ColumnTabloidElement._trusted(lin))
 
 
 def garnir_labels(shape):
@@ -227,7 +216,6 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
         image=polytabloid,
         image_key=lambda u: row_order_key(u, max_entry),
-        describe=SchurRelation.to_json,
     )
 
 

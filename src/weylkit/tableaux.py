@@ -361,14 +361,20 @@ def _iter_semistandard(shape, m):
     yield from fill(0)
 
 
-@cache
-def enumerate_tableaux(shape, max_entry: int, kind: str = ALL) -> tuple[Tableau, ...]:
-    """All tableaux of the shape with entries in {1..max_entry}, in reading-word order."""
+def _check_request(shape, max_entry: int, kind: str) -> tuple[int, ...]:
+    """The shape as a tuple, once the shape, the alphabet and the class are valid."""
     shape = check_partition(shape)
     if max_entry < 1:
         raise InputError("max_entry must be >= 1")
     if kind not in _CLASSES:
         raise InputError(f"unknown tableau class {kind!r}")
+    return shape
+
+
+@cache
+def enumerate_tableaux(shape, max_entry: int, kind: str = ALL) -> tuple[Tableau, ...]:
+    """All tableaux of the shape with entries in {1..max_entry}, in reading-word order."""
+    shape = _check_request(shape, max_entry, kind)
     gen = {
         ALL: _iter_all,
         ROW_SEMISTANDARD: _iter_row_semistandard,
@@ -382,7 +388,7 @@ def enumerate_tableaux(shape, max_entry: int, kind: str = ALL) -> tuple[Tableau,
 
 def count_tableaux(shape, max_entry: int, kind: str = ALL) -> int:
     """Cardinality of :func:`enumerate_tableaux` without materializing "all"."""
-    shape = check_partition(shape)
+    shape = _check_request(shape, max_entry, kind)
     if kind == ALL:
         return max_entry ** sum(shape)
     if kind == ROW_SEMISTANDARD:

@@ -102,7 +102,8 @@ class KernelCertificate:
     when some other label lies on the wrong side, or when no relation
     carries the pivot label; the relation is then None too.  Both are empty
     on every instance the theorem covers.  The failure methods give
-    counterexamples as JSON, relations as ``describe`` writes them.
+    counterexamples as JSON: a relation as its ``to_json()``, the same on
+    both sides, and a pivot label no relation carries as its tableau.
     """
 
     bad: object  # the first relation that does not map to zero; the scan stops there
@@ -111,11 +112,10 @@ class KernelCertificate:
     pivots: int  # pivot relations with leading coefficient exactly 1
     odd_pivots: tuple
     odd_images: tuple
-    describe: object
 
     @property
     def membership_failure(self) -> dict | None:
-        return None if self.bad is None else self.describe(self.bad)
+        return None if self.bad is None else self.bad.to_json()
 
     def image_failure(self, ring: CoefficientRing) -> dict | None:
         """The first semistandard label whose image is not unitriangular over ``ring``."""
@@ -135,7 +135,7 @@ class KernelCertificate:
         return next((self._pivot(t, rel) for _, t, rel in self.odd_pivots), None)
 
     def _pivot(self, t, rel) -> dict:
-        return {"tableau": t.to_json()} if rel is None else self.describe(rel)
+        return {"tableau": t.to_json()} if rel is None else rel.to_json()
 
     def ranks(self, ring: CoefficientRing) -> tuple[int | None, int | None]:
         """Ranks over ``ring`` (over Q for Z) of the map and of the relation span.
@@ -178,8 +178,7 @@ def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key):
 
 
 def kernel_certificate(
-    labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key,
-    describe,
+    labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key
 ) -> KernelCertificate:
     """Build the integer certificate of a kernel theorem on one (shape, max_entry).
 
@@ -192,7 +191,8 @@ def kernel_certificate(
     below t under ``key``.  The domain has ``dimension`` basis labels, and
     ``image(s)`` of each label s in ``semistandard`` should have coefficient
     1 on s and every other label strictly above s under ``image_key``.
-    ``describe`` writes a relation as a counterexample.
+    ``build`` returns a :class:`~weylkit.places.Relation`, whose
+    ``to_json()`` is the counterexample when a check on it fails.
     """
     bad, pivots, odd_pivots = _scan_relations(labels, relation_labels, build, kernel_map, pivot, key)
     odd_images = []
@@ -203,4 +203,4 @@ def kernel_certificate(
             odd_images.append((lead, s, element))
     rank = len(semistandard)
     odd_pivots, odd_images = tuple(odd_pivots), tuple(odd_images)
-    return KernelCertificate(bad, dimension - rank, rank, pivots, odd_pivots, odd_images, describe)
+    return KernelCertificate(bad, dimension - rank, rank, pivots, odd_pivots, odd_images)

@@ -14,10 +14,13 @@ product for B's row.  Those weights are what make the sums land in the
 kernel; the two tempting simplifications (plain coset sums, and full
 row-group sums) are kept as named variants because they fail in
 instructive ways.  The labels are the Garnir labels of :mod:`weylkit.schur`
-transposed: rows in place of columns.
+transposed: rows in place of columns, and every relation here is the same
+:class:`~weylkit.places.Relation` record as a Garnir relation
+(``WeylRelation`` is its old name here).
 
 Dual snake relations are the adjacent-row relations taking a right segment
-of the upper row and a left segment of the lower row.  When the segments
+of the upper row and a left segment of the lower row: each is its dual
+Garnir relation with the kind and (i, j, j') added.  When the segments
 are aligned with runs of equal entries, the relation has unit leading
 coefficient on its own label and all other labels strictly smaller in the
 row order, which is exactly what ``straighten`` exploits to rewrite any
@@ -31,11 +34,12 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 from .coeffs import ZZ, CoefficientRing, InputError, LinComb
 from .places import (
+    Relation,
     check_line_label,
     class_index,
     double_coset_reps,
@@ -53,6 +57,7 @@ from .tableaux import (
     check_partition,
     column_order_key,
     conjugate,
+    count_tableaux,
     enumerate_tableaux,
     row_order_key,
     sort_rows,
@@ -71,29 +76,7 @@ STAR_VARIANT = "star"
 STAR_STAR_VARIANT = "star_star"
 
 
-@dataclass(frozen=True)
-class WeylRelation:
-    kind: str
-    tableau: Tableau
-    box_a: frozenset
-    box_b: frozenset
-    element: SymLowerElement
-    snake: tuple[int, int, int] | None = None
-
-    def label_json(self) -> dict:
-        from .places import boxset_to_json
-
-        out = {
-            "kind": self.kind,
-            "tableau": self.tableau.to_json(),
-            "boxA": boxset_to_json(self.box_a),
-            "boxB": boxset_to_json(self.box_b),
-        }
-        if self.snake is not None:
-            i, j, jp = self.snake
-            out["row"] = i
-            out["cols"] = [j, jp]
-        return out
+WeylRelation = Relation  # the record's old name, kept importable
 
 
 @cache
@@ -103,16 +86,16 @@ def _dual_garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
 
 def dual_garnir(
     t: Tableau, box_a: frozenset, box_b: frozenset, ring: CoefficientRing = ZZ
-) -> WeylRelation:
+) -> Relation:
     """The index-weighted row-class sum labelled by (t, A, B)."""
     check_line_label(t, box_a, box_b, rows=True)
     lin = _dual_garnir_int(t, box_a, box_b).change_ring(ring)
-    return WeylRelation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement._trusted(lin))
+    return Relation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement._trusted(lin))
 
 
 def dual_garnir_double_coset(
     t: Tableau, box_a: frozenset, box_b: frozenset, ring: CoefficientRing = ZZ
-) -> WeylRelation:
+) -> Relation:
     """Same element computed from brute-force double coset representatives.
 
     Oracle path: refuses |A| + |B| > 6.  Must agree with :func:`dual_garnir`.
@@ -122,7 +105,7 @@ def dual_garnir_double_coset(
     for rep in double_coset_reps(t, box_a, box_b):
         u = rep.act(t)
         coords[sort_rows(u)] = class_index(u, members)
-    return WeylRelation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement(LinComb(ring, coords)))
+    return Relation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement(LinComb(ring, coords)))
 
 
 def variant_relation(
@@ -131,7 +114,7 @@ def variant_relation(
     box_b: frozenset,
     kind: str,
     ring: CoefficientRing = ZZ,
-) -> WeylRelation:
+) -> Relation:
     """The two rejected alternatives to the dual Garnir relation.
 
     "star": one row symmetrisation per left coset representative, no
@@ -148,7 +131,7 @@ def variant_relation(
         weight = mult if kind == STAR_VARIANT else mult * row_stabilizer_order(u)
         label = sort_rows(u)
         coords[label] = coords.get(label, 0) + weight
-    return WeylRelation(kind, t, box_a, box_b, SymLowerElement(LinComb(ring, coords)))
+    return Relation(kind, t, box_a, box_b, SymLowerElement(LinComb(ring, coords)))
 
 
 def snake_boxsets(shape, i: int, j: int, jp: int) -> tuple[frozenset, frozenset]:
@@ -166,11 +149,10 @@ def snake_boxsets(shape, i: int, j: int, jp: int) -> tuple[frozenset, frozenset]
     return box_a, box_b
 
 
-def dual_snake(t: Tableau, i: int, j: int, jp: int, ring: CoefficientRing = ZZ) -> WeylRelation:
+def dual_snake(t: Tableau, i: int, j: int, jp: int, ring: CoefficientRing = ZZ) -> Relation:
     """The adjacent-row relation on a right segment of row i and a left segment of row i+1."""
     box_a, box_b = snake_boxsets(t.shape, i, j, jp)
-    rel = dual_garnir(t, box_a, box_b, ring)
-    return WeylRelation(DUAL_SNAKE, t, box_a, box_b, rel.element, (i, j, jp))
+    return replace(dual_garnir(t, box_a, box_b, ring), kind=DUAL_SNAKE, snake=(i, j, jp))
 
 
 def snake_labels(shape):
@@ -223,32 +205,31 @@ class StraighteningCertificate:
         return identity and all(s.is_semistandard for s in self.coords.labels())
 
 
-def _first_violation(t: Tableau):
-    """First box (i, j0), rows then columns, whose entry is >= the one below."""
-    for i in range(1, len(t.shape)):
-        upper, lower = t.rows[i - 1], t.rows[i]
-        for j0 in range(1, len(lower) + 1):
-            if upper[j0 - 1] >= lower[j0 - 1]:
-                return i, j0
-    return None
+def _snake_pivot(t: Tableau) -> tuple[int, int, int]:
+    """The snake (i, j, j') that :func:`straighten` applies to a label that is not semistandard.
 
-
-def _snake_for_violation(t: Tableau, i: int, j0: int) -> tuple[int, int]:
-    """Segment bounds aligned with the runs of equal entries through (i, j0).
-
-    The start column j walks left while the upper-row value repeats; the end
-    column j' walks right while the lower-row value repeats.  This keeps
-    every value of a row wholly inside or wholly outside the chosen boxes,
-    which forces a unit leading coefficient.
+    It runs through the first box (i, j0), rows then columns, whose entry is
+    >= the one below.  The start column j walks left from j0 while the
+    upper-row value repeats, and the end column j' walks right while the
+    lower-row value repeats.  This keeps every value of a row wholly inside
+    or wholly outside the chosen boxes, which forces a unit leading
+    coefficient.
     """
-    upper, lower = t.rows[i - 1], t.rows[i]
+    rows = t.rows
+    i, j0 = next(
+        (i, j)
+        for i in range(1, len(rows))
+        for j in range(1, len(rows[i]) + 1)
+        if rows[i - 1][j - 1] >= rows[i][j - 1]
+    )
+    upper, lower = rows[i - 1], rows[i]
     j = j0
     while j > 1 and upper[j - 2] == upper[j0 - 1]:
         j -= 1
     jp = j0
     while jp < len(lower) and lower[jp] == lower[j0 - 1]:
         jp += 1
-    return j, jp
+    return i, j, jp
 
 
 def straighten(x: SymLowerElement) -> StraighteningCertificate:
@@ -275,13 +256,7 @@ def straighten(x: SymLowerElement) -> StraighteningCertificate:
     for label in work:
         push(label)
 
-    shape = x.shape
-    step_cap = 64
-    if shape is not None:
-        from .tableaux import count_tableaux
-
-        step_cap = max(64, count_tableaux(shape, max_entry, ROW_SEMISTANDARD) ** 2)
-
+    step_cap = 64 if x.shape is None else max(64, count_tableaux(x.shape, max_entry, ROW_SEMISTANDARD) ** 2)
     steps = 0
     while heap:
         _, label = heapq.heappop(heap)
@@ -292,14 +267,9 @@ def straighten(x: SymLowerElement) -> StraighteningCertificate:
         steps += 1
         if steps > step_cap:
             raise RuntimeError("straightening exceeded its step budget")
-        found = _first_violation(label)
-        if found is None:  # label is semistandard; cannot happen for queued labels
-            continue
-        i, j0 = found
-        j, jp = _snake_for_violation(label, i, j0)
+        i, j, jp = _snake_pivot(label)
         snake = dual_snake(label, i, j, jp, ring)
-        lead = snake.element.coeff(label)
-        if lead != ring.one:
+        if snake.element.coeff(label) != ring.one:
             raise RuntimeError("snake relation lost its unit leading coefficient")
         for u, c in snake.element.lin.items():
             new = ring.sub(work.get(u, ring.zero), ring.mul(coeff, c))
@@ -325,16 +295,6 @@ def weyl_basis(shape, max_entry: int, ring: CoefficientRing = ZZ):
     ]
 
 
-def _counterexample(rel: WeylRelation) -> dict:
-    return {"label": rel.label_json(), "element": rel.element.to_json()}
-
-
-def _snake_pivot(t: Tableau) -> tuple[int, int, int]:
-    """The snake that :func:`straighten` applies to a label that is not semistandard."""
-    i, j0 = _first_violation(t)
-    return (i, *_snake_for_violation(t, i, j0))
-
-
 @cache
 def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of the Weyl side, shared by every ring.
@@ -356,7 +316,6 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
         image=copolytabloid,
         image_key=lambda u: column_order_key(u, max_entry),
-        describe=_counterexample,
     )
 
 

@@ -249,6 +249,28 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "bad entry matrix" in err
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ('[["1/0",0],[0,1]]', "entry (1, 1) '1/0' has a zero denominator"),
+            ('[[1,"x"],[0,1]]', "entry (1, 2): Invalid literal for Fraction: 'x'"),
+            ('{"a":1}', "entry matrix must be a list of rows, each a list of entries"),
+            ("5", "entry matrix must be a list of rows, each a list of entries"),
+            ("[5]", "entry matrix must be a list of rows, each a list of entries"),
+        ],
+    )
+    def test_matrix_errors_name_the_entry_and_the_problem(self, capsys, matrix, message):
+        code, out, err = run(
+            capsys,
+            "equivariance",
+            "--shape", "2,1",
+            "--entries", "2",
+            "--matrix", matrix,
+            "--map", "e",
+            "--ring", "q",
+        )
+        assert (code, out, err) == (2, "", f"error: bad entry matrix: {message}\n")
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
             capsys, "weyl-verify", "--shape", "3,1", "--entries", "99", "--ring", "q"

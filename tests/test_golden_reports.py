@@ -4,10 +4,15 @@ Each request's stdout, with the ``wall_time_s`` line taken out, must hash to
 the sha256 recorded in ``golden_reports.json``.  The test names the first
 request whose output differs.  To record the digests again, after a change
 meant to alter the output, run ``PYTHONPATH=src python tests/test_golden_reports.py``.
+
+The 600 element requests of the element-ops benchmark are replayed too,
+against the digests committed in ``bench/expected/element_ops.jsonl``; the
+benchmark's own ``bench/workloads.py`` is loaded unchanged to read them.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
@@ -18,6 +23,7 @@ from weylkit.cli import dispatch
 from weylkit.tableaux import partitions_up_to
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
+WORKLOADS_FILE = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 _WALL_TIME = re.compile(r',\n  "wall_time_s": [-+0-9.eE]+')
 
 
@@ -48,9 +54,13 @@ def requests():
         ("[[1,2,2],[1,3]]", "(1,2),(1,3)", "(2,1),(2,2)", "dc", "json"),
         ("[[1,1],[2,2]]", "(1,1),(1,2)", "(2,1)", "star", "text"),
         ("[[2,1],[1,2]]", "(1,1),(1,2)", "(2,2)", "star-star", "latex"),
+        ("[[1,1],[2,2]]", "(1,1),(1,2)", "(2,1)", "star", "json"),
+        ("[[2,1],[1,2]]", "(1,1),(1,2)", "(2,2)", "star-star", "json"),
     ):
         out.append(["dual-garnir", "--tableau", tableau, "--boxA", box_a, "--boxB", box_b,
                     "--variant", variant, "--format", fmt])
+    out.append(["snake", "--tableau", "[[1,2,2],[1,2]]", "--row", "1", "--cols", "1:2", "--ring", "zmod:3",
+                "--format", "json"])
     return out
 
 
@@ -68,6 +78,27 @@ def test_reports_match_recorded_digests():
     for argv in requests():
         code, got = digest(argv)
         assert (code, got) == (0, golden[" ".join(argv)]), f"first request whose output differs: {argv}"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_element_requests_match_the_benchmark_digests():
+    workloads = load_workloads()
+    pool = workloads.load_element_pool()
+    assert len(pool) == workloads.ELEMENT_REQUESTS
+    mismatches = []
+    for record in pool:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = dispatch(list(record["argv"]))
+        if (code, workloads.cli_digest(record["argv"], buffer.getvalue())) != (0, record["digest"]):
+            mismatches.append(record["argv"])
+    assert mismatches == []
 
 
 if __name__ == "__main__":

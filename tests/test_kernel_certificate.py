@@ -100,6 +100,25 @@ def test_a_relation_broken_only_away_from_2_fails_modulo_2(side, monkeypatch):
         assert report["ranks"][span_key] is None
 
 
+def test_both_sides_report_a_broken_relation_in_one_shape(monkeypatch):
+    examples = {}
+    for side, (builder, target, space, label, (shape, m), check_name) in sorted(MUTATIONS.items()):
+        module = schur if side == "schur" else weyl
+        original = getattr(module, builder)
+        rel = original(*target)
+        broken = dataclasses.replace(rel, element=rel.element + space(LinComb(ZZ, {label: 1})))
+
+        def patched(*args, original=original, target=target, broken=broken):
+            return broken if args[: len(target)] == target else original(*args)
+
+        monkeypatch.setattr(module, builder, patched)
+        report = SIDES[side][0](shape, m, ZZ)
+        examples[side] = next(c for c in report["checks"] if c["name"] == check_name)["counterexample"]
+        assert examples[side] == broken.to_json()
+    assert list(examples["weyl"]) == ["kind", "tableau", "boxA", "boxB", "row", "cols", "element"]
+    assert list(examples["schur"]) == [k for k in examples["weyl"] if k not in ("row", "cols")]
+
+
 @pytest.mark.parametrize("side", sorted(SIDES))
 def test_a_second_ring_builds_no_relation(side, monkeypatch):
     module, builder = (schur, "garnir") if side == "schur" else (weyl, "dual_snake")

@@ -61,8 +61,8 @@ def test_weyl_certificate_names_a_corrupted_pivot(monkeypatch):
     assert not report["ok"]
     failed = [c["name"] for c in report["checks"] if not c["ok"]]
     assert failed == ["snake_lattice_is_direct_summand"]
-    label = _check(report, "snake_lattice_is_direct_summand")["counterexample"]["label"]
-    assert (label["tableau"], label["row"], label["cols"]) == (t.to_json(), 1, [1, 1])
+    example = _check(report, "snake_lattice_is_direct_summand")["counterexample"]
+    assert (example["tableau"], example["row"], example["cols"]) == (t.to_json(), 1, [1, 1])
     assert weyl.verify_weyl_kernel((2, 2), 2, QQ)["ok"]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from weylkit.coeffs import InputError
 from weylkit.tableaux import (
     ALL,
     COLUMN_STANDARD,
@@ -136,6 +137,18 @@ class TestEnumeration:
         for shape, m in [((2, 1), 3), ((2, 2), 2), ((3, 2), 2), ((1, 1, 1), 3)]:
             for kind in (ALL, ROW_SEMISTANDARD, COLUMN_STANDARD, SEMISTANDARD):
                 assert count_tableaux(shape, m, kind) == len(enumerate_tableaux(shape, m, kind))
+
+    @pytest.mark.parametrize("count", (count_tableaux, enumerate_tableaux), ids=("count", "enumerate"))
+    @pytest.mark.parametrize("kind", (ALL, ROW_SEMISTANDARD, COLUMN_STANDARD, SEMISTANDARD))
+    @pytest.mark.parametrize("max_entry", (0, -5))
+    def test_an_empty_alphabet_is_an_input_error(self, count, kind, max_entry):
+        with pytest.raises(InputError, match="max_entry must be >= 1"):
+            count((2, 1), max_entry, kind)
+
+    @pytest.mark.parametrize("count", (count_tableaux, enumerate_tableaux), ids=("count", "enumerate"))
+    def test_an_unknown_class_is_an_input_error(self, count):
+        with pytest.raises(InputError, match="unknown tableau class 'bogus'"):
+            count((2, 1), 2, "bogus")
 
 
 class TestOrders:

@@ -207,17 +207,22 @@ class TestDualSnake:
         assert set(snake_labels((4,))) == set()
 
     def test_run_aligned_snakes_have_unit_leading_coefficient(self):
-        from weylkit.weyl import _first_violation, _snake_for_violation
+        from weylkit.weyl import _snake_pivot
 
         for shape, m in [((2, 2), 3), ((3, 2), 3), ((2, 2, 1), 2)]:
             for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
-                found = _first_violation(t)
-                if found is None:
-                    continue
-                i, j0 = found
-                j, jp = _snake_for_violation(t, i, j0)
-                rel = dual_snake(t, i, j, jp)
-                assert rel.element.coeff(t) == 1
+                if not t.is_semistandard:
+                    rel = dual_snake(t, *_snake_pivot(t))
+                    assert rel.element.coeff(t) == 1
+
+    def test_the_pivot_runs_through_the_first_violation_along_equal_runs(self):
+        from weylkit.weyl import _snake_pivot
+
+        # First violation: 2 >= 2 at (1, 2); the upper run of 2s starts at
+        # column 2 and the lower run of 2s ends at column 3.
+        assert _snake_pivot(T([[1, 2, 2], [2, 2, 2]])) == (1, 2, 3)
+        assert _snake_pivot(T([[1, 1], [1, 2]])) == (1, 1, 1)
+        assert _snake_pivot(T([[1, 2], [2, 3], [2]])) == (2, 1, 1)
 
 
 class TestStraighten:
@@ -329,6 +334,6 @@ class TestVerifyKernel:
         report = verify_weyl_kernel((2, 2), 2, ring)
         assert not report["ok"]
         assert [c["name"] for c in report["checks"] if not c["ok"]] == ["snakes_lie_in_kernel"]
-        label = report["checks"][1]["counterexample"]["label"]
-        assert (label["tableau"], label["row"], label["cols"]) == (t.to_json(), 1, [1, 1])
+        example = report["checks"][1]["counterexample"]
+        assert (example["tableau"], example["row"], example["cols"]) == (t.to_json(), 1, [1, 1])
         assert report["ranks"]["snake_span"] is None
