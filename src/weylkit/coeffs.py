@@ -264,15 +264,7 @@ class LinComb:
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
         ring = self.ring
-        ca, cb = ring.normalize(ca), ring.normalize(cb)
-        out = {}
-        if ca != 0:
-            for l, c in self._terms.items():
-                out[l] = ca * c
-        if cb != 0:
-            for l, c in other._terms.items():
-                out[l] = out.get(l, 0) + cb * c
-        return LinComb(ring, out)
+        return LinComb.linear_combination(ring, ((ring.normalize(ca), self), (ring.normalize(cb), other)))
 
     def __add__(self, other):
         return self.combine(other)

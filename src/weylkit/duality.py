@@ -19,7 +19,8 @@ every coefficient ring, Z/n included.
 The exterior and symmetric powers of g on one line are expanded one factor
 at a time, as the products g e_{c_1} ^ ... ^ g e_{c_k} and
 g e_{r_1} ... g e_{r_k}.  The divided power is read off the symmetric one:
-with |Stab x| the product of the factorials of the multiplicities in x,
+with |Stab x| = ``places.stabilizer_order(x)``, the product of the
+factorials of the multiplicities in x,
 
     D(g)[s, r] * |Stab r| = S(g)[s, r] * |Stab s|,
 
@@ -33,13 +34,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from itertools import groupby, product
-from math import factorial, gcd, prod
+from itertools import product
+from math import prod
+from operator import floordiv, truediv
 
 from .coeffs import QQ, ZZ, CoefficientRing, InputError, LinComb
 from .linalg import solve_exact
+from .places import stabilizer_order
 from .powers import (
     ColumnTabloidElement,
     RowTabloidElement,
@@ -56,13 +58,20 @@ from .tableaux import (
     Tableau,
     check_partition,
     enumerate_tableaux,
+    from_columns,
     sort_rows,
 )
 from .weyl import copolytabloid
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
+def _determinant(ring: CoefficientRing, rows) -> object:
+    """Bareiss fraction-free determinant, with the ring's exact division.
+
+    Every division in the elimination is exact in the ring of the entries:
+    ``/`` on Fractions over Q, ``//`` on the integer representatives over Z
+    and Z/n, whose determinant is then reduced by the caller.
+    """
+    divide = truediv if ring == QQ else floordiv
     n = len(rows)
     if n == 0:
         return 1
@@ -78,7 +87,7 @@ def _det_int(rows: list[list[int]]) -> int:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+                mat[i][j] = divide(mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j], prev)
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]
@@ -120,22 +129,8 @@ class EntryMatrix:
         self.entries = rows
         self.size = m
         self._images: dict = {}
-        det = self._det()
-        if not self.ring.is_unit(det):
+        if not self.ring.is_unit(_determinant(ring, rows)):
             raise InputError("non-invertible entry matrix")
-
-    def _det(self):
-        if self.ring == QQ:
-            num_rows = [[Fraction(v) for v in row] for row in self.entries]
-            # clear denominators so the integer routine applies
-            scale = 1
-            for row in num_rows:
-                for v in row:
-                    scale = scale * v.denominator // gcd(scale, v.denominator)
-            int_rows = [[int(v * scale) for v in row] for row in num_rows]
-            d = _det_int(int_rows)
-            return Fraction(d, scale**self.size)
-        return _det_int([list(row) for row in self.entries])
 
     @classmethod
     def identity(cls, m: int, ring: CoefficientRing = ZZ) -> "EntryMatrix":
@@ -256,11 +251,6 @@ def _wedge_image(g: EntryMatrix, column: tuple[int, ...]) -> tuple:
     return _reduced(g.ring, _line_product(g, column, alternating=True))
 
 
-def _stabiliser_order(line: tuple[int, ...]) -> int:
-    """|Stab line|: the product of the factorials of the multiplicities in a sorted line."""
-    return prod(factorial(len(tuple(run))) for _, run in groupby(line))
-
-
 def _row_image(g: EntryMatrix, row: tuple[int, ...], divided: bool) -> tuple:
     """The symmetric (or, when divided, the divided) power of g on one sorted row.
 
@@ -275,11 +265,9 @@ def _row_image(g: EntryMatrix, row: tuple[int, ...], divided: bool) -> tuple:
     """
     partial = _line_product(g, row, alternating=False)
     if divided:
-        stab = _stabiliser_order(row)
-        if g.ring == QQ:
-            partial = {s: v * _stabiliser_order(s) / stab for s, v in partial.items()}
-        else:
-            partial = {s: v * _stabiliser_order(s) // stab for s, v in partial.items()}
+        stab = stabilizer_order(row)
+        divide = truediv if g.ring == QQ else floordiv
+        partial = {s: divide(v * stabilizer_order(s), stab) for s, v in partial.items()}
     return _reduced(g.ring, partial)
 
 
@@ -308,10 +296,7 @@ def _functorial_action(x: TableauElement, g: EntryMatrix) -> LinComb:
             acc[key] = acc.get(key, 0) + c * prod(factors)
     if by_columns:
         shape = x.shape
-        return LinComb(x.ring, {
-            Tableau._fresh(tuple(tuple(cols[j][i] for j in range(n)) for i, n in enumerate(shape))): coeff
-            for cols, coeff in acc.items()
-        })
+        return LinComb(x.ring, {from_columns(shape, cols): coeff for cols, coeff in acc.items()})
     return LinComb(x.ring, {Tableau._fresh(rows): coeff for rows, coeff in acc.items()})
 
 
@@ -364,19 +349,15 @@ def pairing_image(t: Tableau, max_entry: int, ring: CoefficientRing = ZZ) -> Col
     """Image in the exterior power of the functional dual to t's row tabloid.
 
     For each column-standard u, the coefficient of u is the evaluation of
-    the functional against the polytabloid of u.  For row-sorted t this
-    equals the copolytabloid of t.
+    the functional against the polytabloid of u: the coefficient of t's
+    row tabloid in it, read over Z and reduced into the ring once.  For
+    row-sorted t this equals the copolytabloid of t.
     """
     canon = sort_rows(t)
     if canon.max_entry > max_entry:
         raise ValueError("tableau entries exceed the alphabet")
-    functional = DualFunctional(LinComb(ring, {canon: 1}))
-    terms = []
-    for u in enumerate_tableaux(canon.shape, max_entry, COLUMN_STANDARD):
-        coeff = functional.evaluate(polytabloid(u, ring))
-        if coeff != 0:
-            terms.append((u, coeff))
-    return ColumnTabloidElement(LinComb(ring, terms))
+    csyt = enumerate_tableaux(canon.shape, max_entry, COLUMN_STANDARD)
+    return ColumnTabloidElement._trusted(LinComb(ring, {u: polytabloid(u).coeff(canon) for u in csyt}))
 
 
 @cache

@@ -9,8 +9,9 @@ entries on A | B into A and the rest into B and reports the sign of that
 move.  The dual Garnir relations need one term per row class only, and
 :func:`row_classes` lists the classes directly, one per distinct
 sub-multiset of the entries that goes into A.  Row orbits are listed as
-distinct tableaux with closed-form stabilizer orders, never as group
-elements.  Every such relation, whatever its kind, is one
+distinct tableaux, never as group elements, and every stabilizer order
+is one :func:`stabilizer_order`, the product of the factorials of the
+multiplicities.  Every such relation, whatever its kind, is one
 :class:`Relation`: a tableau, two box sets and the element they label.
 :class:`PlacePermutation`, the coset representatives of
 :func:`left_coset_reps` and a brute-force double-coset enumerator for small
@@ -23,29 +24,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .coeffs import InputError
-from .tableaux import Tableau, check_partition, diagram_boxes, sort_rows
-
-
-def permutation_parity(images) -> int:
-    """Sign of the permutation i -> images[i] of range(len(images))."""
-    n = len(images)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+from .tableaux import Tableau, check_partition, diagram_boxes, permutation_sign
 
 
 def multiset_permutations(items):
@@ -116,7 +98,7 @@ class PlacePermutation:
     @property
     def sign(self) -> int:
         index = _box_index(self.shape)
-        return permutation_parity([index[b] for b in self.images])
+        return permutation_sign([index[b] for b in self.images])
 
     def then(self, other: "PlacePermutation") -> "PlacePermutation":
         """Composite: apply self first, then other."""
@@ -164,49 +146,35 @@ def act(t: Tableau, sigma: PlacePermutation) -> Tableau:
 # row orbits and stabilizer orders
 
 
-@cache
-def _row_orbit_of_sorted(t: Tableau) -> tuple[Tableau, ...]:
+def row_orbit(t: Tableau) -> tuple[Tableau, ...]:
+    """The distinct tableaux obtained by permuting each row of t independently."""
     per_row = [tuple(multiset_permutations(row)) for row in t.rows]
     return tuple(Tableau._fresh(rows) for rows in product(*per_row))
 
 
-def row_orbit(t: Tableau) -> tuple[Tableau, ...]:
-    """The distinct tableaux obtained by permuting each row of t independently."""
-    return _row_orbit_of_sorted(sort_rows(t))
+def stabilizer_order(values) -> int:
+    """Order of the stabilizer of ``values`` under permutation: the product of the factorials of its multiplicities."""
+    return prod(map(factorial, Counter(values).values()))
 
 
 def row_stabilizer_order(t: Tableau) -> int:
-    """Order of the row-preserving stabilizer: per row, one factorial per repeated value."""
-    order = 1
-    for row in t.rows:
-        counts: dict[int, int] = {}
-        for v in row:
-            counts[v] = counts.get(v, 0) + 1
-        for c in counts.values():
-            order *= factorial(c)
-    return order
+    """Order of the row-preserving stabilizer of t: the product of its rows' stabilizer orders."""
+    return prod(map(stabilizer_order, t.rows))
 
 
 def _split_row_stabilizer_order(t: Tableau, members: frozenset) -> int:
     """Order of the row stabilizer of t intersected with the box-set split.
 
     Counts the row-preserving permutations fixing t that also preserve the
-    set ``members`` (and its complement): within each row the positions of
-    any one value must lie wholly inside or wholly outside ``members`` to be
-    swapped, so the order is a product of factorials of per-side counts.
+    set ``members`` (and its complement): within each row they permute the
+    boxes holding one value on one side of the split among themselves, so
+    the order is the product over the rows of the stabilizer order of the
+    (value, side) pairs.
     """
-    order = 1
-    for i, row in enumerate(t.rows, 1):
-        inside: dict[int, int] = {}
-        outside: dict[int, int] = {}
-        for j, v in enumerate(row, 1):
-            side = inside if (i, j) in members else outside
-            side[v] = side.get(v, 0) + 1
-        for c in inside.values():
-            order *= factorial(c)
-        for c in outside.values():
-            order *= factorial(c)
-    return order
+    return prod(
+        stabilizer_order([(v, (i, j) in members) for j, v in enumerate(row, 1)])
+        for i, row in enumerate(t.rows, 1)
+    )
 
 
 def class_index(t: Tableau, members: frozenset) -> int:

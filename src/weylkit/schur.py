@@ -34,7 +34,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .places import Relation, check_line_label, coset_fillings, permutation_parity
+from .places import Relation, check_line_label, coset_fillings
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -45,6 +45,7 @@ from .tableaux import (
     conjugate,
     enumerate_tableaux,
     from_columns,
+    permutation_sign,
     row_order_key,
     sort_line,
     sort_rows,
@@ -65,17 +66,15 @@ def _polytabloid_int(t: Tableau) -> LinComb:
     for col in cols:
         k = len(col)
         signed_cols.append(
-            [(tuple(col[p[i]] for i in range(k)), permutation_parity(p)) for p in permutations(range(k))]
+            [(tuple(col[p[i]] for i in range(k)), permutation_sign(p)) for p in permutations(range(k))]
         )
+    shape = t.shape
     terms: dict[Tableau, int] = {}
     for combo in product(*signed_cols):
         sign = 1
         for _, s in combo:
             sign *= s
-        rows = tuple(
-            tuple(combo[j][0][i] for j in range(row_len)) for i, row_len in enumerate(t.shape)
-        )
-        label = sort_rows(Tableau._fresh(rows))
+        label = sort_rows(from_columns(shape, [col for col, _ in combo]))
         terms[label] = terms.get(label, 0) + sign
     return LinComb(ZZ, terms)
 

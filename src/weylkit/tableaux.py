@@ -263,9 +263,15 @@ def sort_rows(t: Tableau) -> Tableau:
     return Tableau._fresh(tuple(tuple(sorted(row)) for row in t.rows))
 
 
-def _inversions(seq) -> int:
+def permutation_sign(seq) -> int:
+    """Sign of the permutation that sorts ``seq``, a sequence of distinct values.
+
+    That is (-1) to the number of inversions, the pairs i < j with
+    seq[i] > seq[j]; for a permutation of range(n), its own sign.
+    """
     n = len(seq)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if seq[i] > seq[j])
+    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
 
 
 def sort_line(line):
@@ -277,7 +283,7 @@ def sort_line(line):
     """
     if len(set(line)) != len(line):
         return None
-    return (-1 if _inversions(line) % 2 else 1), tuple(sorted(line))
+    return permutation_sign(line), tuple(sorted(line))
 
 
 def from_columns(shape, cols) -> Tableau:
@@ -364,6 +370,8 @@ def _iter_semistandard(shape, m):
 def _check_request(shape, max_entry: int, kind: str) -> tuple[int, ...]:
     """The shape as a tuple, once the shape, the alphabet and the class are valid."""
     shape = check_partition(shape)
+    if not isinstance(max_entry, int) or isinstance(max_entry, bool):
+        raise InputError(f"max_entry must be an integer, got {max_entry!r}")
     if max_entry < 1:
         raise InputError("max_entry must be >= 1")
     if kind not in _CLASSES:

@@ -110,6 +110,29 @@ class TestEntryMatrix:
         with pytest.raises(ValueError, match="non-invertible"):
             EntryMatrix(integers_mod(6), [[2, 0], [0, 1]])
 
+    def test_rational_singular_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="non-invertible"):
+            EntryMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+
+    def test_rational_determinant_matches_leibniz(self):
+        def leibniz(rows):
+            n = len(rows)
+            total = 0
+            for p in iperms(range(n)):
+                inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+                term = (-1) ** inversions
+                for i in range(n):
+                    term *= rows[i][p[i]]
+                total += term
+            return total
+
+        rng = random.Random(5)
+        for _ in range(200):
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
+            if rng.random() < 0.25:  # a zero pivot, so the elimination swaps rows
+                rows[0][0] = Fraction(0)
+            assert duality._determinant(QQ, rows) == leibniz(rows)
+
     def test_permutation_constructor(self):
         g = EntryMatrix.permutation((2, 1))
         assert g.entry(2, 1) == 1 and g.entry(1, 2) == 1 and g.entry(1, 1) == 0

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from weylkit.coeffs import InputError
 from weylkit.tableaux import (
@@ -17,6 +18,7 @@ from weylkit.tableaux import (
     diagram_boxes,
     enumerate_tableaux,
     partitions_up_to,
+    permutation_sign,
     row_order_key,
     sort_columns,
     sort_rows,
@@ -145,6 +147,15 @@ class TestEnumeration:
         with pytest.raises(InputError, match="max_entry must be >= 1"):
             count((2, 1), max_entry, kind)
 
+    @pytest.mark.parametrize(
+        "count, max_entry, kind",
+        [(count_tableaux, True, ALL), (count_tableaux, 2.5, ALL), (enumerate_tableaux, 2.5, SEMISTANDARD)],
+        ids=("count-bool", "count-float", "enumerate-float"),
+    )
+    def test_a_non_integer_alphabet_is_an_input_error(self, count, max_entry, kind):
+        with pytest.raises(InputError, match="max_entry must be an integer"):
+            count((2, 1), max_entry, kind)
+
     @pytest.mark.parametrize("count", (count_tableaux, enumerate_tableaux), ids=("count", "enumerate"))
     def test_an_unknown_class_is_an_input_error(self, count):
         with pytest.raises(InputError, match="unknown tableau class 'bogus'"):
@@ -215,7 +226,23 @@ class TestOrders:
                     assert (compare_columns(t, u) is OrderVerdict.INCOMPARABLE) == (ck[0] == ck[1])
 
 
+def cycle_count(p) -> int:
+    """Number of cycles of the permutation i -> p[i] of range(len(p))."""
+    seen, cycles = set(), 0
+    for i in range(len(p)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = p[i]
+    return cycles
+
+
 class TestSorting:
+    @given(st.integers(0, 8).flatmap(lambda n: st.permutations(range(n))))
+    def test_permutation_sign_is_the_cycle_type_sign(self, p):
+        assert permutation_sign(p) == (-1) ** (len(p) - cycle_count(p))
+
     def test_sort_rows(self):
         assert sort_rows(T([[2, 1], [1, 2]])) == T([[1, 2], [1, 2]])
         t = T([[1, 2, 2], [3, 3]])

@@ -1,7 +1,10 @@
-"""Every name a ``weylkit`` module imports is used in that module.
+"""Every name a ``weylkit`` module imports is used in that module, and no private helper is left behind.
 
-``__init__.py`` is left out: its imports are the package's public surface.
-Elsewhere ``import name as name`` marks a deliberate re-export.
+``__init__.py`` is left out of the import check: its imports are the
+package's public surface.  Elsewhere ``import name as name`` marks a
+deliberate re-export.  A private module-level function or class must be
+referenced, as a name or an attribute, somewhere in the package outside
+its own definition.
 """
 
 import ast
@@ -40,3 +43,33 @@ def test_detects_an_unused_import():
         "line 2: gcd",
         "line 1: os",
     ]
+
+
+def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
+    statements = [(name, stmt) for name, source in sources.items() for stmt in ast.parse(source).body]
+    referenced = [
+        {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        for _, stmt in statements
+    ]
+    return [
+        f"{name}: {stmt.name}"
+        for n, (name, stmt) in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and not any(stmt.name in refs for k, refs in enumerate(referenced) if k != n)
+    ]
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_helpers(sources) == []
+
+
+def test_detects_an_unreferenced_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _recursive():\n    return _recursive()\n",
+        "b.py": "import a\n\nclass _Lone:\n    pass\n\na._used()\n",
+    }
+    assert unreferenced_private_helpers(sources) == ["a.py: _recursive", "b.py: _Lone"]

@@ -54,6 +54,15 @@ def sym_lower(ring, coords):
     return SymLowerElement(LinComb(ring, coords))
 
 
+def tensor_verify(cert):
+    """The straightening identity checked on symmetric tensors: the oracle for ``verify``."""
+    lhs = sym_lower_expand(cert.source).lin
+    rhs = sym_lower_expand(cert.coords).lin
+    gam = sym_lower_expand(cert.gamma_combination()).lin
+    identity = lhs.combine(rhs, 1, -1).combine(gam, 1, 1).is_zero
+    return identity and all(s.is_semistandard for s in cert.coords.labels())
+
+
 class TestCopolytabloid:
     def test_already_standard(self):
         assert copolytabloid(EX_T) == ColumnTabloidElement(LinComb(ZZ, {EX_T: 1}))
@@ -266,6 +275,23 @@ class TestStraighten:
                 assert all(s.is_semistandard for s in cert.coords.labels())
                 assert all(isinstance(c, int) for *_rest, c in cert.gamma)
                 assert wedge_of_sym_lower(cert.coords) == wedge_of_sym_lower(x)
+
+    @pytest.mark.parametrize("ring", (ZZ, Z3, QQ), ids=("z", "zmod3", "q"))
+    def test_verify_agrees_with_the_tensor_check(self, ring):
+        rng = random.Random(23)
+        for shape, m in [((2, 2), 2), ((2, 1), 3), ((3, 2), 2), ((2, 2, 1), 3)]:
+            labels = enumerate_tableaux(shape, m, ROW_SEMISTANDARD)
+            for _ in range(10):
+                coords = {t: rng.randint(1, 5) for t in rng.sample(labels, min(3, len(labels)))}
+                cert = straighten(sym_lower(ring, coords))
+                assert cert.verify() and tensor_verify(cert)
+                if not cert.gamma:
+                    continue
+                k = rng.randrange(len(cert.gamma))
+                *label, coeff = cert.gamma[k]
+                gamma = cert.gamma[:k] + ((*label, ring.add(coeff, ring.one)),) + cert.gamma[k + 1 :]
+                tampered = dataclasses.replace(cert, gamma=gamma)
+                assert not tampered.verify() and not tensor_verify(tampered)
 
     def test_rational_and_modular_inputs(self):
         x = sym_lower(QQ, {T([[1, 2], [1, 2]]): 1})
