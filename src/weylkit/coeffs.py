@@ -197,7 +197,7 @@ class LinComb:
     repeated labels are summed and zero coefficients dropped.
     """
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: CoefficientRing, terms=()):
         self.ring = ring
@@ -213,7 +213,6 @@ class LinComb:
                     coeff = normalize(tally[label] + coeff)
                 tally[label] = coeff
             self._terms = {l: c for l, c in tally.items() if c != 0}
-        self._hash = None
 
     @classmethod
     def zero(cls, ring: CoefficientRing) -> "LinComb":
@@ -306,10 +305,7 @@ class LinComb:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            items = tuple(sorted(self._terms.items(), key=lambda kv: _label_key(kv[0])))
-            self._hash = hash((self.ring, items))
-        return self._hash
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def __repr__(self):
         if self.is_zero:

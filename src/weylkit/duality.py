@@ -163,8 +163,10 @@ class EntryMatrix:
 
     def compose(self, other: "EntryMatrix") -> "EntryMatrix":
         """Matrix product self @ other: apply other first."""
-        if self.ring != other.ring or self.size != other.size:
+        if self.ring != other.ring:
             raise ValueError("ring mismatch")
+        if self.size != other.size:
+            raise ValueError(f"size mismatch: {self.size}x{self.size} after {other.size}x{other.size}")
         m = self.size
         rows = [
             [

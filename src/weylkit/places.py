@@ -51,7 +51,6 @@ def multiset_permutations(items):
         seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
-@cache
 def _box_index(shape) -> dict[tuple[int, int], int]:
     return {b: i for i, b in enumerate(diagram_boxes(shape))}
 

@@ -24,7 +24,8 @@ It is zero too when t repeats an entry in a column other than A's and
 B's: every coset term leaves that column as it is, so every term vanishes
 in the exterior power.  The certificate skips both kinds of relation, and
 builds each other one by sorting, term by term, only the two columns the
-coset terms change.
+coset terms change.  No pivot is skipped: a pivot's label is column
+standard and never repeats an entry on its A | B.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .tableaux import (
     check_partition,
     column_order_key,
     conjugate,
+    count_tableaux,
     enumerate_tableaux,
     from_columns,
     permutation_sign,
@@ -186,13 +188,10 @@ def _garnir_pivot(t: Tableau) -> tuple[frozenset, frozenset] | None:
 def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of the Schur side, shared by every ring.
 
-    Garnir relations on the column-sorted labels, except those on which the
-    label repeats an entry on A | B (:func:`_repeats_an_entry`) or in a
-    column other than A's and B's, which are zero; pivots on the first row
-    descent (:func:`_garnir_pivot`), whose labels are column standard and
-    which never repeat an entry on A | B; and the semistandard
-    polytabloids, whose every other row tabloid is above their own in the
-    row order.
+    Garnir relations on the column-sorted labels, less the zero ones of the
+    module docstring; pivots on the first row descent
+    (:func:`_garnir_pivot`); and the semistandard polytabloids, whose every
+    other row tabloid is above their own in the row order.
     """
     boxsets = [(a, b, {j for _, j in a | b}) for a, b in garnir_labels(shape)]
     # 0-based (row, column) of every box with a box below it
@@ -211,7 +210,7 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
         kernel_map=apply_polytabloid_map,
         pivot=_garnir_pivot,
         key=lambda u: column_order_key(u, max_entry),
-        dimension=len(enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)),
+        dimension=count_tableaux(shape, max_entry, COLUMN_STANDARD),
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
         image=polytabloid,
         image_key=lambda u: row_order_key(u, max_entry),
@@ -228,40 +227,24 @@ def verify_schur_ses(
     """Check rank(Garnir span) + rank(polytabloid map) = dim of the exterior power.
 
     Also checks that every Garnir relation maps to zero, which combined with
-    the rank identity pins the kernel exactly.  Both follow from the integer
-    certificate of :mod:`weylkit.verify`, built once per (shape, max_entry):
-    every Garnir relation on a column-sorted label maps to zero over Z (the
-    relations on labels that repeat an entry v on A | B are skipped, as
-    they are zero: swapping the two boxes holding v pairs off the coset
-    terms that put one copy in each column, on the same column tabloid with
-    opposite signs, and fixes the others, which put both copies in one
-    column and vanish; so are those on labels that repeat an entry in a
-    column other than A's and B's, which every coset term leaves as it is,
-    so that every term vanishes); for
-    each column-standard label that is not semistandard, the relation on
-    its first row descent has coefficient 1 on it and all its other labels
-    strictly below it in the column order; and each semistandard
-    polytabloid has coefficient 1 on its own row tabloid and all its other
-    row tabloids strictly above it in the row order.  Then over every ring
-    the map has rank #ssyt and the relations span its kernel, of rank
-    #csyt - #ssyt; over the integers the ranks are rational, and the
+    the rank identity pins the kernel exactly.  All of it is read off the
+    integer certificate of :mod:`weylkit.verify`, built once per
+    (shape, max_entry); over the integers the ranks are rational, and the
     relation lattice is in addition a direct summand.
     """
     shape = checked_shape(shape, max_entry, ring, size_cap, entry_cap)
     started = time.perf_counter()
-    csyt = enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)
-    ssyt = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
     cert = _certificate(shape, max_entry)
     rank_image, span = cert.ranks(ring)
     checks = [check("garnir_relations_map_to_zero", cert.bad is None, cert.membership_failure)]
     ranks = {"polytabloid_map": rank_image, "garnir_span": span}
     if cert.bad is None:
-        checks.append(check("image_rank_is_ssyt_count", rank_image == len(ssyt), cert.image_failure(ring)))
-        rank_sum = span is not None and span + rank_image == len(csyt)
-        checks.append(check("rank_sum_matches_wedge_dim", rank_sum, cert.pivot_failure(ring)))
+        checks.append(check("image_rank_is_ssyt_count", rank_image is not None, cert.image_failure(ring)))
+        checks.append(check("rank_sum_matches_wedge_dim", span is not None, cert.pivot_failure(ring)))
         if ring.kind == "z":
             ranks["garnir_certificate"] = {"pivots": cert.pivots}
             checks.append(check("garnir_lattice_is_direct_summand", cert.direct_summand, cert.lattice_failure))
     instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
-    dims = {"csyt": len(csyt), "ssyt": len(ssyt), "wedge_dim": len(csyt)}
+    dim = cert.rank + cert.nullity
+    dims = {"csyt": dim, "ssyt": cert.rank, "wedge_dim": dim}
     return report("schur-verify", instance, dims, checks, started, ranks)

@@ -78,7 +78,7 @@ def partitions_up_to(n: int):
 class Tableau:
     """An immutable filling of a Young diagram with entries in {1, 2, ...}."""
 
-    __slots__ = ("rows", "shape", "_hash", "_key")
+    __slots__ = ("rows", "shape", "_hash")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -91,7 +91,6 @@ class Tableau:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_hash", hash(rows))
-        object.__setattr__(self, "_key", None)
 
     @classmethod
     def _fresh(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
@@ -100,7 +99,6 @@ class Tableau:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shape", tuple(len(r) for r in rows))
         object.__setattr__(self, "_hash", hash(rows))
-        object.__setattr__(self, "_key", None)
         return self
 
     def __setattr__(self, name, value):
@@ -125,9 +123,7 @@ class Tableau:
     @property
     def sort_key(self):
         """Deterministic total order: reading word, then shape."""
-        if self._key is None:
-            object.__setattr__(self, "_key", (self.reading_word, self.shape))
-        return self._key
+        return (self.reading_word, self.shape)
 
     def column_entries(self, j: int) -> tuple[int, ...]:
         """Entries of column j, top to bottom."""

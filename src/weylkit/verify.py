@@ -29,16 +29,8 @@ relations.  The Schur side is its transpose: column-sorted labels, which
 are the transposes of the row-sorted labels of the conjugate shape, with
 Garnir relations.  A column permutation σ sends the relation on (t, A, B)
 to ± the one on (σt, σA, σB), so these labels give every Garnir relation up
-to sign.  The Schur side skips the labels that repeat an entry on A | B,
-whose relations are zero: swapping the two boxes holding equal entries v
-is a sign-reversing involution on the coset terms, because a term with
-both copies of v in one column vanishes in the exterior power, and a term
-with one copy in A's column and one in B's meets its partner, the same
-column tabloid with the opposite sign.  It also skips the labels that
-repeat an entry in a column other than A's and B's, which every coset
-term keeps, so that every term vanishes.  A pivot relation never repeats
-an entry on A | B, and its label is column standard, so no pivot is
-skipped.
+to sign.  The Schur side also skips the relations its two zero rules
+prove zero, and never a pivot (see :mod:`weylkit.schur`).
 """
 
 from __future__ import annotations

@@ -114,6 +114,11 @@ class TestElements:
         assert coords == SymLowerElement(LinComb(ZZ, {T([[1, 1], [2, 2]]): -2}))
         assert obj["gamma"][0]["coeff"] == "-1"
 
+    def test_straighten_accepts_the_empty_tableau(self, capsys):
+        code, out, _ = run(capsys, "straighten", "--tableau", "[]", "--entries", "1")
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
 
 class TestRender:
     def test_zero_everywhere(self):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from weylkit.coeffs import QQ, ZZ, CoefficientRing, LinComb, integers_mod, parse_ring
+from weylkit.powers import SymLowerElement
+from weylkit.tableaux import ROW_SEMISTANDARD, enumerate_tableaux
 
 
 Z3 = integers_mod(3)
@@ -217,3 +219,21 @@ def test_linear_combination_matches_repeated_combine(ring, pairs):
         expected = expected.combine(lin, 1, c)
     assert LinComb.linear_combination(ring, lifted) == expected
     assert LinComb.linear_combination(ring, pairs) == expected
+
+
+LABELS = enumerate_tableaux((2, 1), 2, ROW_SEMISTANDARD)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, integers_mod(6)], ids=lambda r: r.tag)
+@given(parts=st.dictionaries(st.sampled_from(LABELS), st.tuples(st.integers(-30, 30), st.integers(-30, 30))))
+def test_equal_combinations_hash_equal(ring, parts):
+    # every label appears twice in the pair list, its coefficient split in two
+    pairs = [(label, a) for label, (a, _) in parts.items()] + [(label, b) for label, (_, b) in parts.items()]
+    built = [
+        LinComb(ring, {label: a + b for label, (a, b) in parts.items()}),
+        LinComb(ring, pairs),
+        LinComb(ring, pairs[::-1]),
+    ]
+    for lin in built[1:]:
+        assert lin == built[0] and hash(lin) == hash(built[0])
+        assert hash(SymLowerElement(lin)) == hash(SymLowerElement(built[0]))

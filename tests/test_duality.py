@@ -208,6 +208,14 @@ class TestEntryAction:
         with pytest.raises(ValueError, match="ring mismatch"):
             entry_action(rsym(T([[1, 2]])), g)
 
+    def test_compose_names_a_ring_mismatch(self):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            EntryMatrix.identity(2, QQ).compose(EntryMatrix.identity(2, ZZ))
+
+    def test_compose_names_a_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch: 2x2 after 3x3"):
+            EntryMatrix.identity(2, ZZ).compose(EntryMatrix.identity(3, ZZ))
+
 
 class TestRowImage:
     """The one-factor-at-a-time row kernel against the arrangement sums."""

@@ -19,7 +19,9 @@ from weylkit.tableaux import (
     ALL,
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
+    SEMISTANDARD,
     Tableau,
+    count_tableaux,
     enumerate_tableaux,
     partitions_up_to,
 )
@@ -33,6 +35,7 @@ SIDES = {
     "schur": (schur.verify_schur_ses, schur_verdict, ("polytabloid_map", "garnir_span")),
     "weyl": (weyl.verify_weyl_kernel, weyl_verdict, ("projection", "snake_span")),
 }
+DIMS = {"schur": ("csyt", "ssyt", "wedge_dim"), "weyl": ("rssyt", "ssyt", "csyt")}
 
 
 @pytest.mark.parametrize("side", sorted(SIDES))
@@ -41,12 +44,23 @@ def test_certificate_matches_elimination_on_every_ring(shape, side):
     verify, oracle, (rank_key, span_key) = SIDES[side]
     # m = 4 on |λ| ≤ 3 covers the instances the lattice-z benchmark adds.
     for m in (1, 2, 3, 4) if sum(shape) <= 3 else (1, 2, 3):
+        # the bases counted apart from the certificate the reports read them off
+        csyt = count_tableaux(shape, m, COLUMN_STANDARD)
+        counts = {
+            "csyt": csyt,
+            "wedge_dim": csyt,
+            "rssyt": count_tableaux(shape, m, ROW_SEMISTANDARD),
+            "ssyt": len(enumerate_tableaux(shape, m, SEMISTANDARD)),
+        }
         for tag in RINGS:
             ring = parse_ring(tag)
             report = verify(shape, m, ring, entry_cap=None)
             ok, rank, span = oracle(shape, m, ring)
             got = (report["ok"], report["ranks"][rank_key], report["ranks"][span_key])
             assert got == (ok, rank, span), (shape, m, tag)
+            assert report["dims"] == {k: counts[k] for k in DIMS[side]}, (shape, m, tag)
+            if side == "weyl":
+                assert report["ranks"]["expected_nullity"] == counts["rssyt"] - counts["ssyt"]
 
 
 # A relation of each side and a label of its space: adding twice the label

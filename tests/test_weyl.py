@@ -243,7 +243,7 @@ class TestStraighten:
         assert cert.verify()
 
     def test_semistandard_input_is_fixed(self):
-        for s in enumerate_tableaux((2, 2), 3, SEMISTANDARD):
+        for s in (T([]), *enumerate_tableaux((2, 2), 3, SEMISTANDARD)):
             cert = straighten(sym_lower(ZZ, {s: 1}))
             assert cert.coords == sym_lower(ZZ, {s: 1})
             assert cert.gamma == ()
