@@ -94,8 +94,9 @@ class RunConfig:
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
+    """A comma-separated partition; the empty string is the empty partition."""
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        parts = tuple(int(p) for p in text.split(",")) if text else ()
         return check_partition(parts)
     except ValueError as exc:
         raise CliError(f"malformed shape {text!r}: {exc}") from exc

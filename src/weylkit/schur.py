@@ -12,8 +12,8 @@ ones, and both kinds of relation are one :class:`~weylkit.places.Relation`
 record (``SchurRelation`` is its old name here), so a failed check reports
 either in the same JSON shape.  ``verify_schur_ses`` checks the kernel
 description on one instance with the integer certificate of
-:mod:`weylkit.verify`, over column-sorted labels, built once per
-(shape, max_entry) and shared by every ring.
+:mod:`weylkit.verify`, over the column-sorted labels of one weight per
+S_m-orbit, built once per (shape, max_entry) and shared by every ring.
 
 A Garnir relation on (t, A, B) is zero when t repeats an entry v on
 A | B: swapping the two boxes that hold v is a sign-reversing involution
@@ -31,11 +31,13 @@ standard and never repeats an entry on its A | B.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations, product
+from math import factorial
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .places import Relation, check_line_label, coset_fillings
+from .places import Relation, check_line_label, coset_fillings, stabilizer_order
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -184,15 +186,18 @@ def _garnir_pivot(t: Tableau) -> tuple[frozenset, frozenset] | None:
     return None
 
 
-@cache
-def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
-    """The integer certificate of the Schur side, shared by every ring.
+def _content(t: Tableau, max_entry: int) -> tuple[int, ...]:
+    """The weight of t: how often it holds each of 1, ..., max_entry."""
+    counts = Counter(t.reading_word)
+    return tuple(counts[v] for v in range(1, max_entry + 1))
 
-    Garnir relations on the column-sorted labels, less the zero ones of the
-    module docstring; pivots on the first row descent
-    (:func:`_garnir_pivot`); and the semistandard polytabloids, whose every
-    other row tabloid is above their own in the row order.
-    """
+
+def _is_dominant(weight: tuple[int, ...]) -> bool:
+    return all(a >= b for a, b in zip(weight, weight[1:]))
+
+
+def _relation_labels(shape: tuple[int, ...]):
+    """The function giving the (A, B) of a column-sorted t that neither zero rule skips."""
     boxsets = [(a, b, {j for _, j in a | b}) for a, b in garnir_labels(shape)]
     # 0-based (row, column) of every box with a box below it
     stacked = [(i, j) for j, n in enumerate(conjugate(shape)) for i in range(n - 1)]
@@ -203,9 +208,20 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
         repeating = {j + 1 for i, j in stacked if rows[i][j] == rows[i + 1][j]}
         return [(a, b) for a, b, cols in boxsets if repeating <= cols and not _repeats_an_entry(t, a | b)]
 
+    return relation_labels
+
+
+def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size) -> KernelCertificate:
+    """The certificate on the Garnir relations of the column-sorted ``labels``.
+
+    The relations on each label less the zero ones of the module docstring;
+    pivots on the first row descent (:func:`_garnir_pivot`), each counted
+    ``orbit_size(t)`` times; and the semistandard polytabloids, whose every
+    other row tabloid is above their own in the row order.
+    """
     return kernel_certificate(
-        labels=[transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)],
-        relation_labels=relation_labels,
+        labels=labels,
+        relation_labels=_relation_labels(shape),
         build=lambda t, boxes: garnir(t, *boxes),
         kernel_map=apply_polytabloid_map,
         pivot=_garnir_pivot,
@@ -214,7 +230,25 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
         image=polytabloid,
         image_key=lambda u: row_order_key(u, max_entry),
+        orbit_size=orbit_size,
     )
+
+
+@cache
+def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
+    """The integer certificate of the Schur side, shared by every ring.
+
+    Garnir relations commute with relabelling the entries by S_m up to
+    sign, and so does the polytabloid map; both zero rules depend only on
+    which entries are equal.  So the scan covers only the column-sorted
+    labels whose content weakly decreases, one weight per S_m-orbit, and
+    counts each pivot with the size of its weight's orbit (part 4 of the
+    certificate in :mod:`weylkit.verify`).
+    """
+    column_sorted = [transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)]
+    dominant = [t for t in column_sorted if _is_dominant(_content(t, max_entry))]
+    group_order = factorial(max_entry)
+    return _garnir_scan(shape, max_entry, dominant, lambda t: group_order // stabilizer_order(_content(t, max_entry)))
 
 
 def verify_schur_ses(

@@ -3,7 +3,7 @@
 Both kernel checks prove their theorem with one integer certificate per
 (shape, max_entry), built by :func:`kernel_certificate` and reused for
 every ring.  Let N be the number of labels of the domain's basis that are
-not semistandard.  The certificate has three parts:
+not semistandard.  The certificate has four parts:
 
 1. every relation maps to zero over the integers (a relation the scan
    skips because it is provably zero does so trivially);
@@ -11,7 +11,11 @@ not semistandard.  The certificate has three parts:
    coefficient exactly 1 on t and every other label strictly below t in
    the side's order;
 3. the image of each semistandard label s has coefficient exactly 1 on s
-   and every other label strictly above s in the image's order.
+   and every other label strictly above s in the image's order;
+4. parts 1 and 2 may be proved on one weight per S_m-orbit, when the
+   relation family and the kernel map commute with relabelling the
+   entries, and each pivot found there is counted with the size of its
+   weight's orbit.
 
 Relations and kernel maps are defined over the integers and commute with
 base change, so over every ring R the N pivots stay independent in the
@@ -24,13 +28,27 @@ integers the pivots in addition make the relation lattice a direct summand
 proves the ranks over a ring where it is a unit (over the integers the
 ranks are rational), but never the direct summand.
 
+Part 4 is transport.  Every map here preserves content, the weight
+μ ∈ N^m, so the domain, the relation span and the kernel split into weight
+blocks.  Suppose relabelling the entries by σ ∈ S_m sends the relation
+family onto itself up to sign, commutes with the kernel map and keeps
+every skip rule's verdict.  Then σ is a Z-isomorphism from block μ to
+block σμ that carries relations to ± relations and kernel to kernel, so
+membership, the N_μ pivots and the direct summand on block μ carry over to
+σμ.  The weights with weakly decreasing content meet every orbit once, and
+the orbit of μ has m! / |Stab μ| weights.  Part 3 is checked on every
+semistandard label: the order its unitriangularity is read in depends on
+the order of the alphabet, which σ does not keep.
+
 The Weyl side runs the loop over row-sorted labels with dual snake
-relations.  The Schur side is its transpose: column-sorted labels, which
-are the transposes of the row-sorted labels of the conjugate shape, with
-Garnir relations.  A column permutation σ sends the relation on (t, A, B)
-to ± the one on (σt, σA, σB), so these labels give every Garnir relation up
-to sign.  The Schur side also skips the relations its two zero rules
-prove zero, and never a pivot (see :mod:`weylkit.schur`).
+relations, every label counted once: a snake takes the largest entries of
+a row, so the snake family is not S_m-stable.  The Schur side is its
+transpose: column-sorted labels, which are the transposes of the
+row-sorted labels of the conjugate shape, with Garnir relations.  A column
+permutation σ sends the relation on (t, A, B) to ± the one on
+(σt, σA, σB), so these labels give every Garnir relation up to sign.  The
+Schur side also skips the relations its two zero rules prove zero, and
+never a pivot, and it uses part 4 (see :mod:`weylkit.schur`).
 """
 
 from __future__ import annotations
@@ -87,8 +105,8 @@ def _is_unit(lead, ring: CoefficientRing) -> bool:
 class KernelCertificate:
     """What :func:`kernel_certificate` found on one (shape, max_entry).
 
-    ``odd_pivots`` holds (lead, label, relation) for each label whose pivot
-    relation does not have leading coefficient exactly 1, and
+    ``odd_pivots`` holds (lead, label, relation, orbit size) for each label
+    whose pivot relation does not have leading coefficient exactly 1, and
     ``odd_images`` holds (lead, label, image) for each semistandard label
     whose image does not have coefficient exactly 1 on it.  A lead is None
     when some other label lies on the wrong side, or when no relation
@@ -101,7 +119,7 @@ class KernelCertificate:
     bad: object  # the first relation that does not map to zero; the scan stops there
     nullity: int  # N: the basis labels that are not semistandard
     rank: int  # the semistandard labels
-    pivots: int  # pivot relations with leading coefficient exactly 1
+    pivots: int  # pivot relations with leading coefficient exactly 1, each counted with its orbit size
     odd_pivots: tuple
     odd_images: tuple
 
@@ -118,13 +136,13 @@ class KernelCertificate:
 
     def pivot_failure(self, ring: CoefficientRing) -> dict | None:
         """The first pivot whose leading coefficient is not a unit over ``ring``."""
-        failed = (self._pivot(t, rel) for lead, t, rel in self.odd_pivots if not _is_unit(lead, ring))
+        failed = (self._pivot(t, rel) for lead, t, rel, _ in self.odd_pivots if not _is_unit(lead, ring))
         return next(failed, None)
 
     @property
     def lattice_failure(self) -> dict | None:
         """The first pivot whose leading coefficient is not exactly 1."""
-        return next((self._pivot(t, rel) for _, t, rel in self.odd_pivots), None)
+        return next((self._pivot(t, rel) for _, t, rel, _ in self.odd_pivots), None)
 
     def _pivot(self, t, rel) -> dict:
         return {"tableau": t.to_json()} if rel is None else rel.to_json()
@@ -138,7 +156,7 @@ class KernelCertificate:
         """
         if self.image_failure(ring) is not None:
             return None, None
-        every_pivot = self.pivots + len(self.odd_pivots) == self.nullity
+        every_pivot = self.pivots + sum(size for *_, size in self.odd_pivots) == self.nullity
         proved = self.bad is None and every_pivot and self.pivot_failure(ring) is None
         return self.rank, self.nullity if proved else None
 
@@ -148,8 +166,8 @@ class KernelCertificate:
         return self.ranks(ZZ)[1] is not None and self.pivots == self.nullity
 
 
-def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key):
-    """(first relation not mapping to zero, pivots with lead 1, the other pivots)."""
+def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key, orbit_size):
+    """(first relation not mapping to zero, pivots with lead 1 times their orbit sizes, the other pivots)."""
     pivots, odd = 0, []
     for t in labels:
         target = None if t.is_semistandard else pivot(t)
@@ -163,14 +181,15 @@ def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key):
         if target is not None:
             lead = None if found is None else leading_coefficient(found.element, t, key)
             if lead == 1:
-                pivots += 1
+                pivots += orbit_size(t)
             else:
-                odd.append((lead, t, found))
+                odd.append((lead, t, found, orbit_size(t)))
     return None, pivots, odd
 
 
 def kernel_certificate(
-    labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key
+    labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key,
+    orbit_size=lambda t: 1,
 ) -> KernelCertificate:
     """Build the integer certificate of a kernel theorem on one (shape, max_entry).
 
@@ -185,8 +204,13 @@ def kernel_certificate(
     1 on s and every other label strictly above s under ``image_key``.
     ``build`` returns a :class:`~weylkit.places.Relation`, whose
     ``to_json()`` is the counterexample when a check on it fails.
+
+    Each pivot of a label t counts ``orbit_size(t)`` times: 1 by default,
+    or the size of the S_m-orbit of t's weight when ``labels`` holds one
+    weight per orbit (part 4 of the module docstring).  The semistandard
+    images are checked on every label.
     """
-    bad, pivots, odd_pivots = _scan_relations(labels, relation_labels, build, kernel_map, pivot, key)
+    bad, pivots, odd_pivots = _scan_relations(labels, relation_labels, build, kernel_map, pivot, key, orbit_size)
     odd_images = []
     for s in semistandard:
         element = image(s)

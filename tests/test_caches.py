@@ -19,7 +19,7 @@ ALLOWED = {
     "powers._wedge_of_rsym_int": "hit ratio 0.87 sweep-field, 0.83 lattice-z, 0.99 equivariance",
     "schur._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",
     "weyl._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",
-    "schur._garnir_int": "hit ratio 0.09 sweep-field, 0.12 lattice-z, 0.00 element-ops; bench/spans.py reads it",
+    "schur._garnir_int": "hit ratio 0.16 sweep-field, 0.20 lattice-z, 0.00 element-ops; bench/spans.py reads it",
     "weyl._dual_garnir_int": "hit ratio 0.15 sweep-field, 0.18 lattice-z, 0.38 element-ops; bench/spans.py reads it",
     "places._positional_double_coset_reps": "no workload calls it; the tier-1 double-coset loops reuse it",
     "duality._polytabloid_basis_solver": "its one caller loops over every semistandard t of a (shape, m)",

@@ -175,6 +175,14 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("command", ("schur-verify", "weyl-verify", "duality-check"))
+    def test_the_empty_partition_passes(self, capsys, command):
+        code, out, _ = run(capsys, command, "--shape", "", "--entries", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert report["instance"]["shape"] == []
+
     def test_duality_check_passes(self, capsys):
         code, out, _ = run(capsys, "duality-check", "--shape", "2,2", "--entries", "2")
         assert code == 0

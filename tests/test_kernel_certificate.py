@@ -27,6 +27,15 @@ from weylkit.tableaux import (
 )
 
 from rank_oracle import schur_verdict, weyl_verdict
+from weight_oracles import (
+    adjacent_transposition,
+    column_sorted_labels,
+    full_scan,
+    relabel,
+    relabel_columns,
+    relabel_rows,
+    sort_columns_tracking_boxes,
+)
 
 T = Tableau
 
@@ -220,6 +229,56 @@ def test_wedge_projection_commutes_with_base_change(drawn, data):
         assert wedge_of_sym_lower(x.change_ring(ring)) == image.change_ring(ring)
 
 
+# ---------------------------------------------------------------------------
+# relabelling: the soundness of one weight per S_m-orbit on the Schur side
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_the_orbit_scan_matches_the_scan_over_every_weight(shape):
+    def fields(cert):
+        return cert.bad, cert.nullity, cert.rank, cert.pivots, cert.odd_pivots, cert.odd_images
+
+    for m in (1, 2, 3, 4):
+        assert fields(schur._certificate(shape, m)) == fields(full_scan(shape, m)), m
+
+
+@st.composite
+def transposed_labels(draw, labels_of):
+    """A shape, labels of it from ``labels_of(shape, m)``, and an adjacent transposition of 1..m."""
+    shape = draw(st.sampled_from(SHAPES))
+    m = draw(st.integers(2, 4))
+    return shape, labels_of(shape, m), adjacent_transposition(m, draw(st.integers(1, m - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(transposed_labels(column_sorted_labels), st.data())
+def test_garnir_relations_and_zero_rules_commute_with_an_adjacent_transposition(drawn, data):
+    shape, labels, swap = drawn
+    boxes = list(schur.garnir_labels(shape))
+    assume(boxes)
+    t = data.draw(st.sampled_from(labels))
+    box_a, box_b = data.draw(st.sampled_from(boxes))
+    # s_i t, its columns sorted again, is a scanned label; A and B follow their entries
+    u, moved = sort_columns_tracking_boxes(relabel(t, swap))
+    moved_a, moved_b = frozenset(map(moved.get, box_a)), frozenset(map(moved.get, box_b))
+    image = relabel_columns(schur.garnir(t, box_a, box_b).element.lin, swap)
+    image_of_u = schur.garnir(u, moved_a, moved_b).element.lin
+    assert image in (image_of_u, -image_of_u)
+    kept = schur._relation_labels(shape)
+    assert ((box_a, box_b) in kept(t)) == ((moved_a, moved_b) in kept(u))
+
+
+@settings(max_examples=80, deadline=None)
+@given(transposed_labels(lambda shape, m: enumerate_tableaux(shape, m, COLUMN_STANDARD)), st.data())
+def test_polytabloid_map_commutes_with_an_adjacent_transposition(drawn, data):
+    _, labels, swap = drawn
+    assume(labels)
+    x = _integral_element(data, ColumnTabloidElement, labels)
+    relabelled = ColumnTabloidElement(relabel_columns(x.lin, swap))
+    image = schur.apply_polytabloid_map(x).lin
+    assert schur.apply_polytabloid_map(relabelled).lin == relabel_rows(image, swap)
+
+
 def test_an_image_that_is_not_unitriangular_is_named(monkeypatch):
     # Doubling every copolytabloid keeps its leading coefficient a unit
     # except modulo 2, where the rank is no longer proved.
@@ -241,5 +300,16 @@ def test_a_label_without_its_pivot_relation_is_named(monkeypatch):
         report = schur.verify_schur_ses((2, 1), 3, ring)
         failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
         assert "rank_sum_matches_wedge_dim" in failed
+        assert failed["rank_sum_matches_wedge_dim"] == {"tableau": t.to_json()}
+        assert report["ranks"]["garnir_span"] is None
+
+
+def test_a_dropped_pivot_of_a_weight_orbit_of_six_fails_every_ring(monkeypatch):
+    # [[2,1,1]] has content (2,1,0), whose S_3-orbit has 6 weights
+    t, original = T([[2, 1, 1]]), schur._garnir_pivot
+    monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t else original(u))
+    for ring in (QQ, ZZ):
+        report = schur.verify_schur_ses((3,), 3, ring)
+        failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
         assert failed["rank_sum_matches_wedge_dim"] == {"tableau": t.to_json()}
         assert report["ranks"]["garnir_span"] is None

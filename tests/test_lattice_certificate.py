@@ -83,3 +83,21 @@ def test_schur_certificate_names_a_corrupted_pivot(monkeypatch):
         boxset_to_json(box_b),
     )
     assert schur.verify_schur_ses((2, 1), 3, QQ)["ok"]
+
+
+def test_a_doubled_pivot_of_a_weight_orbit_of_six_fails_only_the_lattice(monkeypatch):
+    # [[2,1,1]] has content (2,1,0), whose S_3-orbit has 6 weights; its
+    # pivot, on its first row descent, counts for all six, doubled or not.
+    t = T([[2, 1, 1]])
+    box_a, box_b = frozenset({(1, 1)}), frozenset({(1, 2)})
+    monkeypatch.setattr(schur, "garnir", _doubled_at(schur.garnir, (t, box_a, box_b)))
+    assert schur.verify_schur_ses((3,), 3, QQ)["ok"]
+    report = schur.verify_schur_ses((3,), 3, ZZ)
+    failed = [c["name"] for c in report["checks"] if not c["ok"]]
+    assert failed == ["garnir_lattice_is_direct_summand"]
+    example = _check(report, "garnir_lattice_is_direct_summand")["counterexample"]
+    assert (example["tableau"], example["boxA"], example["boxB"]) == (
+        t.to_json(),
+        boxset_to_json(box_a),
+        boxset_to_json(box_b),
+    )

@@ -33,6 +33,7 @@ from weylkit.tableaux import (
 
 from place_oracles import column_preserving_permutations, shuffle_garnir
 from smith_oracle import schur_relation_rows, smith_verdict
+from weight_oracles import column_sorted_labels, full_scan, is_dominant, relabel_columns
 
 T = Tableau
 
@@ -199,11 +200,16 @@ def _up_to_sign(lin):
 
 
 class TestColumnSortedLabels:
-    """The verify loop builds Garnir relations on column-sorted labels only."""
+    """The verify loop builds Garnir relations on column-sorted labels of one weight per S_m-orbit."""
 
     @staticmethod
-    def scanned(shape, m, monkeypatch):
-        """The (t, A, B) the Z certificate builds, and those it skips, on column-sorted labels."""
+    def scanned(shape, m, monkeypatch, full=False):
+        """The (t, A, B) a Z certificate builds, and those it skips, on the labels it scans.
+
+        The certificate of ``verify_schur_ses`` scans the column-sorted
+        labels of weakly decreasing content; with ``full``, the oracle scans
+        every column-sorted label.
+        """
         built = {}
 
         def recording(*args):
@@ -212,18 +218,29 @@ class TestColumnSortedLabels:
             return rel
 
         monkeypatch.setattr(schur, "garnir", recording)
-        assert verify_schur_ses(shape, m, ZZ)["ok"]
-        column_sorted = [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)]
-        every = [(t, box_a, box_b) for t in column_sorted for box_a, box_b in garnir_labels(shape)]
+        labels = column_sorted_labels(shape, m)
+        if full:
+            cert = full_scan(shape, m)
+            assert cert.bad is None and cert.pivots == cert.nullity
+        else:
+            assert verify_schur_ses(shape, m, ZZ)["ok"]
+            labels = [t for t in labels if is_dominant(t, m)]
+        every = [(t, box_a, box_b) for t in labels for box_a, box_b in garnir_labels(shape)]
         return built, [label for label in every if label not in built]
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     @pytest.mark.parametrize("shape", tuple(partitions_up_to(4)), ids=str)
     def test_relations_match_the_all_labels_loop_up_to_sign(self, shape, m, monkeypatch):
+        # the S_m-images of the relations built on one weight per orbit
         built, skipped = self.scanned(shape, m, monkeypatch)
         zeros = [shuffle_garnir(*label) for label in skipped]
         assert all(lin.is_zero for lin in zeros)
-        found = {_up_to_sign(rel.element.lin) for rel in built.values()} | {_up_to_sign(lin) for lin in zeros}
+        images = {
+            _up_to_sign(relabel_columns(rel.element.lin, sigma))
+            for rel in built.values()
+            for sigma in iperms(range(1, m + 1))
+        }
+        found = images | {_up_to_sign(lin) for lin in zeros}
         oracle = {
             _up_to_sign(shuffle_garnir(t, box_a, box_b))
             for t in enumerate_tableaux(shape, m, ALL)
@@ -235,14 +252,15 @@ class TestColumnSortedLabels:
         skipped_in_all = 0
         for shape in partitions_up_to(5):
             for m in (1, 2, 3):
-                schur._certificate.cache_clear()
-                built, skipped = self.scanned(shape, m, monkeypatch)
-                for label in skipped:
-                    assert shuffle_garnir(*label).is_zero, label
-                for t in enumerate_tableaux(shape, m, COLUMN_STANDARD):
-                    if not t.is_semistandard:
-                        assert (t, *schur._garnir_pivot(t)) in built, t
-                skipped_in_all += len(skipped)
+                for full in (False, True):
+                    schur._certificate.cache_clear()
+                    built, skipped = self.scanned(shape, m, monkeypatch, full)
+                    for label in skipped:
+                        assert shuffle_garnir(*label).is_zero, label
+                    for t in enumerate_tableaux(shape, m, COLUMN_STANDARD):
+                        if not t.is_semistandard and (full or is_dominant(t, m)):
+                            assert (t, *schur._garnir_pivot(t)) in built, t
+                    skipped_in_all += len(skipped) if full else 0
         assert skipped_in_all > 3000
 
     def test_the_scan_builds_no_zero_relation(self, monkeypatch):
@@ -251,10 +269,11 @@ class TestColumnSortedLabels:
         built_in_all = 0
         for shape in partitions_up_to(4):
             for m in (1, 2, 3):
-                schur._certificate.cache_clear()
-                built, _ = self.scanned(shape, m, monkeypatch)
-                assert not any(rel.element.is_zero for rel in built.values()), (shape, m)
-                built_in_all += len(built)
+                for full in (False, True):
+                    schur._certificate.cache_clear()
+                    built, _ = self.scanned(shape, m, monkeypatch, full)
+                    assert not any(rel.element.is_zero for rel in built.values()), (shape, m, full)
+                    built_in_all += len(built) if full else 0
         assert built_in_all > 300
 
     def test_every_pivot_has_leading_coefficient_one(self):
