@@ -59,6 +59,7 @@ from .tableaux import (
     check_partition,
     enumerate_tableaux,
     from_columns,
+    from_word,
     sort_rows,
 )
 from .weyl import copolytabloid
@@ -179,31 +180,14 @@ class EntryMatrix:
 
 
 def _act_on_label(t: Tableau, g: EntryMatrix) -> LinComb:
-    """Multilinear expansion of the entrywise action on one tableau."""
-    ring = g.ring
-    boxes = [(i, j) for i, row in enumerate(t.rows, 1) for j in range(1, len(row) + 1)]
-    partial: dict[tuple[int, ...], object] = {(): ring.one}
-    for i, j in boxes:
-        b = t.entry(i, j)
-        column = [(a, g.entry(a, b)) for a in range(1, g.size + 1) if g.entry(a, b) != 0]
-        new: dict[tuple[int, ...], object] = {}
-        for word, coeff in partial.items():
-            for a, gv in column:
-                key = word + (a,)
-                val = ring.mul(coeff, gv)
-                if key in new:
-                    val = ring.add(new[key], val)
-                new[key] = val
-        partial = new
-    terms = []
-    for word, coeff in partial.items():
-        rows = []
-        pos = 0
-        for row_len in t.shape:
-            rows.append(word[pos : pos + row_len])
-            pos += row_len
-        terms.append((Tableau._fresh(tuple(rows)), coeff))
-    return LinComb(ring, terms)
+    """Multilinear expansion of the entrywise action on one tableau.
+
+    Each box's entry b goes to the entries a with g[a, b] nonzero.  One
+    choice of a per box is one word, so distinct choices never merge.
+    """
+    images = [[(a, row[b - 1]) for a, row in enumerate(g.entries, 1) if row[b - 1] != 0] for b in t.reading_word]
+    words = product(*images)
+    return LinComb(g.ring, {from_word(t.shape, tuple(a for a, _ in w)): prod(v for _, v in w) for w in words})
 
 
 def _reduced(ring: CoefficientRing, acc: dict) -> tuple[tuple, tuple]:

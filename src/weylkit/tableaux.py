@@ -287,6 +287,16 @@ def from_columns(shape, cols) -> Tableau:
     return Tableau._fresh(tuple([tuple([col[i] for col in cols[:row_len]]) for i, row_len in enumerate(shape)]))
 
 
+def from_word(shape, word: tuple) -> Tableau:
+    """The tableau of the shape whose reading word is the tuple ``word``, unchecked."""
+    rows = []
+    pos = 0
+    for row_len in shape:
+        rows.append(word[pos : pos + row_len])
+        pos += row_len
+    return Tableau._fresh(tuple(rows))
+
+
 def sort_columns(t: Tableau):
     """Sort every column ascending, tracking the sign of the permutation used.
 
@@ -317,14 +327,8 @@ _CLASSES = (ALL, ROW_SEMISTANDARD, COLUMN_STANDARD, SEMISTANDARD)
 
 
 def _iter_all(shape, m):
-    n = sum(shape)
-    for word in product(range(1, m + 1), repeat=n):
-        rows = []
-        pos = 0
-        for row_len in shape:
-            rows.append(word[pos : pos + row_len])
-            pos += row_len
-        yield Tableau._fresh(tuple(rows))
+    for word in product(range(1, m + 1), repeat=sum(shape)):
+        yield from_word(shape, word)
 
 
 def _iter_row_semistandard(shape, m):

@@ -23,11 +23,11 @@ of the upper row and a left segment of the lower row: each is its dual
 Garnir relation with the kind and (i, j, j') added.  When the segments
 are aligned with runs of equal entries, the relation has unit leading
 coefficient on its own label and all other labels strictly smaller in the
-row order, which is exactly what ``straighten`` exploits to rewrite any
-element into semistandard coordinates with a certificate, and what
-``verify_weyl_kernel`` certifies with the integer certificate of
-:mod:`weylkit.verify`, built once per (shape, max_entry) and shared by
-every ring.
+row order.  ``straighten`` checks that on every snake it applies, which is
+all it needs to rewrite any element into semistandard coordinates with a
+certificate, and to stop; ``verify_weyl_kernel`` certifies it with the
+integer certificate of :mod:`weylkit.verify`, built once per
+(shape, max_entry) and shared by every ring.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .coeffs import ZZ, CoefficientRing, InputError, LinComb
+from .linalg import leading_coefficient
 from .places import (
     Relation,
     check_line_label,
@@ -57,7 +58,6 @@ from .tableaux import (
     check_partition,
     column_order_key,
     conjugate,
-    count_tableaux,
     enumerate_tableaux,
     row_order_key,
     sort_rows,
@@ -236,53 +236,43 @@ def _snake_pivot(t: Tableau) -> tuple[int, int, int]:
 def straighten(x: SymLowerElement) -> StraighteningCertificate:
     """Rewrite x as semistandard coordinates modulo dual snake relations.
 
-    Repeatedly clears the row-order-greatest label that is not column
-    standard by subtracting the matching multiple of the snake relation
-    aligned with its first violating box; every label so introduced is
-    strictly smaller, so the loop terminates.
+    Repeatedly clears the row-order-greatest label that is not semistandard
+    with its pivot snake (:func:`_snake_pivot`), checked as in part 2 of the
+    kernel certificate: coefficient exactly 1 on the label, and every other
+    label strictly below it in the row order.  A snake that fails raises
+    ``RuntimeError`` naming the label.  Hence the popped labels strictly
+    decrease, each is cleared at most once, and as they are row-sorted
+    fillings of one shape from a finite alphabet, the loop ends.
     """
     ring = x.ring
     max_entry = max([1, *(t.max_entry for t in x.labels())])
-    work = {t: c for t, c in x.lin.items()}
-    gamma: list[tuple[Tableau, int, int, int, object]] = []
+    key = partial(row_order_key, max_entry=max_entry)
+    work = dict(x.lin.items())
     heap: list[tuple[tuple, Tableau]] = []
-    queued = set()
+    gamma: list[tuple[Tableau, int, int, int, object]] = []
 
     def push(label):
-        if label not in queued and not label.is_semistandard:
-            key = tuple(-v for v in row_order_key(label, max_entry))
-            heapq.heappush(heap, (key, label))
-            queued.add(label)
+        if not label.is_semistandard:
+            heapq.heappush(heap, (tuple(-v for v in key(label)), label))
 
     for label in work:
         push(label)
-
-    step_cap = 64 if x.shape is None else max(64, count_tableaux(x.shape, max_entry, ROW_SEMISTANDARD) ** 2)
-    steps = 0
     while heap:
         _, label = heapq.heappop(heap)
-        queued.discard(label)
-        coeff = work.get(label, ring.zero)
+        coeff = work[label]
         if coeff == 0:
             continue
-        steps += 1
-        if steps > step_cap:
-            raise RuntimeError("straightening exceeded its step budget")
         i, j, jp = _snake_pivot(label)
-        snake = dual_snake(label, i, j, jp, ring)
-        if snake.element.coeff(label) != ring.one:
-            raise RuntimeError("snake relation lost its unit leading coefficient")
-        for u, c in snake.element.lin.items():
-            new = ring.sub(work.get(u, ring.zero), ring.mul(coeff, c))
-            if new == 0:
-                work.pop(u, None)
-            else:
-                work[u] = new
+        snake = dual_snake(label, i, j, jp, ring).element
+        if leading_coefficient(snake, label, key) != 1:
+            raise RuntimeError(f"dual snake {(i, j, jp)} on {label!r} does not lead with 1 in the row order")
+        for u, c in snake.lin.items():
+            if u not in work:
                 push(u)
+            work[u] = ring.sub(work.get(u, ring.zero), ring.mul(coeff, c))
         gamma.append((label, i, j, jp, ring.neg(coeff)))
 
-    coords = SymLowerElement(LinComb(ring, work))
-    return StraighteningCertificate(x, coords, tuple(gamma))
+    return StraighteningCertificate(x, SymLowerElement(LinComb(ring, work)), tuple(gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ class TestEntryAction:
         y = TensorElement(LinComb(ZZ, {T([[1]]): 1}))
         assert entry_action(y, g) == y
 
+    def test_tensor_action_over_z6_reduces_each_product(self):
+        z6 = integers_mod(6)
+        g = EntryMatrix(z6, [[5, 2], [3, 5]])  # determinant 19 = 1 mod 6
+        x = TensorElement(LinComb(z6, {T([[1], [2]]): 1}))
+        # e_1 -> 5 e_1 + 3 e_2 in the upper box and e_2 -> 2 e_1 + 5 e_2 in the
+        # lower one: 5*2 = 10, 5*5 = 25 and 3*5 = 15 reduce to 4, 1 and 3, and
+        # the word (2, 1) vanishes, since 3*2 = 6.
+        expected = {T([[1], [1]]): 4, T([[1], [2]]): 1, T([[2], [2]]): 3}
+        assert entry_action(x, g) == TensorElement(LinComb(z6, expected))
+
     def test_swap_fixes_the_square_copolytabloid(self):
         g = EntryMatrix.permutation((2, 1))
         x = copolytabloid(T([[1, 1], [2, 2]]))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
 from weylkit.linalg import leading_coefficient, rank_of_rows, smith_elementary_divisors, solve_exact
@@ -32,6 +33,37 @@ class TestRank:
     def test_fraction_entries(self):
         rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]
         assert rank_of_rows(rows, QQ) == 1
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sparse_rows(values):
+    row = st.dictionaries(st.integers(0, 5), values, max_size=6)
+    return st.lists(row, max_size=7)
+
+
+def sympy_rank(rows, domain):
+    """Rank of the dense matrix of ``rows`` (six columns) over a sympy domain."""
+    from sympy.polys.matrices import DomainMatrix
+
+    dense = [[row.get(c, 0) for c in range(6)] for row in rows]
+    return DomainMatrix.from_list(dense, domain).rank() if rows else 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows(st.fractions(-3, 3, max_denominator=4)))
+def test_rank_over_rationals_matches_sympy(sympy, rows):
+    pairs = [{c: (v.numerator, v.denominator) for c, v in row.items()} for row in rows]
+    assert rank_of_rows(rows, QQ) == sympy_rank(pairs, sympy.QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), sparse_rows(st.integers(-6, 6)))
+def test_rank_over_prime_fields_matches_sympy(sympy, p, rows):
+    assert rank_of_rows(rows, integers_mod(p)) == sympy_rank(rows, sympy.GF(p))
 
 
 class TestSmith:

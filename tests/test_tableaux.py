@@ -17,6 +17,7 @@ from weylkit.tableaux import (
     count_tableaux,
     diagram_boxes,
     enumerate_tableaux,
+    from_word,
     partitions_up_to,
     permutation_sign,
     row_order_key,
@@ -242,6 +243,16 @@ class TestSorting:
     @given(st.integers(0, 8).flatmap(lambda n: st.permutations(range(n))))
     def test_permutation_sign_is_the_cycle_type_sign(self, p):
         assert permutation_sign(p) == (-1) ** (len(p) - cycle_count(p))
+
+    @given(
+        st.sampled_from(((), *partitions_up_to(6))).flatmap(
+            lambda shape: st.tuples(*(st.lists(st.integers(1, 9), min_size=k, max_size=k) for k in shape))
+        )
+    )
+    def test_from_word_inverts_the_reading_word(self, rows):
+        t = T(rows)
+        u = from_word(t.shape, t.reading_word)
+        assert u == t and u.shape == t.shape
 
     def test_sort_rows(self):
         assert sort_rows(T([[2, 1], [1, 2]])) == T([[1, 2], [1, 2]])

@@ -1,8 +1,10 @@
 import dataclasses
 import random
+import re
 from itertools import permutations as iperms
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weylkit.weyl as weyl
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
@@ -22,6 +24,7 @@ from weylkit.tableaux import (
     Tableau,
     enumerate_tableaux,
     partitions_up_to,
+    row_order_key,
     sort_rows,
 )
 from weylkit.weyl import (
@@ -300,6 +303,48 @@ class TestStraighten:
         y = sym_lower(Z3, {T([[1, 2], [1, 2]]): 2})
         cert = straighten(y)
         assert cert.verify()
+
+    def test_a_snake_with_a_label_above_its_own_is_refused(self, monkeypatch):
+        t = T([[1, 2], [1, 2]])
+        built = []
+
+        def corrupted(label, i, j, jp, ring=ZZ):
+            built.append(label)
+            rel = dual_snake(label, i, j, jp, ring)
+            if label == t:
+                # [[2, 2], [1, 1]] lies above t in the row order
+                coords = {**dict(rel.element.lin.items()), T([[2, 2], [1, 1]]): 1}
+                return dataclasses.replace(rel, element=sym_lower(ring, coords))
+            return rel
+
+        monkeypatch.setattr(weyl, "dual_snake", corrupted)
+        with pytest.raises(RuntimeError, match=re.escape("[[1, 2], [1, 2]]")):
+            straighten(sym_lower(ZZ, {t: 1}))
+        assert built == [t]
+
+
+STRAIGHTENING_RINGS = (ZZ, QQ, integers_mod(4), integers_mod(6))
+
+
+@st.composite
+def elements_to_straighten(draw):
+    shape = draw(st.sampled_from(tuple(partitions_up_to(5))))
+    m = draw(st.integers(1, 3))
+    ring = draw(st.sampled_from(STRAIGHTENING_RINGS))
+    labels = enumerate_tableaux(shape, m, ROW_SEMISTANDARD)
+    coords = draw(st.dictionaries(st.sampled_from(labels), st.integers(-7, 7), max_size=4))
+    return m, sym_lower(ring, coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements_to_straighten())
+def test_straightening_clears_each_label_once_over_every_ring(case):
+    m, x = case
+    cert = straighten(x)
+    assert cert.verify()
+    assert all(s.is_semistandard for s in cert.coords.labels())
+    keys = [row_order_key(t, m) for t, *_ in cert.gamma]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 class TestWeylBasis:
