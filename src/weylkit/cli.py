@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
+import shutil
 import stat
 import sys
 import tempfile
@@ -491,8 +493,9 @@ class _LazySubparsers(argparse._SubParsersAction):
     help lines, which are all there from the start.
     """
 
-    def __init__(self, option_strings, commands, **kwargs):
+    def __init__(self, option_strings, commands, formatter_class, **kwargs):
         super().__init__(option_strings, **kwargs)
+        self._formatter_class = formatter_class
         for command in commands:
             self._choices_actions.append(self._ChoicesPseudoAction(command.name, (), command.help))
             self._name_parser_map[command.name] = command
@@ -500,7 +503,9 @@ class _LazySubparsers(argparse._SubParsersAction):
     def __call__(self, parser, namespace, values, option_string=None):
         command = self._name_parser_map.get(values[0])
         if isinstance(command, Command):
-            subparser = self._parser_class(prog=f"{self._prog_prefix} {command.name}")
+            subparser = self._parser_class(
+                prog=f"{self._prog_prefix} {command.name}", formatter_class=self._formatter_class
+            )
             for flag, kwargs in command.args:
                 subparser.add_argument(flag, **kwargs)
             subparser.set_defaults(func=command.handler)
@@ -509,13 +514,22 @@ class _LazySubparsers(argparse._SubParsersAction):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on each call; a subcommand's own parser is built once ``parse_args`` chooses it."""
+    """A new parser on each call; a subcommand's own parser is built once ``parse_args`` chooses it.
+
+    argparse builds a formatter for every argument it adds, and by default
+    each one asks for the terminal's width; here every parser's formatter
+    gets the width argparse would compute, asked for once.
+    """
+    formatter_class = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="weylkit",
         description="Exact polytabloid/copolytabloid computations and theorem checks.",
+        formatter_class=formatter_class,
     )
     parser.add_argument("--output", help="write the result here instead of stdout")
-    parser.add_subparsers(dest="command", required=True, action=_LazySubparsers, commands=_COMMANDS)
+    parser.add_subparsers(
+        dest="command", required=True, action=_LazySubparsers, commands=_COMMANDS, formatter_class=formatter_class
+    )
     return parser
 
 

@@ -280,10 +280,10 @@ def _functorial_action(x: TableauElement, g: EntryMatrix) -> LinComb:
         values = product(*(image_values for _, image_values in images))
         for key, factors in zip(keys, values):
             acc[key] = acc.get(key, 0) + c * prod(factors)
+    shape = x.shape
     if by_columns:
-        shape = x.shape
         return LinComb(x.ring, {from_columns(shape, cols): coeff for cols, coeff in acc.items()})
-    return LinComb(x.ring, {Tableau._fresh(rows): coeff for rows, coeff in acc.items()})
+    return LinComb(x.ring, {Tableau._fresh(rows, shape): coeff for rows, coeff in acc.items()})
 
 
 def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:

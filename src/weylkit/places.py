@@ -120,7 +120,7 @@ class PlacePermutation:
         boxes = diagram_boxes(self.shape)
         for (i, j), (ni, nj) in zip(boxes, self.images):
             grid[ni - 1][nj - 1] = t.rows[i - 1][j - 1]
-        return Tableau._fresh(tuple(tuple(r) for r in grid))
+        return Tableau._fresh(tuple(tuple(r) for r in grid), self.shape)
 
     def __eq__(self, other):
         return (
@@ -148,7 +148,8 @@ def act(t: Tableau, sigma: PlacePermutation) -> Tableau:
 def row_orbit(t: Tableau) -> tuple[Tableau, ...]:
     """The distinct tableaux obtained by permuting each row of t independently."""
     per_row = [tuple(multiset_permutations(row)) for row in t.rows]
-    return tuple(Tableau._fresh(rows) for rows in product(*per_row))
+    shape = t.shape
+    return tuple(Tableau._fresh(rows, shape) for rows in product(*per_row))
 
 
 def stabilizer_order(values) -> int:
@@ -238,7 +239,7 @@ def _written(t: Tableau, boxes, values) -> Tableau:
     grid = [list(row) for row in t.rows]
     for (i, j), v in zip(boxes, values):
         grid[i - 1][j - 1] = v
-    return Tableau._fresh(tuple(map(tuple, grid)))
+    return Tableau._fresh(tuple(map(tuple, grid)), t.shape)
 
 
 def shuffles(t: Tableau, box_a: frozenset, box_b: frozenset):
@@ -297,7 +298,7 @@ def row_classes(t: Tableau, box_a: frozenset, box_b: frozenset):
         rows[ia - 1] = row_a = tuple(sorted(fixed_a + into_a))
         rows[ib - 1] = row_b = tuple(sorted(fixed_b + into_b))
         weight = _split_weight(row_a, into_a) * _split_weight(row_b, into_b)
-        yield into_a, into_b, Tableau._fresh(tuple(rows)), weight
+        yield into_a, into_b, Tableau._fresh(tuple(rows), t.shape), weight
 
 
 def sab_orbit_row_classes(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[tuple[Tableau, int]]:

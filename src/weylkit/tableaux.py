@@ -93,11 +93,11 @@ class Tableau:
         object.__setattr__(self, "_hash", hash(rows))
 
     @classmethod
-    def _fresh(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
-        """Internal constructor skipping validation (rows already canonical)."""
+    def _fresh(cls, rows: tuple[tuple[int, ...], ...], shape: tuple[int, ...]) -> "Tableau":
+        """Internal constructor skipping validation: ``rows`` already canonical, ``shape`` their lengths."""
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "shape", tuple(len(r) for r in rows))
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_hash", hash(rows))
         return self
 
@@ -181,7 +181,8 @@ class Tableau:
 
 def transpose(t: Tableau) -> Tableau:
     """The tableau of the conjugate shape whose rows are the columns of t."""
-    return Tableau._fresh(t.columns)
+    cols = t.columns
+    return Tableau._fresh(cols, tuple(map(len, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def column_order_key(t: Tableau, max_entry: int) -> tuple:
 
 def sort_rows(t: Tableau) -> Tableau:
     """Canonical representative of t's row class: each row sorted ascending."""
-    return Tableau._fresh(tuple(tuple(sorted(row)) for row in t.rows))
+    return Tableau._fresh(tuple(tuple(sorted(row)) for row in t.rows), t.shape)
 
 
 def permutation_sign(seq) -> int:
@@ -284,7 +285,8 @@ def sort_line(line):
 
 def from_columns(shape, cols) -> Tableau:
     """The tableau of the shape with the given columns, unchecked."""
-    return Tableau._fresh(tuple([tuple([col[i] for col in cols[:row_len]]) for i, row_len in enumerate(shape)]))
+    rows = tuple([tuple([col[i] for col in cols[:row_len]]) for i, row_len in enumerate(shape)])
+    return Tableau._fresh(rows, shape)
 
 
 def from_word(shape, word: tuple) -> Tableau:
@@ -294,7 +296,7 @@ def from_word(shape, word: tuple) -> Tableau:
     for row_len in shape:
         rows.append(word[pos : pos + row_len])
         pos += row_len
-    return Tableau._fresh(tuple(rows))
+    return Tableau._fresh(tuple(rows), shape)
 
 
 def sort_columns(t: Tableau):
@@ -334,7 +336,7 @@ def _iter_all(shape, m):
 def _iter_row_semistandard(shape, m):
     per_row = [list(combinations_with_replacement(range(1, m + 1), k)) for k in shape]
     for rows in product(*per_row):
-        yield Tableau._fresh(rows)
+        yield Tableau._fresh(rows, shape)
 
 
 def _iter_column_standard(shape, m):
@@ -351,7 +353,7 @@ def _iter_semistandard(shape, m):
 
     def fill(pos):
         if pos == n:
-            yield Tableau._fresh(tuple(tuple(r) for r in grid))
+            yield Tableau._fresh(tuple(tuple(r) for r in grid), shape)
             return
         i, j = boxes[pos]
         lo = 1

@@ -3,7 +3,7 @@
 Both kernel checks prove their theorem with one integer certificate per
 (shape, max_entry), built by :func:`kernel_certificate` and reused for
 every ring.  Let N be the number of labels of the domain's basis that are
-not semistandard.  The certificate has four parts:
+not semistandard.  The certificate has five parts:
 
 1. every relation maps to zero over the integers (a relation the scan
    skips because it is provably zero does so trivially);
@@ -15,7 +15,11 @@ not semistandard.  The certificate has four parts:
 4. parts 1 and 2 may be proved on one weight per S_m-orbit, when the
    relation family and the kernel map commute with relabelling the
    entries, and each pivot found there is counted with the size of its
-   weight's orbit.
+   weight's orbit;
+5. parts 1 and 2 may be proved on local relations, when a relation is
+   its relation on some lines of its label with the other lines put back,
+   and the kernel map and the order split the same way: a relation maps
+   to zero when its local relation does, and has the same lead.
 
 Relations and kernel maps are defined over the integers and commute with
 base change, so over every ring R the N pivots stay independent in the
@@ -40,9 +44,33 @@ the orbit of μ has m! / |Stab μ| weights.  Part 3 is checked on every
 semistandard label: the order its unitriangularity is read in depends on
 the order of the alphabet, which σ does not keep.
 
+Part 5 is locality.  Say the relation on (t, r) equals, term for term,
+its local relation on (u, s), where u is some lines of t, with t's other
+lines put back into every term; say the kernel map of a label is the
+product, in a fixed order, of maps of its parts, so that it factors as
+(the map on the other lines) times (the map on u's lines); and say the
+order compares two labels that differ only on u's lines as it compares
+those lines.  Then the relation's image is the local relation's image
+times a fixed factor, so it is zero when the local image is.  And each
+term of the relation lies below t exactly when its local term lies below
+u, with the same coefficients, so both have the same lead.  The scan
+maps each local relation once per certificate.  It builds a relation in
+full only when its local relation does not map to zero, and then decides
+on the full relation, or when it is a pivot whose local lead is not 1,
+and then reports the full relation as the counterexample.
+
 The Weyl side runs the loop over row-sorted labels with dual snake
 relations, every label counted once: a snake takes the largest entries of
-a row, so the snake family is not S_m-stable.  The Schur side is its
+a row, so the snake family is not S_m-stable.  It uses part 5 instead:
+the dual snake (i, j, j') on t is the snake (1, j, j') on rows i and i+1
+of t with the other rows put back, as Weyl functors are built
+(Akin–Buchsbaum–Weyman, *Schur functors and Schur complexes*, Adv. Math.
+44 (1982)); the wedge projection takes each column to the wedge of its
+boxes in the rows above, in rows i and i+1, and in the rows below; and
+the row order reads, for each entry from the largest down, its count in
+every row in turn, so on labels that agree outside rows i and i+1 it
+compares those two rows' counts in the order their two-row label's key
+lists them (see :mod:`weylkit.weyl`).  The Schur side is its
 transpose: column-sorted labels, which are the transposes of the
 row-sorted labels of the conjugate shape, with Garnir relations.  A column
 permutation σ sends the relation on (t, A, B) to ± the one on
@@ -166,30 +194,53 @@ class KernelCertificate:
         return self.ranks(ZZ)[1] is not None and self.pivots == self.nullity
 
 
-def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key, orbit_size):
+_UNBUILT = object()
+
+
+def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key, orbit_size, local):
     """(first relation not mapping to zero, pivots with lead 1 times their orbit sizes, the other pivots)."""
     pivots, odd = 0, []
+    # local label -> its relation when that maps to zero, so that every
+    # relation it is local to does too (part 5), else None
+    local_relations = {}
     for t in labels:
         target = None if t.is_semistandard else pivot(t)
-        found = None
+        found = local_pivot = None
         for r in relation_labels(t):
+            if local is not None:
+                here = local(t, r)
+                rel = local_relations.get(here, _UNBUILT)
+                if rel is _UNBUILT:
+                    rel = build(*here)
+                    rel = local_relations[here] = rel if kernel_map(rel.element).is_zero else None
+                if rel is not None:
+                    if r == target:
+                        local_pivot = rel
+                    continue
             rel = build(t, r)
             if not kernel_map(rel.element).is_zero:
                 return rel, pivots, odd
             if r == target:
                 found = rel
-        if target is not None:
-            lead = None if found is None else leading_coefficient(found.element, t, key)
-            if lead == 1:
-                pivots += orbit_size(t)
-            else:
-                odd.append((lead, t, found, orbit_size(t)))
+        if target is None:
+            continue
+        lead = None
+        if local_pivot is not None:
+            lead = leading_coefficient(local_pivot.element, local_pivot.tableau, key)
+            if lead != 1:  # the relation on t has the same lead (part 5) and is the counterexample
+                found = build(t, target)
+        if found is not None:
+            lead = leading_coefficient(found.element, t, key)
+        if lead == 1:
+            pivots += orbit_size(t)
+        else:
+            odd.append((lead, t, found, orbit_size(t)))
     return None, pivots, odd
 
 
 def kernel_certificate(
     labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key,
-    orbit_size=lambda t: 1,
+    orbit_size=lambda t: 1, local=None,
 ) -> KernelCertificate:
     """Build the integer certificate of a kernel theorem on one (shape, max_entry).
 
@@ -209,8 +260,15 @@ def kernel_certificate(
     or the size of the S_m-orbit of t's weight when ``labels`` holds one
     weight per orbit (part 4 of the module docstring).  The semistandard
     images are checked on every label.
+
+    ``local(t, r)``, when given, names the local relation of the relation
+    on (t, r) (part 5): a hashable pair (u, s) with ``build(u, s)`` its
+    relation, whose ``tableau`` is the local label.  By default every
+    relation is its own local relation, and each is built and mapped.
     """
-    bad, pivots, odd_pivots = _scan_relations(labels, relation_labels, build, kernel_map, pivot, key, orbit_size)
+    bad, pivots, odd_pivots = _scan_relations(
+        labels, relation_labels, build, kernel_map, pivot, key, orbit_size, local
+    )
     odd_images = []
     for s in semistandard:
         element = image(s)

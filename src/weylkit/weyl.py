@@ -28,6 +28,12 @@ all it needs to rewrite any element into semistandard coordinates with a
 certificate, and to stop; ``verify_weyl_kernel`` certifies it with the
 integer certificate of :mod:`weylkit.verify`, built once per
 (shape, max_entry) and shared by every ring.
+
+A dual snake is local to its two rows: the snake (i, j, j') on t is the
+snake (1, j, j') on rows i and i+1 of t, with t's other rows put back in
+every term.  So the certificate builds and maps each two-row snake once,
+and builds a snake on more rows only when its two-row snake does not map
+to zero, or when it is a pivot whose two-row snake does not lead with 1.
 """
 
 from __future__ import annotations
@@ -286,20 +292,32 @@ def weyl_basis(shape, max_entry: int, ring: CoefficientRing = ZZ):
     ]
 
 
-@cache
-def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
-    """The integer certificate of the Weyl side, shared by every ring.
+def _local_snake(t: Tableau, snake: tuple[int, int, int]):
+    """The two-row snake the snake (i, j, j') on t is local to: rows i and i+1 of t, and (1, j, j')."""
+    i, j, jp = snake
+    return t.rows[i - 1 : i + 1], (1, j, jp)
 
-    Dual snake relations on the row-sorted labels, pivots on the snakes
-    that ``straighten`` applies, and the semistandard copolytabloids, whose
-    every other column tabloid is above their own in the column order.
+
+def _snake_on(label, snake: tuple[int, int, int]) -> Relation:
+    """The dual snake on a row-sorted label, given as a tableau or, for a local snake, as its two rows."""
+    if not isinstance(label, Tableau):
+        label = Tableau._fresh(label, (len(label[0]), len(label[1])))
+    return dual_snake(label, *snake)
+
+
+def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertificate:
+    """The certificate on the dual snakes of every row-sorted label, decided on ``local`` snakes when given.
+
+    Pivots on the snakes that ``straighten`` applies, and the semistandard
+    copolytabloids, whose every other column tabloid is above their own in
+    the column order.
     """
     rssyt = enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD)
     snakes = list(snake_labels(shape))
     return kernel_certificate(
         labels=rssyt,
         relation_labels=lambda t: snakes,
-        build=lambda t, snake: dual_snake(t, *snake),
+        build=_snake_on,
         kernel_map=wedge_of_sym_lower,
         pivot=_snake_pivot,
         key=lambda u: row_order_key(u, max_entry),
@@ -307,7 +325,20 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
         image=copolytabloid,
         image_key=lambda u: column_order_key(u, max_entry),
+        local=local,
     )
+
+
+@cache
+def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
+    """The integer certificate of the Weyl side, shared by every ring.
+
+    Each snake is decided on its two rows (part 5 of the certificate in
+    :mod:`weylkit.verify`): a snake whose two-row snake maps to zero is
+    not built, and a pivot's lead is read off its two-row snake.  A shape
+    of at most two rows has nothing to share, and is scanned in full.
+    """
+    return _snake_scan(shape, max_entry, _local_snake if len(shape) > 2 else None)
 
 
 def verify_weyl_kernel(

@@ -49,7 +49,7 @@ def _fill_boxes(t, boxes, values):
     grid = [list(r) for r in t.rows]
     for (i, j), v in zip(boxes, values):
         grid[i - 1][j - 1] = v
-    return Tableau._fresh(tuple(tuple(r) for r in grid))
+    return Tableau._fresh(tuple(tuple(r) for r in grid), t.shape)
 
 
 def full_arrangement_row_classes(t, box_a, box_b):

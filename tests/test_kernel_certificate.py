@@ -242,6 +242,24 @@ def test_the_orbit_scan_matches_the_scan_over_every_weight(shape):
         assert fields(schur._certificate(shape, m)) == fields(full_scan(shape, m)), m
 
 
+def full_snake_scan(shape, m):
+    """The Weyl certificate with every snake on every label built and mapped in full."""
+    return weyl._snake_scan(shape, m, None)
+
+
+LOCAL_SCAN_CASES = [(shape, m) for shape in SHAPES for m in (1, 2, 3)] + [
+    (shape, 4) for shape in partitions_up_to(3)
+]
+
+
+@pytest.mark.parametrize("shape, m", LOCAL_SCAN_CASES, ids=str)
+def test_the_two_row_scan_matches_the_full_snake_scan(shape, m):
+    def fields(cert):
+        return cert.bad, cert.nullity, cert.rank, cert.pivots, cert.odd_pivots, cert.odd_images
+
+    assert fields(weyl._certificate(shape, m)) == fields(full_snake_scan(shape, m))
+
+
 @st.composite
 def transposed_labels(draw, labels_of):
     """A shape, labels of it from ``labels_of(shape, m)``, and an adjacent transposition of 1..m."""

@@ -323,6 +323,77 @@ class TestStraighten:
         assert built == [t]
 
 
+# ---------------------------------------------------------------------------
+# locality: a dual snake is decided on its two rows
+
+
+THREE_ROW_SHAPES = [shape for shape in partitions_up_to(5) if len(shape) > 2]
+
+
+def with_rows(t, i, two_rows):
+    """t with rows i and i+1 replaced by the two rows of ``two_rows``."""
+    return T(t.rows[: i - 1] + two_rows.rows + t.rows[i + 1 :])
+
+
+@pytest.mark.parametrize("shape", THREE_ROW_SHAPES, ids=str)
+def test_a_snake_is_its_two_row_snake_with_the_other_rows_put_back(shape):
+    for m in (1, 2, 3):
+        for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
+            for i, j, jp in snake_labels(shape):
+                local = dual_snake(T(t.rows[i - 1 : i + 1]), 1, j, jp).element.lin
+                put_back = LinComb(ZZ, {with_rows(t, i, u): c for u, c in local.items()})
+                assert dual_snake(t, i, j, jp).element.lin == put_back, (t, i, j, jp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_row_order_compares_two_rows_as_their_two_row_labels(data):
+    shape = data.draw(st.sampled_from(THREE_ROW_SHAPES))
+    m = data.draw(st.integers(1, 3))
+    t = data.draw(st.sampled_from(enumerate_tableaux(shape, m, ROW_SEMISTANDARD)))
+    i = data.draw(st.integers(1, len(shape) - 1))
+    two_rows = enumerate_tableaux(shape[i - 1 : i + 1], m, ROW_SEMISTANDARD)
+    u, v = data.draw(st.sampled_from(two_rows)), data.draw(st.sampled_from(two_rows))
+    whole = row_order_key(with_rows(t, i, u), m) < row_order_key(with_rows(t, i, v), m)
+    assert whole == (row_order_key(u, m) < row_order_key(v, m))
+
+
+def test_the_scan_builds_each_two_row_snake_once(monkeypatch):
+    built = []
+
+    def recording(label, i, j, jp, ring=ZZ):
+        built.append((label, i, j, jp))
+        return dual_snake(label, i, j, jp, ring)
+
+    monkeypatch.setattr(weyl, "dual_snake", recording)
+    assert verify_weyl_kernel((2, 2, 1), 3, QQ)["ok"]
+    assert built
+    assert all(len(label.shape) == 2 and i == 1 for label, i, _, _ in built)
+    assert len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("mutation", ("doubled", "outside_the_kernel"))
+def test_a_two_row_snake_that_fails_is_decided_on_the_full_snake(mutation, monkeypatch):
+    # (1, 1, 1) on [[1,2],[1,2]] is the two-row snake of (1, 1, 1) on
+    # [[1,2],[1,2],[v]], which is that label's pivot
+    two_rows = T([[1, 2], [1, 2]])
+    built = []
+
+    def corrupted(label, i, j, jp, ring=ZZ):
+        built.append((label, i, j, jp))
+        rel = dual_snake(label, i, j, jp, ring)
+        if (label, i, j, jp) == (two_rows, 1, 1, 1):
+            element = rel.element.scaled(2) if mutation == "doubled" else sym_lower(ring, {EX_T: 1})
+            return dataclasses.replace(rel, element=element)
+        return rel
+
+    monkeypatch.setattr(weyl, "dual_snake", corrupted)
+    report = verify_weyl_kernel((2, 2, 1), 2, ZZ)
+    assert report["ok"]
+    assert report["ranks"]["snake_certificate"] == {"pivots": report["ranks"]["expected_nullity"]}
+    assert [b for b in built if len(b[0].shape) == 3] == [(T([[1, 2], [1, 2], [v]]), 1, 1, 1) for v in (1, 2)]
+
+
 STRAIGHTENING_RINGS = (ZZ, QQ, integers_mod(4), integers_mod(6))
 
 
