@@ -4,7 +4,8 @@ Exit codes: 0 success / all checks passed, 1 a verification check failed
 (the report carries a replayable counterexample), 2 usage error (unknown
 subcommand, malformed input, size cap exceeded: a :class:`CliError` or an
 :class:`~weylkit.coeffs.InputError`), 3 internal error (any other
-exception, which is a bug in weylkit).
+exception, which is a bug in weylkit), 141 the reader closed stdout
+(128 + SIGPIPE, what a shell reports for a writer killed by SIGPIPE).
 
 Each subcommand is declared once, as a :class:`Command`.  The top-level
 parser lists every name and help line, but a subcommand's own parser is
@@ -60,6 +61,9 @@ from .weyl import (
     variant_relation,
     verify_weyl_kernel,
 )
+
+
+EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -588,6 +592,8 @@ def dispatch(argv=None) -> int:
     except (CliError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except Exception as exc:
         import traceback  # only on this path: importing it costs a cold start about 2 ms
 
@@ -597,7 +603,15 @@ def dispatch(argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    return dispatch(argv)
+    code = dispatch(argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # the interpreter flushes stdout again on exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

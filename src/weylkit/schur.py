@@ -23,9 +23,10 @@ B's meets its partner, the same column tabloid with the opposite sign.
 It is zero too when t repeats an entry in a column other than A's and
 B's: every coset term leaves that column as it is, so every term vanishes
 in the exterior power.  The certificate skips both kinds of relation, and
-builds each other one by sorting, term by term, only the two columns the
-coset terms change.  No pivot is skipped: a pivot's label is column
-standard and never repeats an entry on its A | B.
+decides each other one on its two columns: the relation on (t, A, B) is
+the one on columns j_A and j_B of t, A and B moved onto columns 1 and 2,
+with t's other columns put back in every term.  No pivot is skipped: a
+pivot's label is column standard and never repeats an entry on its A | B.
 """
 
 from __future__ import annotations
@@ -211,8 +212,22 @@ def _relation_labels(shape: tuple[int, ...]):
     return relation_labels
 
 
-def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size) -> KernelCertificate:
-    """The certificate on the Garnir relations of the column-sorted ``labels``.
+def _local_garnir(t: Tableau, boxes: tuple[frozenset, frozenset]):
+    """The two-column relation the one on (t, A, B) is local to: columns j_A and j_B of t, A and B moved onto 1 and 2."""
+    box_a, box_b = boxes
+    cols = (t.column_entries(next(iter(box_a))[1]), t.column_entries(next(iter(box_b))[1]))
+    return cols, (frozenset((i, 1) for i, _ in box_a), frozenset((i, 2) for i, _ in box_b))
+
+
+def _garnir_on(label, boxes: tuple[frozenset, frozenset]) -> Relation:
+    """The Garnir relation on a column-sorted label, given as a tableau or, for a local relation, as its two columns."""
+    if not isinstance(label, Tableau):
+        label = from_columns(conjugate(tuple(map(len, label))), label)
+    return garnir(label, *boxes)
+
+
+def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size, local) -> KernelCertificate:
+    """The certificate on the Garnir relations of the column-sorted ``labels``, decided on ``local`` relations.
 
     The relations on each label less the zero ones of the module docstring;
     pivots on the first row descent (:func:`_garnir_pivot`), each counted
@@ -222,7 +237,7 @@ def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size) -> 
     return kernel_certificate(
         labels=labels,
         relation_labels=_relation_labels(shape),
-        build=lambda t, boxes: garnir(t, *boxes),
+        build=_garnir_on,
         kernel_map=apply_polytabloid_map,
         pivot=_garnir_pivot,
         key=lambda u: column_order_key(u, max_entry),
@@ -230,6 +245,7 @@ def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size) -> 
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
         image=polytabloid,
         image_key=lambda u: row_order_key(u, max_entry),
+        local=local,
         orbit_size=orbit_size,
     )
 
@@ -243,12 +259,15 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     which entries are equal.  So the scan covers only the column-sorted
     labels whose content weakly decreases, one weight per S_m-orbit, and
     counts each pivot with the size of its weight's orbit (part 4 of the
-    certificate in :mod:`weylkit.verify`).
+    certificate in :mod:`weylkit.verify`).  Each relation is decided on
+    its two columns (part 5), and built only when those do not decide it.
     """
     column_sorted = [transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)]
     dominant = [t for t in column_sorted if _is_dominant(_content(t, max_entry))]
     group_order = factorial(max_entry)
-    return _garnir_scan(shape, max_entry, dominant, lambda t: group_order // stabilizer_order(_content(t, max_entry)))
+    return _garnir_scan(
+        shape, max_entry, dominant, lambda t: group_order // stabilizer_order(_content(t, max_entry)), _local_garnir
+    )
 
 
 def verify_schur_ses(

@@ -59,21 +59,19 @@ full only when its local relation does not map to zero, and then decides
 on the full relation, or when it is a pivot whose local lead is not 1,
 and then reports the full relation as the counterexample.
 
-The Weyl side runs the loop over row-sorted labels with dual snake
-relations, every label counted once: a snake takes the largest entries of
-a row, so the snake family is not S_m-stable.  It uses part 5 instead:
-the dual snake (i, j, j') on t is the snake (1, j, j') on rows i and i+1
-of t with the other rows put back, as Weyl functors are built
-(Akin–Buchsbaum–Weyman, *Schur functors and Schur complexes*, Adv. Math.
-44 (1982)); the wedge projection takes each column to the wedge of its
-boxes in the rows above, in rows i and i+1, and in the rows below; and
-the row order reads, for each entry from the largest down, its count in
-every row in turn, so on labels that agree outside rows i and i+1 it
-compares those two rows' counts in the order their two-row label's key
-lists them (see :mod:`weylkit.weyl`).  The Schur side is its
-transpose: column-sorted labels, which are the transposes of the
-row-sorted labels of the conjugate shape, with Garnir relations.  A column
-permutation σ sends the relation on (t, A, B) to ± the one on
+Both sides run this one scan with part 5.  The Weyl side scans the
+row-sorted labels with dual snakes, each label counted once (a snake
+takes the largest entries of a row, so the snake family is not
+S_m-stable), and decides the snake (i, j, j') on t on the snake (1, j, j')
+on rows i and i+1 of t, as Weyl functors are built (Akin–Buchsbaum–Weyman,
+*Schur functors and Schur complexes*, Adv. Math. 44 (1982)): the wedge
+projection takes each column to the wedge of its boxes in the rows above,
+in rows i and i+1, and in the rows below, and the row order compares
+labels that agree outside two rows as their two-row labels (see
+:mod:`weylkit.weyl`).  The Schur side is its transpose: column-sorted
+labels, which are the transposes of the row-sorted labels of the
+conjugate shape, with Garnir relations, each decided on its two columns.
+A column permutation σ sends the relation on (t, A, B) to ± the one on
 (σt, σA, σB), so these labels give every Garnir relation up to sign.  The
 Schur side also skips the relations its two zero rules prove zero, and
 never a pivot, and it uses part 4 (see :mod:`weylkit.schur`).
@@ -207,16 +205,15 @@ def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key, orbi
         target = None if t.is_semistandard else pivot(t)
         found = local_pivot = None
         for r in relation_labels(t):
-            if local is not None:
-                here = local(t, r)
-                rel = local_relations.get(here, _UNBUILT)
-                if rel is _UNBUILT:
-                    rel = build(*here)
-                    rel = local_relations[here] = rel if kernel_map(rel.element).is_zero else None
-                if rel is not None:
-                    if r == target:
-                        local_pivot = rel
-                    continue
+            here = local(t, r)
+            rel = local_relations.get(here, _UNBUILT)
+            if rel is _UNBUILT:
+                rel = build(*here)
+                rel = local_relations[here] = rel if kernel_map(rel.element).is_zero else None
+            if rel is not None:
+                if r == target:
+                    local_pivot = rel
+                continue
             rel = build(t, r)
             if not kernel_map(rel.element).is_zero:
                 return rel, pivots, odd
@@ -239,13 +236,17 @@ def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key, orbi
 
 
 def kernel_certificate(
-    labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key,
-    orbit_size=lambda t: 1, local=None,
+    labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key, local,
+    orbit_size=lambda t: 1,
 ) -> KernelCertificate:
     """Build the integer certificate of a kernel theorem on one (shape, max_entry).
 
-    Builds ``build(t, r)`` for every label t and every relation label r in
-    ``relation_labels(t)``, stopping at the first relation whose image under
+    Decides the relation on (t, r) for every label t and every relation
+    label r in ``relation_labels(t)`` on its local relation ``local(t, r)``
+    (part 5 of the module docstring), a hashable pair (u, s) whose relation
+    ``build(u, s)`` has the local label as its ``tableau``; each is built
+    and mapped once, and ``lambda t, r: (t, r)`` makes every relation its
+    own.  The scan stops at the first relation whose image under
     ``kernel_map`` is not zero; a side leaves out of ``relation_labels(t)``
     only labels whose relation on t is zero, and never ``pivot(t)``.  For
     each t that is not semistandard, the relation on ``pivot(t)`` (None for
@@ -258,13 +259,8 @@ def kernel_certificate(
 
     Each pivot of a label t counts ``orbit_size(t)`` times: 1 by default,
     or the size of the S_m-orbit of t's weight when ``labels`` holds one
-    weight per orbit (part 4 of the module docstring).  The semistandard
-    images are checked on every label.
-
-    ``local(t, r)``, when given, names the local relation of the relation
-    on (t, r) (part 5): a hashable pair (u, s) with ``build(u, s)`` its
-    relation, whose ``tableau`` is the local label.  By default every
-    relation is its own local relation, and each is built and mapped.
+    weight per orbit (part 4).  The semistandard images are checked on
+    every label.
     """
     bad, pivots, odd_pivots = _scan_relations(
         labels, relation_labels, build, kernel_map, pivot, key, orbit_size, local

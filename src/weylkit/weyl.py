@@ -64,6 +64,7 @@ from .tableaux import (
     check_partition,
     column_order_key,
     conjugate,
+    count_tableaux,
     enumerate_tableaux,
     row_order_key,
     sort_rows,
@@ -306,7 +307,7 @@ def _snake_on(label, snake: tuple[int, int, int]) -> Relation:
 
 
 def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertificate:
-    """The certificate on the dual snakes of every row-sorted label, decided on ``local`` snakes when given.
+    """The certificate on the dual snakes of every row-sorted label, decided on ``local`` snakes.
 
     Pivots on the snakes that ``straighten`` applies, and the semistandard
     copolytabloids, whose every other column tabloid is above their own in
@@ -335,10 +336,9 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
 
     Each snake is decided on its two rows (part 5 of the certificate in
     :mod:`weylkit.verify`): a snake whose two-row snake maps to zero is
-    not built, and a pivot's lead is read off its two-row snake.  A shape
-    of at most two rows has nothing to share, and is scanned in full.
+    not built, and a pivot's lead is read off its two-row snake.
     """
-    return _snake_scan(shape, max_entry, _local_snake if len(shape) > 2 else None)
+    return _snake_scan(shape, max_entry, _local_snake)
 
 
 def verify_weyl_kernel(
@@ -377,6 +377,6 @@ def verify_weyl_kernel(
             ranks["snake_certificate"] = {"pivots": cert.pivots}
             checks.append(check("snake_lattice_is_direct_summand", cert.direct_summand, cert.lattice_failure))
     instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
-    csyt = len(enumerate_tableaux(shape, max_entry, COLUMN_STANDARD))
+    csyt = count_tableaux(shape, max_entry, COLUMN_STANDARD)
     dims = {"rssyt": cert.rank + cert.nullity, "ssyt": cert.rank, "csyt": csyt}
     return report("weyl-verify", instance, dims, checks, started, ranks)

@@ -19,7 +19,10 @@ ALLOWED = {
     "powers._wedge_of_rsym_int": "hit ratio 0.87 sweep-field, 0.83 lattice-z, 0.99 equivariance",
     "schur._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",
     "weyl._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",
-    "schur._garnir_int": "hit ratio 0.16 sweep-field, 0.20 lattice-z, 0.00 element-ops; bench/spans.py reads it",
+    "schur._garnir_int": (
+        "hit ratio 0.69 sweep-field, 0.71 lattice-z, 0.00 element-ops: a sweep's hits are two-column relations "
+        "that another certificate of the run built; bench/spans.py reads it"
+    ),
     "weyl._dual_garnir_int": (
         "hit ratio 0.53 sweep-field, 0.53 lattice-z, 0.38 element-ops: a sweep's hits are two-row snakes "
         "that another certificate of the run built; bench/spans.py reads it"

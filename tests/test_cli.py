@@ -456,6 +456,17 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout) == {"ssyt": 1, "rssyt": 9, "csyt": 1}
 
 
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    argv = ["basis", "--shape", "3,2,1", "--entries", "5", "--class", "all"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "weylkit", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as proc:
+        proc.stdout.close()  # the reader goes away before the first write
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert "Traceback" not in err and "internal error" not in err
+
+
 def test_module_entry_point_help_subprocess():
     def weylkit(*argv):
         return subprocess.run([sys.executable, "-m", "weylkit", *argv], capture_output=True, text=True)

@@ -31,6 +31,7 @@ from weight_oracles import (
     adjacent_transposition,
     column_sorted_labels,
     full_scan,
+    full_snake_scan,
     relabel,
     relabel_columns,
     relabel_rows,
@@ -233,18 +234,14 @@ def test_wedge_projection_commutes_with_base_change(drawn, data):
 # relabelling: the soundness of one weight per S_m-orbit on the Schur side
 
 
+def fields(cert):
+    return cert.bad, cert.nullity, cert.rank, cert.pivots, cert.odd_pivots, cert.odd_images
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_the_orbit_scan_matches_the_scan_over_every_weight(shape):
-    def fields(cert):
-        return cert.bad, cert.nullity, cert.rank, cert.pivots, cert.odd_pivots, cert.odd_images
-
     for m in (1, 2, 3, 4):
         assert fields(schur._certificate(shape, m)) == fields(full_scan(shape, m)), m
-
-
-def full_snake_scan(shape, m):
-    """The Weyl certificate with every snake on every label built and mapped in full."""
-    return weyl._snake_scan(shape, m, None)
 
 
 LOCAL_SCAN_CASES = [(shape, m) for shape in SHAPES for m in (1, 2, 3)] + [
@@ -254,10 +251,28 @@ LOCAL_SCAN_CASES = [(shape, m) for shape in SHAPES for m in (1, 2, 3)] + [
 
 @pytest.mark.parametrize("shape, m", LOCAL_SCAN_CASES, ids=str)
 def test_the_two_row_scan_matches_the_full_snake_scan(shape, m):
-    def fields(cert):
-        return cert.bad, cert.nullity, cert.rank, cert.pivots, cert.odd_pivots, cert.odd_images
-
     assert fields(weyl._certificate(shape, m)) == fields(full_snake_scan(shape, m))
+
+
+SIZE_SIX = tuple(shape for shape in partitions_up_to(6) if sum(shape) == 6)
+
+
+@pytest.mark.parametrize("shape", SIZE_SIX, ids=str)
+def test_both_local_scans_match_the_full_scans_at_size_six(shape):
+    assert fields(schur._certificate(shape, 3)) == fields(full_scan(shape, 3))
+    assert fields(weyl._certificate(shape, 3)) == fields(full_snake_scan(shape, 3))
+
+
+def test_both_kernel_theorems_hold_over_z_with_a_direct_summand_at_size_six():
+    assert len(SIZE_SIX) == 11
+    for shape in SIZE_SIX:
+        for verify, lattice in (
+            (schur.verify_schur_ses, "garnir_lattice_is_direct_summand"),
+            (weyl.verify_weyl_kernel, "snake_lattice_is_direct_summand"),
+        ):
+            report = verify(shape, 3, ZZ, size_cap=None)
+            assert report["ok"], (shape, verify.__name__)
+            assert lattice in [c["name"] for c in report["checks"]], (shape, verify.__name__)
 
 
 @st.composite

@@ -41,12 +41,12 @@ def test_certificate_verdict_matches_smith_form(shape, m, side):
     assert certified
 
 
-def _doubled_at(builder, target):
-    """``builder`` with the relation labelled ``target`` replaced by twice itself."""
+def _doubled_at(builder, *targets):
+    """``builder`` with each relation labelled by one of ``targets`` replaced by twice itself."""
 
     def corrupted(*args):
         rel = builder(*args)
-        if args[: len(target)] == target:
+        if any(args[: len(target)] == target for target in targets):
             return dataclasses.replace(rel, element=rel.element.combine(rel.element))
         return rel
 
@@ -88,9 +88,12 @@ def test_schur_certificate_names_a_corrupted_pivot(monkeypatch):
 def test_a_doubled_pivot_of_a_weight_orbit_of_six_fails_only_the_lattice(monkeypatch):
     # [[2,1,1]] has content (2,1,0), whose S_3-orbit has 6 weights; its
     # pivot, on its first row descent, counts for all six, doubled or not.
+    # The scan reads its lead off the two-column relation on [[2,1]], and
+    # decides a lead other than 1 on the full relation, so both are doubled.
     t = T([[2, 1, 1]])
     box_a, box_b = frozenset({(1, 1)}), frozenset({(1, 2)})
-    monkeypatch.setattr(schur, "garnir", _doubled_at(schur.garnir, (t, box_a, box_b)))
+    doubled = _doubled_at(schur.garnir, (T([[2, 1]]), box_a, box_b), (t, box_a, box_b))
+    monkeypatch.setattr(schur, "garnir", doubled)
     assert schur.verify_schur_ses((3,), 3, QQ)["ok"]
     report = schur.verify_schur_ses((3,), 3, ZZ)
     failed = [c["name"] for c in report["checks"] if not c["ok"]]

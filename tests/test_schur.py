@@ -3,6 +3,7 @@ import random
 from itertools import permutations as iperms
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weylkit.schur as schur
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
@@ -200,24 +201,32 @@ def _up_to_sign(lin):
 
 
 class TestColumnSortedLabels:
-    """The verify loop builds Garnir relations on column-sorted labels of one weight per S_m-orbit."""
+    """The verify loop decides Garnir relations on column-sorted labels of one weight per S_m-orbit."""
 
     @staticmethod
     def scanned(shape, m, monkeypatch, full=False):
-        """The (t, A, B) a Z certificate builds, and those it skips, on the labels it scans.
+        """The (t, A, B) a Z certificate decides, with their relations, and those it skips, on the labels it scans.
 
         The certificate of ``verify_schur_ses`` scans the column-sorted
         labels of weakly decreasing content; with ``full``, the oracle scans
-        every column-sorted label.
+        every column-sorted label.  The scan decides the relation on every
+        (A, B) that ``_relation_labels`` keeps for t, whether it builds that
+        relation or only its two-column relation.
         """
-        built = {}
+        decided = []
+        original = schur._relation_labels
 
-        def recording(*args):
-            rel = garnir(*args)
-            built[args] = rel
-            return rel
+        def recording(shape):
+            relation_labels = original(shape)
 
-        monkeypatch.setattr(schur, "garnir", recording)
+            def recorded(t):
+                kept = relation_labels(t)
+                decided.extend((t, box_a, box_b) for box_a, box_b in kept)
+                return kept
+
+            return recorded
+
+        monkeypatch.setattr(schur, "_relation_labels", recording)
         labels = column_sorted_labels(shape, m)
         if full:
             cert = full_scan(shape, m)
@@ -226,18 +235,19 @@ class TestColumnSortedLabels:
             assert verify_schur_ses(shape, m, ZZ)["ok"]
             labels = [t for t in labels if is_dominant(t, m)]
         every = [(t, box_a, box_b) for t in labels for box_a, box_b in garnir_labels(shape)]
-        return built, [label for label in every if label not in built]
+        relations = {label: garnir(*label) for label in decided}
+        return relations, [label for label in every if label not in relations]
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     @pytest.mark.parametrize("shape", tuple(partitions_up_to(4)), ids=str)
     def test_relations_match_the_all_labels_loop_up_to_sign(self, shape, m, monkeypatch):
-        # the S_m-images of the relations built on one weight per orbit
-        built, skipped = self.scanned(shape, m, monkeypatch)
+        # the S_m-images of the relations decided on one weight per orbit
+        decided, skipped = self.scanned(shape, m, monkeypatch)
         zeros = [shuffle_garnir(*label) for label in skipped]
         assert all(lin.is_zero for lin in zeros)
         images = {
             _up_to_sign(relabel_columns(rel.element.lin, sigma))
-            for rel in built.values()
+            for rel in decided.values()
             for sigma in iperms(range(1, m + 1))
         }
         found = images | {_up_to_sign(lin) for lin in zeros}
@@ -254,27 +264,27 @@ class TestColumnSortedLabels:
             for m in (1, 2, 3):
                 for full in (False, True):
                     schur._certificate.cache_clear()
-                    built, skipped = self.scanned(shape, m, monkeypatch, full)
+                    decided, skipped = self.scanned(shape, m, monkeypatch, full)
                     for label in skipped:
                         assert shuffle_garnir(*label).is_zero, label
                     for t in enumerate_tableaux(shape, m, COLUMN_STANDARD):
                         if not t.is_semistandard and (full or is_dominant(t, m)):
-                            assert (t, *schur._garnir_pivot(t)) in built, t
+                            assert (t, *schur._garnir_pivot(t)) in decided, t
                     skipped_in_all += len(skipped) if full else 0
         assert skipped_in_all > 3000
 
     def test_the_scan_builds_no_zero_relation(self, monkeypatch):
         # a repeat on A | B, or in a column other than A's and B's, is skipped;
         # at this scale those are all the zero relations there are
-        built_in_all = 0
+        decided_in_all = 0
         for shape in partitions_up_to(4):
             for m in (1, 2, 3):
                 for full in (False, True):
                     schur._certificate.cache_clear()
-                    built, _ = self.scanned(shape, m, monkeypatch, full)
-                    assert not any(rel.element.is_zero for rel in built.values()), (shape, m, full)
-                    built_in_all += len(built) if full else 0
-        assert built_in_all > 300
+                    decided, _ = self.scanned(shape, m, monkeypatch, full)
+                    assert not any(rel.element.is_zero for rel in decided.values()), (shape, m, full)
+                    decided_in_all += len(decided) if full else 0
+        assert decided_in_all > 300
 
     def test_every_pivot_has_leading_coefficient_one(self):
         checked = 0
@@ -311,3 +321,105 @@ class TestColumnSortedLabels:
             {"boxes": [[1, 2]]},
         )
         assert report["ranks"]["garnir_span"] is None
+
+
+# ---------------------------------------------------------------------------
+# locality: a Garnir relation is decided on its two columns
+
+
+THREE_COLUMN_SHAPES = [shape for shape in partitions_up_to(5) if shape[0] > 2]
+
+
+def with_columns(t, ja, jb, two_columns):
+    """t with columns j_A and j_B replaced by the two columns of ``two_columns``."""
+    cols = list(t.columns)
+    cols[ja - 1], cols[jb - 1] = two_columns.columns
+    return transpose(T(cols))
+
+
+@pytest.mark.parametrize("shape", THREE_COLUMN_SHAPES, ids=str)
+def test_a_relation_is_its_two_column_relation_with_the_other_columns_put_back(shape):
+    checked = 0
+    for m in (1, 2, 3):
+        for t in column_sorted_labels(shape, m):
+            for box_a, box_b in garnir_labels(shape):
+                (ja,), (jb,) = {j for _, j in box_a}, {j for _, j in box_b}
+                if any(len(set(col)) < len(col) for j, col in enumerate(t.columns, 1) if j not in (ja, jb)):
+                    continue  # the relation is zero, and the zero rules skip it
+                # the two-column relation as the scan names and builds it
+                local = schur._garnir_on(*schur._local_garnir(t, (box_a, box_b))).element.lin
+                put_back = LinComb(ZZ, {with_columns(t, ja, jb, u): c for u, c in local.items()})
+                assert garnir(t, box_a, box_b).element.lin == put_back, (t, box_a, box_b)
+                checked += 1
+    assert checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_column_order_compares_two_columns_as_their_two_column_labels(data):
+    shape = data.draw(st.sampled_from(THREE_COLUMN_SHAPES))
+    m = data.draw(st.integers(1, 3))
+    t = data.draw(st.sampled_from(column_sorted_labels(shape, m)))
+    lengths = conjugate(shape)
+    ja = data.draw(st.integers(1, len(lengths) - 1))
+    jb = data.draw(st.integers(ja + 1, len(lengths)))
+    two_columns = column_sorted_labels(conjugate((lengths[ja - 1], lengths[jb - 1])), m)
+    u, v = data.draw(st.sampled_from(two_columns)), data.draw(st.sampled_from(two_columns))
+    whole = column_order_key(with_columns(t, ja, jb, u), m) < column_order_key(with_columns(t, ja, jb, v), m)
+    assert whole == (column_order_key(u, m) < column_order_key(v, m))
+
+
+def test_the_scan_builds_each_two_column_relation_once(monkeypatch):
+    built = []
+
+    def recording(label, box_a, box_b, ring=ZZ):
+        built.append((label, box_a, box_b))
+        return garnir(label, box_a, box_b, ring)
+
+    monkeypatch.setattr(schur, "garnir", recording)
+    assert verify_schur_ses((3, 2), 3, QQ)["ok"]
+    assert built
+    for label, box_a, box_b in built:
+        assert label.shape[0] == 2 and {j for _, j in box_a} == {1} and {j for _, j in box_b} == {2}
+    assert len(set(built)) == len(built)
+
+
+def test_a_sweep_leaves_only_two_column_relations_in_the_garnir_cache(monkeypatch):
+    original = schur._garnir_int
+    called = set()
+
+    def recording(t, box_a, box_b):
+        called.add((t, box_a, box_b))
+        return original(t, box_a, box_b)
+
+    original.cache_clear()
+    monkeypatch.setattr(schur, "_garnir_int", recording)
+    for shape in partitions_up_to(5):
+        for m in (1, 2, 3):
+            assert verify_schur_ses(shape, m, ZZ)["ok"], (shape, m)
+    # every key the cache holds came from a call
+    assert original.cache_info().currsize == len(called)
+    assert all(t.shape[0] <= 2 for t, _, _ in called)
+
+
+@pytest.mark.parametrize("mutation", ("doubled", "outside_the_kernel"))
+def test_a_two_column_relation_that_fails_is_decided_on_the_full_relation(mutation, monkeypatch):
+    # ({(2,1)}, {(1,2),(2,2)}) on [[1,1],[3,2]] is the two-column relation of
+    # the same (A, B) on [[1,1,v],[3,2]], which is that label's pivot
+    two_columns = T([[1, 1], [3, 2]])
+    box_a, box_b = frozenset({(2, 1)}), frozenset({(1, 2), (2, 2)})
+    built = []
+
+    def corrupted(label, a, b, ring=ZZ):
+        built.append((label, a, b))
+        rel = garnir(label, a, b, ring)
+        if (label, a, b) == (two_columns, box_a, box_b):
+            outside = ColumnTabloidElement(LinComb(ring, {two_columns: 1}))
+            return dataclasses.replace(rel, element=rel.element.scaled(2) if mutation == "doubled" else outside)
+        return rel
+
+    monkeypatch.setattr(schur, "garnir", corrupted)
+    report = verify_schur_ses((3, 2), 3, ZZ)
+    assert report["ok"]
+    assert report["ranks"]["garnir_certificate"] == {"pivots": report["ranks"]["garnir_span"]}
+    assert [b for b in built if b[0].shape[0] == 3] == [(T([[1, 1, v], [3, 2]]), box_a, box_b) for v in (1, 2)]

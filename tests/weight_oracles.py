@@ -1,12 +1,16 @@
-"""Weights, relabelling by S_m, and the Schur certificate over every weight.
+"""Weights, relabelling by S_m, and the full scans the certificates are compared with.
 
 The Schur certificate scans the column-sorted labels of one weight per
-S_m-orbit.  These helpers check the symmetry that makes that enough, and
-give the scan over every column-sorted label, each counted once, as the
-oracle the orbit scan is compared with.
+S_m-orbit, and both certificates decide each relation on its local
+relation: a Garnir relation on its two columns, a dual snake on its two
+rows.  These helpers check the symmetry that makes one weight per orbit
+enough, and give the full scans as oracles: the same scan with every
+relation its own local relation, so that each is built and mapped in full,
+over every column-sorted label on the Schur side.
 """
 
 import weylkit.schur as schur
+import weylkit.weyl as weyl
 from weylkit.coeffs import ZZ, LinComb
 from weylkit.tableaux import ROW_SEMISTANDARD, Tableau, conjugate, enumerate_tableaux, sort_columns, sort_rows, transpose
 
@@ -21,9 +25,19 @@ def column_sorted_labels(shape, m):
     return [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)]
 
 
+def identity_locality(t, r):
+    """Every relation is its own local relation."""
+    return t, r
+
+
 def full_scan(shape, m):
-    """The Schur certificate over every column-sorted label, each pivot counted once."""
-    return schur._garnir_scan(shape, m, column_sorted_labels(shape, m), lambda t: 1)
+    """The Schur certificate over every column-sorted label, each pivot counted once and built in full."""
+    return schur._garnir_scan(shape, m, column_sorted_labels(shape, m), lambda t: 1, identity_locality)
+
+
+def full_snake_scan(shape, m):
+    """The Weyl certificate with every snake on every label built and mapped in full."""
+    return weyl._snake_scan(shape, m, identity_locality)
 
 
 def adjacent_transposition(m, i):
