@@ -3,10 +3,10 @@
 Permutations act on boxes on the right; a tableau entry at box b moves to
 box b.sigma.  The Garnir, dual Garnir and star relations are all sums over
 the left cosets of S_A x S_B in S_{A|B} for two box sets A and B.  The
-Garnir and star relations walk those cosets with one positional
-enumerator, :func:`coset_fillings`, which writes each |A|-subset of the
-entries on A | B into A and the rest into B and reports the sign of that
-move.  The dual Garnir relations need one term per row class only, and
+Garnir and star relations walk those cosets with one enumerator,
+:func:`shuffles`, which writes each |A|-subset of the entries on A | B
+into A and the rest into B and reports the sign of that move.  The dual
+Garnir relations need one term per row class only, and
 :func:`row_classes` lists the classes directly, one per distinct
 sub-multiset of the entries that goes into A.  Row orbits are listed as
 distinct tableaux, never as group elements, and every stabilizer order
@@ -211,29 +211,6 @@ def check_line_label(t: Tableau, box_a: frozenset, box_b: frozenset, rows: bool)
         raise InputError(f"invalid {kind} label: |A| + |B| must exceed the length of A's {line}")
 
 
-def coset_fillings(t: Tableau, box_a: frozenset, box_b: frozenset):
-    """One (entries into A, entries into B, sign) per left coset of S_A x S_B in S_{A|B}.
-
-    The positions are the boxes of A | B in box order, each holding its
-    entry of t.  For each |A|-subset S of the positions, in lexicographic
-    order, yields the entries on S, which go into A, and the others, which
-    go into B, each in box order, together with the sign of that
-    permutation of the boxes: the filling of A | B by the representative
-    :func:`left_coset_reps` picks for S.
-    """
-    union = sorted(box_a | box_b)
-    values = [t.rows[i - 1][j - 1] for i, j in union]
-    # Read as a word in the positions, S followed by the rest is a permutation
-    # of sign (-1)^(sum(S) - C(|A|, 2)), and likewise A's positions followed
-    # by B's.  The box permutation sends the first word onto the second, so
-    # its sign is (-1)^(sum(S) + sum of A's positions).
-    parity = sum(n for n, b in enumerate(union) if b in box_a)
-    k = len(union)
-    for chosen in combinations(range(k), len(box_a)):
-        rest = [values[n] for n in range(k) if n not in chosen]
-        yield [values[n] for n in chosen], rest, -1 if (parity + sum(chosen)) % 2 else 1
-
-
 def _written(t: Tableau, boxes, values) -> Tableau:
     """t with ``values`` written into ``boxes``, in order."""
     grid = [list(row) for row in t.rows]
@@ -243,13 +220,26 @@ def _written(t: Tableau, boxes, values) -> Tableau:
 
 
 def shuffles(t: Tableau, box_a: frozenset, box_b: frozenset):
-    """t acted on by one representative per left coset, with its sign.
+    """t acted on by one representative per left coset of S_A x S_B in S_{A|B}, with its sign.
 
-    Each filling of :func:`coset_fillings`, written into A and B.
+    The positions are the boxes of A | B in box order, each holding its
+    entry of t.  For each |A|-subset S of the positions, in lexicographic
+    order, the entries on S go into A and the others into B, each in box
+    order: the filling of A | B by the representative
+    :func:`left_coset_reps` picks for S.
     """
+    union = sorted(box_a | box_b)
+    values = [t.rows[i - 1][j - 1] for i, j in union]
     targets = sorted(box_a) + sorted(box_b)
-    for into_a, into_b, sign in coset_fillings(t, box_a, box_b):
-        yield _written(t, targets, into_a + into_b), sign
+    # Read as a word in the positions, S followed by the rest is a permutation
+    # of sign (-1)^(sum(S) - C(|A|, 2)), and likewise A's positions followed
+    # by B's.  The box permutation sends the first word onto the second, so
+    # its sign is (-1)^(sum(S) + sum of A's positions).
+    parity = sum(n for n, b in enumerate(union) if b in box_a)
+    k = len(union)
+    for chosen in combinations(range(k), len(box_a)):
+        into = [values[n] for n in chosen] + [values[n] for n in range(k) if n not in chosen]
+        yield _written(t, targets, into), -1 if (parity + sum(chosen)) % 2 else 1
 
 
 def _sub_multisets(values: tuple, k: int):

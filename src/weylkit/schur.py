@@ -20,13 +20,12 @@ A | B: swapping the two boxes that hold v is a sign-reversing involution
 on the coset terms.  A term with both copies of v in one column vanishes
 in the exterior power, and a term with one copy in A's column and one in
 B's meets its partner, the same column tabloid with the opposite sign.
-It is zero too when t repeats an entry in a column other than A's and
-B's: every coset term leaves that column as it is, so every term vanishes
-in the exterior power.  The certificate skips both kinds of relation, and
-decides each other one on its two columns: the relation on (t, A, B) is
-the one on columns j_A and j_B of t, A and B moved onto columns 1 and 2,
-with t's other columns put back in every term.  No pivot is skipped: a
-pivot's label is column standard and never repeats an entry on its A | B.
+The certificate skips those relations, and never a pivot, whose label is
+column standard.  It decides each other relation on its two columns (part
+5 of the certificate in :mod:`weylkit.verify`): the relation on (t, A, B)
+is the one on columns j_A and j_B of t, A and B moved onto columns 1 and
+2, with t's other columns put back in every term and projected to the
+exterior power.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .places import Relation, check_line_label, coset_fillings, stabilizer_order
+from .places import Relation, check_line_label, shuffles, stabilizer_order
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -52,7 +51,7 @@ from .tableaux import (
     from_columns,
     permutation_sign,
     row_order_key,
-    sort_line,
+    sort_columns,
     sort_rows,
     transpose,
 )
@@ -98,46 +97,21 @@ SchurRelation = Relation  # the record's old name, kept importable
 
 
 def _repeats_an_entry(t: Tableau, boxes) -> bool:
-    """Whether two boxes of ``boxes`` hold equal entries of t.
-
-    On A | B this makes the Garnir relation on (t, A, B) zero (see the
-    module docstring).
-    """
+    """Whether two boxes of ``boxes`` hold equal entries of t; on A | B, the zero rule of the module docstring."""
     values = [t.rows[i - 1][j - 1] for i, j in boxes]
     return len(set(values)) < len(values)
 
 
 @cache
 def _garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
-    """The Garnir relation on (t, A, B) over Z, each term sorted in the two columns it changes.
-
-    Every other column is the same in every coset term, so it is sorted
-    once, with its sign; a repeat in it, or on A | B, makes the relation
-    zero.
-    """
+    """The Garnir relation on (t, A, B) over Z: each coset term column-sorted, zero on a repeat on A | B."""
     if _repeats_an_entry(t, box_a | box_b):
         return LinComb.zero(ZZ)
-    cols, sign = list(t.columns), 1
-    (ja,), (jb,) = {j for _, j in box_a}, {j for _, j in box_b}
-    for j, col in enumerate(cols, 1):
-        if j != ja and j != jb:
-            sorted_ = sort_line(col)
-            if sorted_ is None:
-                return LinComb.zero(ZZ)
-            sign *= sorted_[0]
-            cols[j - 1] = sorted_[1]
-    col_a, col_b = list(cols[ja - 1]), list(cols[jb - 1])
-    rows_a, rows_b = [i - 1 for i, _ in sorted(box_a)], [i - 1 for i, _ in sorted(box_b)]
     terms = []
-    for into_a, into_b, coset_sign in coset_fillings(t, box_a, box_b):
-        for i, v in zip(rows_a, into_a):
-            col_a[i] = v
-        for i, v in zip(rows_b, into_b):
-            col_b[i] = v
-        sorted_a, sorted_b = sort_line(col_a), sort_line(col_b)
-        if sorted_a is not None and sorted_b is not None:
-            cols[ja - 1], cols[jb - 1] = sorted_a[1], sorted_b[1]
-            terms.append((from_columns(t.shape, cols), sign * coset_sign * sorted_a[0] * sorted_b[0]))
+    for u, coset_sign in shuffles(t, box_a, box_b):
+        sorted_ = sort_columns(u)
+        if sorted_ is not None:
+            terms.append((sorted_[1], coset_sign * sorted_[0]))
     return LinComb(ZZ, terms)
 
 
@@ -198,18 +172,9 @@ def _is_dominant(weight: tuple[int, ...]) -> bool:
 
 
 def _relation_labels(shape: tuple[int, ...]):
-    """The function giving the (A, B) of a column-sorted t that neither zero rule skips."""
-    boxsets = [(a, b, {j for _, j in a | b}) for a, b in garnir_labels(shape)]
-    # 0-based (row, column) of every box with a box below it
-    stacked = [(i, j) for j, n in enumerate(conjugate(shape)) for i in range(n - 1)]
-
-    def relation_labels(t: Tableau) -> list:
-        # t is column sorted: a column repeats an entry where two neighbours in it are equal
-        rows = t.rows
-        repeating = {j + 1 for i, j in stacked if rows[i][j] == rows[i + 1][j]}
-        return [(a, b) for a, b, cols in boxsets if repeating <= cols and not _repeats_an_entry(t, a | b)]
-
-    return relation_labels
+    """The function giving the (A, B) on which a label t repeats no entry: those the zero rule keeps."""
+    boxsets = list(garnir_labels(shape))
+    return lambda t: [(a, b) for a, b in boxsets if not _repeats_an_entry(t, a | b)]
 
 
 def _local_garnir(t: Tableau, boxes: tuple[frozenset, frozenset]):
@@ -255,7 +220,7 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of the Schur side, shared by every ring.
 
     Garnir relations commute with relabelling the entries by S_m up to
-    sign, and so does the polytabloid map; both zero rules depend only on
+    sign, and so does the polytabloid map; the zero rule depends only on
     which entries are equal.  So the scan covers only the column-sorted
     labels whose content weakly decreases, one weight per S_m-orbit, and
     counts each pivot with the size of its weight's orbit (part 4 of the

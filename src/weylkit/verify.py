@@ -71,10 +71,13 @@ labels that agree outside two rows as their two-row labels (see
 :mod:`weylkit.weyl`).  The Schur side is its transpose: column-sorted
 labels, which are the transposes of the row-sorted labels of the
 conjugate shape, with Garnir relations, each decided on its two columns.
-A column permutation σ sends the relation on (t, A, B) to ± the one on
-(σt, σA, σB), so these labels give every Garnir relation up to sign.  The
-Schur side also skips the relations its two zero rules prove zero, and
-never a pivot, and it uses part 4 (see :mod:`weylkit.schur`).
+The terms put back are projected to the exterior power, so when another
+column of t repeats an entry, the relation and its put-back two-column
+relation are both zero.  A column permutation σ sends the relation on
+(t, A, B) to ± the one on (σt, σA, σB), so these labels give every Garnir
+relation up to sign.  The Schur side also skips the relations its zero
+rule proves zero, and never a pivot, and it uses part 4 (see
+:mod:`weylkit.schur`).
 """
 
 from __future__ import annotations

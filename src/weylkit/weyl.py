@@ -141,8 +141,8 @@ def variant_relation(
     return Relation(kind, t, box_a, box_b, SymLowerElement(LinComb(ring, coords)))
 
 
-def snake_boxsets(shape, i: int, j: int, jp: int) -> tuple[frozenset, frozenset]:
-    shape = check_partition(shape)
+def snake_boxsets(shape: tuple[int, ...], i: int, j: int, jp: int) -> tuple[frozenset, frozenset]:
+    """Box sets (A, B) of the snake (i, j, j') on the partition ``shape``, range-checked."""
     if not 1 <= i < len(shape):
         raise InputError("snake row index out of range")
     if not 1 <= j <= shape[i - 1]:

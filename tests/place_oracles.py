@@ -73,14 +73,19 @@ def full_arrangement_row_classes(t, box_a, box_b):
     return out
 
 
-def shuffle_garnir(t, box_a, box_b):
-    """The Garnir relation on (t, A, B) over Z: every coset term written out and column-sorted."""
-    terms = {}
-    for u, sign in shuffles(t, box_a, box_b):
+def wedge_projection(terms):
+    """The signed tableaux ``terms`` in the exterior power over Z: columns sorted with their sign, zero on a repeat."""
+    out = {}
+    for u, c in terms:
         sorted_ = sort_columns(u)
         if sorted_ is not None:
-            terms[sorted_[1]] = terms.get(sorted_[1], 0) + sign * sorted_[0]
-    return LinComb(ZZ, terms)
+            out[sorted_[1]] = out.get(sorted_[1], 0) + c * sorted_[0]
+    return LinComb(ZZ, out)
+
+
+def shuffle_garnir(t, box_a, box_b):
+    """The Garnir relation on (t, A, B) over Z: every coset term written out and column-sorted."""
+    return wedge_projection(shuffles(t, box_a, box_b))
 
 
 def shuffle_dual_garnir(t, box_a, box_b):

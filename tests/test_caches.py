@@ -20,7 +20,7 @@ ALLOWED = {
     "schur._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",
     "weyl._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",
     "schur._garnir_int": (
-        "hit ratio 0.69 sweep-field, 0.71 lattice-z, 0.00 element-ops: a sweep's hits are two-column relations "
+        "hit ratio 0.72 sweep-field, 0.73 lattice-z, 0.00 element-ops: a sweep's hits are two-column relations "
         "that another certificate of the run built; bench/spans.py reads it"
     ),
     "weyl._dual_garnir_int": (

@@ -32,7 +32,7 @@ from weylkit.tableaux import (
     transpose,
 )
 
-from place_oracles import column_preserving_permutations, shuffle_garnir
+from place_oracles import column_preserving_permutations, shuffle_garnir, wedge_projection
 from smith_oracle import schur_relation_rows, smith_verdict
 from weight_oracles import column_sorted_labels, full_scan, is_dominant, relabel_columns
 
@@ -274,17 +274,21 @@ class TestColumnSortedLabels:
         assert skipped_in_all > 3000
 
     def test_the_scan_builds_no_zero_relation(self, monkeypatch):
-        # a repeat on A | B, or in a column other than A's and B's, is skipped;
-        # at this scale those are all the zero relations there are
-        decided_in_all = 0
-        for shape in partitions_up_to(4):
-            for m in (1, 2, 3):
-                for full in (False, True):
-                    schur._certificate.cache_clear()
-                    decided, _ = self.scanned(shape, m, monkeypatch, full)
-                    assert not any(rel.element.is_zero for rel in decided.values()), (shape, m, full)
-                    decided_in_all += len(decided) if full else 0
-        assert decided_in_all > 300
+        # the zero rule skips each relation that repeats an entry on A | B; one
+        # whose other column repeats an entry is decided on its two columns
+        built = []
+
+        def recording(label, box_a, box_b, ring=ZZ):
+            built.append(garnir(label, box_a, box_b, ring))
+            return built[-1]
+
+        monkeypatch.setattr(schur, "garnir", recording)
+        cases = [(shape, m) for shape in partitions_up_to(5) for m in (1, 2, 3)]
+        for shape, m in cases + [(shape, 4) for shape in partitions_up_to(4)]:
+            schur._certificate.cache_clear()
+            assert verify_schur_ses(shape, m, ZZ, entry_cap=None)["ok"], (shape, m)
+        assert not [rel.to_json() for rel in built if rel.element.is_zero]
+        assert len(built) > 150
 
     def test_every_pivot_has_leading_coefficient_one(self):
         checked = 0
@@ -339,19 +343,22 @@ def with_columns(t, ja, jb, two_columns):
 
 @pytest.mark.parametrize("shape", THREE_COLUMN_SHAPES, ids=str)
 def test_a_relation_is_its_two_column_relation_with_the_other_columns_put_back(shape):
-    checked = 0
+    checked = repeating = 0
     for m in (1, 2, 3):
         for t in column_sorted_labels(shape, m):
             for box_a, box_b in garnir_labels(shape):
                 (ja,), (jb,) = {j for _, j in box_a}, {j for _, j in box_b}
-                if any(len(set(col)) < len(col) for j, col in enumerate(t.columns, 1) if j not in (ja, jb)):
-                    continue  # the relation is zero, and the zero rules skip it
                 # the two-column relation as the scan names and builds it
                 local = schur._garnir_on(*schur._local_garnir(t, (box_a, box_b))).element.lin
-                put_back = LinComb(ZZ, {with_columns(t, ja, jb, u): c for u, c in local.items()})
-                assert garnir(t, box_a, box_b).element.lin == put_back, (t, box_a, box_b)
+                put_back = wedge_projection((with_columns(t, ja, jb, u), c) for u, c in local.items())
+                relation = garnir(t, box_a, box_b).element.lin
+                assert relation == put_back, (t, box_a, box_b)
+                if any(len(set(col)) < len(col) for j, col in enumerate(t.columns, 1) if j not in (ja, jb)):
+                    assert relation.is_zero, (t, box_a, box_b)
+                    repeating += 1
                 checked += 1
-    assert checked
+    assert checked > repeating
+    assert repeating or len(shape) == 1  # a one-row label repeats no entry in a column
 
 
 @settings(max_examples=200, deadline=None)
