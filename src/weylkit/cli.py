@@ -7,9 +7,10 @@ subcommand, malformed input, size cap exceeded: a :class:`CliError` or an
 exception, which is a bug in weylkit), 141 the reader closed stdout
 (128 + SIGPIPE, what a shell reports for a writer killed by SIGPIPE).
 
-Each subcommand is declared once, as a :class:`Command`.  The top-level
-parser lists every name and help line, but a subcommand's own parser is
-built only when that subcommand is chosen.
+Each subcommand is declared once, as a :class:`Command`.  A process builds
+its parser once per terminal width, on the first request at that width.
+The top-level parser lists every name and help line, and a subcommand's
+own parser is built the first time that subcommand is chosen.
 """
 
 from __future__ import annotations
@@ -518,8 +519,9 @@ class _LazySubparsers(argparse._SubParsersAction):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on each call; a subcommand's own parser is built once ``parse_args`` chooses it.
+    """A new parser on each call; a subcommand's own parser is built the first time ``parse_args`` chooses it.
 
+    ``dispatch`` calls this once per terminal width, through :func:`_parser`.
     argparse builds a formatter for every argument it adds, and by default
     each one asks for the terminal's width; here every parser's formatter
     gets the width argparse would compute, asked for once.
@@ -535,6 +537,21 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True, action=_LazySubparsers, commands=_COMMANDS, formatter_class=formatter_class
     )
     return parser
+
+
+@functools.cache
+def _parser(width: int) -> argparse.ArgumentParser:
+    """The parser of every request at terminal width ``width``, built by ``build_parser`` on the first.
+
+    ``width`` is only the key: ``build_parser`` reads the same width.  One
+    parser serves many requests safely, because every default in
+    ``_COMMANDS`` is immutable (a str, int or tuple), ``parse_args`` makes a
+    fresh ``Namespace`` per call, and argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` only when it prints help, usage or an error, so
+    ``redirect_stdout`` and ``--output`` still reach it.  Each subcommand's
+    parser is swapped in for its :class:`Command` once, on first use.
+    """
+    return build_parser()
 
 
 def _file_mode(path: str) -> int:
@@ -579,7 +596,7 @@ def _run_to_file(path: str, run) -> int:
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser(shutil.get_terminal_size().columns)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

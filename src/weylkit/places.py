@@ -397,15 +397,6 @@ def boxset_to_json(boxes: frozenset) -> dict:
     return {"boxes": [list(b) for b in sorted(boxes)]}
 
 
-def boxset_from_json(obj) -> frozenset:
-    pairs = obj["boxes"] if isinstance(obj, dict) else obj
-    out = set()
-    for pair in pairs:
-        i, j = pair
-        out.add((int(i), int(j)))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class Relation:
     """A two-line relation: its kind, its label (t, A, B) and the element it labels.

@@ -139,19 +139,6 @@ class ColumnTabloidElement(TableauElement):
             raise ValueError("column tabloid labels must be column standard")
 
 
-_SPACES = {
-    cls.space: cls
-    for cls in (TensorElement, RowTabloidElement, SymLowerElement, ColumnTabloidElement)
-}
-
-
-def element_from_json(obj: dict) -> TableauElement:
-    cls = _SPACES.get(obj.get("space"))
-    if cls is None:
-        raise ValueError(f"unknown element space {obj.get('space')!r}")
-    return cls(LinComb.from_json(obj, Tableau.from_json))
-
-
 # ---------------------------------------------------------------------------
 # the maps
 

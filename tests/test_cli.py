@@ -1,11 +1,13 @@
 import json
 import random
 import re
+import shutil
 import subprocess
 import sys
 
 import pytest
 from parser_oracle import build_parser as eager_build_parser
+from test_powers import element_from_json
 
 import weylkit.cli as cli
 from weylkit import InputError
@@ -18,7 +20,6 @@ from weylkit.powers import (
     RowTabloidElement,
     SymLowerElement,
     TensorElement,
-    element_from_json,
 )
 from weylkit.tableaux import ROW_SEMISTANDARD, Tableau, check_partition, enumerate_tableaux
 from weylkit.verify import check_caps
@@ -522,11 +523,20 @@ ORACLE_REQUESTS = [
 _WALL_TIME = re.compile(r',\n  "wall_time_s": [-+0-9.eE]+')
 
 
-def outcome(build, argv, monkeypatch, capsys, tmp_path):
-    """Exit code, stdout, stderr and ``--output`` file of one request parsed by ``build``."""
-    monkeypatch.setattr(cli, "build_parser", build)
+def outcome(build, argv, capsys, tmp_path):
+    """Exit code, stdout, stderr and ``--output`` file of one request.
+
+    ``dispatch`` parses it with a new parser from ``build``, or with its own
+    parser for the terminal width when ``build`` is None.  A parser from
+    ``build`` replaces ``cli._parser``, the per-width memo ``dispatch``
+    calls: once that memo holds a parser, ``dispatch`` never calls
+    ``build_parser`` again.
+    """
     target = tmp_path / "out.json"
-    code = dispatch([str(target) if arg == OUT else arg for arg in argv])
+    with pytest.MonkeyPatch.context() as patch:
+        if build is not None:
+            patch.setattr(cli, "_parser", lambda width: build())
+        code = dispatch([str(target) if arg == OUT else arg for arg in argv])
     captured = capsys.readouterr()
     written = target.read_text() if target.exists() else None
     target.unlink(missing_ok=True)
@@ -536,8 +546,59 @@ def outcome(build, argv, monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("argv", ORACLE_REQUESTS, ids=" ".join)
 def test_dispatch_matches_the_eager_parser(argv, monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
-    got = outcome(build_parser, argv, monkeypatch, capsys, tmp_path)
-    assert got == outcome(eager_build_parser, argv, monkeypatch, capsys, tmp_path)
+    got = outcome(build_parser, argv, capsys, tmp_path)
+    assert got == outcome(eager_build_parser, argv, capsys, tmp_path)
+
+
+def test_outcome_parses_with_the_parser_it_is_given(monkeypatch, capsys, tmp_path):
+    def broken():
+        raise AssertionError("the eager oracle ran")
+
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(None, ["dims", *VALID_REQUESTS["dims"]], capsys, tmp_path)[0] == 0  # dispatch's parser is built
+    with pytest.raises(AssertionError, match="the eager oracle ran"):
+        outcome(broken, ["dims", *VALID_REQUESTS["dims"]], capsys, tmp_path)
+
+
+SHARED_PARSER_STEPS = [
+    *((80, argv) for argv in ORACLE_REQUESTS),
+    (80, ["--out", OUT, "dims", *VALID_REQUESTS["dims"]]),
+    (80, ["dims", *VALID_REQUESTS["dims"]]),
+    (80, ["frobnicate"]),
+    (80, ["dims", *VALID_REQUESTS["dims"]]),
+    (80, ["--help"]),
+    (120, ["--help"]),
+    (120, ["snake", "--help"]),
+    (80, ["--help"]),
+    (80, ["snake", "--help"]),
+]
+
+
+def test_one_parser_per_width_serves_every_request_like_a_fresh_eager_one(monkeypatch, capsys, tmp_path):
+    cli._parser.cache_clear()
+    for columns, argv in SHARED_PARSER_STEPS:
+        monkeypatch.setenv("COLUMNS", str(columns))
+        got = outcome(None, argv, capsys, tmp_path)
+        assert got == outcome(eager_build_parser, argv, capsys, tmp_path), (columns, argv)
+    assert cli._parser.cache_info().currsize == 2
+
+
+def test_dispatch_builds_one_parser_per_terminal_width(monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(shutil.get_terminal_size().columns)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(20):
+        assert dispatch(["dims", *VALID_REQUESTS["dims"]]) == 0
+    assert built == [80]
+    monkeypatch.setenv("COLUMNS", "120")
+    assert dispatch(["dims", *VALID_REQUESTS["dims"]]) == 0
+    assert built == [80, 120]
 
 
 @pytest.mark.parametrize("argv", PARSED_REQUESTS, ids=" ".join)

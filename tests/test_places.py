@@ -6,7 +6,6 @@ import pytest
 
 from weylkit.places import (
     PlacePermutation,
-    boxset_from_json,
     boxset_to_json,
     double_coset_reps,
     left_coset_reps,
@@ -255,5 +254,5 @@ def test_two_row_sums_reject_invalid_labels(orbit_sum, box_a, box_b, reason):
 
 def test_boxset_json_round_trip():
     s = frozenset({(1, 2), (1, 1)})
-    assert boxset_from_json(boxset_to_json(s)) == s
+    assert frozenset(tuple(box) for box in boxset_to_json(s)["boxes"]) == s
     assert boxset_to_json(s) == {"boxes": [[1, 1], [1, 2]]}

@@ -52,8 +52,6 @@ ALLOWED = {
     "linalg.rank_of_rows": "bench/spans.py wraps it; the rank tests' oracle",
     "linalg.smith_elementary_divisors": "bench/spans.py wraps it; the Smith-form tests' oracle",
     "places.left_coset_reps": "bench/spans.py wraps it; the oracle for places.shuffles",
-    "places.boxset_from_json": "only the tests call it (ROADMAP item 2)",
-    "powers.element_from_json": "only the tests call it (ROADMAP item 2)",
 }
 
 
