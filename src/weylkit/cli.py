@@ -8,9 +8,10 @@ exception, which is a bug in weylkit), 141 the reader closed stdout
 (128 + SIGPIPE, what a shell reports for a writer killed by SIGPIPE).
 
 Each subcommand is declared once, as a :class:`Command`.  A process builds
-its parser once per terminal width, on the first request at that width.
-The top-level parser lists every name and help line, and a subcommand's
-own parser is built the first time that subcommand is chosen.
+one parser, on its first request, and argparse reads the terminal width
+each time it prints help, usage or an error.  The top-level parser lists
+every name and help line, and a subcommand's own parser is built the first
+time that subcommand is chosen.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import functools
 import json
 import os
 import re
-import shutil
 import stat
 import sys
 import tempfile
@@ -261,7 +261,7 @@ def _cmd_basis(args, cfg):
 
 def _element_op_common(args, cfg) -> tuple[Tableau, CoefficientRing]:
     t = parse_tableau_arg(args.tableau)
-    if getattr(args, "shape", None) and parse_shape(args.shape) != t.shape:
+    if getattr(args, "shape", None) is not None and parse_shape(args.shape) != t.shape:
         raise CliError("--shape disagrees with the tableau")
     entries = getattr(args, "entries", None)
     check_caps(t.shape, entries or t.max_entry, cfg.element_size_cap, cfg.max_entries)
@@ -498,9 +498,8 @@ class _LazySubparsers(argparse._SubParsersAction):
     help lines, which are all there from the start.
     """
 
-    def __init__(self, option_strings, commands, formatter_class, **kwargs):
+    def __init__(self, option_strings, commands, **kwargs):
         super().__init__(option_strings, **kwargs)
-        self._formatter_class = formatter_class
         for command in commands:
             self._choices_actions.append(self._ChoicesPseudoAction(command.name, (), command.help))
             self._name_parser_map[command.name] = command
@@ -508,9 +507,7 @@ class _LazySubparsers(argparse._SubParsersAction):
     def __call__(self, parser, namespace, values, option_string=None):
         command = self._name_parser_map.get(values[0])
         if isinstance(command, Command):
-            subparser = self._parser_class(
-                prog=f"{self._prog_prefix} {command.name}", formatter_class=self._formatter_class
-            )
+            subparser = self._parser_class(prog=f"{self._prog_prefix} {command.name}")
             for flag, kwargs in command.args:
                 subparser.add_argument(flag, **kwargs)
             subparser.set_defaults(func=command.handler)
@@ -521,33 +518,25 @@ class _LazySubparsers(argparse._SubParsersAction):
 def build_parser() -> argparse.ArgumentParser:
     """A new parser on each call; a subcommand's own parser is built the first time ``parse_args`` chooses it.
 
-    ``dispatch`` calls this once per terminal width, through :func:`_parser`.
-    argparse builds a formatter for every argument it adds, and by default
-    each one asks for the terminal's width; here every parser's formatter
-    gets the width argparse would compute, asked for once.
+    ``dispatch`` calls this once per process, through :func:`_parser`.
     """
-    formatter_class = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="weylkit",
-        description="Exact polytabloid/copolytabloid computations and theorem checks.",
-        formatter_class=formatter_class,
+        prog="weylkit", description="Exact polytabloid/copolytabloid computations and theorem checks."
     )
     parser.add_argument("--output", help="write the result here instead of stdout")
-    parser.add_subparsers(
-        dest="command", required=True, action=_LazySubparsers, commands=_COMMANDS, formatter_class=formatter_class
-    )
+    parser.add_subparsers(dest="command", required=True, action=_LazySubparsers, commands=_COMMANDS)
     return parser
 
 
 @functools.cache
-def _parser(width: int) -> argparse.ArgumentParser:
-    """The parser of every request at terminal width ``width``, built by ``build_parser`` on the first.
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every request in this process, built by ``build_parser`` on the first.
 
-    ``width`` is only the key: ``build_parser`` reads the same width.  One
-    parser serves many requests safely, because every default in
+    One parser serves many requests safely, because every default in
     ``_COMMANDS`` is immutable (a str, int or tuple), ``parse_args`` makes a
-    fresh ``Namespace`` per call, and argparse looks up ``sys.stdout`` and
-    ``sys.stderr`` only when it prints help, usage or an error, so
+    fresh ``Namespace`` per call, and each time argparse prints help, usage
+    or an error it makes a new formatter, which reads the terminal width,
+    and looks up ``sys.stdout`` or ``sys.stderr``; so ``COLUMNS``,
     ``redirect_stdout`` and ``--output`` still reach it.  Each subcommand's
     parser is swapped in for its :class:`Command` once, on first use.
     """
@@ -596,9 +585,8 @@ def _run_to_file(path: str, run) -> int:
 
 
 def dispatch(argv=None) -> int:
-    parser = _parser(shutil.get_terminal_size().columns)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

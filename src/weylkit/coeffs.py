@@ -22,17 +22,21 @@ class InputError(ValueError):
     """Malformed or out-of-range input from a caller; the CLI reports it as a usage error."""
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases above decides primality for every n below this bound.
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
-    # deterministic Miller-Rabin for 64-bit inputs; moduli here are tiny anyway
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -133,6 +137,8 @@ class CoefficientRing:
         if self.kind == "q":
             return True
         if self.kind == "zmod":
+            if self.modulus >= _PRIME_TEST_BOUND:
+                raise InputError(f"modulus {self.modulus} is too large to decide whether Z/n is a field")
             return _is_probable_prime(self.modulus)
         return False
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from math import prod
 from operator import floordiv, truediv
@@ -346,16 +345,6 @@ def pairing_image(t: Tableau, max_entry: int, ring: CoefficientRing = ZZ) -> Col
     return ColumnTabloidElement._trusted(LinComb(ring, {u: polytabloid(u).coeff(canon) for u in csyt}))
 
 
-@cache
-def _polytabloid_basis_solver(shape, max_entry: int):
-    """Columns of the polytabloid basis matrix over sorted-row labels."""
-    ssyt = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
-    columns = []
-    for s in ssyt:
-        columns.append({l: c for l, c in polytabloid(s, QQ).items()})
-    return ssyt, columns
-
-
 def polytabloid_dual_image(t: Tableau, max_entry: int) -> ColumnTabloidElement:
     """Image of the functional dual to t's polytabloid, over the rationals.
 
@@ -365,7 +354,8 @@ def polytabloid_dual_image(t: Tableau, max_entry: int) -> ColumnTabloidElement:
     """
     if not t.is_semistandard:
         raise ValueError("polytabloid duals are indexed by semistandard tableaux")
-    ssyt, columns = _polytabloid_basis_solver(t.shape, max_entry)
+    ssyt = enumerate_tableaux(t.shape, max_entry, SEMISTANDARD)
+    columns = [dict(polytabloid(s, QQ).items()) for s in ssyt]
     position = ssyt.index(t)
     terms = []
     for u in enumerate_tableaux(t.shape, max_entry, COLUMN_STANDARD):

@@ -28,8 +28,7 @@ ALLOWED = {
         "that another certificate of the run built; bench/spans.py reads it"
     ),
     "places._positional_double_coset_reps": "no workload calls it; the tier-1 double-coset loops reuse it",
-    "duality._polytabloid_basis_solver": "its one caller loops over every semistandard t of a (shape, m)",
-    "cli._parser": "hit ratio 0.998 element-ops (599 of 600 requests); one entry per terminal width",
+    "cli._parser": "hit ratio 0.998 element-ops (599 of 600 requests); one parser per process",
 }
 
 

@@ -189,6 +189,18 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_duality_check_reports_a_counterexample(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "copolytabloid", lambda t: ColumnTabloidElement(LinComb(ZZ, {})))
+        code, out, _ = run(capsys, "duality-check", "--shape", "2,1", "--entries", "2")
+        report = json.loads(out)
+        assert (code, report["ok"]) == (1, False)
+        [failed] = report["checks"]
+        assert failed["name"] == "pairing_image_matches_copolytabloid"
+        witness = failed["counterexample"]
+        assert witness["tableau"] == {"shape": [2, 1], "rows": [[1, 1], [2]]}
+        assert witness["copolytabloid"] == {"space": "wedge", "ring": "z", "terms": []}
+        assert witness["pairing_image"]["terms"]
+
     def test_equivariance_passes(self, capsys):
         code, out, _ = run(
             capsys,
@@ -303,12 +315,45 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["rssyt"] > 0
 
-    @pytest.mark.parametrize("value", ["-3", "0"])
-    def test_env_override_must_be_positive(self, capsys, monkeypatch, value):
+    @pytest.mark.parametrize("value, problem", [("-3", "be positive"), ("0", "be positive"), ("abc", "be an integer")])
+    def test_env_override_must_be_a_positive_integer(self, capsys, monkeypatch, value, problem):
         monkeypatch.setenv("WEYLKIT_MAX_SIZE", value)
         code, out, err = run(capsys, "dims", "--shape", "2", "--entries", "2")
         assert (code, out) == (2, "")
-        assert err == f"error: WEYLKIT_MAX_SIZE must be positive, got {value!r}\n"
+        assert err == f"error: WEYLKIT_MAX_SIZE must {problem}, got {value!r}\n"
+
+    def test_malformed_matrix_json(self, capsys):
+        code, out, err = run(
+            capsys, "equivariance", "--shape", "2,1", "--entries", "2", "--matrix", "[[1,0],", "--map", "e"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed matrix JSON: ")
+
+    def test_listing_every_tableau_is_capped(self, capsys):
+        code, out, err = run(capsys, "basis", "--shape", "7", "--entries", "9", "--class", "all")
+        assert (code, out, err) == (2, "", "error: size cap exceeded: refusing to list more than 10^6 tableaux\n")
+
+    def test_malformed_rows(self, capsys):
+        code, out, err = run(
+            capsys,
+            "dual-garnir",
+            "--tableau", "[[1,1],[2,2]]",
+            "--rows", "1-2",
+            "--boxA", "(1,1),(1,2)",
+            "--boxB", "(2,1)",
+        )
+        assert (code, out, err) == (2, "", "error: malformed --rows '1-2': expected i:i'\n")
+
+    def test_malformed_cols(self, capsys):
+        code, out, err = run(capsys, "snake", "--tableau", "[[1,1],[2,2]]", "--row", "1", "--cols", "1")
+        assert (code, out, err) == (2, "", "error: malformed --cols '1': expected j:j'\n")
+
+    def test_a_composite_modulus_is_not_a_field(self, capsys):
+        # 399165290221 * 798330580441, a strong pseudoprime to every base 2..37
+        code, out, err = run(
+            capsys, "weyl-verify", "--shape", "2,1", "--entries", "2", "--ring", "zmod:318665857834031151167461"
+        )
+        assert (code, out, err) == (2, "", "error: verification needs a field or the integers\n")
 
     def test_tableau_entry_bound(self, capsys):
         code, _, err = run(
@@ -439,12 +484,21 @@ def test_output_file_gets_default_permissions(tmp_path):
     assert target.stat().st_mode == reference.stat().st_mode
 
 
-def test_shape_flag_validated_on_element_ops(capsys):
-    code = dispatch(
-        ["copolytabloid", "--shape", "3,1", "--tableau", "[[2,1],[1,2]]", "--entries", "2"]
-    )
-    assert code == 2
-    assert "disagrees" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["copolytabloid", "--shape", "3,1", "--tableau", "[[2,1],[1,2]]", "--entries", "2"],
+        ["rsym", "--tableau", "[[1,2]]", "--shape", ""],
+        ["dual-garnir", "--tableau", "[[1,1],[2,2]]", "--boxA", "(1,1),(1,2)", "--boxB", "(2,1)", "--shape", ""],
+    ],
+    ids=["copolytabloid", "rsym-empty", "dual-garnir-empty"],
+)
+def test_shape_flag_validated_on_element_ops(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: --shape disagrees with the tableau\n")
+
+
+def test_an_empty_shape_flag_matches_the_empty_tableau(capsys):
+    assert run(capsys, "rsym", "--tableau", "[]", "--shape", "")[0] == 0
 
 
 def test_module_entry_point_subprocess():
@@ -526,16 +580,15 @@ _WALL_TIME = re.compile(r',\n  "wall_time_s": [-+0-9.eE]+')
 def outcome(build, argv, capsys, tmp_path):
     """Exit code, stdout, stderr and ``--output`` file of one request.
 
-    ``dispatch`` parses it with a new parser from ``build``, or with its own
-    parser for the terminal width when ``build`` is None.  A parser from
-    ``build`` replaces ``cli._parser``, the per-width memo ``dispatch``
-    calls: once that memo holds a parser, ``dispatch`` never calls
-    ``build_parser`` again.
+    ``dispatch`` parses it with a new parser from ``build``, or with the
+    process's own parser when ``build`` is None.  ``build`` replaces
+    ``cli._parser``, the memo ``dispatch`` calls: once that memo holds a
+    parser, ``dispatch`` never calls ``build_parser`` again.
     """
     target = tmp_path / "out.json"
     with pytest.MonkeyPatch.context() as patch:
         if build is not None:
-            patch.setattr(cli, "_parser", lambda width: build())
+            patch.setattr(cli, "_parser", build)
         code = dispatch([str(target) if arg == OUT else arg for arg in argv])
     captured = capsys.readouterr()
     written = target.read_text() if target.exists() else None
@@ -574,16 +627,16 @@ SHARED_PARSER_STEPS = [
 ]
 
 
-def test_one_parser_per_width_serves_every_request_like_a_fresh_eager_one(monkeypatch, capsys, tmp_path):
+def test_one_parser_serves_every_request_like_a_fresh_eager_one(monkeypatch, capsys, tmp_path):
     cli._parser.cache_clear()
     for columns, argv in SHARED_PARSER_STEPS:
         monkeypatch.setenv("COLUMNS", str(columns))
         got = outcome(None, argv, capsys, tmp_path)
         assert got == outcome(eager_build_parser, argv, capsys, tmp_path), (columns, argv)
-    assert cli._parser.cache_info().currsize == 2
+    assert cli._parser.cache_info().currsize == 1
 
 
-def test_dispatch_builds_one_parser_per_terminal_width(monkeypatch):
+def test_dispatch_builds_one_parser_across_terminal_widths(monkeypatch):
     built = []
 
     def counting_build_parser():
@@ -595,10 +648,9 @@ def test_dispatch_builds_one_parser_per_terminal_width(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     for _ in range(20):
         assert dispatch(["dims", *VALID_REQUESTS["dims"]]) == 0
-    assert built == [80]
     monkeypatch.setenv("COLUMNS", "120")
     assert dispatch(["dims", *VALID_REQUESTS["dims"]]) == 0
-    assert built == [80, 120]
+    assert built == [80]
 
 
 @pytest.mark.parametrize("argv", PARSED_REQUESTS, ids=" ".join)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from weylkit.coeffs import QQ, ZZ, CoefficientRing, LinComb, integers_mod, parse_ring
+from weylkit.coeffs import QQ, ZZ, CoefficientRing, InputError, LinComb, integers_mod, parse_ring
 from weylkit.powers import SymLowerElement
 from weylkit.tableaux import ROW_SEMISTANDARD, enumerate_tableaux
 
@@ -53,6 +53,26 @@ class TestRings:
         assert integers_mod(7).is_field
         assert not integers_mod(6).is_field
         assert not ZZ.is_field
+
+    def test_field_detection_matches_a_sieve(self):
+        bound = 20_000
+        composite = bytearray(bound)
+        for p in range(2, bound):
+            if not composite[p]:
+                composite[p * p :: p] = b"\1" * len(range(p * p, bound, p))
+        for n in range(2, bound):
+            assert integers_mod(n).is_field == (not composite[n]), n
+
+    def test_a_strong_pseudoprime_to_the_bases_below_41_is_not_a_field(self):
+        n = 399165290221 * 798330580441
+        assert n == 318665857834031151167461
+        assert not integers_mod(n).is_field
+
+    def test_moduli_past_the_exact_range_are_refused(self):
+        # the least strong pseudoprime to every base 2..41
+        with pytest.raises(InputError, match="too large"):
+            integers_mod(3317044064679887385961981).is_field
+        assert not integers_mod(3317044064679887385961980).is_field
 
     def test_tags_round_trip(self):
         for ring in (ZZ, QQ, Z3, integers_mod(12)):

@@ -276,6 +276,18 @@ class TestPairing:
     def test_row_unsorted_input_is_canonicalized(self):
         assert pairing_image(T([[2, 1], [1, 2]]), 2) == pairing_image(T([[1, 2], [1, 2]]), 2)
 
+    def test_evaluating_on_polytabloids_gives_the_pairing_image(self):
+        for t in enumerate_tableaux((2, 1), 3, ROW_SEMISTANDARD):
+            functional = DualFunctional(LinComb(ZZ, {t: 1}))
+            image = pairing_image(t, 3)
+            for u in enumerate_tableaux((2, 1), 3, COLUMN_STANDARD):
+                assert functional.evaluate(polytabloid(u)) == image.coeff(u)
+
+    def test_evaluate_refuses_another_ring(self):
+        t = T([[1, 2], [1]])
+        with pytest.raises(ValueError, match="ring mismatch"):
+            DualFunctional(LinComb(ZZ, {t: 1})).evaluate(polytabloid(T([[1, 2], [2]]), QQ))
+
     def test_functional_labels_validated(self):
         with pytest.raises(ValueError):
             DualFunctional(LinComb(ZZ, {T([[2, 1]]): 1}))
