@@ -7,11 +7,10 @@ subcommand, malformed input, size cap exceeded: a :class:`CliError` or an
 exception, which is a bug in weylkit), 141 the reader closed stdout
 (128 + SIGPIPE, what a shell reports for a writer killed by SIGPIPE).
 
-Each subcommand is declared once, as a :class:`Command`.  A process builds
-one parser, on its first request, and argparse reads the terminal width
-each time it prints help, usage or an error.  The top-level parser lists
-every name and help line, and a subcommand's own parser is built the first
-time that subcommand is chosen.
+Each subcommand is declared once, as a :class:`Command`, and
+:func:`build_parser` turns the table into one argparse subparser per
+command.  A process keeps one parser for all its requests, and argparse
+reads the terminal width each time it prints help, usage or an error.
 """
 
 from __future__ import annotations
@@ -145,27 +144,23 @@ def parse_matrix_arg(text: str, ring: CoefficientRing) -> EntryMatrix:
 # rendering
 
 
-def _tableau_text(t: Tableau) -> str:
-    return "[" + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in t.rows) + "]"
-
-
-def _tableau_latex(t: Tableau) -> str:
-    body = ",".join("".join(f"{{{v}}}" for v in row) for row in t.rows)
-    return f"\\ytableaushort{{{body}}}"
-
-
-_TEXT_WRAP = {
-    "tensor": ("", ""),
-    "sym_upper": ("⌊", "⌋"),
-    "sym_lower": ("rsym(", ")"),
-    "wedge": ("|", "|"),
-}
-
-_LATEX_WRAP = {
-    "tensor": ("\\ytab{", "}"),
-    "sym_upper": ("\\yrowtab{", "}"),
-    "sym_lower": ("\\yrsym{", "}"),
-    "wedge": ("\\ycoltab{", "}"),
+# per human format: how a tableau is written, what joins a coefficient to it, and each space's brackets
+_MARKUP = {
+    "text": (
+        lambda t: "[" + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in t.rows) + "]",
+        "*",
+        {"tensor": ("", ""), "sym_upper": ("⌊", "⌋"), "sym_lower": ("rsym(", ")"), "wedge": ("|", "|")},
+    ),
+    "latex": (
+        lambda t: "\\ytableaushort{" + ",".join("".join(f"{{{v}}}" for v in row) for row in t.rows) + "}",
+        "\\,",
+        {
+            "tensor": ("\\ytab{", "}"),
+            "sym_upper": ("\\yrowtab{", "}"),
+            "sym_lower": ("\\yrsym{", "}"),
+            "wedge": ("\\ycoltab{", "}"),
+        },
+    ),
 }
 
 
@@ -173,24 +168,17 @@ def render_element(x: TableauElement, fmt: str) -> str:
     """Serialize an element: bit-stable JSON, or a human/LaTeX sum."""
     if fmt == "json":
         return json.dumps(x.to_json())
-    if fmt not in ("text", "latex"):
+    if fmt not in _MARKUP:
         raise CliError(f"unknown format {fmt!r}")
     if x.is_zero:
         return "0"
+    tableau, times, wrap = _MARKUP[fmt]
+    left, right = wrap[x.space]
     bits = []
     for t, c in x.items():
         c_str = x.ring.format_coeff(c)
-        if fmt == "text":
-            left, right = _TEXT_WRAP[x.space]
-            body = f"{left}{_tableau_text(t)}{right}"
-            prefix = "" if c_str == "1" else f"{c_str}*"
-            bits.append(f"{prefix}{body}")
-        else:
-            left, right = _LATEX_WRAP[x.space]
-            inner = _tableau_latex(t)
-            body = f"{left}{inner}{right}"
-            prefix = "" if c_str == "1" else f"{c_str}\\,"
-            bits.append(f"{prefix}{body}")
+        prefix = "" if c_str == "1" else c_str + times
+        bits.append(f"{prefix}{left}{tableau(t)}{right}")
     return " + ".join(bits)
 
 
@@ -490,33 +478,8 @@ _COMMANDS = (
 )
 
 
-class _LazySubparsers(argparse._SubParsersAction):
-    """The subcommands action, building a subcommand's parser only when ``parse_args`` picks it.
-
-    Its name -> parser map holds each :class:`Command` until then.  Usage
-    lines, ``--help`` and "invalid choice" errors read only the names and
-    help lines, which are all there from the start.
-    """
-
-    def __init__(self, option_strings, commands, **kwargs):
-        super().__init__(option_strings, **kwargs)
-        for command in commands:
-            self._choices_actions.append(self._ChoicesPseudoAction(command.name, (), command.help))
-            self._name_parser_map[command.name] = command
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        command = self._name_parser_map.get(values[0])
-        if isinstance(command, Command):
-            subparser = self._parser_class(prog=f"{self._prog_prefix} {command.name}")
-            for flag, kwargs in command.args:
-                subparser.add_argument(flag, **kwargs)
-            subparser.set_defaults(func=command.handler)
-            self._name_parser_map[command.name] = subparser
-        super().__call__(parser, namespace, values, option_string)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on each call; a subcommand's own parser is built the first time ``parse_args`` chooses it.
+    """A new parser on each call, with one subcommand parser per :class:`Command`.
 
     ``dispatch`` calls this once per process, through :func:`_parser`.
     """
@@ -524,21 +487,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weylkit", description="Exact polytabloid/copolytabloid computations and theorem checks."
     )
     parser.add_argument("--output", help="write the result here instead of stdout")
-    parser.add_subparsers(dest="command", required=True, action=_LazySubparsers, commands=_COMMANDS)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command in _COMMANDS:
+        subparser = subparsers.add_parser(command.name, help=command.help)
+        for flag, kwargs in command.args:
+            subparser.add_argument(flag, **kwargs)
+        subparser.set_defaults(func=command.handler)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of every request in this process, built by ``build_parser`` on the first.
+    """The parser of every request in this process: ``build_parser``, called once.
 
     One parser serves many requests safely, because every default in
     ``_COMMANDS`` is immutable (a str, int or tuple), ``parse_args`` makes a
     fresh ``Namespace`` per call, and each time argparse prints help, usage
     or an error it makes a new formatter, which reads the terminal width,
     and looks up ``sys.stdout`` or ``sys.stderr``; so ``COLUMNS``,
-    ``redirect_stdout`` and ``--output`` still reach it.  Each subcommand's
-    parser is swapped in for its :class:`Command` once, on first use.
+    ``redirect_stdout`` and ``--output`` still reach it.
     """
     return build_parser()
 

@@ -39,7 +39,7 @@ from math import prod
 from operator import floordiv, truediv
 
 from .coeffs import QQ, ZZ, CoefficientRing, InputError, LinComb
-from .linalg import solve_exact
+from .linalg import leading_coefficient
 from .places import stabilizer_order
 from .powers import (
     ColumnTabloidElement,
@@ -59,6 +59,7 @@ from .tableaux import (
     enumerate_tableaux,
     from_columns,
     from_word,
+    row_order_key,
     sort_rows,
 )
 from .weyl import copolytabloid
@@ -351,20 +352,32 @@ def polytabloid_dual_image(t: Tableau, max_entry: int) -> ColumnTabloidElement:
     The functional picks out t's coefficient when a polytabloid is written
     in the semistandard polytabloid basis; its image is assembled exactly
     like :func:`pairing_image`.  t must be semistandard.
+
+    The polytabloid of a semistandard s has coefficient 1 on s and every
+    other label above s in the row order, so a polytabloid reduces over the
+    integers: at its least label s, subtract that coefficient times s's.
     """
     if not t.is_semistandard:
         raise ValueError("polytabloid duals are indexed by semistandard tableaux")
-    ssyt = enumerate_tableaux(t.shape, max_entry, SEMISTANDARD)
-    columns = [dict(polytabloid(s, QQ).items()) for s in ssyt]
-    position = ssyt.index(t)
+
+    def key(u):
+        return row_order_key(u, max_entry)
+
+    def reversed_key(u):
+        return tuple(-v for v in key(u))
+
     terms = []
     for u in enumerate_tableaux(t.shape, max_entry, COLUMN_STANDARD):
-        target = {l: c for l, c in polytabloid(u, QQ).items()}
-        solution = solve_exact(columns, target)
-        if solution is None:
-            raise RuntimeError("polytabloid failed to decompose over the semistandard basis")
-        if solution[position] != 0:
-            terms.append((u, solution[position]))
+        rest = polytabloid(u)
+        while not rest.is_zero:
+            s = min(rest.labels(), key=key)
+            basis = polytabloid(s)
+            if not s.is_semistandard or leading_coefficient(basis, s, reversed_key) != 1:
+                raise RuntimeError("polytabloid failed to decompose over the semistandard basis")
+            c = rest.coeff(s)
+            if s == t:
+                terms.append((u, c))
+            rest = rest.combine(basis, 1, -c)
     return ColumnTabloidElement(LinComb(QQ, terms))
 
 

@@ -19,7 +19,10 @@ therefore the whole relation lattice and a direct summand.
 rows over the rationals or a prime residue field) and
 :func:`smith_elementary_divisors` (Smith normal form of a dense integer
 matrix) decide the same questions far more slowly; the tests keep them as
-the certificates' oracles.
+the certificates' oracles.  :func:`solve_exact` (dense elimination over
+the rationals) is likewise the oracle of
+:func:`weylkit.duality.polytabloid_dual_image`, which reduces along the
+unitriangular semistandard polytabloid basis over the integers instead.
 """
 
 from __future__ import annotations

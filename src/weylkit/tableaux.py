@@ -174,7 +174,8 @@ class Tableau:
         t = cls(rows)
         if isinstance(obj, dict) and "shape" in obj:
             shape = obj["shape"]
-            if not isinstance(shape, (list, tuple)) or tuple(shape) != t.shape:
+            # True == 1 and 2.0 == 2, so each part's type is checked as well as its value
+            if not isinstance(shape, (list, tuple)) or tuple(shape) != t.shape or any(type(p) is not int for p in shape):
                 raise InputError("tableau shape field disagrees with rows")
         return t
 
@@ -202,38 +203,6 @@ def _content_counts(line) -> dict[int, int]:
     return counts
 
 
-def _compare_by_contents(t_lines, u_lines) -> OrderVerdict:
-    # Find the largest entry in any per-line multiset symmetric difference,
-    # then the first line where it differs; more copies there means greater.
-    best = None  # (entry, line index, sign)
-    for idx, (a, b) in enumerate(zip(t_lines, u_lines)):
-        ca, cb = _content_counts(a), _content_counts(b)
-        for v in set(ca) | set(cb):
-            da = ca.get(v, 0) - cb.get(v, 0)
-            if da == 0:
-                continue
-            cand = (v, -idx)
-            if best is None or cand > best[:2]:
-                best = (v, -idx, da)
-    if best is None:
-        return OrderVerdict.INCOMPARABLE
-    return OrderVerdict.GREATER if best[2] > 0 else OrderVerdict.LESS
-
-
-def compare_columns(t: Tableau, u: Tableau) -> OrderVerdict:
-    """Column order verdict for t relative to u (LESS means t < u)."""
-    if t.shape != u.shape:
-        raise ValueError("shape mismatch")
-    return _compare_by_contents(t.columns, u.columns)
-
-
-def compare_rows(t: Tableau, u: Tableau) -> OrderVerdict:
-    """Row order verdict for t relative to u (LESS means t < u)."""
-    if t.shape != u.shape:
-        raise ValueError("shape mismatch")
-    return _compare_by_contents(t.rows, u.rows)
-
-
 def row_order_key(t: Tableau, max_entry: int) -> tuple:
     """Sort key whose natural order agrees with the row order on one shape.
 
@@ -249,6 +218,27 @@ def column_order_key(t: Tableau, max_entry: int) -> tuple:
     """Column-order analogue of :func:`row_order_key`."""
     counts = [_content_counts(col) for col in t.columns]
     return tuple(c.get(v, 0) for v in range(max_entry, 0, -1) for c in counts)
+
+
+def _compare_by_key(order_key, t: Tableau, u: Tableau) -> OrderVerdict:
+    """Verdict of t against u from their keys; equal keys (equal line contents) are incomparable."""
+    if t.shape != u.shape:
+        raise ValueError("shape mismatch")
+    m = max(t.max_entry, u.max_entry)
+    a, b = order_key(t, m), order_key(u, m)
+    if a == b:
+        return OrderVerdict.INCOMPARABLE
+    return OrderVerdict.LESS if a < b else OrderVerdict.GREATER
+
+
+def compare_columns(t: Tableau, u: Tableau) -> OrderVerdict:
+    """Column order verdict for t relative to u (LESS means t < u)."""
+    return _compare_by_key(column_order_key, t, u)
+
+
+def compare_rows(t: Tableau, u: Tableau) -> OrderVerdict:
+    """Row order verdict for t relative to u (LESS means t < u)."""
+    return _compare_by_key(row_order_key, t, u)
 
 
 # ---------------------------------------------------------------------------

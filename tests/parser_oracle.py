@@ -1,8 +1,10 @@
-"""The eager argument parser: every subcommand's parser built on each call.
+"""The hand-written argument parser that the ``_COMMANDS`` table must reproduce.
 
-This is ``weylkit.cli.build_parser`` as it was before subcommand parsers
-were built on first lookup.  Tests run ``dispatch`` with both and compare
-exit codes, output and parsed namespaces.
+Each subcommand's arguments are spelled out here one ``add_argument``
+call at a time, as ``weylkit.cli.build_parser`` once did.  Tests run
+``dispatch`` with this parser and with ``build_parser``, which derives
+the same subcommands from ``weylkit.cli._COMMANDS``, and compare exit
+codes, output and parsed namespaces.
 """
 
 import argparse

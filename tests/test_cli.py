@@ -263,6 +263,15 @@ class TestExitCodes:
         code, out, _ = run(capsys, "rsym", "--tableau", "[[true,2]]")
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("shape", ["[2, true]", "[2.0, 1]"], ids=["bool", "float"])
+    def test_bool_or_float_in_the_tableau_shape_field(self, capsys, shape):
+        tableau = f'{{"rows": [[1, 2], [3]], "shape": {shape}}}'
+        assert run(capsys, "copolytabloid", "--tableau", tableau) == (
+            2,
+            "",
+            "error: malformed tableau JSON: tableau shape field disagrees with rows\n",
+        )
+
     def test_bool_matrix_entry(self, capsys):
         code, out, err = run(
             capsys,

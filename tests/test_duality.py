@@ -19,6 +19,7 @@ from weylkit.duality import (
     pairing_image,
     polytabloid_dual_image,
 )
+from weylkit.linalg import solve_exact
 from weylkit.powers import (
     ColumnTabloidElement,
     RowTabloidElement,
@@ -291,6 +292,24 @@ class TestPairing:
     def test_functional_labels_validated(self):
         with pytest.raises(ValueError):
             DualFunctional(LinComb(ZZ, {T([[2, 1]]): 1}))
+
+
+class TestPolytabloidDualImage:
+    def test_coordinates_match_one_rational_solve_per_polytabloid(self):
+        # each u's coordinates in the semistandard polytabloid basis, by dense elimination over Q
+        for shape in partitions_up_to(4):
+            for m in range(1, 4):
+                ssyt = enumerate_tableaux(shape, m, SEMISTANDARD)
+                images = [polytabloid_dual_image(t, m) for t in ssyt]
+                columns = [dict(polytabloid(s).items()) for s in ssyt]
+                for u in enumerate_tableaux(shape, m, COLUMN_STANDARD):
+                    solution = solve_exact(columns, dict(polytabloid(u).items()))
+                    assert [image.coeff(u) for image in images] == solution
+
+    def test_a_basis_without_a_unit_diagonal_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(duality, "polytabloid", lambda t: polytabloid(t) + polytabloid(t))
+        with pytest.raises(RuntimeError, match="failed to decompose over the semistandard basis"):
+            polytabloid_dual_image(T([[1, 1], [2]]), 2)
 
 
 class TestNegativeControl:

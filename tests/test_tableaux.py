@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,27 @@ from weylkit.tableaux import (
 )
 
 T = Tableau
+
+
+def _compare_by_contents(t_lines, u_lines) -> OrderVerdict:
+    """The order straight from its definition, the oracle of the sort keys.
+
+    Find the largest entry in any per-line multiset symmetric difference,
+    then the first line where it differs; more copies there means greater.
+    """
+    best = None  # (entry, line index, sign)
+    for idx, (a, b) in enumerate(zip(t_lines, u_lines)):
+        ca, cb = Counter(a), Counter(b)
+        for v in set(ca) | set(cb):
+            da = ca[v] - cb[v]
+            if da == 0:
+                continue
+            cand = (v, -idx)
+            if best is None or cand > best[:2]:
+                best = (v, -idx, da)
+    if best is None:
+        return OrderVerdict.INCOMPARABLE
+    return OrderVerdict.GREATER if best[2] > 0 else OrderVerdict.LESS
 
 
 class TestPartitions:
@@ -219,12 +242,16 @@ class TestOrders:
             tabs = enumerate_tableaux(shape, m, ALL)
             for t in tabs:
                 for u in tabs:
+                    rv = _compare_by_contents(t.rows, u.rows)
+                    cv = _compare_by_contents(t.columns, u.columns)
+                    assert compare_rows(t, u) is rv
+                    assert compare_columns(t, u) is cv
                     rk = row_order_key(t, m), row_order_key(u, m)
                     ck = column_order_key(t, m), column_order_key(u, m)
-                    assert (compare_rows(t, u) is OrderVerdict.LESS) == (rk[0] < rk[1])
-                    assert (compare_rows(t, u) is OrderVerdict.INCOMPARABLE) == (rk[0] == rk[1])
-                    assert (compare_columns(t, u) is OrderVerdict.LESS) == (ck[0] < ck[1])
-                    assert (compare_columns(t, u) is OrderVerdict.INCOMPARABLE) == (ck[0] == ck[1])
+                    assert (rv is OrderVerdict.LESS) == (rk[0] < rk[1])
+                    assert (rv is OrderVerdict.INCOMPARABLE) == (rk[0] == rk[1])
+                    assert (cv is OrderVerdict.LESS) == (ck[0] < ck[1])
+                    assert (cv is OrderVerdict.INCOMPARABLE) == (ck[0] == ck[1])
 
 
 def cycle_count(p) -> int:
