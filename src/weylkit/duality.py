@@ -2,10 +2,18 @@
 
 The pairing realization works entirely in explicit bases: a functional on
 the upper symmetric power is a coordinate vector over sorted-row labels,
-and its image in the exterior power is assembled by evaluating it against
-every polytabloid of a column-standard tableau.  For row-sorted t this
-image coincides with the copolytabloid of t, which ``pairing_image`` makes
-checkable instance by instance.
+and its image in the exterior power has, on each column-standard u, the
+functional's value on the polytabloid e_u.  For the functional dual to the
+row tabloid of t, that value is the coefficient of t's row tabloid in e_u:
+entry (t, u) of the polytabloid matrix, whose column u is e_u over the
+row-tabloid labels.  So the images of all the duals are the rows of that
+matrix, and one transposition per (shape, m) gives each of them.  For
+row-sorted t the image coincides with the copolytabloid of t, which
+``pairing_image`` makes checkable instance by instance.  The functional
+dual to the polytabloid of a semistandard t is read the same way, off the
+matrix of the e_u's coordinates in the semistandard polytabloid basis:
+its image has u's coordinate on t, so one reduction of every e_u gives
+every t's image.
 
 Group elements act as invertible matrices on the entry alphabet.  On pure
 tensors the action is the multilinear one, box by box.  Each quotient or
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import prod
 from operator import floordiv, truediv
@@ -331,34 +340,47 @@ class DualFunctional:
         return total
 
 
+@cache
+def _pairing_rows(shape: tuple[int, ...], max_entry: int) -> dict:
+    """The polytabloid matrix of (shape, max_entry), transposed: {row tabloid s: {u: coeff}}.
+
+    Entry (s, u) is the integer coefficient of s in the polytabloid of the
+    column-standard u; only the nonzero entries are kept.
+    """
+    rows: dict[Tableau, dict[Tableau, int]] = {}
+    for u in enumerate_tableaux(shape, max_entry, COLUMN_STANDARD):
+        for s, c in polytabloid(u).lin.unordered_items():
+            rows.setdefault(s, {})[u] = c
+    return rows
+
+
+def _check_alphabet(t: Tableau, max_entry: int) -> None:
+    if t.max_entry > max_entry:
+        raise InputError("tableau entries exceed the alphabet")
+
+
 def pairing_image(t: Tableau, max_entry: int, ring: CoefficientRing = ZZ) -> ColumnTabloidElement:
     """Image in the exterior power of the functional dual to t's row tabloid.
 
-    For each column-standard u, the coefficient of u is the evaluation of
-    the functional against the polytabloid of u: the coefficient of t's
-    row tabloid in it, read over Z and reduced into the ring once.  For
-    row-sorted t this equals the copolytabloid of t.
+    The coefficient of each column-standard u is the coefficient of t's
+    row tabloid in the polytabloid of u (see the module docstring), read
+    off t's row of the transposed polytabloid matrix over Z and reduced
+    into the ring.  For row-sorted t this equals the copolytabloid of t.
     """
     canon = sort_rows(t)
-    if canon.max_entry > max_entry:
-        raise ValueError("tableau entries exceed the alphabet")
-    csyt = enumerate_tableaux(canon.shape, max_entry, COLUMN_STANDARD)
-    return ColumnTabloidElement._trusted(LinComb(ring, {u: polytabloid(u).coeff(canon) for u in csyt}))
+    _check_alphabet(canon, max_entry)
+    return ColumnTabloidElement._trusted(LinComb(ring, _pairing_rows(canon.shape, max_entry).get(canon, {})))
 
 
-def polytabloid_dual_image(t: Tableau, max_entry: int) -> ColumnTabloidElement:
-    """Image of the functional dual to t's polytabloid, over the rationals.
-
-    The functional picks out t's coefficient when a polytabloid is written
-    in the semistandard polytabloid basis; its image is assembled exactly
-    like :func:`pairing_image`.  t must be semistandard.
+def _dual_coordinates(shape: tuple[int, ...], max_entry: int) -> dict:
+    """Every column-standard polytabloid's semistandard coordinates, by t: {t: {u: coeff}}.
 
     The polytabloid of a semistandard s has coefficient 1 on s and every
     other label above s in the row order, so a polytabloid reduces over the
     integers: at its least label s, subtract that coefficient times s's.
+    A row tabloid is semistandard exactly when it is column standard, so
+    the basis polytabloids are among the ones reduced.
     """
-    if not t.is_semistandard:
-        raise ValueError("polytabloid duals are indexed by semistandard tableaux")
 
     def key(u):
         return row_order_key(u, max_entry)
@@ -366,19 +388,32 @@ def polytabloid_dual_image(t: Tableau, max_entry: int) -> ColumnTabloidElement:
     def reversed_key(u):
         return tuple(-v for v in key(u))
 
-    terms = []
-    for u in enumerate_tableaux(t.shape, max_entry, COLUMN_STANDARD):
-        rest = polytabloid(u)
+    images = {u: polytabloid(u) for u in enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)}
+    coordinates: dict[Tableau, dict[Tableau, int]] = {}
+    for u, rest in images.items():
         while not rest.is_zero:
             s = min(rest.labels(), key=key)
-            basis = polytabloid(s)
-            if not s.is_semistandard or leading_coefficient(basis, s, reversed_key) != 1:
+            basis = images.get(s)
+            if basis is None or leading_coefficient(basis, s, reversed_key) != 1:
                 raise RuntimeError("polytabloid failed to decompose over the semistandard basis")
             c = rest.coeff(s)
-            if s == t:
-                terms.append((u, c))
+            coordinates.setdefault(s, {})[u] = c
             rest = rest.combine(basis, 1, -c)
-    return ColumnTabloidElement(LinComb(QQ, terms))
+    return coordinates
+
+
+def polytabloid_dual_image(t: Tableau, max_entry: int) -> ColumnTabloidElement:
+    """Image of the functional dual to t's polytabloid, over the rationals.
+
+    The functional picks out t's coefficient when a polytabloid is written
+    in the semistandard polytabloid basis, so the coefficient of each
+    column-standard u is u's coordinate on t (see the module docstring).
+    t must be semistandard.
+    """
+    if not t.is_semistandard:
+        raise ValueError("polytabloid duals are indexed by semistandard tableaux")
+    _check_alphabet(t, max_entry)
+    return ColumnTabloidElement(LinComb(QQ, _dual_coordinates(t.shape, max_entry).get(t, {})))
 
 
 def find_dual_basis_mismatch(shapes, entry_range) -> dict | None:
@@ -390,8 +425,9 @@ def find_dual_basis_mismatch(shapes, entry_range) -> dict | None:
     for shape in shapes:
         shape = check_partition(shape)
         for m in entry_range:
+            coordinates = _dual_coordinates(shape, m)
             for t in enumerate_tableaux(shape, m, SEMISTANDARD):
-                image = polytabloid_dual_image(t, m)
+                image = ColumnTabloidElement(LinComb(QQ, coordinates.get(t, {})))
                 expected = copolytabloid(t, QQ)
                 if image != expected:
                     return {

@@ -21,8 +21,10 @@ rows over the rationals or a prime residue field) and
 matrix) decide the same questions far more slowly; the tests keep them as
 the certificates' oracles.  :func:`solve_exact` (dense elimination over
 the rationals) is likewise the oracle of
-:func:`weylkit.duality.polytabloid_dual_image`, which reduces along the
-unitriangular semistandard polytabloid basis over the integers instead.
+:func:`weylkit.duality.polytabloid_dual_image`, which instead reduces
+every column-standard polytabloid of the shape once, over the integers,
+along the unitriangular semistandard polytabloid basis, and reads t's
+coordinates off that one reduction.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -6,7 +7,7 @@ from itertools import permutations as iperms
 import pytest
 
 import weylkit.duality as duality
-from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod, parse_ring
+from weylkit.coeffs import QQ, ZZ, InputError, LinComb, integers_mod, parse_ring
 from weylkit.duality import (
     POLYTABLOID_MAP,
     WEDGE_MAP,
@@ -44,9 +45,15 @@ from weylkit.tableaux import (
 )
 from weylkit.weyl import copolytabloid, dual_garnir, dual_garnir_labels
 
+import dual_image_oracles as oracle
 from row_image_oracle import arrangement_row_image
 
 T = Tableau
+
+# every (shape, m) the per-label oracles are held to: |shape| <= 5 at m <= 3, |shape| <= 4 at m = 4
+ORACLE_CASES = [(shape, m) for shape in partitions_up_to(5) for m in (1, 2, 3)] + [
+    (shape, 4) for shape in partitions_up_to(4)
+]
 
 
 def random_unimodular(rng, m, ring=ZZ):
@@ -293,6 +300,62 @@ class TestPairing:
         with pytest.raises(ValueError):
             DualFunctional(LinComb(ZZ, {T([[2, 1]]): 1}))
 
+    def test_an_entry_outside_the_alphabet_is_refused(self):
+        with pytest.raises(InputError, match="tableau entries exceed the alphabet"):
+            pairing_image(T([[1, 3], [2]]), 2)
+
+
+def drop_one_sign(table):
+    """A copy of a transposed table with the first negative coefficient made positive."""
+
+    def mutant(shape, max_entry):
+        rows = {s: dict(row) for s, row in table(shape, max_entry).items()}
+        for row in rows.values():
+            for u, c in row.items():
+                if c < 0:
+                    row[u] = -c
+                    return rows
+        return rows
+
+    return mutant
+
+
+def pairing_mismatches(ring):
+    """The (t, m) whose pairing image differs from the per-label oracle's."""
+    return (
+        (t, m)
+        for shape, m in ORACLE_CASES
+        for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD)
+        if pairing_image(t, m, ring) != oracle.pairing_image(t, m, ring)
+    )
+
+
+def dual_image_mismatches():
+    """The (t, m) whose polytabloid dual image differs from the per-label oracle's."""
+    return (
+        (t, m)
+        for shape, m in ORACLE_CASES
+        for t in enumerate_tableaux(shape, m, SEMISTANDARD)
+        if polytabloid_dual_image(t, m) != oracle.polytabloid_dual_image(t, m)
+    )
+
+
+class TestPerLabelOracles:
+    @pytest.mark.parametrize("tag", ["z", "q", "zmod:6"])
+    def test_pairing_images_match_one_evaluation_per_label(self, tag):
+        assert list(pairing_mismatches(parse_ring(tag))) == []
+
+    def test_dual_images_match_one_reduction_per_label(self):
+        assert list(dual_image_mismatches()) == []
+
+    def test_a_transpose_that_drops_a_sign_is_caught(self, monkeypatch):
+        monkeypatch.setattr(duality, "_pairing_rows", drop_one_sign(duality._pairing_rows))
+        assert next(pairing_mismatches(ZZ), None) is not None
+
+    def test_a_reduction_that_drops_a_sign_is_caught(self, monkeypatch):
+        monkeypatch.setattr(duality, "_dual_coordinates", drop_one_sign(duality._dual_coordinates))
+        assert next(dual_image_mismatches(), None) is not None
+
 
 class TestPolytabloidDualImage:
     def test_coordinates_match_one_rational_solve_per_polytabloid(self):
@@ -311,6 +374,33 @@ class TestPolytabloidDualImage:
         with pytest.raises(RuntimeError, match="failed to decompose over the semistandard basis"):
             polytabloid_dual_image(T([[1, 1], [2]]), 2)
 
+    def test_an_entry_outside_the_alphabet_is_refused(self):
+        with pytest.raises(InputError, match="tableau entries exceed the alphabet"):
+            polytabloid_dual_image(T([[1, 3], [2]]), 2)
+
+
+# find_dual_basis_mismatch's witness payloads as json.dumps wrote them when each t was reduced on its own
+WITNESS_3_2 = (
+    '{"shape": [3, 2], "entries": 3, "tableau": {"shape": [3, 2], "rows": [[1, 2, 3], [2, 3]]}, '
+    '"dual_image": {"space": "wedge", "ring": "q", "terms": [{"coeff": "1", "label": {"shape": [3, 2], '
+    '"rows": [[1, 2, 3], [2, 3]]}}, {"coeff": "1", "label": {"shape": [3, 2], "rows": [[2, 1, 3], [3, '
+    '2]]}}, {"coeff": "-1", "label": {"shape": [3, 2], "rows": [[2, 2, 1], [3, 3]]}}]}, '
+    '"copolytabloid": {"space": "wedge", "ring": "q", "terms": [{"coeff": "-1", "label": {"shape": [3, 2], '
+    '"rows": [[1, 2, 2], [3, 3]]}}, {"coeff": "1", "label": {"shape": [3, 2], "rows": [[1, 2, 3], [2, '
+    '3]]}}, {"coeff": "-1", "label": {"shape": [3, 2], "rows": [[2, 1, 2], [3, 3]]}}, {"coeff": "1", '
+    '"label": {"shape": [3, 2], "rows": [[2, 1, 3], [3, 2]]}}, {"coeff": "-2", "label": {"shape": [3, 2], '
+    '"rows": [[2, 2, 1], [3, 3]]}}]}}'
+)
+
+WITNESS_2_2_1 = (
+    '{"shape": [2, 2, 1], "entries": 4, "tableau": {"shape": [2, 2, 1], "rows": [[1, 3], [2, 4], [3]]}, '
+    '"dual_image": {"space": "wedge", "ring": "q", "terms": [{"coeff": "1", "label": {"shape": [2, 2, 1], '
+    '"rows": [[1, 3], [2, 4], [3]]}}, {"coeff": "-1", "label": {"shape": [2, 2, 1], "rows": [[2, 1], [3, '
+    '3], [4]]}}]}, "copolytabloid": {"space": "wedge", "ring": "q", "terms": [{"coeff": "1", '
+    '"label": {"shape": [2, 2, 1], "rows": [[1, 2], [3, 3], [4]]}}, {"coeff": "1", "label": {"shape": [2, '
+    '2, 1], "rows": [[1, 3], [2, 4], [3]]}}]}}'
+)
+
 
 class TestNegativeControl:
     def test_no_witness_at_the_small_scale(self):
@@ -322,6 +412,26 @@ class TestNegativeControl:
         assert witness is not None
         t = Tableau.from_json(witness["tableau"])
         assert polytabloid_dual_image(t, 3) != copolytabloid(t, QQ)
+
+    def test_each_column_standard_polytabloid_is_expanded_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(duality, "polytabloid", lambda t: calls.append(t) or polytabloid(t))
+        find_dual_basis_mismatch([(3, 2)], [3])
+        # once each, not once per semistandard t (708 calls)
+        csyt = enumerate_tableaux((3, 2), 3, COLUMN_STANDARD)
+        assert len(calls) == len(csyt) and set(calls) == set(csyt)
+
+    @pytest.mark.parametrize(
+        "shapes, entries, payload",
+        [
+            ([(3, 2)], [3], WITNESS_3_2),
+            ([(3, 2), (2, 2, 1)], [3], WITNESS_3_2),
+            ([(2, 2, 1)], [3, 4], WITNESS_2_2_1),
+        ],
+        ids=["3,2", "3,2+2,2,1", "2,2,1-at-4"],
+    )
+    def test_witness_payloads_are_pinned(self, shapes, entries, payload):
+        assert json.dumps(find_dual_basis_mismatch(shapes, entries)) == payload
 
 
 class TestEquivariance:
