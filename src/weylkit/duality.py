@@ -373,7 +373,7 @@ def pairing_image(t: Tableau, max_entry: int, ring: CoefficientRing = ZZ) -> Col
 
 
 def _dual_coordinates(shape: tuple[int, ...], max_entry: int) -> dict:
-    """Every column-standard polytabloid's semistandard coordinates, by t: {t: {u: coeff}}.
+    """Every column-standard polytabloid's semistandard coordinates, keyed by the basis label: {t: {u: coeff}}.
 
     The polytabloid of a semistandard s has coefficient 1 on s and every
     other label above s in the row order, so a polytabloid reduces over the
