@@ -36,6 +36,18 @@ since both sides equal the sum over every sigma in S_k of
 prod_i g[s_sigma(i), r_i].  The quotient is an integer polynomial in the
 entries of g, so over Z and Z/n the division is exact on the integer
 representatives before they are reduced.
+
+The equivariance check compares, on each basis label t, the map applied
+to g acting on t with g acting on the map's image of t, and computes each
+side in its own basis, on tuples of lines.  For lambda, the divided powers
+of g on t's rows go into the columns of the exterior power
+(``powers.wedge_of_rows``); for e, the exterior powers of g on t's columns
+go into the rows of the symmetric power (``schur.rows_of_columns``).  Both
+expand one line at a time and merge equal partial states.  The other side
+acts on each column of the copolytabloid's terms, or on each row of the
+polytabloid's.  Both sides are reduced in the ring and compared as dicts
+keyed by column tuples (lambda) or row tuples (e); a Tableau is built only
+for a witness.
 """
 
 from __future__ import annotations
@@ -56,9 +68,9 @@ from .powers import (
     SymLowerElement,
     TableauElement,
     TensorElement,
-    wedge_of_sym_lower,
+    wedge_of_rows,
 )
-from .schur import apply_polytabloid_map, polytabloid
+from .schur import polytabloid, rows_of_columns
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -199,15 +211,15 @@ def _act_on_label(t: Tableau, g: EntryMatrix) -> LinComb:
     return LinComb(g.ring, {from_word(t.shape, tuple(a for a, _ in w)): prod(v for _, v in w) for w in words})
 
 
+def _ring_terms(ring: CoefficientRing, acc: dict) -> dict:
+    """The nonzero terms of a dict, their values reduced into the ring."""
+    return {key: v for key, value in acc.items() if (v := ring.normalize(value)) != 0}
+
+
 def _reduced(ring: CoefficientRing, acc: dict) -> tuple[tuple, tuple]:
     """The keys and the ring-reduced values of the nonzero terms of a dict."""
-    keys, values = [], []
-    for key, value in acc.items():
-        value = ring.normalize(value)
-        if value != 0:
-            keys.append(key)
-            values.append(value)
-    return tuple(keys), tuple(values)
+    terms = _ring_terms(ring, acc)
+    return tuple(terms), tuple(terms.values())
 
 
 def _line_product(g: EntryMatrix, line: tuple[int, ...], alternating: bool) -> dict:
@@ -278,21 +290,28 @@ def _part_image(g: EntryMatrix, space: str, part: tuple[int, ...]) -> tuple:
     return image
 
 
-def _functorial_action(x: TableauElement, g: EntryMatrix) -> LinComb:
-    """Act on each column (exterior power) or each row (symmetric powers) apart."""
-    by_columns = isinstance(x, ColumnTabloidElement)
+def _functorial_terms(lin: LinComb, g: EntryMatrix, space: str, by_columns: bool) -> dict:
+    """Act on each column (exterior power) or each row (symmetric powers) apart.
+
+    Returns the raw sum ``{lines: coeff}`` over the element's columns or
+    rows, its coefficients unreduced.
+    """
     acc: dict[tuple[tuple[int, ...], ...], object] = {}
-    for t, c in x.lin.unordered_items():
+    for t, c in lin.unordered_items():
         parts = t.columns if by_columns else t.rows
-        images = [_part_image(g, x.space, part) for part in parts]
+        images = [_part_image(g, space, part) for part in parts]
         keys = product(*(image_keys for image_keys, _ in images))
         values = product(*(image_values for _, image_values in images))
         for key, factors in zip(keys, values):
             acc[key] = acc.get(key, 0) + c * prod(factors)
-    shape = x.shape
+    return acc
+
+
+def _labelled(shape: tuple[int, ...], terms: dict, by_columns: bool) -> dict:
+    """The terms of ``{lines: coeff}`` on the tableaux of the shape with those columns or rows."""
     if by_columns:
-        return LinComb(x.ring, {from_columns(shape, cols): coeff for cols, coeff in acc.items()})
-    return LinComb(x.ring, {Tableau._fresh(rows, shape): coeff for rows, coeff in acc.items()})
+        return {from_columns(shape, cols): coeff for cols, coeff in terms.items()}
+    return {Tableau._fresh(rows, shape): coeff for rows, coeff in terms.items()}
 
 
 def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
@@ -311,7 +330,9 @@ def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
     if isinstance(x, TensorElement):
         return TensorElement(x.lin.map_labels(lambda t: _act_on_label(t, g)))
     if isinstance(x, (ColumnTabloidElement, RowTabloidElement, SymLowerElement)):
-        return type(x)._trusted(_functorial_action(x, g))
+        by_columns = isinstance(x, ColumnTabloidElement)
+        terms = _functorial_terms(x.lin, g, x.space, by_columns)
+        return type(x)._trusted(LinComb(x.ring, _labelled(x.shape, terms, by_columns)))
     raise TypeError(f"unsupported element type {type(x).__name__}")
 
 
@@ -448,23 +469,39 @@ WEDGE_MAP = "lambda"
 POLYTABLOID_MAP = "e"
 
 
+def _mapped_action(t: Tableau, g: EntryMatrix, which: str) -> dict:
+    """The map applied to g acting on the basis label t, as unreduced ``{lines: coeff}``.
+
+    For lambda, g acts on each row of t by the divided power and the row
+    images go into the columns of the exterior power; for e, g acts on
+    each column of t by the exterior power and the column images go into
+    the rows of the symmetric power.
+    """
+    if which == WEDGE_MAP:
+        images = [_part_image(g, SymLowerElement.space, row) for row in t.rows]
+        return wedge_of_rows(t.shape[0] if t.shape else 0, images)
+    images = [_part_image(g, ColumnTabloidElement.space, col) for col in t.columns]
+    return rows_of_columns(len(t.rows), images)
+
+
 def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: str):
     """First basis label where the map fails to commute with the action, or None."""
     shape = check_partition(shape)
     if g.size < max_entry:
         raise InputError("entry matrix too small for the alphabet")
     if which == WEDGE_MAP:
-        kind, space = ROW_SEMISTANDARD, SymLowerElement
-        project, image = wedge_of_sym_lower, copolytabloid
+        kind, target, image = ROW_SEMISTANDARD, ColumnTabloidElement, copolytabloid
     elif which == POLYTABLOID_MAP:
-        kind, space = COLUMN_STANDARD, ColumnTabloidElement
-        project, image = apply_polytabloid_map, polytabloid
+        kind, target, image = COLUMN_STANDARD, RowTabloidElement, polytabloid
     else:
         raise InputError(f"unknown map {which!r}")
+    ring = g.ring
+    by_columns = target is ColumnTabloidElement
     for t in enumerate_tableaux(shape, max_entry, kind):
-        lhs = project(entry_action(space._trusted(LinComb(g.ring, {t: 1})), g))
-        rhs = entry_action(image(t, g.ring), g)
+        lhs = _ring_terms(ring, _mapped_action(t, g, which))
+        rhs = _ring_terms(ring, _functorial_terms(image(t, ring).lin, g, target.space, by_columns))
         if lhs != rhs:
+            lhs, rhs = (target._trusted(LinComb(ring, _labelled(shape, side, by_columns))) for side in (lhs, rhs))
             return {"tableau": t.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
     return None
 

@@ -14,11 +14,12 @@ labels canonical for its space:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .tableaux import Tableau, sort_columns, sort_rows
-from .places import row_orbit
+from .tableaux import Tableau, from_columns, sort_columns, sort_rows
+from .places import multiset_permutations, row_orbit
 
 
 class TableauElement:
@@ -191,13 +192,49 @@ def sym_lower_expand(x: SymLowerElement) -> TensorElement:
     return TensorElement(x.lin.map_labels(lambda t: rsym(t).lin))
 
 
+def wedge_of_rows(ncols: int, row_images) -> dict:
+    """The wedge projection of a product of row images, expanded one row at a time.
+
+    ``row_images`` holds, for each row from the top, the ``(keys, values)``
+    of its image: sorted rows and their coefficients.  Each distinct
+    arrangement of a key puts its j-th entry into column j.  An entry a
+    goes into a column after the column's entries that are at most a, and
+    costs the sign (-1)^k, with k the number of the column's entries above
+    a; a state vanishes at its first repeated column entry.  Equal partial
+    states merge after each row.  Returns ``{columns: coeff}`` on
+    increasing column tuples, with the coefficients unreduced.
+    """
+    partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * ncols: 1}
+    for keys, values in row_images:
+        arrangements = [(tuple(multiset_permutations(key)), v) for key, v in zip(keys, values)]
+        new: dict[tuple[tuple[int, ...], ...], object] = {}
+        for cols, c in partial.items():
+            for words, v in arrangements:
+                cv = c * v
+                for word in words:
+                    out = list(cols)
+                    coeff = cv
+                    for j, a in enumerate(word):
+                        col = out[j]
+                        pos = bisect_right(col, a)
+                        if pos and col[pos - 1] == a:
+                            break
+                        if (len(col) - pos) % 2:
+                            coeff = -coeff
+                        out[j] = col[:pos] + (a,) + col[pos:]
+                    else:
+                        key = tuple(out)
+                        new[key] = new.get(key, 0) + coeff
+        partial = new
+    return partial
+
+
 @cache
 def _wedge_of_rsym_int(t_sorted: Tableau) -> LinComb:
     """Integer expansion of the wedge projection of one row symmetrisation."""
-    terms: dict[Tableau, int] = {}
-    for u in row_orbit(t_sorted):
-        _add_wedge_term(terms, u, 1)
-    return LinComb(ZZ, terms)
+    shape = t_sorted.shape
+    terms = wedge_of_rows(shape[0] if shape else 0, [((row,), (1,)) for row in t_sorted.rows])
+    return LinComb(ZZ, {from_columns(shape, cols): c for cols, c in terms.items()})
 
 
 def wedge_of_sym_lower(x: SymLowerElement) -> ColumnTabloidElement:

@@ -31,9 +31,10 @@ exterior power.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 
 from .coeffs import ZZ, CoefficientRing, LinComb
@@ -52,12 +53,43 @@ from .tableaux import (
     permutation_sign,
     row_order_key,
     sort_columns,
-    sort_rows,
     transpose,
 )
 from .powers import ColumnTabloidElement, RowTabloidElement
 from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
 from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
+
+
+def rows_of_columns(nrows: int, column_images) -> dict:
+    """The row tabloids of a product of column images, expanded one column at a time.
+
+    ``column_images`` holds, for each column from the left, the
+    ``(keys, values)`` of its image: columns and their coefficients.  Each
+    permutation p of a key's k entries puts the entry at p(i) into row i,
+    for i < k, with the sign of p; within a row the entries stay sorted,
+    at no sign.  Equal partial states merge after each column.  Returns
+    ``{rows: coeff}`` on sorted row tuples, with the coefficients
+    unreduced.
+    """
+    partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * nrows: 1}
+    for keys, values in column_images:
+        arrangements = [
+            [(tuple(key[i] for i in p), v * permutation_sign(p)) for p in permutations(range(len(key)))]
+            for key, v in zip(keys, values)
+        ]
+        new: dict[tuple[tuple[int, ...], ...], object] = {}
+        for rows, c in partial.items():
+            for words in arrangements:
+                for word, v in words:
+                    out = list(rows)
+                    for i, a in enumerate(word):
+                        row = out[i]
+                        pos = bisect_right(row, a)
+                        out[i] = row[:pos] + (a,) + row[pos:]
+                    key = tuple(out)
+                    new[key] = new.get(key, 0) + c * v
+        partial = new
+    return partial
 
 
 @cache
@@ -66,21 +98,9 @@ def _polytabloid_int(t: Tableau) -> LinComb:
     cols = t.columns
     if any(len(set(col)) != len(col) for col in cols):
         return LinComb.zero(ZZ)
-    signed_cols = []
-    for col in cols:
-        k = len(col)
-        signed_cols.append(
-            [(tuple(col[p[i]] for i in range(k)), permutation_sign(p)) for p in permutations(range(k))]
-        )
+    terms = rows_of_columns(len(t.rows), [((col,), (1,)) for col in cols])
     shape = t.shape
-    terms: dict[Tableau, int] = {}
-    for combo in product(*signed_cols):
-        sign = 1
-        for _, s in combo:
-            sign *= s
-        label = sort_rows(from_columns(shape, [col for col, _ in combo]))
-        terms[label] = terms.get(label, 0) + sign
-    return LinComb(ZZ, terms)
+    return LinComb(ZZ, {Tableau._fresh(rows, shape): c for rows, c in terms.items()})
 
 
 def polytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> RowTabloidElement:

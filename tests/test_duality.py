@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ from itertools import permutations as iperms
 import pytest
 
 import weylkit.duality as duality
+import weylkit.powers as powers
+import weylkit.schur as schur
 from weylkit.coeffs import QQ, ZZ, InputError, LinComb, integers_mod, parse_ring
 from weylkit.duality import (
     POLYTABLOID_MAP,
@@ -33,7 +36,7 @@ from weylkit.powers import (
     wedge_of_sym_lower,
     wedge_project,
 )
-from weylkit.schur import polytabloid
+from weylkit.schur import apply_polytabloid_map, polytabloid
 from weylkit.tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -46,6 +49,7 @@ from weylkit.tableaux import (
 from weylkit.weyl import copolytabloid, dual_garnir, dual_garnir_labels
 
 import dual_image_oracles as oracle
+import projection_oracles
 from row_image_oracle import arrangement_row_image
 
 T = Tableau
@@ -434,6 +438,34 @@ class TestNegativeControl:
         assert json.dumps(find_dual_basis_mismatch(shapes, entries)) == payload
 
 
+# equivariance_counterexample's witnesses under the flipped (1, 2) minor, as json.dumps wrote them when the left
+# side was the projection of entry_action's Tableau-keyed element
+MINOR_SIGN_WITNESS_LAMBDA = (
+    '{"tableau": {"shape": [2, 1], "rows": [[1, 1], [2]]}, "lhs": {"space": "wedge", "ring": "z", '
+    '"terms": [{"coeff": "-5", "label": {"shape": [2, 1], "rows": [[1, 3], [3]]}}, {"coeff": "-2", '
+    '"label": {"shape": [2, 1], "rows": [[2, 3], [3]]}}]}, "rhs": {"space": "wedge", "ring": "z", '
+    '"terms": [{"coeff": "5", "label": {"shape": [2, 1], "rows": [[1, 3], [3]]}}, {"coeff": "-2", '
+    '"label": {"shape": [2, 1], "rows": [[2, 3], [3]]}}]}}'
+)
+
+MINOR_SIGN_WITNESS_E = (
+    '{"tableau": {"shape": [2, 1], "rows": [[1, 1], [2]]}, "lhs": {"space": "sym_upper", "ring": "z", '
+    '"terms": [{"coeff": "5", "label": {"shape": [2, 1], "rows": [[1, 3], [3]]}}, {"coeff": "-2", '
+    '"label": {"shape": [2, 1], "rows": [[2, 3], [3]]}}, {"coeff": "-5", "label": {"shape": [2, 1], '
+    '"rows": [[3, 3], [1]]}}, {"coeff": "2", "label": {"shape": [2, 1], "rows": [[3, 3], [2]]}}]}, '
+    '"rhs": {"space": "sym_upper", "ring": "z", "terms": [{"coeff": "-5", "label": {"shape": [2, 1], '
+    '"rows": [[1, 3], [3]]}}, {"coeff": "-2", "label": {"shape": [2, 1], "rows": [[2, 3], [3]]}}, '
+    '{"coeff": "5", "label": {"shape": [2, 1], "rows": [[3, 3], [1]]}}, {"coeff": "2", '
+    '"label": {"shape": [2, 1], "rows": [[3, 3], [2]]}}]}}'
+)
+
+MINOR_SIGN_WITNESS_IDENTITY = (
+    '{"tableau": {"shape": [1, 1], "rows": [[1], [2]]}, "lhs": {"space": "wedge", "ring": "z", '
+    '"terms": [{"coeff": "1", "label": {"shape": [1, 1], "rows": [[1], [2]]}}]}, "rhs": {"space": "wedge", '
+    '"ring": "z", "terms": [{"coeff": "-1", "label": {"shape": [1, 1], "rows": [[1], [2]]}}]}}'
+)
+
+
 class TestEquivariance:
     def test_identity_commutes(self):
         assert equivariance_check((2, 1), 2, EntryMatrix.identity(2), WEDGE_MAP)
@@ -481,9 +513,10 @@ class TestEquivariance:
 
         monkeypatch.setattr(duality, "_wedge_image", one_minor_flipped)
         g = random_unimodular(random.Random(5), 3)
-        assert equivariance_counterexample((2, 1), 3, g, WEDGE_MAP) is not None
-        assert equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP) is not None
-        assert equivariance_counterexample((1, 1), 2, EntryMatrix.identity(2), WEDGE_MAP) is not None
+        assert json.dumps(equivariance_counterexample((2, 1), 3, g, WEDGE_MAP)) == MINOR_SIGN_WITNESS_LAMBDA
+        assert json.dumps(equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP)) == MINOR_SIGN_WITNESS_E
+        identity = EntryMatrix.identity(2)
+        assert json.dumps(equivariance_counterexample((1, 1), 2, identity, WEDGE_MAP)) == MINOR_SIGN_WITNESS_IDENTITY
 
     def test_a_divided_power_without_the_stabiliser_rescale_gives_counterexamples(self, monkeypatch):
         original = duality._row_image
@@ -497,3 +530,83 @@ class TestEquivariance:
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):
             equivariance_check((2, 1), 2, EntryMatrix.identity(2), "bogus")
+
+
+# criterion 8's random unimodular matrices are multiplied by a diagonal of these units of the ring
+LEFT_SIDE_UNITS = {"z": (1,), "q": (Fraction(1, 2), Fraction(2, 5)), "zmod:6": (5,)}
+
+
+def left_side_matrices(tag, m):
+    """Two of criterion 8's random unimodular matrices over the ring, each times a diagonal of its units."""
+    ring = parse_ring(tag)
+    rng = random.Random(f"left side:{tag}:{m}")
+    matrices = []
+    for _ in range(2):
+        diag = [[rng.choice(LEFT_SIDE_UNITS[tag]) if i == j else 0 for j in range(m)] for i in range(m)]
+        matrices.append(random_unimodular(rng, m, ring).compose(EntryMatrix(ring, diag)))
+    return matrices
+
+
+def projected_entry_action(t, g, which):
+    """The map applied to g acting on the basis label t, through entry_action, keyed by columns (lambda) or rows (e)."""
+    if which == WEDGE_MAP:
+        image = wedge_of_sym_lower(entry_action(SymLowerElement(LinComb(g.ring, {t: 1})), g))
+        return {u.columns: c for u, c in image.items()}
+    image = apply_polytabloid_map(entry_action(ColumnTabloidElement(LinComb(g.ring, {t: 1})), g))
+    return {u.rows: c for u, c in image.items()}
+
+
+def left_side_mismatches(tag, which):
+    """The (t, g) on which the left side of the equivariance check differs from its entry_action oracle."""
+    kind = ROW_SEMISTANDARD if which == WEDGE_MAP else COLUMN_STANDARD
+    return (
+        (t, g)
+        for shape in partitions_up_to(4)
+        for m in (1, 2, 3)
+        for g in left_side_matrices(tag, m)
+        for t in enumerate_tableaux(shape, m, kind)
+        if duality._ring_terms(g.ring, duality._mapped_action(t, g, which)) != projected_entry_action(t, g, which)
+    )
+
+
+def mutated(kernel, old, new):
+    """The kernel compiled again from its source with the one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(kernel)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(kernel)))
+    exec(source.replace(old, new), namespace)
+    return namespace[kernel.__name__]
+
+
+class TestLineKernels:
+    """The line-by-line kernels against the per-label expansions and the entry action they replace."""
+
+    def test_basis_maps_match_the_per_label_expansions(self):
+        checked = 0
+        for shape, m in ORACLE_CASES:
+            for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
+                assert powers._wedge_of_rsym_int(t) == projection_oracles.wedge_of_rsym_int(t), t
+                checked += 1
+            for u in enumerate_tableaux(shape, m, COLUMN_STANDARD):
+                assert schur._polytabloid_int(u) == projection_oracles.polytabloid_int(u), u
+                checked += 1
+        assert checked == 2016 + 1143  # row-semistandard labels, then column-standard ones
+
+    @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP])
+    @pytest.mark.parametrize("tag", sorted(LEFT_SIDE_UNITS))
+    def test_left_side_matches_the_projected_entry_action(self, tag, which):
+        assert list(left_side_mismatches(tag, which)) == []
+
+    @pytest.mark.parametrize(
+        "kernel, old, new, which",
+        [
+            (powers.wedge_of_rows, "% 2:", "% 1:", WEDGE_MAP),
+            (schur.rows_of_columns, "v * permutation_sign(p)", "v", POLYTABLOID_MAP),
+        ],
+        ids=["insertion-sign", "permutation-sign"],
+    )
+    def test_a_kernel_that_drops_its_sign_is_caught(self, monkeypatch, kernel, old, new, which):
+        monkeypatch.setattr(duality, kernel.__name__, mutated(kernel, old, new))
+        assert next(left_side_mismatches("z", which), None) is not None
+        g = random_unimodular(random.Random(5), 3)
+        assert equivariance_counterexample((2, 1), 3, g, which) is not None
