@@ -364,8 +364,7 @@ def _cmd_equivariance(args, cfg):
     ring = parse_ring(args.ring)
     g = parse_matrix_arg(args.matrix, ring)
     started = time.perf_counter()
-    which = WEDGE_MAP if args.map == "lambda" else POLYTABLOID_MAP
-    counterexample = equivariance_counterexample(shape, args.entries, g, which)
+    counterexample = equivariance_counterexample(shape, args.entries, g, args.map)
     instance = {
         "shape": list(shape),
         "entries": args.entries,
@@ -471,7 +470,7 @@ _COMMANDS = (
             _SHAPE,
             _ENTRIES,
             ("--matrix", {"required": True}),
-            ("--map", {"choices": ("e", "lambda"), "required": True}),
+            ("--map", {"choices": (POLYTABLOID_MAP, WEDGE_MAP), "required": True}),
             _RING,
         ),
     ),

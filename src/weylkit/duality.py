@@ -24,30 +24,25 @@ each row of a row-symmetrised coordinate label.  Every coefficient is an
 integer polynomial in the entries of g, so the actions are exact over
 every coefficient ring, Z/n included.
 
-The exterior and symmetric powers of g on one line are expanded one factor
-at a time, as the products g e_{c_1} ^ ... ^ g e_{c_k} and
-g e_{r_1} ... g e_{r_k}.  The divided power is read off the symmetric one:
-with |Stab x| = ``places.stabilizer_order(x)``, the product of the
-factorials of the multiplicities in x,
-
-    D(g)[s, r] * |Stab r| = S(g)[s, r] * |Stab s|,
-
-since both sides equal the sum over every sigma in S_k of
-prod_i g[s_sigma(i), r_i].  The quotient is an integer polynomial in the
-entries of g, so over Z and Z/n the division is exact on the integer
-representatives before they are reduced.
+Each power of g on one line is computed in one place, ``_part_image``,
+one factor at a time: the exterior power as g e_{c_1} ^ ... ^ g e_{c_k},
+the symmetric power as g e_{r_1} ... g e_{r_k}, and the divided power read
+off the symmetric one by rescaling with the stabilisers, an exact division
+over every ring (see its docstring).
 
 The equivariance check compares, on each basis label t, the map applied
 to g acting on t with g acting on the map's image of t, and computes each
-side in its own basis, on tuples of lines.  For lambda, the divided powers
-of g on t's rows go into the columns of the exterior power
+side in its own basis, on tuples of lines.  ``_map`` names, for each map,
+its basis labels, the space g acts on first, the kernel that carries line
+images across, its target and its label image.  For lambda, the divided
+powers of g on t's rows go into the columns of the exterior power
 (``powers.wedge_of_rows``); for e, the exterior powers of g on t's columns
-go into the rows of the symmetric power (``schur.rows_of_columns``).  Both
-expand one line at a time and merge equal partial states.  The other side
-acts on each column of the copolytabloid's terms, or on each row of the
-polytabloid's.  Both sides are reduced in the ring and compared as dicts
-keyed by column tuples (lambda) or row tuples (e); a Tableau is built only
-for a witness.
+go into the rows of the symmetric power (``powers.rows_of_columns``).  Both
+kernels expand one line at a time and merge equal partial states.  The
+other side acts on each column of the copolytabloid's terms, or on each
+row of the polytabloid's.  Both sides are reduced in the ring and compared
+as dicts keyed by column tuples (lambda) or row tuples (e); a Tableau is
+built only for a witness.
 """
 
 from __future__ import annotations
@@ -68,9 +63,10 @@ from .powers import (
     SymLowerElement,
     TableauElement,
     TensorElement,
+    rows_of_columns,
     wedge_of_rows,
 )
-from .schur import polytabloid, rows_of_columns
+from .schur import polytabloid
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -216,12 +212,6 @@ def _ring_terms(ring: CoefficientRing, acc: dict) -> dict:
     return {key: v for key, value in acc.items() if (v := ring.normalize(value)) != 0}
 
 
-def _reduced(ring: CoefficientRing, acc: dict) -> tuple[tuple, tuple]:
-    """The keys and the ring-reduced values of the nonzero terms of a dict."""
-    terms = _ring_terms(ring, acc)
-    return tuple(terms), tuple(terms.values())
-
-
 def _line_product(g: EntryMatrix, line: tuple[int, ...], alternating: bool) -> dict:
     """The product g e_{l_1} ... g e_{l_k}, exterior when alternating, else symmetric.
 
@@ -248,58 +238,44 @@ def _line_product(g: EntryMatrix, line: tuple[int, ...], alternating: bool) -> d
     return partial
 
 
-def _wedge_image(g: EntryMatrix, column: tuple[int, ...]) -> tuple:
-    """The exterior power of g on one strictly increasing column.
+def _part_image(g: EntryMatrix, space: str, line: tuple[int, ...]) -> tuple:
+    """The power of g that acts on the space, on one of its lines, memoised on g.
 
-    Returns the increasing tuples d with a nonzero minor det g[d, column],
-    and those minors, the coefficients of the wedge product
-    g e_{c_1} ^ ... ^ g e_{c_k}.
+    Returns the lines with a nonzero coefficient, and those coefficients
+    reduced into the ring.  On a strictly increasing column of the exterior
+    power these are the minors det g[d, column]; on a sorted row of the
+    upper symmetric power, S(g)[s, row], the coefficient of e_s in
+    g e_{r_1} ... g e_{r_k}.  On a row of row-symmetrised coordinates it is
+    the divided power D(g)[s, row] = S(g)[s, row] * |Stab s| / |Stab row|:
+    both D(g)[s, row] * |Stab row| and S(g)[s, row] * |Stab s| sum
+    prod_i g[s_sigma(i), r_i] over every sigma in S_k.  D(g)[s, row] is an
+    integer polynomial in the entries of g, so the division is exact:
+    ``//`` on the integer representatives over Z and Z/n, ``/`` on
+    Fractions over Q.
     """
-    return _reduced(g.ring, _line_product(g, column, alternating=True))
-
-
-def _row_image(g: EntryMatrix, row: tuple[int, ...], divided: bool) -> tuple:
-    """The symmetric (or, when divided, the divided) power of g on one sorted row.
-
-    Returns the sorted s with a nonzero coefficient, and those coefficients.
-    The symmetric power S(g)[s, row] is the coefficient of e_s in the product
-    g e_{r_1} ... g e_{r_k}.  The divided power is D(g)[s, row] =
-    S(g)[s, row] * |Stab s| / |Stab row|: both D(g)[s, row] * |Stab row| and
-    S(g)[s, row] * |Stab s| sum prod_i g[s_sigma(i), r_i] over every sigma
-    in S_k.  D(g)[s, row] is an integer polynomial in the entries of g, so
-    the division is exact: ``//`` on the integer representatives over Z and
-    Z/n, ``/`` on Fractions over Q.
-    """
-    partial = _line_product(g, row, alternating=False)
-    if divided:
-        stab = stabilizer_order(row)
-        divide = truediv if g.ring == QQ else floordiv
-        partial = {s: divide(v * stabilizer_order(s), stab) for s, v in partial.items()}
-    return _reduced(g.ring, partial)
-
-
-def _part_image(g: EntryMatrix, space: str, part: tuple[int, ...]) -> tuple:
-    key = (space, part)
+    key = (space, line)
     image = g._images.get(key)
     if image is None:
-        if space == ColumnTabloidElement.space:
-            image = _wedge_image(g, part)
-        else:
-            image = _row_image(g, part, space == SymLowerElement.space)
-        g._images[key] = image
+        partial = _line_product(g, line, alternating=space == ColumnTabloidElement.space)
+        if space == SymLowerElement.space:
+            stab = stabilizer_order(line)
+            divide = truediv if g.ring == QQ else floordiv
+            partial = {s: divide(v * stabilizer_order(s), stab) for s, v in partial.items()}
+        terms = _ring_terms(g.ring, partial)
+        image = g._images[key] = (tuple(terms), tuple(terms.values()))
     return image
 
 
-def _functorial_terms(lin: LinComb, g: EntryMatrix, space: str, by_columns: bool) -> dict:
-    """Act on each column (exterior power) or each row (symmetric powers) apart.
+def _lines(t: Tableau, space: str) -> tuple:
+    """The lines g acts on one at a time: t's columns in the exterior power, else its rows."""
+    return t.columns if space == ColumnTabloidElement.space else t.rows
 
-    Returns the raw sum ``{lines: coeff}`` over the element's columns or
-    rows, its coefficients unreduced.
-    """
+
+def _functorial_terms(lin: LinComb, g: EntryMatrix, space: str) -> dict:
+    """Act on each line of each label apart, as ``{lines: coeff}`` with the coefficients unreduced."""
     acc: dict[tuple[tuple[int, ...], ...], object] = {}
     for t, c in lin.unordered_items():
-        parts = t.columns if by_columns else t.rows
-        images = [_part_image(g, space, part) for part in parts]
+        images = [_part_image(g, space, line) for line in _lines(t, space)]
         keys = product(*(image_keys for image_keys, _ in images))
         values = product(*(image_values for _, image_values in images))
         for key, factors in zip(keys, values):
@@ -307,9 +283,9 @@ def _functorial_terms(lin: LinComb, g: EntryMatrix, space: str, by_columns: bool
     return acc
 
 
-def _labelled(shape: tuple[int, ...], terms: dict, by_columns: bool) -> dict:
-    """The terms of ``{lines: coeff}`` on the tableaux of the shape with those columns or rows."""
-    if by_columns:
+def _labelled(shape: tuple[int, ...], terms: dict, space: str) -> dict:
+    """The terms of ``{lines: coeff}`` on the tableaux of the shape with those lines."""
+    if space == ColumnTabloidElement.space:
         return {from_columns(shape, cols): coeff for cols, coeff in terms.items()}
     return {Tableau._fresh(rows, shape): coeff for rows, coeff in terms.items()}
 
@@ -330,9 +306,8 @@ def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
     if isinstance(x, TensorElement):
         return TensorElement(x.lin.map_labels(lambda t: _act_on_label(t, g)))
     if isinstance(x, (ColumnTabloidElement, RowTabloidElement, SymLowerElement)):
-        by_columns = isinstance(x, ColumnTabloidElement)
-        terms = _functorial_terms(x.lin, g, x.space, by_columns)
-        return type(x)._trusted(LinComb(x.ring, _labelled(x.shape, terms, by_columns)))
+        terms = _functorial_terms(x.lin, g, x.space)
+        return type(x)._trusted(LinComb(x.ring, _labelled(x.shape, terms, x.space)))
     raise TypeError(f"unsupported element type {type(x).__name__}")
 
 
@@ -469,39 +444,50 @@ WEDGE_MAP = "lambda"
 POLYTABLOID_MAP = "e"
 
 
+def _map(which: str) -> tuple:
+    """The basis labels, source space, kernel, target class and label image of the named map.
+
+    Read from the module at each call, so a rebinding of any of them (a
+    traced run's wrapper, a test's mutant) is seen.
+    """
+    if which == WEDGE_MAP:
+        return ROW_SEMISTANDARD, SymLowerElement.space, wedge_of_rows, ColumnTabloidElement, copolytabloid
+    if which == POLYTABLOID_MAP:
+        return COLUMN_STANDARD, ColumnTabloidElement.space, rows_of_columns, RowTabloidElement, polytabloid
+    raise InputError(f"unknown map {which!r}")
+
+
 def _mapped_action(t: Tableau, g: EntryMatrix, which: str) -> dict:
     """The map applied to g acting on the basis label t, as unreduced ``{lines: coeff}``.
 
     For lambda, g acts on each row of t by the divided power and the row
     images go into the columns of the exterior power; for e, g acts on
     each column of t by the exterior power and the column images go into
-    the rows of the symmetric power.
+    the rows of the symmetric power.  A target line takes one entry from
+    each source line, so there are as many target lines as the first
+    source line has entries.
     """
-    if which == WEDGE_MAP:
-        images = [_part_image(g, SymLowerElement.space, row) for row in t.rows]
-        return wedge_of_rows(t.shape[0] if t.shape else 0, images)
-    images = [_part_image(g, ColumnTabloidElement.space, col) for col in t.columns]
-    return rows_of_columns(len(t.rows), images)
+    _, space, kernel, _, _ = _map(which)
+    lines = _lines(t, space)
+    return kernel(len(lines[0]) if lines else 0, [_part_image(g, space, line) for line in lines])
 
 
 def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: str):
-    """First basis label where the map fails to commute with the action, or None."""
+    """First basis label where the map fails to commute with the action, or None.
+
+    The label's image is taken over Z: both sides are reduced into the
+    ring only once summed.
+    """
     shape = check_partition(shape)
     if g.size < max_entry:
         raise InputError("entry matrix too small for the alphabet")
-    if which == WEDGE_MAP:
-        kind, target, image = ROW_SEMISTANDARD, ColumnTabloidElement, copolytabloid
-    elif which == POLYTABLOID_MAP:
-        kind, target, image = COLUMN_STANDARD, RowTabloidElement, polytabloid
-    else:
-        raise InputError(f"unknown map {which!r}")
+    kind, _, _, target, image = _map(which)
     ring = g.ring
-    by_columns = target is ColumnTabloidElement
     for t in enumerate_tableaux(shape, max_entry, kind):
         lhs = _ring_terms(ring, _mapped_action(t, g, which))
-        rhs = _ring_terms(ring, _functorial_terms(image(t, ring).lin, g, target.space, by_columns))
+        rhs = _ring_terms(ring, _functorial_terms(image(t).lin, g, target.space))
         if lhs != rhs:
-            lhs, rhs = (target._trusted(LinComb(ring, _labelled(shape, side, by_columns))) for side in (lhs, rhs))
+            lhs, rhs = (target._trusted(LinComb(ring, _labelled(shape, side, target.space))) for side in (lhs, rhs))
             return {"tableau": t.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
     return None
 

@@ -10,15 +10,25 @@ labels canonical for its space:
   row-symmetrised basis of the space of symmetric tensors;
 * :class:`ColumnTabloidElement` -- column-standard labels, the basis of the
   exterior power, with signs absorbed into coefficients.
+
+The two kernels that carry line images from one side to the other live
+here, each with its sign rule, and expand a product of line images one
+line at a time: :func:`wedge_of_rows` puts rows into the columns of the
+exterior power, and :func:`rows_of_columns` puts columns into the rows of
+the symmetric power.
+On identity images they are the basis maps ``_wedge_of_rsym_int`` and
+``schur._polytabloid_int``; on the images of a matrix they are the left
+side of the equivariance check in :mod:`weylkit.duality`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
+from itertools import permutations
 
 from .coeffs import ZZ, CoefficientRing, LinComb
-from .tableaux import Tableau, from_columns, sort_columns, sort_rows
+from .tableaux import Tableau, from_columns, permutation_sign, sort_columns, sort_rows
 from .places import multiset_permutations, row_orbit
 
 
@@ -162,16 +172,11 @@ def wedge_project(x: TensorElement) -> ColumnTabloidElement:
     """
     terms: dict = {}
     for t, c in x.lin.unordered_items():
-        _add_wedge_term(terms, t, c)
+        sorted_ = sort_columns(t)
+        if sorted_ is not None:
+            sign, u = sorted_
+            terms[u] = terms.get(u, 0) + (c if sign == 1 else -c)
     return ColumnTabloidElement(LinComb(x.ring, terms))
-
-
-def _add_wedge_term(terms: dict, t: Tableau, c) -> None:
-    """Add c times the wedge projection of the pure tensor t to ``terms``."""
-    sorted_ = sort_columns(t)
-    if sorted_ is not None:
-        sign, u = sorted_
-        terms[u] = terms.get(u, 0) + (c if sign == 1 else -c)
 
 
 def sym_lower_coords(x: TensorElement) -> SymLowerElement:
@@ -225,6 +230,38 @@ def wedge_of_rows(ncols: int, row_images) -> dict:
                     else:
                         key = tuple(out)
                         new[key] = new.get(key, 0) + coeff
+        partial = new
+    return partial
+
+
+def rows_of_columns(nrows: int, column_images) -> dict:
+    """The row tabloids of a product of column images, expanded one column at a time.
+
+    ``column_images`` holds, for each column from the left, the
+    ``(keys, values)`` of its image: columns and their coefficients.  Each
+    permutation p of a key's k entries puts the entry at p(i) into row i,
+    for i < k, with the sign of p; within a row the entries stay sorted,
+    at no sign.  Equal partial states merge after each column.  Returns
+    ``{rows: coeff}`` on sorted row tuples, with the coefficients
+    unreduced.
+    """
+    partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * nrows: 1}
+    for keys, values in column_images:
+        arrangements = [
+            [(tuple(key[i] for i in p), v * permutation_sign(p)) for p in permutations(range(len(key)))]
+            for key, v in zip(keys, values)
+        ]
+        new: dict[tuple[tuple[int, ...], ...], object] = {}
+        for rows, c in partial.items():
+            for words in arrangements:
+                for word, v in words:
+                    out = list(rows)
+                    for i, a in enumerate(word):
+                        row = out[i]
+                        pos = bisect_right(row, a)
+                        out[i] = row[:pos] + (a,) + row[pos:]
+                    key = tuple(out)
+                    new[key] = new.get(key, 0) + c * v
         partial = new
     return partial
 

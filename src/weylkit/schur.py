@@ -26,15 +26,18 @@ column standard.  It decides each other relation on its two columns (part
 is the one on columns j_A and j_B of t, A and B moved onto columns 1 and
 2, with t's other columns put back in every term and projected to the
 exterior power.
+
+Polytabloids are expanded one column at a time by the kernel
+``powers.rows_of_columns``, which this module shares with the
+equivariance check in :mod:`weylkit.duality` and does not define.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 from .coeffs import ZZ, CoefficientRing, LinComb
@@ -50,46 +53,13 @@ from .tableaux import (
     count_tableaux,
     enumerate_tableaux,
     from_columns,
-    permutation_sign,
     row_order_key,
     sort_columns,
     transpose,
 )
-from .powers import ColumnTabloidElement, RowTabloidElement
+from .powers import ColumnTabloidElement, RowTabloidElement, rows_of_columns
 from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
 from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
-
-
-def rows_of_columns(nrows: int, column_images) -> dict:
-    """The row tabloids of a product of column images, expanded one column at a time.
-
-    ``column_images`` holds, for each column from the left, the
-    ``(keys, values)`` of its image: columns and their coefficients.  Each
-    permutation p of a key's k entries puts the entry at p(i) into row i,
-    for i < k, with the sign of p; within a row the entries stay sorted,
-    at no sign.  Equal partial states merge after each column.  Returns
-    ``{rows: coeff}`` on sorted row tuples, with the coefficients
-    unreduced.
-    """
-    partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * nrows: 1}
-    for keys, values in column_images:
-        arrangements = [
-            [(tuple(key[i] for i in p), v * permutation_sign(p)) for p in permutations(range(len(key)))]
-            for key, v in zip(keys, values)
-        ]
-        new: dict[tuple[tuple[int, ...], ...], object] = {}
-        for rows, c in partial.items():
-            for words in arrangements:
-                for word, v in words:
-                    out = list(rows)
-                    for i, a in enumerate(word):
-                        row = out[i]
-                        pos = bisect_right(row, a)
-                        out[i] = row[:pos] + (a,) + row[pos:]
-                    key = tuple(out)
-                    new[key] = new.get(key, 0) + c * v
-        partial = new
-    return partial
 
 
 @cache

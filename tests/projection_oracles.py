@@ -1,28 +1,26 @@
-"""Per-label oracles for the two basis maps the line-by-line kernels now expand.
+"""Per-label oracles for the two basis maps the line-by-line kernels expand.
 
 ``powers._wedge_of_rsym_int`` and ``schur._polytabloid_int`` run
-``powers.wedge_of_rows`` and ``schur.rows_of_columns`` on identity images,
-merging equal partial states after every line.  These are the definitions
-the kernels replace, bodies unchanged: the first enumerates the whole row
-orbit of t and sorts each member's columns with their sign; the second
-takes the product of every column's signed permutations and sorts each
-resulting tableau's rows.
+``powers.wedge_of_rows`` and ``powers.rows_of_columns`` on identity images,
+merging equal partial states after every line.  The first oracle is the
+definition of the copolytabloid on the public tensor path: the wedge
+projection of the row symmetrisation of t, which enumerates the whole row
+orbit and sorts each member's columns with their sign.  The second is the
+definition the kernel replaced, its body unchanged: it takes the product
+of every column's signed permutations and sorts each resulting tableau's
+rows.
 """
 
 from itertools import permutations, product
 
 from weylkit.coeffs import ZZ, LinComb
-from weylkit.places import row_orbit
-from weylkit.powers import _add_wedge_term
+from weylkit.powers import rsym, wedge_project
 from weylkit.tableaux import Tableau, from_columns, permutation_sign, sort_rows
 
 
 def wedge_of_rsym_int(t_sorted: Tableau) -> LinComb:
     """Integer expansion of the wedge projection of one row symmetrisation."""
-    terms: dict[Tableau, int] = {}
-    for u in row_orbit(t_sorted):
-        _add_wedge_term(terms, u, 1)
-    return LinComb(ZZ, terms)
+    return wedge_project(rsym(t_sorted)).lin
 
 
 def polytabloid_int(t: Tableau) -> LinComb:

@@ -28,6 +28,7 @@ from weylkit.powers import (
     ColumnTabloidElement,
     RowTabloidElement,
     SymLowerElement,
+    TableauElement,
     TensorElement,
     rsym,
     sym_lower_coords,
@@ -230,6 +231,14 @@ class TestEntryAction:
         with pytest.raises(ValueError, match="ring mismatch"):
             entry_action(rsym(T([[1, 2]])), g)
 
+    def test_an_entry_outside_the_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="entry matrix too small for the element's alphabet"):
+            entry_action(rsym(T([[1, 3]])), EntryMatrix.identity(2))
+
+    def test_an_element_of_no_space_is_refused(self):
+        with pytest.raises(TypeError, match="unsupported element type TableauElement"):
+            entry_action(TableauElement(LinComb(ZZ, {T([[1, 2]]): 1})), EntryMatrix.identity(2))
+
     def test_compose_names_a_ring_mismatch(self):
         with pytest.raises(ValueError, match="ring mismatch"):
             EntryMatrix.identity(2, QQ).compose(EntryMatrix.identity(2, ZZ))
@@ -252,8 +261,9 @@ class TestRowImage:
             non_integral |= any(getattr(v, "denominator", 1) != 1 for row in g.entries for v in row)
             for k in range(1, 6):
                 for row in combinations_with_replacement(range(1, m + 1), k):
-                    for divided in (False, True):
-                        keys, values = duality._row_image(g, row, divided)
+                    for space in (RowTabloidElement.space, SymLowerElement.space):
+                        keys, values = duality._part_image(g, space, row)
+                        divided = space == SymLowerElement.space
                         assert dict(zip(keys, values)) == arrangement_row_image(g, row, divided), (g, row)
                         checked += 1
         assert checked == 2 * (5 + 20 + 55 + 125)  # sorted rows of length 1..5 for m = 1, 2, 3, 4
@@ -262,8 +272,8 @@ class TestRowImage:
     def test_divided_power_rescales_by_the_stabilisers(self):
         g = EntryMatrix(ZZ, [[1, 1], [0, 1]])
         # g e_1 . g e_2 = e_1 (e_1 + e_2): S[(1,1), (1,2)] = 1, and |Stab (1,1)| / |Stab (1,2)| = 2
-        assert dict(zip(*duality._row_image(g, (1, 2), False))) == {(1, 1): 1, (1, 2): 1}
-        assert dict(zip(*duality._row_image(g, (1, 2), True))) == {(1, 1): 2, (1, 2): 1}
+        assert dict(zip(*duality._part_image(g, RowTabloidElement.space, (1, 2)))) == {(1, 1): 1, (1, 2): 1}
+        assert dict(zip(*duality._part_image(g, SymLowerElement.space, (1, 2)))) == {(1, 1): 2, (1, 2): 1}
 
 
 class TestPairing:
@@ -503,15 +513,15 @@ class TestEquivariance:
             assert wedge_of_sym_lower(acted).is_zero
 
     def test_a_wrong_minor_sign_gives_counterexamples(self, monkeypatch):
-        original = duality._wedge_image
+        original = duality._part_image
 
-        def one_minor_flipped(g, column):
-            keys, minors = original(g, column)
-            if column != (1, 2):
+        def one_minor_flipped(g, space, line):
+            keys, minors = original(g, space, line)
+            if (space, line) != (ColumnTabloidElement.space, (1, 2)):
                 return keys, minors
             return keys, (-minors[0],) + minors[1:]
 
-        monkeypatch.setattr(duality, "_wedge_image", one_minor_flipped)
+        monkeypatch.setattr(duality, "_part_image", one_minor_flipped)
         g = random_unimodular(random.Random(5), 3)
         assert json.dumps(equivariance_counterexample((2, 1), 3, g, WEDGE_MAP)) == MINOR_SIGN_WITNESS_LAMBDA
         assert json.dumps(equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP)) == MINOR_SIGN_WITNESS_E
@@ -519,17 +529,39 @@ class TestEquivariance:
         assert json.dumps(equivariance_counterexample((1, 1), 2, identity, WEDGE_MAP)) == MINOR_SIGN_WITNESS_IDENTITY
 
     def test_a_divided_power_without_the_stabiliser_rescale_gives_counterexamples(self, monkeypatch):
-        original = duality._row_image
-        monkeypatch.setattr(duality, "_row_image", lambda g, row, divided: original(g, row, False))
+        original = duality._part_image
+
+        def undivided(g, space, line):
+            return original(g, RowTabloidElement.space if space == SymLowerElement.space else space, line)
+
+        monkeypatch.setattr(duality, "_part_image", undivided)
         g = random_unimodular(random.Random(5), 3)
         assert equivariance_counterexample((2, 1), 3, g, WEDGE_MAP) is not None
         assert equivariance_counterexample((2,), 2, EntryMatrix(ZZ, [[1, 1], [0, 1]]), WEDGE_MAP) is not None
         # the symmetric power, on the polytabloid side, is untouched
         assert equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP) is None
 
+    @pytest.mark.parametrize(
+        "which, name, kind",
+        [(WEDGE_MAP, "copolytabloid", ROW_SEMISTANDARD), (POLYTABLOID_MAP, "polytabloid", COLUMN_STANDARD)],
+    )
+    def test_label_images_are_looked_up_at_call_time(self, monkeypatch, which, name, kind):
+        # the traced benchmark run wraps these by rebinding the module attribute
+        calls = []
+        original = getattr(duality, name)
+        monkeypatch.setattr(duality, name, lambda t, *rest: calls.append(t) or original(t, *rest))
+        assert equivariance_counterexample((2, 1), 2, EntryMatrix.identity(2), which) is None
+        labels = enumerate_tableaux((2, 1), 2, kind)
+        assert len(calls) == len(labels) and set(calls) == set(labels)
+
     def test_unknown_map_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="unknown map 'bogus'"):
             equivariance_check((2, 1), 2, EntryMatrix.identity(2), "bogus")
+
+    @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP, "bogus"])
+    def test_a_matrix_smaller_than_the_alphabet_is_refused_first(self, which):
+        with pytest.raises(InputError, match="entry matrix too small for the alphabet"):
+            equivariance_counterexample((2, 1), 3, EntryMatrix.identity(2), which)
 
 
 # criterion 8's random unimodular matrices are multiplied by a diagonal of these units of the ring
@@ -601,7 +633,7 @@ class TestLineKernels:
         "kernel, old, new, which",
         [
             (powers.wedge_of_rows, "% 2:", "% 1:", WEDGE_MAP),
-            (schur.rows_of_columns, "v * permutation_sign(p)", "v", POLYTABLOID_MAP),
+            (powers.rows_of_columns, "v * permutation_sign(p)", "v", POLYTABLOID_MAP),
         ],
         ids=["insertion-sign", "permutation-sign"],
     )
