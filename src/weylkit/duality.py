@@ -33,16 +33,22 @@ over every ring (see its docstring).
 The equivariance check compares, on each basis label t, the map applied
 to g acting on t with g acting on the map's image of t, and computes each
 side in its own basis, on tuples of lines.  ``_map`` names, for each map,
-its basis labels, the space g acts on first, the kernel that carries line
-images across, its target and its label image.  For lambda, the divided
-powers of g on t's rows go into the columns of the exterior power
-(``powers.wedge_of_rows``); for e, the exterior powers of g on t's columns
-go into the rows of the symmetric power (``powers.rows_of_columns``).  Both
-kernels expand one line at a time and merge equal partial states.  The
-other side acts on each column of the copolytabloid's terms, or on each
-row of the polytabloid's.  Both sides are reduced in the ring and compared
-as dicts keyed by column tuples (lambda) or row tuples (e); a Tableau is
-built only for a witness.
+its basis labels, the space g acts on first, its target and its label
+image: the copolytabloid for lambda, from the divided powers into the
+exterior power, and the polytabloid for e, from the exterior power into
+the symmetric power.  The map is linear, so the left side is
+Phi(g t) = sum over s of (g t)_s Phi(s): g acts on each line of t (the
+divided power on t's rows for lambda, the exterior power on t's columns
+for e), and each label s of the result goes through the map's own basis
+image, read once per check into a table keyed by lines
+(``_BasisImages``).  The kernels that expand those images,
+``powers.wedge_of_rows`` and ``powers.rows_of_columns``, are multilinear
+in their line images, so this is the value of the kernel run on g's
+images of t's lines.  The right side reads Phi(t) from the same table and
+acts on each of its terms' columns (lambda) or rows (e).  Both sides are
+reduced in the ring and compared as dicts keyed by column tuples (lambda)
+or row tuples (e); a Tableau is built only to look up a basis image, and
+for a witness.
 """
 
 from __future__ import annotations
@@ -63,8 +69,6 @@ from .powers import (
     SymLowerElement,
     TableauElement,
     TensorElement,
-    rows_of_columns,
-    wedge_of_rows,
 )
 from .schur import polytabloid
 from .tableaux import (
@@ -271,23 +275,32 @@ def _lines(t: Tableau, space: str) -> tuple:
     return t.columns if space == ColumnTabloidElement.space else t.rows
 
 
-def _functorial_terms(lin: LinComb, g: EntryMatrix, space: str) -> dict:
-    """Act on each line of each label apart, as ``{lines: coeff}`` with the coefficients unreduced."""
+def _line_images(g: EntryMatrix, space: str, lines: tuple) -> zip:
+    """g acting on each of the lines apart: pairs of image lines and the product of their coefficients, unreduced."""
+    images = [_part_image(g, space, line) for line in lines]
+    keys = product(*(image_keys for image_keys, _ in images))
+    return zip(keys, map(prod, product(*(image_values for _, image_values in images))))
+
+
+def _functorial_terms(terms, g: EntryMatrix, space: str) -> dict:
+    """Act on each line of each ``(lines, coeff)`` term apart, as ``{lines: coeff}`` with the coefficients unreduced."""
     acc: dict[tuple[tuple[int, ...], ...], object] = {}
-    for t, c in lin.unordered_items():
-        images = [_part_image(g, space, line) for line in _lines(t, space)]
-        keys = product(*(image_keys for image_keys, _ in images))
-        values = product(*(image_values for _, image_values in images))
-        for key, factors in zip(keys, values):
-            acc[key] = acc.get(key, 0) + c * prod(factors)
+    for lines, c in terms:
+        for key, value in _line_images(g, space, lines):
+            acc[key] = acc.get(key, 0) + c * value
     return acc
+
+
+def _label(shape: tuple[int, ...], lines: tuple, space: str) -> Tableau:
+    """The tableau of the shape with these lines: columns in the exterior power, else rows."""
+    if space == ColumnTabloidElement.space:
+        return from_columns(shape, lines)
+    return Tableau._fresh(lines, shape)
 
 
 def _labelled(shape: tuple[int, ...], terms: dict, space: str) -> dict:
     """The terms of ``{lines: coeff}`` on the tableaux of the shape with those lines."""
-    if space == ColumnTabloidElement.space:
-        return {from_columns(shape, cols): coeff for cols, coeff in terms.items()}
-    return {Tableau._fresh(rows, shape): coeff for rows, coeff in terms.items()}
+    return {_label(shape, lines, space): coeff for lines, coeff in terms.items()}
 
 
 def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
@@ -306,7 +319,7 @@ def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
     if isinstance(x, TensorElement):
         return TensorElement(x.lin.map_labels(lambda t: _act_on_label(t, g)))
     if isinstance(x, (ColumnTabloidElement, RowTabloidElement, SymLowerElement)):
-        terms = _functorial_terms(x.lin, g, x.space)
+        terms = _functorial_terms(((_lines(t, x.space), c) for t, c in x.lin.unordered_items()), g, x.space)
         return type(x)._trusted(LinComb(x.ring, _labelled(x.shape, terms, x.space)))
     raise TypeError(f"unsupported element type {type(x).__name__}")
 
@@ -445,31 +458,55 @@ POLYTABLOID_MAP = "e"
 
 
 def _map(which: str) -> tuple:
-    """The basis labels, source space, kernel, target class and label image of the named map.
+    """The basis labels, source space, target class and label image of the named map.
 
-    Read from the module at each call, so a rebinding of any of them (a
+    The map is linear, so its label images determine it, and the left side
+    of the equivariance check maps g acting on a label through them alone.
+    Read from the module at each call, so a rebinding of the label image (a
     traced run's wrapper, a test's mutant) is seen.
     """
     if which == WEDGE_MAP:
-        return ROW_SEMISTANDARD, SymLowerElement.space, wedge_of_rows, ColumnTabloidElement, copolytabloid
+        return ROW_SEMISTANDARD, SymLowerElement.space, ColumnTabloidElement, copolytabloid
     if which == POLYTABLOID_MAP:
-        return COLUMN_STANDARD, ColumnTabloidElement.space, rows_of_columns, RowTabloidElement, polytabloid
+        return COLUMN_STANDARD, ColumnTabloidElement.space, RowTabloidElement, polytabloid
     raise InputError(f"unknown map {which!r}")
 
 
-def _mapped_action(t: Tableau, g: EntryMatrix, which: str) -> dict:
-    """The map applied to g acting on the basis label t, as unreduced ``{lines: coeff}``.
+class _BasisImages(dict):
+    """The named map on the source labels of a shape, keyed by their lines, as ``{target lines: int}``.
 
-    For lambda, g acts on each row of t by the divided power and the row
-    images go into the columns of the exterior power; for e, g acts on
-    each column of t by the exterior power and the column images go into
-    the rows of the symmetric power.  A target line takes one entry from
-    each source line, so there are as many target lines as the first
-    source line has entries.
+    A label's image is read over Z the first time the label is looked up,
+    and kept in lines for the table's lifetime, so each label is mapped
+    once per check.  Labels past the check's alphabet, which a larger g
+    reaches, are filled the same way.
     """
-    _, space, kernel, _, _ = _map(which)
-    lines = _lines(t, space)
-    return kernel(len(lines[0]) if lines else 0, [_part_image(g, space, line) for line in lines])
+
+    def __init__(self, shape: tuple[int, ...], which: str):
+        super().__init__()
+        _, self.space, target, self.image = _map(which)
+        self.shape, self.target_space = shape, target.space
+
+    def __missing__(self, lines: tuple) -> dict:
+        terms = self.image(_label(self.shape, lines, self.space)).lin.unordered_items()
+        found = self[lines] = {_lines(u, self.target_space): c for u, c in terms}
+        return found
+
+
+def _left_side(t: Tableau, g: EntryMatrix, mapped: _BasisImages) -> dict:
+    """The map applied to g acting on the basis label t, by linearity, as unreduced ``{lines: coeff}``.
+
+    g acts on each line of t in the source space, and every label s of the
+    result goes through the map's basis image: the sum over s of
+    (g t)_s mapped[s].  The kernels that expand the basis images are
+    multilinear in their line images, so this is the kernel run on g's
+    images of t's lines.
+    """
+    acc: dict[tuple[tuple[int, ...], ...], object] = {}
+    space = mapped.space
+    for s, coeff in _line_images(g, space, _lines(t, space)):
+        for lines, c in mapped[s].items():
+            acc[lines] = acc.get(lines, 0) + coeff * c
+    return acc
 
 
 def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: str):
@@ -481,11 +518,12 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
     shape = check_partition(shape)
     if g.size < max_entry:
         raise InputError("entry matrix too small for the alphabet")
-    kind, _, _, target, image = _map(which)
+    kind, space, target, _ = _map(which)
+    mapped = _BasisImages(shape, which)
     ring = g.ring
     for t in enumerate_tableaux(shape, max_entry, kind):
-        lhs = _ring_terms(ring, _mapped_action(t, g, which))
-        rhs = _ring_terms(ring, _functorial_terms(image(t).lin, g, target.space))
+        lhs = _ring_terms(ring, _left_side(t, g, mapped))
+        rhs = _ring_terms(ring, _functorial_terms(mapped[_lines(t, space)].items(), g, target.space))
         if lhs != rhs:
             lhs, rhs = (target._trusted(LinComb(ring, _labelled(shape, side, target.space))) for side in (lhs, rhs))
             return {"tableau": t.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}

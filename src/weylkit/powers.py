@@ -17,8 +17,9 @@ line at a time: :func:`wedge_of_rows` puts rows into the columns of the
 exterior power, and :func:`rows_of_columns` puts columns into the rows of
 the symmetric power.
 On identity images they are the basis maps ``_wedge_of_rsym_int`` and
-``schur._polytabloid_int``; on the images of a matrix they are the left
-side of the equivariance check in :mod:`weylkit.duality`.
+``schur._polytabloid_int``.  They are multilinear in the line images, so
+the equivariance check in :mod:`weylkit.duality` maps g acting on a label
+through those basis maps rather than running them on g's images.
 """
 
 from __future__ import annotations

@@ -28,8 +28,7 @@ is the one on columns j_A and j_B of t, A and B moved onto columns 1 and
 exterior power.
 
 Polytabloids are expanded one column at a time by the kernel
-``powers.rows_of_columns``, which this module shares with the
-equivariance check in :mod:`weylkit.duality` and does not define.
+``powers.rows_of_columns``, which this module reads but does not define.
 """
 
 from __future__ import annotations

@@ -132,8 +132,8 @@ class Tableau:
     @property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Entries of every column, top to bottom."""
-        ncols = self.shape[0] if self.shape else 0
-        return tuple(self.column_entries(j) for j in range(1, ncols + 1))
+        rows = self.rows
+        return tuple([tuple([row[j] for row in rows if len(row) > j]) for j in range(len(rows[0]))]) if rows else ()
 
     @property
     def is_row_semistandard(self) -> bool:

@@ -1,4 +1,4 @@
-"""Per-label oracles for the two basis maps the line-by-line kernels expand.
+"""Per-label oracles for the two basis maps the line-by-line kernels expand, and for the maps on g t.
 
 ``powers._wedge_of_rsym_int`` and ``schur._polytabloid_int`` run
 ``powers.wedge_of_rows`` and ``powers.rows_of_columns`` on identity images,
@@ -9,12 +9,19 @@ orbit and sorts each member's columns with their sign.  The second is the
 definition the kernel replaced, its body unchanged: it takes the product
 of every column's signed permutations and sorts each resulting tableau's
 rows.
+
+The third is the left side of the equivariance check on its line images:
+the same kernels, run on the images under g of a label's lines, where the
+check goes through the basis images by linearity.  It binds the kernels
+when it is imported, so a test that rebinds a kernel in ``powers`` or
+``schur`` leaves it as it was.
 """
 
 from itertools import permutations, product
 
 from weylkit.coeffs import ZZ, LinComb
-from weylkit.powers import rsym, wedge_project
+from weylkit.duality import WEDGE_MAP, _lines, _part_image
+from weylkit.powers import ColumnTabloidElement, SymLowerElement, rows_of_columns, rsym, wedge_of_rows, wedge_project
 from weylkit.tableaux import Tableau, from_columns, permutation_sign, sort_rows
 
 
@@ -43,3 +50,21 @@ def polytabloid_int(t: Tableau) -> LinComb:
         label = sort_rows(from_columns(shape, [col for col, _ in combo]))
         terms[label] = terms.get(label, 0) + sign
     return LinComb(ZZ, terms)
+
+
+def mapped_action(t: Tableau, g, which: str) -> dict:
+    """The map applied to g acting on the basis label t, as unreduced ``{lines: coeff}``.
+
+    For lambda, g acts on each row of t by the divided power and the row
+    images go into the columns of the exterior power; for e, g acts on
+    each column of t by the exterior power and the column images go into
+    the rows of the symmetric power.  A target line takes one entry from
+    each source line, so there are as many target lines as the first
+    source line has entries.
+    """
+    if which == WEDGE_MAP:
+        space, kernel = SymLowerElement.space, wedge_of_rows
+    else:
+        space, kernel = ColumnTabloidElement.space, rows_of_columns
+    lines = _lines(t, space)
+    return kernel(len(lines[0]) if lines else 0, [_part_image(g, space, line) for line in lines])

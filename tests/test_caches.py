@@ -17,12 +17,13 @@ ALLOWED = {
     "tableaux.enumerate_tableaux": "hit ratio 0.93 sweep-field, 0.70 lattice-z, 0.86 equivariance",
     "schur._polytabloid_int": (
         "hit ratio 0.46 sweep-field (450 of 985 calls, once duality._pairing_rows reads each polytabloid once "
-        "per (shape, m)), 0.61 lattice-z (258 of 421), 0.91 equivariance (1,796 of 1,968, with 172 misses as when "
-        "the check's left side mapped through it: 25,921 calls)"
+        "per (shape, m)), 0.61 lattice-z (258 of 421), 0.91 equivariance (1,796 of 1,968 calls: the check reads each "
+        "label's image once into its table of basis images, and its left side maps g t through that table)"
     ),
     "powers._wedge_of_rsym_int": (
         "hit ratio 0.68 sweep-field (2,193 of 3,211 calls), 0.86 lattice-z (1,854 of 2,152), 0.92 equivariance "
-        "(3,118 of 3,407, with 289 misses as when the check's left side mapped through it: 41,029 calls)"
+        "(3,118 of 3,407 calls: the check reads each label's image once into its table of basis images, and "
+        "its left side maps g t through that table)"
     ),
     "schur._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",
     "weyl._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",

@@ -588,17 +588,29 @@ def projected_entry_action(t, g, which):
     return {u.rows: c for u, c in image.items()}
 
 
-def left_side_mismatches(tag, which):
-    """The (t, g) on which the left side of the equivariance check differs from its entry_action oracle."""
-    kind = ROW_SEMISTANDARD if which == WEDGE_MAP else COLUMN_STANDARD
+def left_side_differs(t, g, which, mapped):
+    """Whether the check's left side on t, read through the basis images ``mapped``, misses either oracle.
+
+    The oracles are the kernel run on g's images of t's lines and the
+    projected entry action, each reduced into the ring.
+    """
+    lhs = duality._ring_terms(g.ring, duality._left_side(t, g, mapped))
     return (
-        (t, g)
-        for shape in partitions_up_to(4)
-        for m in (1, 2, 3)
-        for g in left_side_matrices(tag, m)
-        for t in enumerate_tableaux(shape, m, kind)
-        if duality._ring_terms(g.ring, duality._mapped_action(t, g, which)) != projected_entry_action(t, g, which)
+        lhs != duality._ring_terms(g.ring, projection_oracles.mapped_action(t, g, which))
+        or lhs != projected_entry_action(t, g, which)
     )
+
+
+def left_side_mismatches(tag, which):
+    """The (t, g) on which the left side of the equivariance check differs from an oracle."""
+    kind = ROW_SEMISTANDARD if which == WEDGE_MAP else COLUMN_STANDARD
+    for shape in partitions_up_to(4):
+        mapped = duality._BasisImages(shape, which)
+        for m in (1, 2, 3):
+            for g in left_side_matrices(tag, m):
+                for t in enumerate_tableaux(shape, m, kind):
+                    if left_side_differs(t, g, which, mapped):
+                        yield t, g
 
 
 def mutated(kernel, old, new):
@@ -629,16 +641,46 @@ class TestLineKernels:
     def test_left_side_matches_the_projected_entry_action(self, tag, which):
         assert list(left_side_mismatches(tag, which)) == []
 
+    @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP])
+    def test_a_matrix_larger_than_the_alphabet(self, monkeypatch, which):
+        # g sends the entries 1 and 2 past the alphabet, where no label of the check's own enumeration lies
+        kind = ROW_SEMISTANDARD if which == WEDGE_MAP else COLUMN_STANDARD
+        name = "copolytabloid" if which == WEDGE_MAP else "polytabloid"
+        mapped_labels = []
+        original = getattr(duality, name)
+        monkeypatch.setattr(duality, name, lambda t, *rest: mapped_labels.append(t) or original(t, *rest))
+        g = random_unimodular(random.Random(4), 4)
+        for shape in partitions_up_to(3):
+            assert equivariance_counterexample(shape, 2, g, which) is None
+            mapped = duality._BasisImages(shape, which)
+            assert not [t for t in enumerate_tableaux(shape, 2, kind) if left_side_differs(t, g, which, mapped)]
+        assert {t.max_entry for t in mapped_labels} >= {3, 4}
+
     @pytest.mark.parametrize(
-        "kernel, old, new, which",
+        "module, kernel, old, new, which",
         [
-            (powers.wedge_of_rows, "% 2:", "% 1:", WEDGE_MAP),
-            (powers.rows_of_columns, "v * permutation_sign(p)", "v", POLYTABLOID_MAP),
+            (powers, powers.wedge_of_rows, "% 2:", "% 1:", WEDGE_MAP),
+            (schur, powers.rows_of_columns, "v * permutation_sign(p)", "v", POLYTABLOID_MAP),
         ],
         ids=["insertion-sign", "permutation-sign"],
     )
-    def test_a_kernel_that_drops_its_sign_is_caught(self, monkeypatch, kernel, old, new, which):
-        monkeypatch.setattr(duality, kernel.__name__, mutated(kernel, old, new))
-        assert next(left_side_mismatches("z", which), None) is not None
-        g = random_unimodular(random.Random(5), 3)
-        assert equivariance_counterexample((2, 1), 3, g, which) is not None
+    def test_a_kernel_that_drops_its_sign_is_caught(self, monkeypatch, module, kernel, old, new, which):
+        # the mutant is patched where the basis map reads it, with both basis maps' caches empty on either side
+        caches = (powers._wedge_of_rsym_int, schur._polytabloid_int)
+        if which == WEDGE_MAP:
+            kind, basis_map, oracle = ROW_SEMISTANDARD, powers._wedge_of_rsym_int, projection_oracles.wedge_of_rsym_int
+        else:
+            kind, basis_map, oracle = COLUMN_STANDARD, schur._polytabloid_int, projection_oracles.polytabloid_int
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, kernel.__name__, mutated(kernel, old, new))
+                g = random_unimodular(random.Random(5), 3)
+                for shape in [(1, 1), (2, 1), (2, 2), (3, 1)]:
+                    assert equivariance_counterexample(shape, 3, g, which) is not None, shape
+                assert next(left_side_mismatches("z", which), None) is not None
+                assert any(basis_map(t) != oracle(t) for t in enumerate_tableaux((2, 1), 3, kind))
+        finally:
+            for cached in caches:
+                cached.cache_clear()
