@@ -28,7 +28,10 @@ Each power of g on one line is computed in one place, ``_part_image``,
 one factor at a time: the exterior power as g e_{c_1} ^ ... ^ g e_{c_k},
 the symmetric power as g e_{r_1} ... g e_{r_k}, and the divided power read
 off the symmetric one by rescaling with the stabilisers, an exact division
-over every ring (see its docstring).
+over every ring (see its docstring).  The product is ``_line_product``,
+kept apart from the line kernel of :mod:`weylkit.powers`: its factors are
+single entries, on which that kernel's loop over arrangements costs more
+than it saves.
 
 The equivariance check compares, on each basis label t, the map applied
 to g acting on t with g acting on the map's image of t, and computes each
@@ -41,14 +44,13 @@ Phi(g t) = sum over s of (g t)_s Phi(s): g acts on each line of t (the
 divided power on t's rows for lambda, the exterior power on t's columns
 for e), and each label s of the result goes through the map's own basis
 image, read once per check into a table keyed by lines
-(``_BasisImages``).  The kernels that expand those images,
-``powers.wedge_of_rows`` and ``powers.rows_of_columns``, are multilinear
-in their line images, so this is the value of the kernel run on g's
-images of t's lines.  The right side reads Phi(t) from the same table and
-acts on each of its terms' columns (lambda) or rows (e).  Both sides are
-reduced in the ring and compared as dicts keyed by column tuples (lambda)
-or row tuples (e); a Tableau is built only to look up a basis image, and
-for a witness.
+(``_BasisImages``).  The kernel that expands those images,
+``powers.line_products``, is multilinear in its line images, so this is
+the value of the kernel run on g's images of t's lines.  The right side
+reads Phi(t) from the same table and acts on each of its terms' columns
+(lambda) or rows (e).  Both sides are reduced in the ring and compared as
+dicts keyed by column tuples (lambda) or row tuples (e); a Tableau is
+built only to look up a basis image, and for a witness.
 """
 
 from __future__ import annotations
@@ -160,8 +162,10 @@ class EntryMatrix:
 
     @classmethod
     def permutation(cls, images: tuple[int, ...], ring: CoefficientRing = ZZ) -> "EntryMatrix":
-        """Matrix sending basis vector b to basis vector images[b-1] (1-based)."""
+        """Matrix sending basis vector b to basis vector images[b-1] (1-based); the images must permute 1..m."""
         m = len(images)
+        if sorted(images) != list(range(1, m + 1)):
+            raise InputError(f"permutation images {list(images)} are not a permutation of 1..{m}")
         rows = [[0] * m for _ in range(m)]
         for b, a in enumerate(images, 1):
             rows[a - 1][b - 1] = 1
@@ -497,8 +501,8 @@ def _left_side(t: Tableau, g: EntryMatrix, mapped: _BasisImages) -> dict:
 
     g acts on each line of t in the source space, and every label s of the
     result goes through the map's basis image: the sum over s of
-    (g t)_s mapped[s].  The kernels that expand the basis images are
-    multilinear in their line images, so this is the kernel run on g's
+    (g t)_s mapped[s].  The kernel that expands the basis images is
+    multilinear in its line images, so this is the kernel run on g's
     images of t's lines.
     """
     acc: dict[tuple[tuple[int, ...], ...], object] = {}

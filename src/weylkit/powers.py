@@ -11,22 +11,20 @@ labels canonical for its space:
 * :class:`ColumnTabloidElement` -- column-standard labels, the basis of the
   exterior power, with signs absorbed into coefficients.
 
-The two kernels that carry line images from one side to the other live
-here, each with its sign rule, and expand a product of line images one
-line at a time: :func:`wedge_of_rows` puts rows into the columns of the
-exterior power, and :func:`rows_of_columns` puts columns into the rows of
-the symmetric power.
-On identity images they are the basis maps ``_wedge_of_rsym_int`` and
-``schur._polytabloid_int``.  They are multilinear in the line images, so
-the equivariance check in :mod:`weylkit.duality` maps g acting on a label
-through those basis maps rather than running them on g's images.
+One kernel carries line images from one side to the other,
+:func:`line_products`, and expands a product of line images one line at a
+time: alternating, it puts rows into the columns of the exterior power;
+otherwise it puts columns into the rows of the symmetric power.  On
+identity images it gives the basis maps ``_wedge_of_rsym_int`` and
+``schur._polytabloid_int``.  It is multilinear in the line images, so the
+equivariance check in :mod:`weylkit.duality` maps g acting on a label
+through those basis maps rather than running it on g's images.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
-from itertools import permutations
 
 from .coeffs import ZZ, CoefficientRing, LinComb
 from .tableaux import Tableau, from_columns, permutation_sign, sort_columns, sort_rows
@@ -198,80 +196,54 @@ def sym_lower_expand(x: SymLowerElement) -> TensorElement:
     return TensorElement(x.lin.map_labels(lambda t: rsym(t).lin))
 
 
-def wedge_of_rows(ncols: int, row_images) -> dict:
-    """The wedge projection of a product of row images, expanded one row at a time.
+def line_products(nlines: int, images, alternating: bool) -> dict:
+    """The product of line images, put into ``nlines`` target lines one source line at a time.
 
-    ``row_images`` holds, for each row from the top, the ``(keys, values)``
-    of its image: sorted rows and their coefficients.  Each distinct
-    arrangement of a key puts its j-th entry into column j.  An entry a
-    goes into a column after the column's entries that are at most a, and
-    costs the sign (-1)^k, with k the number of the column's entries above
-    a; a state vanishes at its first repeated column entry.  Equal partial
-    states merge after each row.  Returns ``{columns: coeff}`` on
-    increasing column tuples, with the coefficients unreduced.
-    """
-    partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * ncols: 1}
-    for keys, values in row_images:
-        arrangements = [(tuple(multiset_permutations(key)), v) for key, v in zip(keys, values)]
-        new: dict[tuple[tuple[int, ...], ...], object] = {}
-        for cols, c in partial.items():
-            for words, v in arrangements:
-                cv = c * v
-                for word in words:
-                    out = list(cols)
-                    coeff = cv
-                    for j, a in enumerate(word):
-                        col = out[j]
-                        pos = bisect_right(col, a)
-                        if pos and col[pos - 1] == a:
-                            break
-                        if (len(col) - pos) % 2:
-                            coeff = -coeff
-                        out[j] = col[:pos] + (a,) + col[pos:]
-                    else:
-                        key = tuple(out)
-                        new[key] = new.get(key, 0) + coeff
-        partial = new
-    return partial
-
-
-def rows_of_columns(nrows: int, column_images) -> dict:
-    """The row tabloids of a product of column images, expanded one column at a time.
-
-    ``column_images`` holds, for each column from the left, the
-    ``(keys, values)`` of its image: columns and their coefficients.  Each
-    permutation p of a key's k entries puts the entry at p(i) into row i,
-    for i < k, with the sign of p; within a row the entries stay sorted,
-    at no sign.  Equal partial states merge after each column.  Returns
-    ``{rows: coeff}`` on sorted row tuples, with the coefficients
+    ``images`` holds, for each source line, the ``(keys, values)`` of its
+    image: lines and their coefficients.  Each distinct arrangement of a
+    key puts its j-th entry into target line j, after the line's entries
+    that are at most it.  With ``alternating`` the targets are columns of
+    the exterior power: an entry costs the sign (-1)^k, with k the number
+    of the column's entries above it, and a state vanishes at its first
+    repeated column entry.  Without it the targets are sorted rows of the
+    symmetric power, at no sign, and the sources are exterior columns, so
+    each arrangement costs its own sign.  Equal partial states merge after
+    each source line.  Returns ``{lines: coeff}``, with the coefficients
     unreduced.
     """
-    partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * nrows: 1}
-    for keys, values in column_images:
+    partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * nlines: 1}
+    for keys, values in images:
         arrangements = [
-            [(tuple(key[i] for i in p), v * permutation_sign(p)) for p in permutations(range(len(key)))]
+            (word, v if alternating else v * permutation_sign(word))
             for key, v in zip(keys, values)
+            for word in multiset_permutations(key)
         ]
         new: dict[tuple[tuple[int, ...], ...], object] = {}
-        for rows, c in partial.items():
-            for words in arrangements:
-                for word, v in words:
-                    out = list(rows)
-                    for i, a in enumerate(word):
-                        row = out[i]
-                        pos = bisect_right(row, a)
-                        out[i] = row[:pos] + (a,) + row[pos:]
+        for lines, c in partial.items():
+            for word, v in arrangements:
+                out = list(lines)
+                coeff = c * v
+                for j, a in enumerate(word):
+                    line = out[j]
+                    pos = bisect_right(line, a)
+                    if alternating:
+                        if pos and line[pos - 1] == a:
+                            break
+                        if (len(line) - pos) % 2:
+                            coeff = -coeff
+                    out[j] = line[:pos] + (a,) + line[pos:]
+                else:
                     key = tuple(out)
-                    new[key] = new.get(key, 0) + c * v
+                    new[key] = new.get(key, 0) + coeff
         partial = new
     return partial
 
 
 @cache
-def _wedge_of_rsym_int(t_sorted: Tableau) -> LinComb:
-    """Integer expansion of the wedge projection of one row symmetrisation."""
-    shape = t_sorted.shape
-    terms = wedge_of_rows(shape[0] if shape else 0, [((row,), (1,)) for row in t_sorted.rows])
+def _wedge_of_rsym_int(t: Tableau) -> LinComb:
+    """Integer expansion of the wedge projection of one row symmetrisation; constant on row classes."""
+    shape = t.shape
+    terms = line_products(shape[0] if shape else 0, [((row,), (1,)) for row in t.rows], alternating=True)
     return LinComb(ZZ, {from_columns(shape, cols): c for cols, c in terms.items()})
 
 

@@ -28,7 +28,8 @@ is the one on columns j_A and j_B of t, A and B moved onto columns 1 and
 exterior power.
 
 Polytabloids are expanded one column at a time by the kernel
-``powers.rows_of_columns``, which this module reads but does not define.
+``powers.line_products``, not alternating, which this module reads but
+does not define.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ from .tableaux import (
     from_columns,
     row_order_key,
     sort_columns,
+    sort_line,
     transpose,
 )
-from .powers import ColumnTabloidElement, RowTabloidElement, rows_of_columns
+from .powers import ColumnTabloidElement, RowTabloidElement, line_products
 from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
 from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
 
@@ -64,10 +66,10 @@ from .verify import KernelCertificate, check, checked_shape, kernel_certificate,
 @cache
 def _polytabloid_int(t: Tableau) -> LinComb:
     """Integer expansion of the polytabloid of t over row-tabloid labels."""
-    cols = t.columns
-    if any(len(set(col)) != len(col) for col in cols):
+    sorted_cols = [sort_line(col) for col in t.columns]
+    if None in sorted_cols:
         return LinComb.zero(ZZ)
-    terms = rows_of_columns(len(t.rows), [((col,), (1,)) for col in cols])
+    terms = line_products(len(t.rows), [((col,), (sign,)) for sign, col in sorted_cols], alternating=False)
     shape = t.shape
     return LinComb(ZZ, {Tableau._fresh(rows, shape): c for rows, c in terms.items()})
 

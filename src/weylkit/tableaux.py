@@ -256,8 +256,7 @@ def permutation_sign(seq) -> int:
     That is (-1) to the number of inversions, the pairs i < j with
     seq[i] > seq[j]; for a permutation of range(n), its own sign.
     """
-    n = len(seq)
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if seq[i] > seq[j])
+    inversions = sum(a > b for a, b in combinations(seq, 2))
     return -1 if inversions % 2 else 1
 
 
@@ -298,8 +297,8 @@ def sort_columns(t: Tableau):
     """
     sign = 1
     cols = []
-    for j in range(1, (t.shape[0] if t.shape else 0) + 1):
-        sorted_ = sort_line(t.column_entries(j))
+    for col in t.columns:
+        sorted_ = sort_line(col)
         if sorted_ is None:
             return None
         sign *= sorted_[0]

@@ -1,19 +1,19 @@
-"""Per-label oracles for the two basis maps the line-by-line kernels expand, and for the maps on g t.
+"""Per-label oracles for the two basis maps the line kernel expands, and for the maps on g t.
 
-``powers._wedge_of_rsym_int`` and ``schur._polytabloid_int`` run
-``powers.wedge_of_rows`` and ``powers.rows_of_columns`` on identity images,
-merging equal partial states after every line.  The first oracle is the
-definition of the copolytabloid on the public tensor path: the wedge
-projection of the row symmetrisation of t, which enumerates the whole row
-orbit and sorts each member's columns with their sign.  The second is the
-definition the kernel replaced, its body unchanged: it takes the product
-of every column's signed permutations and sorts each resulting tableau's
-rows.
+``powers._wedge_of_rsym_int`` and ``schur._polytabloid_int`` run the one
+line kernel ``powers.line_products`` on identity images, alternating for
+the first and not for the second, merging equal partial states after
+every line.  The first oracle is the definition of the copolytabloid on
+the public tensor path: the wedge projection of the row symmetrisation
+of t, which enumerates the whole row orbit and sorts each member's
+columns with their sign.  The second is the definition the kernel
+replaced, its body unchanged: it takes the product of every column's
+signed permutations and sorts each resulting tableau's rows.
 
 The third is the left side of the equivariance check on its line images:
-the same kernels, run on the images under g of a label's lines, where the
-check goes through the basis images by linearity.  It binds the kernels
-when it is imported, so a test that rebinds a kernel in ``powers`` or
+the same kernel, run on the images under g of a label's lines, where the
+check goes through the basis images by linearity.  It binds the kernel
+when it is imported, so a test that rebinds it in ``powers`` or
 ``schur`` leaves it as it was.
 """
 
@@ -21,13 +21,13 @@ from itertools import permutations, product
 
 from weylkit.coeffs import ZZ, LinComb
 from weylkit.duality import WEDGE_MAP, _lines, _part_image
-from weylkit.powers import ColumnTabloidElement, SymLowerElement, rows_of_columns, rsym, wedge_of_rows, wedge_project
+from weylkit.powers import ColumnTabloidElement, SymLowerElement, line_products, rsym, wedge_project
 from weylkit.tableaux import Tableau, from_columns, permutation_sign, sort_rows
 
 
-def wedge_of_rsym_int(t_sorted: Tableau) -> LinComb:
+def wedge_of_rsym_int(t: Tableau) -> LinComb:
     """Integer expansion of the wedge projection of one row symmetrisation."""
-    return wedge_project(rsym(t_sorted)).lin
+    return wedge_project(rsym(t)).lin
 
 
 def polytabloid_int(t: Tableau) -> LinComb:
@@ -62,9 +62,7 @@ def mapped_action(t: Tableau, g, which: str) -> dict:
     each source line, so there are as many target lines as the first
     source line has entries.
     """
-    if which == WEDGE_MAP:
-        space, kernel = SymLowerElement.space, wedge_of_rows
-    else:
-        space, kernel = ColumnTabloidElement.space, rows_of_columns
+    space = SymLowerElement.space if which == WEDGE_MAP else ColumnTabloidElement.space
     lines = _lines(t, space)
-    return kernel(len(lines[0]) if lines else 0, [_part_image(g, space, line) for line in lines])
+    images = [_part_image(g, space, line) for line in lines]
+    return line_products(len(lines[0]) if lines else 0, images, alternating=which == WEDGE_MAP)

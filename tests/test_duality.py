@@ -150,6 +150,12 @@ class TestEntryMatrix:
         g = EntryMatrix.permutation((2, 1))
         assert g.entry(2, 1) == 1 and g.entry(1, 2) == 1 and g.entry(1, 1) == 0
 
+    @pytest.mark.parametrize("images", [(0, 1), (3, 1)])
+    def test_permutation_images_outside_one_to_m_are_refused(self, images):
+        # (0, 1) would wrap index -1 onto the last row, and (3, 1) would index past the matrix
+        with pytest.raises(InputError, match=rf"permutation images \[{images[0]}, 1\] are not a permutation of 1..2"):
+            EntryMatrix.permutation(images)
+
     def test_random_unimodular_are_accepted(self):
         rng = random.Random(0)
         for _ in range(10):
@@ -623,7 +629,7 @@ def mutated(kernel, old, new):
 
 
 class TestLineKernels:
-    """The line-by-line kernels against the per-label expansions and the entry action they replace."""
+    """The line kernel against the per-label expansions and the entry action it replaces."""
 
     def test_basis_maps_match_the_per_label_expansions(self):
         checked = 0
@@ -657,14 +663,14 @@ class TestLineKernels:
         assert {t.max_entry for t in mapped_labels} >= {3, 4}
 
     @pytest.mark.parametrize(
-        "module, kernel, old, new, which",
+        "module, old, new, which",
         [
-            (powers, powers.wedge_of_rows, "% 2:", "% 1:", WEDGE_MAP),
-            (schur, powers.rows_of_columns, "v * permutation_sign(p)", "v", POLYTABLOID_MAP),
+            (powers, "% 2:", "% 1:", WEDGE_MAP),
+            (schur, "v * permutation_sign(word)", "v", POLYTABLOID_MAP),
         ],
         ids=["insertion-sign", "permutation-sign"],
     )
-    def test_a_kernel_that_drops_its_sign_is_caught(self, monkeypatch, module, kernel, old, new, which):
+    def test_a_kernel_that_drops_its_sign_is_caught(self, monkeypatch, module, old, new, which):
         # the mutant is patched where the basis map reads it, with both basis maps' caches empty on either side
         caches = (powers._wedge_of_rsym_int, schur._polytabloid_int)
         if which == WEDGE_MAP:
@@ -675,7 +681,7 @@ class TestLineKernels:
             cached.cache_clear()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(module, kernel.__name__, mutated(kernel, old, new))
+                patch.setattr(module, "line_products", mutated(powers.line_products, old, new))
                 g = random_unimodular(random.Random(5), 3)
                 for shape in [(1, 1), (2, 1), (2, 2), (3, 1)]:
                     assert equivariance_counterexample(shape, 3, g, which) is not None, shape
