@@ -99,11 +99,15 @@ class RunConfig:
 # argument parsing helpers
 
 
+_SHAPE_RE = re.compile(r"(?:\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*)?")
+
+
 def parse_shape(text: str) -> tuple[int, ...]:
-    """A comma-separated partition; the empty string is the empty partition."""
+    """A comma-separated partition in ASCII digits; the empty string is the empty partition."""
+    if not _SHAPE_RE.fullmatch(text):
+        raise CliError(f"malformed shape {text!r}: expected ASCII digits separated by commas")
     try:
-        parts = tuple(int(p) for p in text.split(",")) if text else ()
-        return check_partition(parts)
+        return check_partition(tuple(int(p) for p in text.split(",")) if text else ())
     except ValueError as exc:
         raise CliError(f"malformed shape {text!r}: {exc}") from exc
 
@@ -119,7 +123,7 @@ def parse_tableau_arg(text: str) -> Tableau:
         raise CliError(f"malformed tableau JSON: {exc}") from exc
 
 
-_BOX_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_BOX_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 
 
 def parse_boxes(text: str) -> frozenset:

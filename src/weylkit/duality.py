@@ -34,23 +34,27 @@ single entries, on which that kernel's loop over arrangements costs more
 than it saves.
 
 The equivariance check compares, on each basis label t, the map applied
-to g acting on t with g acting on the map's image of t, and computes each
-side in its own basis, on tuples of lines.  ``_map`` names, for each map,
-its basis labels, the space g acts on first, its target and its label
-image: the copolytabloid for lambda, from the divided powers into the
-exterior power, and the polytabloid for e, from the exterior power into
-the symmetric power.  The map is linear, so the left side is
-Phi(g t) = sum over s of (g t)_s Phi(s): g acts on each line of t (the
-divided power on t's rows for lambda, the exterior power on t's columns
-for e), and each label s of the result goes through the map's own basis
-image, read once per check into a table keyed by lines
-(``_BasisImages``).  The kernel that expands those images,
-``powers.line_products``, is multilinear in its line images, so this is
-the value of the kernel run on g's images of t's lines.  The right side
-reads Phi(t) from the same table and acts on each of its terms' columns
-(lambda) or rows (e).  Both sides are reduced in the ring and compared as
-dicts keyed by column tuples (lambda) or row tuples (e); a Tableau is
-built only to look up a basis image, and for a witness.
+to g acting on t with g acting on the map's image of t, on tuples of
+lines.  ``_map`` names, for each map, its basis labels, the space g acts
+on first, its target and its label image: the copolytabloid for lambda,
+from the divided powers into the exterior power, read off a label's rows,
+and the polytabloid for e, from the exterior power into the symmetric
+power, read off its columns.  Both are the cached ``{lines: int}`` basis
+maps of :mod:`weylkit.powers` and :mod:`weylkit.schur`.  The map is
+linear, so the left side is Phi(g t) = sum over s of (g t)_s Phi(s): g
+acts on each line of t (the divided power on t's rows for lambda, the
+exterior power on t's columns for e), and each label s of the result, a
+tuple of lines, goes through the map's basis image.  The kernel that
+expands those images, ``powers.line_products``, is multilinear in its line
+images, so this is the value of the kernel run on g's images of t's lines.
+The right side acts on each column (lambda) or row (e) of the terms of
+Phi(t).  Each label has one accumulator over Z, keyed by column tuples
+(lambda) or row tuples (e): the left side is added into it and the right
+side subtracted, and the label fails when some coefficient is nonzero in
+the ring.  That is exact, since Z -> R is additive: the reduced sides are
+equal exactly when every coefficient of their difference reduces to 0.
+No Tableau is built except for a witness, whose two sides are then
+computed apart.
 """
 
 from __future__ import annotations
@@ -71,8 +75,10 @@ from .powers import (
     SymLowerElement,
     TableauElement,
     TensorElement,
+    _wedge_of_rsym_int,
+    sum_images,
 )
-from .schur import polytabloid
+from .schur import _polytabloid_int, polytabloid
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -80,7 +86,6 @@ from .tableaux import (
     Tableau,
     check_partition,
     enumerate_tableaux,
-    from_columns,
     from_word,
     row_order_key,
     sort_rows,
@@ -286,25 +291,12 @@ def _line_images(g: EntryMatrix, space: str, lines: tuple) -> zip:
     return zip(keys, map(prod, product(*(image_values for _, image_values in images))))
 
 
-def _functorial_terms(terms, g: EntryMatrix, space: str) -> dict:
-    """Act on each line of each ``(lines, coeff)`` term apart, as ``{lines: coeff}`` with the coefficients unreduced."""
-    acc: dict[tuple[tuple[int, ...], ...], object] = {}
+def _functorial_terms(terms, g: EntryMatrix, space: str, acc: dict) -> dict:
+    """``acc`` plus g acting on each line of each ``(lines, coeff)`` term apart, as ``{lines: coeff}``; unreduced."""
     for lines, c in terms:
         for key, value in _line_images(g, space, lines):
             acc[key] = acc.get(key, 0) + c * value
     return acc
-
-
-def _label(shape: tuple[int, ...], lines: tuple, space: str) -> Tableau:
-    """The tableau of the shape with these lines: columns in the exterior power, else rows."""
-    if space == ColumnTabloidElement.space:
-        return from_columns(shape, lines)
-    return Tableau._fresh(lines, shape)
-
-
-def _labelled(shape: tuple[int, ...], terms: dict, space: str) -> dict:
-    """The terms of ``{lines: coeff}`` on the tableaux of the shape with those lines."""
-    return {_label(shape, lines, space): coeff for lines, coeff in terms.items()}
 
 
 def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
@@ -323,8 +315,8 @@ def entry_action(x: TableauElement, g: EntryMatrix) -> TableauElement:
     if isinstance(x, TensorElement):
         return TensorElement(x.lin.map_labels(lambda t: _act_on_label(t, g)))
     if isinstance(x, (ColumnTabloidElement, RowTabloidElement, SymLowerElement)):
-        terms = _functorial_terms(((_lines(t, x.space), c) for t, c in x.lin.unordered_items()), g, x.space)
-        return type(x)._trusted(LinComb(x.ring, _labelled(x.shape, terms, x.space)))
+        terms = _functorial_terms(((_lines(t, x.space), c) for t, c in x.lin.unordered_items()), g, x.space, {})
+        return type(x)._on_lines(x.ring, x.shape, terms)
     raise TypeError(f"unsupported element type {type(x).__name__}")
 
 
@@ -355,14 +347,15 @@ class DualFunctional:
 
 @cache
 def _pairing_rows(shape: tuple[int, ...], max_entry: int) -> dict:
-    """The polytabloid matrix of (shape, max_entry), transposed: {row tabloid s: {u: coeff}}.
+    """The polytabloid matrix of (shape, max_entry), transposed: {rows of a row tabloid s: {u: coeff}}.
 
     Entry (s, u) is the integer coefficient of s in the polytabloid of the
-    column-standard u; only the nonzero entries are kept.
+    column-standard u, read off the line form of u's polytabloid; only the
+    nonzero entries are kept.
     """
-    rows: dict[Tableau, dict[Tableau, int]] = {}
+    rows: dict[tuple[tuple[int, ...], ...], dict[Tableau, int]] = {}
     for u in enumerate_tableaux(shape, max_entry, COLUMN_STANDARD):
-        for s, c in polytabloid(u).lin.unordered_items():
+        for s, c in _polytabloid_int(u.columns).items():
             rows.setdefault(s, {})[u] = c
     return rows
 
@@ -382,7 +375,7 @@ def pairing_image(t: Tableau, max_entry: int, ring: CoefficientRing = ZZ) -> Col
     """
     canon = sort_rows(t)
     _check_alphabet(canon, max_entry)
-    return ColumnTabloidElement._trusted(LinComb(ring, _pairing_rows(canon.shape, max_entry).get(canon, {})))
+    return ColumnTabloidElement._trusted(LinComb(ring, _pairing_rows(canon.shape, max_entry).get(canon.rows, {})))
 
 
 def _dual_coordinates(shape: tuple[int, ...], max_entry: int) -> dict:
@@ -462,75 +455,46 @@ POLYTABLOID_MAP = "e"
 
 
 def _map(which: str) -> tuple:
-    """The basis labels, source space, target class and label image of the named map.
+    """The basis labels, source space, target class and line-form label image of the named map.
 
-    The map is linear, so its label images determine it, and the left side
-    of the equivariance check maps g acting on a label through them alone.
-    Read from the module at each call, so a rebinding of the label image (a
-    traced run's wrapper, a test's mutant) is seen.
+    The map is linear, so its label images determine it, and both sides of
+    the equivariance check read them alone: the cached ``{lines: int}``
+    image of a label's rows (lambda) or columns (e), shared by every check
+    of the process.  Read from the module at each call, so a rebinding of
+    the label image (a test's mutant or counter) is seen.
     """
     if which == WEDGE_MAP:
-        return ROW_SEMISTANDARD, SymLowerElement.space, ColumnTabloidElement, copolytabloid
+        return ROW_SEMISTANDARD, SymLowerElement.space, ColumnTabloidElement, _wedge_of_rsym_int
     if which == POLYTABLOID_MAP:
-        return COLUMN_STANDARD, ColumnTabloidElement.space, RowTabloidElement, polytabloid
+        return COLUMN_STANDARD, ColumnTabloidElement.space, RowTabloidElement, _polytabloid_int
     raise InputError(f"unknown map {which!r}")
 
 
-class _BasisImages(dict):
-    """The named map on the source labels of a shape, keyed by their lines, as ``{target lines: int}``.
-
-    A label's image is read over Z the first time the label is looked up,
-    and kept in lines for the table's lifetime, so each label is mapped
-    once per check.  Labels past the check's alphabet, which a larger g
-    reaches, are filled the same way.
-    """
-
-    def __init__(self, shape: tuple[int, ...], which: str):
-        super().__init__()
-        _, self.space, target, self.image = _map(which)
-        self.shape, self.target_space = shape, target.space
-
-    def __missing__(self, lines: tuple) -> dict:
-        terms = self.image(_label(self.shape, lines, self.space)).lin.unordered_items()
-        found = self[lines] = {_lines(u, self.target_space): c for u, c in terms}
-        return found
-
-
-def _left_side(t: Tableau, g: EntryMatrix, mapped: _BasisImages) -> dict:
-    """The map applied to g acting on the basis label t, by linearity, as unreduced ``{lines: coeff}``.
-
-    g acts on each line of t in the source space, and every label s of the
-    result goes through the map's basis image: the sum over s of
-    (g t)_s mapped[s].  The kernel that expands the basis images is
-    multilinear in its line images, so this is the kernel run on g's
-    images of t's lines.
-    """
-    acc: dict[tuple[tuple[int, ...], ...], object] = {}
-    space = mapped.space
-    for s, coeff in _line_images(g, space, _lines(t, space)):
-        for lines, c in mapped[s].items():
-            acc[lines] = acc.get(lines, 0) + coeff * c
-    return acc
+def _left_side(lines: tuple, g: EntryMatrix, space: str, image, acc: dict) -> dict:
+    """``acc`` plus the map on g acting on the label with these lines, by linearity (module docstring); unreduced."""
+    return sum_images(_line_images(g, space, lines), image, acc)
 
 
 def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: str):
     """First basis label where the map fails to commute with the action, or None.
 
-    The label's image is taken over Z: both sides are reduced into the
-    ring only once summed.
+    Both sides are taken over Z, one added and one subtracted in a single
+    dict, which the check reduces into the ring (see the module docstring).
     """
     shape = check_partition(shape)
     if g.size < max_entry:
         raise InputError("entry matrix too small for the alphabet")
-    kind, space, target, _ = _map(which)
-    mapped = _BasisImages(shape, which)
+    kind, space, target, image = _map(which)
     ring = g.ring
     for t in enumerate_tableaux(shape, max_entry, kind):
-        lhs = _ring_terms(ring, _left_side(t, g, mapped))
-        rhs = _ring_terms(ring, _functorial_terms(mapped[_lines(t, space)].items(), g, target.space))
-        if lhs != rhs:
-            lhs, rhs = (target._trusted(LinComb(ring, _labelled(shape, side, target.space))) for side in (lhs, rhs))
-            return {"tableau": t.to_json(), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+        lines = _lines(t, space)
+        difference = _left_side(lines, g, space, image, {})
+        _functorial_terms(((key, -c) for key, c in image(lines).items()), g, target.space, difference)
+        if any(map(ring.normalize, difference.values())):
+            lhs = _left_side(lines, g, space, image, {})
+            rhs = _functorial_terms(image(lines).items(), g, target.space, {})
+            lhs, rhs = (target._on_lines(ring, shape, side).to_json() for side in (lhs, rhs))
+            return {"tableau": t.to_json(), "lhs": lhs, "rhs": rhs}
     return None
 
 

@@ -15,10 +15,14 @@ One kernel carries line images from one side to the other,
 :func:`line_products`, and expands a product of line images one line at a
 time: alternating, it puts rows into the columns of the exterior power;
 otherwise it puts columns into the rows of the symmetric power.  On
-identity images it gives the basis maps ``_wedge_of_rsym_int`` and
-``schur._polytabloid_int``.  It is multilinear in the line images, so the
-equivariance check in :mod:`weylkit.duality` maps g acting on a label
-through those basis maps rather than running it on g's images.
+identity images it gives the basis maps ``_wedge_of_rsym_int``, from a
+label's rows, and ``schur._polytabloid_int``, from its columns, each
+cached as the kernel's ``{lines: int}``.  A tableau is built at the API
+boundary only, and :func:`sum_images` extends a basis map linearly on
+lines, so an element's image labels just the nonzero part of its sum.
+The kernel is multilinear in the line images, so the equivariance check
+in :mod:`weylkit.duality` maps g acting on a label through those basis
+maps rather than running it on g's images.
 """
 
 from __future__ import annotations
@@ -47,6 +51,17 @@ class TableauElement:
 
     def _check_label(self, t: Tableau):
         pass
+
+    @staticmethod
+    def _label(shape: tuple[int, ...], lines: tuple) -> Tableau:
+        """The tableau of the shape with these lines, unchecked: its rows, or its columns in the exterior power."""
+        return Tableau._fresh(lines, shape)
+
+    @classmethod
+    def _on_lines(cls, ring: CoefficientRing, shape: tuple[int, ...], terms: dict):
+        """The element of ``{lines: coeff}`` in the ring, labelling only the terms that reduce to nonzero."""
+        label, normalize = cls._label, ring.normalize
+        return cls._trusted(LinComb(ring, {label(shape, lines): c for lines, c in terms.items() if normalize(c)}))
 
     @classmethod
     def _trusted(cls, lin: LinComb):
@@ -143,6 +158,7 @@ class SymLowerElement(TableauElement):
 
 class ColumnTabloidElement(TableauElement):
     space = "wedge"
+    _label = staticmethod(from_columns)
 
     def _check_label(self, t):
         if not t.is_column_standard:
@@ -208,8 +224,8 @@ def line_products(nlines: int, images, alternating: bool) -> dict:
     repeated column entry.  Without it the targets are sorted rows of the
     symmetric power, at no sign, and the sources are exterior columns, so
     each arrangement costs its own sign.  Equal partial states merge after
-    each source line.  Returns ``{lines: coeff}``, with the coefficients
-    unreduced.
+    each source line.  Returns the nonzero terms of ``{lines: coeff}``,
+    with the coefficients unreduced.
     """
     partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * nlines: 1}
     for keys, values in images:
@@ -236,17 +252,28 @@ def line_products(nlines: int, images, alternating: bool) -> dict:
                     key = tuple(out)
                     new[key] = new.get(key, 0) + coeff
         partial = new
-    return partial
+    share = {}.setdefault  # equal lines of different terms become one tuple, which the caches keep
+    return {tuple(map(share, lines, lines)): c for lines, c in partial.items() if c}
+
+
+def sum_images(terms, image, acc: dict) -> dict:
+    """``acc`` plus c * image(key) for each ``(key, c)`` of ``terms``, each image ``{lines: int}``; unreduced."""
+    for key, c in terms:
+        for lines, v in image(key).items():
+            acc[lines] = acc.get(lines, 0) + c * v
+    return acc
 
 
 @cache
-def _wedge_of_rsym_int(t: Tableau) -> LinComb:
-    """Integer expansion of the wedge projection of one row symmetrisation; constant on row classes."""
-    shape = t.shape
-    terms = line_products(shape[0] if shape else 0, [((row,), (1,)) for row in t.rows], alternating=True)
-    return LinComb(ZZ, {from_columns(shape, cols): c for cols, c in terms.items()})
+def _wedge_of_rsym_int(rows: tuple[tuple[int, ...], ...]) -> dict:
+    """The wedge projection of the row symmetrisation of the label with these rows, as ``{columns: int}``.
+
+    Constant on row classes, since the kernel arranges each row's multiset.
+    """
+    return line_products(len(rows[0]) if rows else 0, [((row,), (1,)) for row in rows], alternating=True)
 
 
 def wedge_of_sym_lower(x: SymLowerElement) -> ColumnTabloidElement:
     """Wedge projection of a symmetric tensor given by its coordinates."""
-    return ColumnTabloidElement._trusted(x.lin.map_labels(_wedge_of_rsym_int))
+    terms = sum_images(((t.rows, c) for t, c in x.lin.unordered_items()), _wedge_of_rsym_int, {})
+    return ColumnTabloidElement._on_lines(x.ring, x.shape, terms)

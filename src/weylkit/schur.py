@@ -29,7 +29,9 @@ exterior power.
 
 Polytabloids are expanded one column at a time by the kernel
 ``powers.line_products``, not alternating, which this module reads but
-does not define.
+does not define.  ``_polytabloid_int`` keeps the expansion of each label's
+columns as ``{rows: int}``; a tableau is built only for a public element,
+and the map on an element labels only the nonzero part of its sum.
 """
 
 from __future__ import annotations
@@ -58,30 +60,30 @@ from .tableaux import (
     sort_line,
     transpose,
 )
-from .powers import ColumnTabloidElement, RowTabloidElement, line_products
+from .powers import ColumnTabloidElement, RowTabloidElement, line_products, sum_images
 from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
 from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
 
 
 @cache
-def _polytabloid_int(t: Tableau) -> LinComb:
-    """Integer expansion of the polytabloid of t over row-tabloid labels."""
-    sorted_cols = [sort_line(col) for col in t.columns]
+def _polytabloid_int(columns: tuple[tuple[int, ...], ...]) -> dict:
+    """The polytabloid of the label with these columns, as ``{rows: int}``; empty on a repeated column entry."""
+    sorted_cols = [sort_line(col) for col in columns]
     if None in sorted_cols:
-        return LinComb.zero(ZZ)
-    terms = line_products(len(t.rows), [((col,), (sign,)) for sign, col in sorted_cols], alternating=False)
-    shape = t.shape
-    return LinComb(ZZ, {Tableau._fresh(rows, shape): c for rows, c in terms.items()})
+        return {}
+    images = [((col,), (sign,)) for sign, col in sorted_cols]
+    return line_products(len(columns[0]) if columns else 0, images, alternating=False)
 
 
 def polytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> RowTabloidElement:
     """Signed column-orbit sum of row tabloids; zero on repeated column entries."""
-    return RowTabloidElement._trusted(_polytabloid_int(t).change_ring(ring))
+    return RowTabloidElement._on_lines(ring, t.shape, _polytabloid_int(t.columns))
 
 
 def apply_polytabloid_map(x: ColumnTabloidElement) -> RowTabloidElement:
     """Linear extension of column tabloid -> polytabloid."""
-    return RowTabloidElement._trusted(x.lin.map_labels(_polytabloid_int))
+    terms = sum_images(((t.columns, c) for t, c in x.lin.unordered_items()), _polytabloid_int, {})
+    return RowTabloidElement._on_lines(x.ring, x.shape, terms)
 
 
 SchurRelation = Relation  # the record's old name, kept importable

@@ -74,7 +74,7 @@ from .verify import KernelCertificate, check, checked_shape, kernel_certificate,
 
 def copolytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> ColumnTabloidElement:
     """Wedge projection of the row symmetrisation of t; constant on row classes."""
-    return ColumnTabloidElement._trusted(_wedge_of_rsym_int(t).change_ring(ring))
+    return ColumnTabloidElement._on_lines(ring, t.shape, _wedge_of_rsym_int(t.rows))
 
 
 DUAL_GARNIR = "dual_garnir"

@@ -3,12 +3,15 @@
 ``powers._wedge_of_rsym_int`` and ``schur._polytabloid_int`` run the one
 line kernel ``powers.line_products`` on identity images, alternating for
 the first and not for the second, merging equal partial states after
-every line.  The first oracle is the definition of the copolytabloid on
-the public tensor path: the wedge projection of the row symmetrisation
-of t, which enumerates the whole row orbit and sorts each member's
-columns with their sign.  The second is the definition the kernel
-replaced, its body unchanged: it takes the product of every column's
-signed permutations and sorts each resulting tableau's rows.
+every line.  They read a label's rows and its columns and keep their
+images as ``{lines: int}``: columns for the first, rows for the second.
+The oracles here take the tableau and give a ``LinComb`` on tableaux, so
+a test compares the two in lines.  The first oracle is the definition of
+the copolytabloid on the public tensor path: the wedge projection of the
+row symmetrisation of t, which enumerates the whole row orbit and sorts
+each member's columns with their sign.  The second is the definition the
+kernel replaced, its body unchanged: it takes the product of every
+column's signed permutations and sorts each resulting tableau's rows.
 
 The third is the left side of the equivariance check on its line images:
 the same kernel, run on the images under g of a label's lines, where the

@@ -49,6 +49,23 @@ class TestParsers:
         with pytest.raises(CliError, match="malformed box set"):
             parse_boxes("1,2")
 
+    # int() reads each of these as a number: 10, a fullwidth 2, +2, an Arabic-Indic 1
+    @pytest.mark.parametrize("text", ["1_0", "\uff12,1", "+2", "\u0661"])
+    def test_shape_parts_are_ascii_digits(self, capsys, text):
+        code, out, err = run(capsys, "dims", "--shape", text, "--entries", "1")
+        assert (code, out) == (2, "") and f"malformed shape {text!r}" in err
+
+    def test_shape_parts_keep_their_whitespace(self):
+        assert parse_shape(" 2 ,\t1\n") == (2, 1)
+        assert parse_boxes(" ( 1 , 2 ),(1,1) ") == frozenset({(1, 1), (1, 2)})
+
+    @pytest.mark.parametrize("text", ["(\u0661,1)", "(1,\uff12)"])
+    def test_box_entries_are_ascii_digits(self, text):
+        from weylkit.cli import CliError
+
+        with pytest.raises(CliError, match="malformed box set"):
+            parse_boxes(text)
+
 
 class TestDims:
     def test_hook(self, capsys):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import permutations as iperms
+from operator import attrgetter
 
 import pytest
 
@@ -44,6 +45,7 @@ from weylkit.tableaux import (
     SEMISTANDARD,
     Tableau,
     enumerate_tableaux,
+    from_columns,
     partitions_up_to,
     sort_rows,
 )
@@ -59,6 +61,10 @@ T = Tableau
 ORACLE_CASES = [(shape, m) for shape in partitions_up_to(5) for m in (1, 2, 3)] + [
     (shape, 4) for shape in partitions_up_to(4)
 ]
+
+
+# the name in duality of each map's line-form label image, which _map reads at call time
+LINE_FORM_IMAGE = {WEDGE_MAP: "_wedge_of_rsym_int", POLYTABLOID_MAP: "_polytabloid_int"}
 
 
 def random_unimodular(rng, m, ring=ZZ):
@@ -547,18 +553,31 @@ class TestEquivariance:
         # the symmetric power, on the polytabloid side, is untouched
         assert equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP) is None
 
-    @pytest.mark.parametrize(
-        "which, name, kind",
-        [(WEDGE_MAP, "copolytabloid", ROW_SEMISTANDARD), (POLYTABLOID_MAP, "polytabloid", COLUMN_STANDARD)],
-    )
-    def test_label_images_are_looked_up_at_call_time(self, monkeypatch, which, name, kind):
-        # the traced benchmark run wraps these by rebinding the module attribute
+    @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP])
+    def test_label_images_are_looked_up_at_call_time(self, monkeypatch, which):
+        # a mutant or a counter rebinds the line-form label image in duality, which _map must see
         calls = []
-        original = getattr(duality, name)
-        monkeypatch.setattr(duality, name, lambda t, *rest: calls.append(t) or original(t, *rest))
+        kind, space, _, original = duality._map(which)
+        monkeypatch.setattr(duality, LINE_FORM_IMAGE[which], lambda lines: calls.append(lines) or original(lines))
         assert equivariance_counterexample((2, 1), 2, EntryMatrix.identity(2), which) is None
-        labels = enumerate_tableaux((2, 1), 2, kind)
-        assert len(calls) == len(labels) and set(calls) == set(labels)
+        labels = [duality._lines(t, space) for t in enumerate_tableaux((2, 1), 2, kind)]
+        # the identity sends each label to itself, so its image is read once on either side
+        assert sorted(calls) == sorted(labels * 2)
+
+    @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP])
+    def test_a_basis_image_scaled_by_seven_fails_over_z_only(self, monkeypatch, which):
+        # 7 = 1 in Z/6, so there the scaled map is the map; over Z the swap moves the scaled label to another
+        _, space, _, original = duality._map(which)
+        scaled = duality._lines(T([[1, 1], [2]]), space)
+        assert original(scaled)
+
+        def seven_times_one_label(lines):
+            image = original(lines)
+            return {key: 7 * c for key, c in image.items()} if lines == scaled else image
+
+        monkeypatch.setattr(duality, LINE_FORM_IMAGE[which], seven_times_one_label)
+        assert equivariance_counterexample((2, 1), 2, EntryMatrix.permutation((2, 1), integers_mod(6)), which) is None
+        assert equivariance_counterexample((2, 1), 2, EntryMatrix.permutation((2, 1)), which) is not None
 
     def test_unknown_map_rejected(self):
         with pytest.raises(InputError, match="unknown map 'bogus'"):
@@ -594,13 +613,14 @@ def projected_entry_action(t, g, which):
     return {u.rows: c for u, c in image.items()}
 
 
-def left_side_differs(t, g, which, mapped):
-    """Whether the check's left side on t, read through the basis images ``mapped``, misses either oracle.
+def left_side_differs(t, g, which):
+    """Whether the check's left side on t, read through the line-form basis images, misses either oracle.
 
     The oracles are the kernel run on g's images of t's lines and the
     projected entry action, each reduced into the ring.
     """
-    lhs = duality._ring_terms(g.ring, duality._left_side(t, g, mapped))
+    _, space, _, image = duality._map(which)
+    lhs = duality._ring_terms(g.ring, duality._left_side(duality._lines(t, space), g, space, image, {}))
     return (
         lhs != duality._ring_terms(g.ring, projection_oracles.mapped_action(t, g, which))
         or lhs != projected_entry_action(t, g, which)
@@ -611,12 +631,21 @@ def left_side_mismatches(tag, which):
     """The (t, g) on which the left side of the equivariance check differs from an oracle."""
     kind = ROW_SEMISTANDARD if which == WEDGE_MAP else COLUMN_STANDARD
     for shape in partitions_up_to(4):
-        mapped = duality._BasisImages(shape, which)
         for m in (1, 2, 3):
             for g in left_side_matrices(tag, m):
                 for t in enumerate_tableaux(shape, m, kind):
-                    if left_side_differs(t, g, which, mapped):
+                    if left_side_differs(t, g, which):
                         yield t, g
+
+
+def column_form(lin):
+    """A LinComb on column tabloids as the line form of the basis maps: ``{columns: coeff}``."""
+    return {u.columns: c for u, c in lin.unordered_items()}
+
+
+def row_form(lin):
+    """A LinComb on row tabloids as the line form of the basis maps: ``{rows: coeff}``."""
+    return {u.rows: c for u, c in lin.unordered_items()}
 
 
 def mutated(kernel, old, new):
@@ -635,12 +664,27 @@ class TestLineKernels:
         checked = 0
         for shape, m in ORACLE_CASES:
             for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
-                assert powers._wedge_of_rsym_int(t) == projection_oracles.wedge_of_rsym_int(t), t
+                assert powers._wedge_of_rsym_int(t.rows) == column_form(projection_oracles.wedge_of_rsym_int(t)), t
                 checked += 1
             for u in enumerate_tableaux(shape, m, COLUMN_STANDARD):
-                assert schur._polytabloid_int(u) == projection_oracles.polytabloid_int(u), u
+                assert schur._polytabloid_int(u.columns) == row_form(projection_oracles.polytabloid_int(u)), u
                 checked += 1
         assert checked == 2016 + 1143  # row-semistandard labels, then column-standard ones
+
+    @pytest.mark.parametrize("tag", ["z", "q", "zmod:6"])
+    def test_public_maps_relabel_the_line_forms(self, tag):
+        ring = parse_ring(tag)
+        checked = 0
+        for shape, m in ORACLE_CASES:
+            for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
+                terms = {from_columns(shape, cols): c for cols, c in powers._wedge_of_rsym_int(t.rows).items()}
+                assert copolytabloid(t, ring) == ColumnTabloidElement(LinComb(ring, terms)), t
+                checked += 1
+            for u in enumerate_tableaux(shape, m, COLUMN_STANDARD):
+                terms = {T(rows): c for rows, c in schur._polytabloid_int(u.columns).items()}
+                assert polytabloid(u, ring) == RowTabloidElement(LinComb(ring, terms)), u
+                checked += 1
+        assert checked == 2016 + 1143
 
     @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP])
     @pytest.mark.parametrize("tag", sorted(LEFT_SIDE_UNITS))
@@ -650,17 +694,14 @@ class TestLineKernels:
     @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP])
     def test_a_matrix_larger_than_the_alphabet(self, monkeypatch, which):
         # g sends the entries 1 and 2 past the alphabet, where no label of the check's own enumeration lies
-        kind = ROW_SEMISTANDARD if which == WEDGE_MAP else COLUMN_STANDARD
-        name = "copolytabloid" if which == WEDGE_MAP else "polytabloid"
-        mapped_labels = []
-        original = getattr(duality, name)
-        monkeypatch.setattr(duality, name, lambda t, *rest: mapped_labels.append(t) or original(t, *rest))
+        mapped = []
+        kind, _, _, original = duality._map(which)
+        monkeypatch.setattr(duality, LINE_FORM_IMAGE[which], lambda lines: mapped.append(lines) or original(lines))
         g = random_unimodular(random.Random(4), 4)
         for shape in partitions_up_to(3):
             assert equivariance_counterexample(shape, 2, g, which) is None
-            mapped = duality._BasisImages(shape, which)
-            assert not [t for t in enumerate_tableaux(shape, 2, kind) if left_side_differs(t, g, which, mapped)]
-        assert {t.max_entry for t in mapped_labels} >= {3, 4}
+            assert not [t for t in enumerate_tableaux(shape, 2, kind) if left_side_differs(t, g, which)]
+        assert {max(map(max, lines)) for lines in mapped if lines} >= {3, 4}
 
     @pytest.mark.parametrize(
         "module, old, new, which",
@@ -675,8 +716,10 @@ class TestLineKernels:
         caches = (powers._wedge_of_rsym_int, schur._polytabloid_int)
         if which == WEDGE_MAP:
             kind, basis_map, oracle = ROW_SEMISTANDARD, powers._wedge_of_rsym_int, projection_oracles.wedge_of_rsym_int
+            lines, line_form = attrgetter("rows"), column_form
         else:
             kind, basis_map, oracle = COLUMN_STANDARD, schur._polytabloid_int, projection_oracles.polytabloid_int
+            lines, line_form = attrgetter("columns"), row_form
         for cached in caches:
             cached.cache_clear()
         try:
@@ -686,7 +729,7 @@ class TestLineKernels:
                 for shape in [(1, 1), (2, 1), (2, 2), (3, 1)]:
                     assert equivariance_counterexample(shape, 3, g, which) is not None, shape
                 assert next(left_side_mismatches("z", which), None) is not None
-                assert any(basis_map(t) != oracle(t) for t in enumerate_tableaux((2, 1), 3, kind))
+                assert any(basis_map(lines(t)) != line_form(oracle(t)) for t in enumerate_tableaux((2, 1), 3, kind))
         finally:
             for cached in caches:
                 cached.cache_clear()
