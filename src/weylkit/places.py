@@ -8,9 +8,10 @@ Garnir and star relations walk those cosets with one enumerator,
 into A and the rest into B and reports the sign of that move.  The dual
 Garnir relations need one term per row class only, and
 :func:`row_classes` lists the classes directly, one per distinct
-sub-multiset of the entries that goes into A.  Row orbits are listed as
-distinct tableaux, never as group elements, and every stabilizer order
-is one :func:`stabilizer_order`, the product of the factorials of the
+sub-multiset of the entries that goes into A.  Both run on a label's
+lines and build no tableau.  Row orbits are listed as distinct tableaux,
+never as group elements, and every stabilizer order is one
+:func:`stabilizer_order`, the product of the factorials of the
 multiplicities.  Every such relation, whatever its kind, is one
 :class:`Relation`: a tableau, two box sets and the element they label.
 :class:`PlacePermutation`, the coset representatives of
@@ -211,25 +212,26 @@ def check_line_label(t: Tableau, box_a: frozenset, box_b: frozenset, rows: bool)
         raise InputError(f"invalid {kind} label: |A| + |B| must exceed the length of A's {line}")
 
 
-def _written(t: Tableau, boxes, values) -> Tableau:
-    """t with ``values`` written into ``boxes``, in order."""
-    grid = [list(row) for row in t.rows]
-    for (i, j), v in zip(boxes, values):
-        grid[i - 1][j - 1] = v
-    return Tableau._fresh(tuple(map(tuple, grid)), t.shape)
+def _written(lines: tuple, boxes, values) -> tuple:
+    """``lines`` with ``values`` written into ``boxes``, in order; the box (k, p) is entry p of line k."""
+    grid = [list(line) for line in lines]
+    for (k, p), v in zip(boxes, values):
+        grid[k - 1][p - 1] = v
+    return tuple(map(tuple, grid))
 
 
-def shuffles(t: Tableau, box_a: frozenset, box_b: frozenset):
-    """t acted on by one representative per left coset of S_A x S_B in S_{A|B}, with its sign.
+def shuffles(lines: tuple, box_a: frozenset, box_b: frozenset):
+    """A label's lines acted on by one representative per left coset of S_A x S_B in S_{A|B}, with its sign.
 
-    The positions are the boxes of A | B in box order, each holding its
-    entry of t.  For each |A|-subset S of the positions, in lexicographic
-    order, the entries on S go into A and the others into B, each in box
-    order: the filling of A | B by the representative
+    The box (k, p) is entry p of line k: as it is on rows, transposed on
+    columns.  The positions are the boxes of A | B in box order, each
+    holding its entry.  For each |A|-subset S of the positions, in
+    lexicographic order, the entries on S go into A and the others into B,
+    each in box order: on rows, the filling of A | B by the representative
     :func:`left_coset_reps` picks for S.
     """
     union = sorted(box_a | box_b)
-    values = [t.rows[i - 1][j - 1] for i, j in union]
+    values = [lines[k - 1][p - 1] for k, p in union]
     targets = sorted(box_a) + sorted(box_b)
     # Read as a word in the positions, S followed by the rest is a permutation
     # of sign (-1)^(sum(S) - C(|A|, 2)), and likewise A's positions followed
@@ -239,7 +241,7 @@ def shuffles(t: Tableau, box_a: frozenset, box_b: frozenset):
     k = len(union)
     for chosen in combinations(range(k), len(box_a)):
         into = [values[n] for n in chosen] + [values[n] for n in range(k) if n not in chosen]
-        yield _written(t, targets, into), -1 if (parity + sum(chosen)) % 2 else 1
+        yield _written(lines, targets, into), -1 if (parity + sum(chosen)) % 2 else 1
 
 
 def _sub_multisets(values: tuple, k: int):
@@ -266,29 +268,30 @@ def _split_weight(row: tuple, part: tuple) -> int:
     return weight
 
 
-def row_classes(t: Tableau, box_a: frozenset, box_b: frozenset):
+def row_classes(rows: tuple, box_a: frozenset, box_b: frozenset):
     """One (entries into A, entries into B, class, weight) per row class of the dual Garnir label.
 
-    The classes are those reached by rearranging the entries of t on A | B.
-    A class is fixed by the multiset of entries written into A: these run
-    over the distinct |A|-sub-multisets of the entries on A | B, ascending
-    and in lexicographic order, and the rest go into B, ascending.  Only
-    A's row and B's row change, so the class, t with every row sorted, is
-    rewritten in those two rows only.  The weight is :func:`class_index` of
-    any member, prod_v C(copies of v in the row, copies of v written into
-    A) in A's row times the same in B's row, as every other box lies
-    outside A | B.  The label is not validated.
+    The classes are those reached by rearranging the entries on A | B of
+    the label with these ``rows``.  A class is fixed by the multiset of
+    entries written into A: these run over the distinct |A|-sub-multisets
+    of the entries on A | B, ascending and in lexicographic order, and the
+    rest go into B, ascending.  Only A's row and B's row change, so the
+    class, the rows each sorted, is rewritten in those two rows only.  The
+    weight is :func:`class_index` of any member, prod_v C(copies of v in
+    the row, copies of v written into A) in A's row times the same in B's
+    row, as every other box lies outside A | B.  The label is not
+    validated.
     """
     (ia,), (ib,) = {i for i, _ in box_a}, {i for i, _ in box_b}
-    fixed_a = tuple(v for j, v in enumerate(t.rows[ia - 1], 1) if (ia, j) not in box_a)
-    fixed_b = tuple(v for j, v in enumerate(t.rows[ib - 1], 1) if (ib, j) not in box_b)
-    rows = [tuple(sorted(row)) for row in t.rows]
-    values = tuple(sorted(t.rows[i - 1][j - 1] for i, j in box_a | box_b))
+    fixed_a = tuple(v for j, v in enumerate(rows[ia - 1], 1) if (ia, j) not in box_a)
+    fixed_b = tuple(v for j, v in enumerate(rows[ib - 1], 1) if (ib, j) not in box_b)
+    values = tuple(sorted(rows[i - 1][j - 1] for i, j in box_a | box_b))
+    sorted_rows = [tuple(sorted(row)) for row in rows]
     for into_a, into_b in _sub_multisets(values, len(box_a)):
-        rows[ia - 1] = row_a = tuple(sorted(fixed_a + into_a))
-        rows[ib - 1] = row_b = tuple(sorted(fixed_b + into_b))
+        sorted_rows[ia - 1] = row_a = tuple(sorted(fixed_a + into_a))
+        sorted_rows[ib - 1] = row_b = tuple(sorted(fixed_b + into_b))
         weight = _split_weight(row_a, into_a) * _split_weight(row_b, into_b)
-        yield into_a, into_b, Tableau._fresh(tuple(rows), t.shape), weight
+        yield into_a, into_b, tuple(sorted_rows), weight
 
 
 def sab_orbit_row_classes(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[tuple[Tableau, int]]:
@@ -301,17 +304,17 @@ def sab_orbit_row_classes(t: Tableau, box_a: frozenset, box_b: frozenset) -> lis
     """
     check_line_label(t, box_a, box_b, rows=True)
     targets = sorted(box_a) + sorted(box_b)
-    classes = sorted(row_classes(t, box_a, box_b), key=lambda found: found[2])
-    return [(_written(t, targets, into_a + into_b), weight) for into_a, into_b, _, weight in classes]
+    classes = sorted(row_classes(t.rows, box_a, box_b), key=lambda found: found[2])  # as the class tableaux sort
+    return [(Tableau._fresh(_written(t.rows, targets, a + b), t.shape), weight) for a, b, _, weight in classes]
 
 
 def sab_cosets_star(t: Tableau, box_a: frozenset, box_b: frozenset) -> list[tuple[Tableau, int]]:
     """Multiset of tableaux reached by one representative per left coset.
 
-    The tableaux of :func:`shuffles`, tallied with multiplicities.
+    The tableaux of :func:`shuffles` on t's rows, tallied with multiplicities.
     """
     check_line_label(t, box_a, box_b, rows=True)
-    return sorted(Counter(u for u, _ in shuffles(t, box_a, box_b)).items())
+    return sorted(Counter(Tableau._fresh(rows, t.shape) for rows, _ in shuffles(t.rows, box_a, box_b)).items())
 
 
 def left_coset_reps(shape, box_a: frozenset, box_b: frozenset):

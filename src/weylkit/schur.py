@@ -30,8 +30,10 @@ exterior power.
 Polytabloids are expanded one column at a time by the kernel
 ``powers.line_products``, not alternating, which this module reads but
 does not define.  ``_polytabloid_int`` keeps the expansion of each label's
-columns as ``{rows: int}``; a tableau is built only for a public element,
-and the map on an element labels only the nonzero part of its sum.
+columns as ``{rows: int}``, and ``_garnir_int`` a Garnir relation on a
+label's columns as ``{columns: int}``; a tableau is built only for a
+public element or a counterexample, and the map on an element labels
+only the nonzero part of its sum.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ import time
 from collections import Counter
 from functools import cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
-from .coeffs import ZZ, CoefficientRing, LinComb
+from .coeffs import ZZ, CoefficientRing
 from .places import Relation, check_line_label, shuffles, stabilizer_order
 from .tableaux import (
     COLUMN_STANDARD,
@@ -50,13 +52,9 @@ from .tableaux import (
     SEMISTANDARD,
     Tableau,
     check_partition,
-    column_order_key,
     conjugate,
     count_tableaux,
     enumerate_tableaux,
-    from_columns,
-    row_order_key,
-    sort_columns,
     sort_line,
     transpose,
 )
@@ -89,30 +87,32 @@ def apply_polytabloid_map(x: ColumnTabloidElement) -> RowTabloidElement:
 SchurRelation = Relation  # the record's old name, kept importable
 
 
-def _repeats_an_entry(t: Tableau, boxes) -> bool:
-    """Whether two boxes of ``boxes`` hold equal entries of t; on A | B, the zero rule of the module docstring."""
-    values = [t.rows[i - 1][j - 1] for i, j in boxes]
+def _repeats_an_entry(lines: tuple, boxes) -> bool:
+    """Whether two boxes (k, p), entry p of line k, hold equal entries: on A | B, the zero rule."""
+    values = [lines[k - 1][p - 1] for k, p in boxes]
     return len(set(values)) < len(values)
 
 
 @cache
-def _garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
-    """The Garnir relation on (t, A, B) over Z: each coset term column-sorted, zero on a repeat on A | B."""
-    if _repeats_an_entry(t, box_a | box_b):
-        return LinComb.zero(ZZ)
-    terms = []
-    for u, coset_sign in shuffles(t, box_a, box_b):
-        sorted_ = sort_columns(u)
-        if sorted_ is not None:
-            terms.append((sorted_[1], coset_sign * sorted_[0]))
-    return LinComb(ZZ, terms)
+def _garnir_int(columns: tuple[tuple[int, ...], ...], box_a: frozenset, box_b: frozenset) -> dict:
+    """The Garnir relation on (t, A, B) over Z, t given by its columns, as ``{columns: int}``; empty on a repeat."""
+    box_a, box_b = frozenset((j, i) for i, j in box_a), frozenset((j, i) for i, j in box_b)
+    if _repeats_an_entry(columns, box_a | box_b):
+        return {}
+    terms: dict = {}
+    for cols, coset_sign in shuffles(columns, box_a, box_b):
+        sorted_cols = [sort_line(col) for col in cols]
+        if None not in sorted_cols:
+            key = tuple(col for _, col in sorted_cols)
+            terms[key] = terms.get(key, 0) + coset_sign * prod(sign for sign, _ in sorted_cols)
+    return {key: c for key, c in terms.items() if c}
 
 
 def garnir(t: Tableau, box_a: frozenset, box_b: frozenset, ring: CoefficientRing = ZZ) -> Relation:
     """The signed coset-representative sum labelled by (t, A, B)."""
     check_line_label(t, box_a, box_b, rows=False)
-    lin = _garnir_int(t, box_a, box_b).change_ring(ring)
-    return Relation("garnir", t, box_a, box_b, ColumnTabloidElement._trusted(lin))
+    element = ColumnTabloidElement._on_lines(ring, t.shape, _garnir_int(t.columns, box_a, box_b))
+    return Relation("garnir", t, box_a, box_b, element)
 
 
 def garnir_labels(shape):
@@ -167,21 +167,14 @@ def _is_dominant(weight: tuple[int, ...]) -> bool:
 def _relation_labels(shape: tuple[int, ...]):
     """The function giving the (A, B) on which a label t repeats no entry: those the zero rule keeps."""
     boxsets = list(garnir_labels(shape))
-    return lambda t: [(a, b) for a, b in boxsets if not _repeats_an_entry(t, a | b)]
+    return lambda t: [(a, b) for a, b in boxsets if not _repeats_an_entry(t.rows, a | b)]
 
 
-def _local_garnir(t: Tableau, boxes: tuple[frozenset, frozenset]):
-    """The two-column relation the one on (t, A, B) is local to: columns j_A and j_B of t, A and B moved onto 1 and 2."""
+def _local_garnir(columns: tuple, boxes: tuple[frozenset, frozenset]):
+    """The two-column relation the one on (t, A, B) is local to: t's columns j_A and j_B, A and B moved onto 1 and 2."""
     box_a, box_b = boxes
-    cols = (t.column_entries(next(iter(box_a))[1]), t.column_entries(next(iter(box_b))[1]))
+    cols = (columns[next(iter(box_a))[1] - 1], columns[next(iter(box_b))[1] - 1])
     return cols, (frozenset((i, 1) for i, _ in box_a), frozenset((i, 2) for i, _ in box_b))
-
-
-def _garnir_on(label, boxes: tuple[frozenset, frozenset]) -> Relation:
-    """The Garnir relation on a column-sorted label, given as a tableau or, for a local relation, as its two columns."""
-    if not isinstance(label, Tableau):
-        label = from_columns(conjugate(tuple(map(len, label))), label)
-    return garnir(label, *boxes)
 
 
 def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size, local) -> KernelCertificate:
@@ -195,14 +188,15 @@ def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size, loc
     return kernel_certificate(
         labels=labels,
         relation_labels=_relation_labels(shape),
-        build=_garnir_on,
-        kernel_map=apply_polytabloid_map,
+        relation=lambda columns, boxes: _garnir_int(columns, *boxes),
+        kernel_image=_polytabloid_int,
+        rows=False,
         pivot=_garnir_pivot,
-        key=lambda u: column_order_key(u, max_entry),
+        max_entry=max_entry,
         dimension=count_tableaux(shape, max_entry, COLUMN_STANDARD),
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
+        build=lambda t, boxes: garnir(t, *boxes),
         image=polytabloid,
-        image_key=lambda u: row_order_key(u, max_entry),
         local=local,
         orbit_size=orbit_size,
     )

@@ -203,21 +203,26 @@ def _content_counts(line) -> dict[int, int]:
     return counts
 
 
-def row_order_key(t: Tableau, max_entry: int) -> tuple:
-    """Sort key whose natural order agrees with the row order on one shape.
+def line_order_key(lines, max_entry: int) -> tuple:
+    """Sort key whose natural order agrees with the row order on the rows of labels of one shape.
 
-    Scans entry values downward and rows top-to-bottom, recording content
+    Scans entry values downward and lines first to last, recording content
     counts; lexicographic comparison of these vectors finds exactly the
-    largest differing entry and the highest row where it differs.
+    largest differing entry and the first line where it differs.  On the
+    columns it gives the column order.
     """
-    counts = [_content_counts(row) for row in t.rows]
+    counts = [_content_counts(line) for line in lines]
     return tuple(c.get(v, 0) for v in range(max_entry, 0, -1) for c in counts)
+
+
+def row_order_key(t: Tableau, max_entry: int) -> tuple:
+    """Sort key whose natural order agrees with the row order on one shape."""
+    return line_order_key(t.rows, max_entry)
 
 
 def column_order_key(t: Tableau, max_entry: int) -> tuple:
     """Column-order analogue of :func:`row_order_key`."""
-    counts = [_content_counts(col) for col in t.columns]
-    return tuple(c.get(v, 0) for v in range(max_entry, 0, -1) for c in counts)
+    return line_order_key(t.columns, max_entry)
 
 
 def _compare_by_key(order_key, t: Tableau, u: Tableau) -> OrderVerdict:

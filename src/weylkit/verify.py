@@ -78,16 +78,21 @@ relation are both zero.  A column permutation σ sends the relation on
 relation up to sign.  The Schur side also skips the relations its zero
 rule proves zero, and never a pivot, and it uses part 4 (see
 :mod:`weylkit.schur`).
+
+The scan runs on lines, a label's columns on the Schur side and its rows
+on the Weyl side, with relations and kernel images as ``{lines: int}``;
+a public relation or image is built only for a counterexample.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .coeffs import QQ, ZZ, CoefficientRing, InputError
-from .linalg import leading_coefficient
-from .tableaux import check_partition
+from .powers import sum_images
+from .tableaux import check_partition, line_order_key
 
 
 class SizeCapExceeded(InputError):
@@ -195,85 +200,92 @@ class KernelCertificate:
         return self.ranks(ZZ)[1] is not None and self.pivots == self.nullity
 
 
-_UNBUILT = object()
+def _lead(lines, terms: dict, key):
+    """The coefficient of ``lines`` in ``terms`` when every other term sorts below it under ``key``, else None."""
+    top = key(lines)
+    if any(key(u) >= top for u in terms if u != lines):
+        return None
+    return terms.get(lines, 0)
 
 
-def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key, orbit_size, local):
+def _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot, key, build, orbit_size, local):
     """(first relation not mapping to zero, pivots with lead 1 times their orbit sizes, the other pivots)."""
     pivots, odd = 0, []
-    # local label -> its relation when that maps to zero, so that every
+    # local (lines, r) -> its relation when that maps to zero, so that every
     # relation it is local to does too (part 5), else None
     local_relations = {}
     for t in labels:
         target = None if t.is_semistandard else pivot(t)
-        found = local_pivot = None
+        lines = getattr(t, own)
+        on_target = None  # (the lines the pivot's lead is read at, the relation that decides it)
         for r in relation_labels(t):
-            here = local(t, r)
-            rel = local_relations.get(here, _UNBUILT)
-            if rel is _UNBUILT:
-                rel = build(*here)
-                rel = local_relations[here] = rel if kernel_map(rel.element).is_zero else None
-            if rel is not None:
-                if r == target:
-                    local_pivot = rel
-                continue
-            rel = build(t, r)
-            if not kernel_map(rel.element).is_zero:
-                return rel, pivots, odd
+            here = local(lines, r)
+            if here not in local_relations:
+                rel = relation(*here)
+                local_relations[here] = rel if maps_to_zero(rel) else None
+            rel = local_relations[here]
+            if rel is None:
+                here, rel = (lines, r), relation(lines, r)
+                if not maps_to_zero(rel):
+                    return build(t, r), pivots, odd
             if r == target:
-                found = rel
+                on_target = here[0], rel
         if target is None:
             continue
-        lead = None
-        if local_pivot is not None:
-            lead = leading_coefficient(local_pivot.element, local_pivot.tableau, key)
-            if lead != 1:  # the relation on t has the same lead (part 5) and is the counterexample
-                found = build(t, target)
-        if found is not None:
-            lead = leading_coefficient(found.element, t, key)
+        lead = _lead(*on_target, key) if on_target else None
+        if lead != 1 and on_target:  # read it on the relation on t, which has the same lead (part 5)
+            lead = _lead(lines, relation(lines, target), key)
         if lead == 1:
             pivots += orbit_size(t)
         else:
-            odd.append((lead, t, found, orbit_size(t)))
+            odd.append((lead, t, build(t, target) if on_target else None, orbit_size(t)))
     return None, pivots, odd
 
 
 def kernel_certificate(
-    labels, relation_labels, build, kernel_map, pivot, key, dimension, semistandard, image, image_key, local,
-    orbit_size=lambda t: 1,
+    labels, relation_labels, relation, kernel_image, rows, pivot, max_entry, dimension, semistandard, build, image,
+    local, orbit_size=lambda t: 1,
 ) -> KernelCertificate:
     """Build the integer certificate of a kernel theorem on one (shape, max_entry).
 
-    Decides the relation on (t, r) for every label t and every relation
-    label r in ``relation_labels(t)`` on its local relation ``local(t, r)``
-    (part 5 of the module docstring), a hashable pair (u, s) whose relation
-    ``build(u, s)`` has the local label as its ``tableau``; each is built
-    and mapped once, and ``lambda t, r: (t, r)`` makes every relation its
-    own.  The scan stops at the first relation whose image under
-    ``kernel_map`` is not zero; a side leaves out of ``relation_labels(t)``
-    only labels whose relation on t is zero, and never ``pivot(t)``.  For
-    each t that is not semistandard, the relation on ``pivot(t)`` (None for
-    no pivot) should have coefficient 1 on t and every other label strictly
-    below t under ``key``.  The domain has ``dimension`` basis labels, and
-    ``image(s)`` of each label s in ``semistandard`` should have coefficient
-    1 on s and every other label strictly above s under ``image_key``.
-    ``build`` returns a :class:`~weylkit.places.Relation`, whose
-    ``to_json()`` is the counterexample when a check on it fails.
+    A label's own lines are its rows with ``rows``, else its columns, and
+    every order is :func:`~weylkit.tableaux.line_order_key`.  Decides
+    the relation on (t, r) for every label t and every relation label r in
+    ``relation_labels(t)`` on its local relation ``local(lines, r)``, with
+    t's own lines (part 5 of the module docstring): a hashable pair (u, s)
+    whose relation ``relation(u, s)`` is built and mapped once, and
+    ``lambda lines, r: (lines, r)`` makes every relation its own.  A
+    relation maps to zero when the sum of ``kernel_image`` over its terms
+    has every coefficient 0.  The scan stops at the first relation that
+    does not; a side leaves out of ``relation_labels(t)`` only labels whose
+    relation on t is zero, and never ``pivot(t)``.  For each t that is not
+    semistandard, the relation on ``pivot(t)`` (None for no pivot) should
+    have coefficient 1 on t's own lines and every other term strictly
+    below.  The domain has ``dimension`` basis labels, and ``kernel_image``
+    of the own lines of each s in ``semistandard`` should have coefficient
+    1 on s's other lines and every other term strictly above.  Only a
+    counterexample is built in public form: the relation ``build(t, r)``
+    and the image ``image(s)``, whose ``to_json()`` a failed check reports.
 
     Each pivot of a label t counts ``orbit_size(t)`` times: 1 by default,
     or the size of the S_m-orbit of t's weight when ``labels`` holds one
     weight per orbit (part 4).  The semistandard images are checked on
     every label.
     """
+    own, other = ("rows", "columns") if rows else ("columns", "rows")
+    key = partial(line_order_key, max_entry=max_entry)
+
+    def maps_to_zero(rel: dict) -> bool:
+        return not any(sum_images(rel.items(), kernel_image, {}).values())
+
     bad, pivots, odd_pivots = _scan_relations(
-        labels, relation_labels, build, kernel_map, pivot, key, orbit_size, local
+        labels, relation_labels, relation, maps_to_zero, own, pivot, key, build, orbit_size, local
     )
     odd_images = []
     for s in semistandard:
-        element = image(s)
-        lead = leading_coefficient(element, s, lambda u: tuple(-v for v in image_key(u)))
+        lead = _lead(getattr(s, other), kernel_image(getattr(s, own)), lambda u: tuple(-v for v in key(u)))
         if lead != 1:
-            odd_images.append((lead, s, element))
+            odd_images.append((lead, s, image(s)))
     rank = len(semistandard)
     odd_pivots, odd_images = tuple(odd_pivots), tuple(odd_images)
     return KernelCertificate(bad, dimension - rank, rank, pivots, odd_pivots, odd_images)

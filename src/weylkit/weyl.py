@@ -34,6 +34,9 @@ snake (1, j, j') on rows i and i+1 of t, with t's other rows put back in
 every term.  So the certificate builds and maps each two-row snake once,
 and builds a snake on more rows only when its two-row snake does not map
 to zero, or when it is a pivot whose two-row snake does not lead with 1.
+It reads them on lines from ``_dual_garnir_int``, which keeps a relation
+on a label's rows as ``{rows: int}``, and builds a public snake only for
+a counterexample.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .places import (
     row_stabilizer_order,
     sab_cosets_star,
 )
-from .powers import ColumnTabloidElement, SymLowerElement, _wedge_of_rsym_int, wedge_of_sym_lower
+from .powers import ColumnTabloidElement, SymLowerElement, _wedge_of_rsym_int
 from .schur import garnir_labels
 from .tableaux import (
     ROW_SEMISTANDARD,
@@ -62,7 +65,6 @@ from .tableaux import (
     COLUMN_STANDARD,
     Tableau,
     check_partition,
-    column_order_key,
     conjugate,
     count_tableaux,
     enumerate_tableaux,
@@ -87,8 +89,9 @@ WeylRelation = Relation  # the record's old name, kept importable
 
 
 @cache
-def _dual_garnir_int(t: Tableau, box_a: frozenset, box_b: frozenset) -> LinComb:
-    return LinComb(ZZ, {c: weight for _, _, c, weight in row_classes(t, box_a, box_b)})
+def _dual_garnir_int(rows: tuple[tuple[int, ...], ...], box_a: frozenset, box_b: frozenset) -> dict:
+    """The dual Garnir relation on (t, A, B) over Z, t given by its rows, as ``{rows: int}``."""
+    return {c: weight for _, _, c, weight in row_classes(rows, box_a, box_b)}
 
 
 def dual_garnir(
@@ -96,8 +99,8 @@ def dual_garnir(
 ) -> Relation:
     """The index-weighted row-class sum labelled by (t, A, B)."""
     check_line_label(t, box_a, box_b, rows=True)
-    lin = _dual_garnir_int(t, box_a, box_b).change_ring(ring)
-    return Relation(DUAL_GARNIR, t, box_a, box_b, SymLowerElement._trusted(lin))
+    element = SymLowerElement._on_lines(ring, t.shape, _dual_garnir_int(t.rows, box_a, box_b))
+    return Relation(DUAL_GARNIR, t, box_a, box_b, element)
 
 
 def dual_garnir_double_coset(
@@ -160,8 +163,8 @@ def dual_snake(t: Tableau, i: int, j: int, jp: int, ring: CoefficientRing = ZZ) 
     """The adjacent-row relation on a right segment of row i and a left segment of row i+1."""
     box_a, box_b = snake_boxsets(t.shape, i, j, jp)
     # (A, B) is a dual Garnir label by construction: |A| + |B| >= (λ_i - j + 1) + j > λ_i
-    lin = _dual_garnir_int(t, box_a, box_b).change_ring(ring)
-    return Relation(DUAL_SNAKE, t, box_a, box_b, SymLowerElement._trusted(lin), (i, j, jp))
+    element = SymLowerElement._on_lines(ring, t.shape, _dual_garnir_int(t.rows, box_a, box_b))
+    return Relation(DUAL_SNAKE, t, box_a, box_b, element, (i, j, jp))
 
 
 def snake_labels(shape):
@@ -293,17 +296,10 @@ def weyl_basis(shape, max_entry: int, ring: CoefficientRing = ZZ):
     ]
 
 
-def _local_snake(t: Tableau, snake: tuple[int, int, int]):
-    """The two-row snake the snake (i, j, j') on t is local to: rows i and i+1 of t, and (1, j, j')."""
+def _local_snake(rows: tuple, snake: tuple[int, int, int]):
+    """The two-row snake the snake (i, j, j') on t is local to, t given by its rows: rows i and i+1, and (1, j, j')."""
     i, j, jp = snake
-    return t.rows[i - 1 : i + 1], (1, j, jp)
-
-
-def _snake_on(label, snake: tuple[int, int, int]) -> Relation:
-    """The dual snake on a row-sorted label, given as a tableau or, for a local snake, as its two rows."""
-    if not isinstance(label, Tableau):
-        label = Tableau._fresh(label, (len(label[0]), len(label[1])))
-    return dual_snake(label, *snake)
+    return rows[i - 1 : i + 1], (1, j, jp)
 
 
 def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertificate:
@@ -318,14 +314,15 @@ def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertific
     return kernel_certificate(
         labels=rssyt,
         relation_labels=lambda t: snakes,
-        build=_snake_on,
-        kernel_map=wedge_of_sym_lower,
+        relation=lambda rows, snake: _dual_garnir_int(rows, *snake_boxsets(tuple(map(len, rows)), *snake)),
+        kernel_image=_wedge_of_rsym_int,
+        rows=True,
         pivot=_snake_pivot,
-        key=lambda u: row_order_key(u, max_entry),
+        max_entry=max_entry,
         dimension=len(rssyt),
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
+        build=lambda t, snake: dual_snake(t, *snake),
         image=copolytabloid,
-        image_key=lambda u: column_order_key(u, max_entry),
         local=local,
     )
 

@@ -83,9 +83,14 @@ def wedge_projection(terms):
     return LinComb(ZZ, out)
 
 
+def tableau_shuffles(t, box_a, box_b):
+    """:func:`~weylkit.places.shuffles` on the rows of t, each term labelled as a tableau."""
+    return [(Tableau._fresh(rows, t.shape), sign) for rows, sign in shuffles(t.rows, box_a, box_b)]
+
+
 def shuffle_garnir(t, box_a, box_b):
     """The Garnir relation on (t, A, B) over Z: every coset term written out and column-sorted."""
-    return wedge_projection(shuffles(t, box_a, box_b))
+    return wedge_projection(tableau_shuffles(t, box_a, box_b))
 
 
 def shuffle_dual_garnir(t, box_a, box_b):
@@ -98,4 +103,4 @@ def shuffle_dual_garnir(t, box_a, box_b):
     union = sorted(box_a | box_b)
     ascending = _fill_boxes(t, union, sorted(t.entry(i, j) for i, j in union))
     members = frozenset(union)
-    return LinComb(ZZ, {sort_rows(u): class_index(u, members) for u, _ in shuffles(ascending, box_a, box_b)})
+    return LinComb(ZZ, {sort_rows(u): class_index(u, members) for u, _ in tableau_shuffles(ascending, box_a, box_b)})

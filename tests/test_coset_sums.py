@@ -50,17 +50,23 @@ def coset_sweep(shape, labels):
             yield t, box_a, box_b, [(rep.act(t), sign) for rep, sign in reps]
 
 
+def on_lines(lin, lines):
+    """A tableau-keyed ``LinComb`` over Z as ``{lines: int}``, each label read as ``lines(label)``."""
+    return {lines(u): c for u, c in lin.items()}
+
+
 @each_shape
 def test_garnir_relations_match_coset_representatives(shape):
     for t, box_a, box_b, acted in coset_sweep(shape, garnir_labels):
-        assert list(shuffles(t, box_a, box_b)) == acted
-        assert _garnir_int(t, box_a, box_b) == wedge_projection(acted), (t, box_a, box_b)
+        assert list(shuffles(t.rows, box_a, box_b)) == [(u.rows, sign) for u, sign in acted]
+        expected = on_lines(wedge_projection(acted), lambda u: u.columns)
+        assert _garnir_int(t.columns, box_a, box_b) == expected, (t, box_a, box_b)
 
 
 @each_shape
 def test_star_variants_match_coset_representatives(shape):
     for t, box_a, box_b, acted in coset_sweep(shape, dual_garnir_labels):
-        assert list(shuffles(t, box_a, box_b)) == acted
+        assert list(shuffles(t.rows, box_a, box_b)) == [(u.rows, sign) for u, sign in acted]
         tally = Counter(u for u, _ in acted)
         assert sab_cosets_star(t, box_a, box_b) == sorted(tally.items(), key=lambda kv: kv[0].sort_key)
         for kind, weight in ((STAR_VARIANT, lambda u: 1), (STAR_STAR_VARIANT, row_stabilizer_order)):
@@ -78,6 +84,6 @@ def test_row_classes_match_full_arrangements(shape):
         for t in tableaux:
             expected = full_arrangement_row_classes(t, box_a, box_b)
             assert sab_orbit_row_classes(t, box_a, box_b) == expected
-            relation = _dual_garnir_int(t, box_a, box_b)
-            assert relation == LinComb(ZZ, {sort_rows(u): i for u, i in expected})
-            assert relation == shuffle_dual_garnir(t, box_a, box_b), (t, box_a, box_b)
+            relation = _dual_garnir_int(t.rows, box_a, box_b)
+            assert relation == {sort_rows(u).rows: i for u, i in expected}
+            assert relation == on_lines(shuffle_dual_garnir(t, box_a, box_b), lambda u: u.rows), (t, box_a, box_b)

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import weylkit.powers as powers
 import weylkit.schur as schur
 import weylkit.weyl as weyl
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod, parse_ring
@@ -27,6 +28,7 @@ from weylkit.tableaux import (
 )
 
 from rank_oracle import schur_verdict, weyl_verdict
+from scan_oracle import schur_scan, weyl_scan
 from weight_oracles import (
     adjacent_transposition,
     column_sorted_labels,
@@ -73,20 +75,23 @@ def test_certificate_matches_elimination_on_every_ring(shape, side):
                 assert report["ranks"]["expected_nullity"] == counts["rssyt"] - counts["ssyt"]
 
 
-# A relation of each side and a label of its space: adding twice the label
-# breaks the relation over Z and Q but not modulo 2.
+# A relation of each side, given to its line-form builder, and a label of
+# its space: adding twice the label breaks the relation over Z and Q but not
+# modulo 2.  ``public`` builds the same relation through the public builder.
 MUTATIONS = {
     "schur": (
-        "garnir",
-        (T([[1, 2], [3]]), frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})),
+        "_garnir_int",
+        (T([[1, 2], [3]]).columns, frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})),
+        lambda: schur.garnir(T([[1, 2], [3]]), frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})),
         ColumnTabloidElement,
         T([[1, 2], [3]]),
         ((2, 1), 3),
         "garnir_relations_map_to_zero",
     ),
     "weyl": (
-        "dual_snake",
-        (T([[1, 2], [1, 2]]), 1, 1, 1),
+        "_dual_garnir_int",
+        (T([[1, 2], [1, 2]]).rows, frozenset({(1, 1), (1, 2)}), frozenset({(2, 1)})),
+        lambda: weyl.dual_snake(T([[1, 2], [1, 2]]), 1, 1, 1),
         SymLowerElement,
         T([[1, 1], [2, 2]]),
         ((2, 2), 2),
@@ -95,21 +100,23 @@ MUTATIONS = {
 }
 
 
+def plus_a_label(original, target, lines, c):
+    """The line-form builder ``original`` with c times ``lines`` added to the relation on ``target``."""
+
+    def patched(*args):
+        rel = original(*args)
+        return {**rel, lines: rel.get(lines, 0) + c} if args == target else rel
+
+    return patched
+
+
 @pytest.mark.parametrize("side", sorted(MUTATIONS))
 def test_a_relation_broken_only_away_from_2_fails_modulo_2(side, monkeypatch):
     verify, oracle, (_, span_key) = SIDES[side]
-    builder, target, space, label, (shape, m), check_name = MUTATIONS[side]
+    builder, target, _, space, label, (shape, m), check_name = MUTATIONS[side]
     module = schur if side == "schur" else weyl
-    original = getattr(module, builder)
-
-    def plus_twice_a_label(*args):
-        rel = original(*args)
-        if args[: len(target)] == target:
-            twice = space(LinComb(rel.element.ring, {label: 2}))
-            return dataclasses.replace(rel, element=rel.element + twice)
-        return rel
-
-    monkeypatch.setattr(module, builder, plus_twice_a_label)
+    lines = label.rows if space is SymLowerElement else label.columns
+    monkeypatch.setattr(module, builder, plus_a_label(getattr(module, builder), target, lines, 2))
     z2 = integers_mod(2)
     # Elimination over each ring sees the mutation over Q but not modulo 2,
     # where twice a label is zero.
@@ -122,20 +129,19 @@ def test_a_relation_broken_only_away_from_2_fails_modulo_2(side, monkeypatch):
         assert [c["name"] for c in failed] == [check_name]
         assert failed[0]["counterexample"] is not None
         assert report["ranks"][span_key] is None
+    # the tableau scan finds the same counterexample, through the public builder
+    line_scan, tableau_scan = (schur._certificate, schur_scan) if side == "schur" else (weyl._certificate, weyl_scan)
+    assert fields(line_scan(shape, m)) == fields(tableau_scan(shape, m))
 
 
 def test_both_sides_report_a_broken_relation_in_one_shape(monkeypatch):
     examples = {}
-    for side, (builder, target, space, label, (shape, m), check_name) in sorted(MUTATIONS.items()):
+    for side, (builder, target, public, space, label, (shape, m), check_name) in sorted(MUTATIONS.items()):
         module = schur if side == "schur" else weyl
-        original = getattr(module, builder)
-        rel = original(*target)
+        rel = public()
         broken = dataclasses.replace(rel, element=rel.element + space(LinComb(ZZ, {label: 1})))
-
-        def patched(*args, original=original, target=target, broken=broken):
-            return broken if args[: len(target)] == target else original(*args)
-
-        monkeypatch.setattr(module, builder, patched)
+        lines = label.rows if space is SymLowerElement else label.columns
+        monkeypatch.setattr(module, builder, plus_a_label(getattr(module, builder), target, lines, 1))
         report = SIDES[side][0](shape, m, ZZ)
         examples[side] = next(c for c in report["checks"] if c["name"] == check_name)["counterexample"]
         assert examples[side] == broken.to_json()
@@ -145,7 +151,7 @@ def test_both_sides_report_a_broken_relation_in_one_shape(monkeypatch):
 
 @pytest.mark.parametrize("side", sorted(SIDES))
 def test_a_second_ring_builds_no_relation(side, monkeypatch):
-    module, builder = (schur, "garnir") if side == "schur" else (weyl, "dual_snake")
+    module, builder = (schur, "_garnir_int") if side == "schur" else (weyl, "_dual_garnir_int")
     original = getattr(module, builder)
     calls = []
 
@@ -161,6 +167,25 @@ def test_a_second_ring_builds_no_relation(side, monkeypatch):
     for tag in ("zmod:2", "zmod:3", "z"):
         assert verify((3, 2), 3, parse_ring(tag))["ok"]
     assert calls == []
+
+
+def test_the_certificates_build_no_public_relation_or_image(monkeypatch):
+    # The scans read relations and images on lines; a public Relation or
+    # image element is built only for a counterexample, and a sweep has none.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a passing verify built a public relation or image")
+
+    for module, name in (
+        (schur, "garnir"), (schur, "polytabloid"), (schur, "apply_polytabloid_map"),
+        (weyl, "dual_snake"), (weyl, "dual_garnir"), (weyl, "copolytabloid"), (powers, "wedge_of_sym_lower"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    cases = [(shape, m) for shape in partitions_up_to(5) for m in (1, 2, 3)]
+    for shape, m in cases + [(shape, 4) for shape in partitions_up_to(3)]:
+        for verify in (schur.verify_schur_ses, weyl.verify_weyl_kernel):
+            for tag in RINGS:
+                report = verify(shape, m, parse_ring(tag), entry_cap=None)
+                assert report["ok"], (shape, m, tag, verify.__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +288,14 @@ def test_both_local_scans_match_the_full_scans_at_size_six(shape):
     assert fields(weyl._certificate(shape, 3)) == fields(full_snake_scan(shape, 3))
 
 
+@pytest.mark.parametrize("shape, m", LOCAL_SCAN_CASES + [(shape, 3) for shape in SIZE_SIX], ids=str)
+def test_the_line_scans_match_the_tableau_scans(shape, m):
+    assert fields(schur._certificate(shape, m)) == fields(schur_scan(shape, m))
+    assert fields(weyl._certificate(shape, m)) == fields(weyl_scan(shape, m))
+    assert fields(full_scan(shape, m)) == fields(schur_scan(shape, m, full=True))
+    assert fields(full_snake_scan(shape, m)) == fields(weyl_scan(shape, m, full=True))
+
+
 def test_both_kernel_theorems_hold_over_z_with_a_direct_summand_at_size_six():
     assert len(SIZE_SIX) == 11
     for shape in SIZE_SIX:
@@ -315,13 +348,15 @@ def test_polytabloid_map_commutes_with_an_adjacent_transposition(drawn, data):
 def test_an_image_that_is_not_unitriangular_is_named(monkeypatch):
     # Doubling every copolytabloid keeps its leading coefficient a unit
     # except modulo 2, where the rank is no longer proved.
-    original = weyl.copolytabloid
-    monkeypatch.setattr(weyl, "copolytabloid", lambda t, ring=ZZ: original(t, ring).scaled(2))
+    original = weyl._wedge_of_rsym_int
+    monkeypatch.setattr(weyl, "_wedge_of_rsym_int", lambda rows: {u: 2 * c for u, c in original(rows).items()})
     assert weyl.verify_weyl_kernel((2, 1), 2, QQ)["ok"]
     report = weyl.verify_weyl_kernel((2, 1), 2, integers_mod(2))
     failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
     assert set(failed) == {"projection_rank_is_ssyt_count", "snake_span_rank_is_nullity"}
     assert failed["projection_rank_is_ssyt_count"]["tableau"] == T([[1, 1], [2]]).to_json()
+    assert failed["projection_rank_is_ssyt_count"]["image"] == weyl.copolytabloid(T([[1, 1], [2]])).to_json()
+    assert fields(weyl._certificate((2, 1), 2)) == fields(weyl_scan((2, 1), 2))
     assert (report["ranks"]["projection"], report["ranks"]["snake_span"]) == (None, None)
 
 

@@ -5,8 +5,6 @@ and must fail, naming the pivot, when one pivot relation is corrupted in a
 way that leaves every rank check passing.
 """
 
-import dataclasses
-
 import pytest
 
 import weylkit.schur as schur
@@ -42,21 +40,21 @@ def test_certificate_verdict_matches_smith_form(shape, m, side):
 
 
 def _doubled_at(builder, *targets):
-    """``builder`` with each relation labelled by one of ``targets`` replaced by twice itself."""
+    """The line-form ``builder`` with the relation on each of ``targets`` replaced by twice itself."""
 
     def corrupted(*args):
         rel = builder(*args)
-        if any(args[: len(target)] == target for target in targets):
-            return dataclasses.replace(rel, element=rel.element.combine(rel.element))
-        return rel
+        return {lines: 2 * c for lines, c in rel.items()} if args in targets else rel
 
     return corrupted
 
 
 def test_weyl_certificate_names_a_corrupted_pivot(monkeypatch):
-    # The aligned snake of [[1,2],[1,2]] is (i, j, j') = (1, 1, 1).
+    # The aligned snake of [[1,2],[1,2]] is (i, j, j') = (1, 1, 1), on A the
+    # top row and B the box below its first.
     t = T([[1, 2], [1, 2]])
-    monkeypatch.setattr(weyl, "dual_snake", _doubled_at(weyl.dual_snake, (t, 1, 1, 1)))
+    box_a, box_b = frozenset({(1, 1), (1, 2)}), frozenset({(2, 1)})
+    monkeypatch.setattr(weyl, "_dual_garnir_int", _doubled_at(weyl._dual_garnir_int, (t.rows, box_a, box_b)))
     report = weyl.verify_weyl_kernel((2, 2), 2, ZZ)
     assert not report["ok"]
     failed = [c["name"] for c in report["checks"] if not c["ok"]]
@@ -71,7 +69,7 @@ def test_schur_certificate_names_a_corrupted_pivot(monkeypatch):
     # column 1 and B the top box of column 2.
     t = T([[2, 1], [3]])
     box_a, box_b = frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})
-    monkeypatch.setattr(schur, "garnir", _doubled_at(schur.garnir, (t, box_a, box_b)))
+    monkeypatch.setattr(schur, "_garnir_int", _doubled_at(schur._garnir_int, (t.columns, box_a, box_b)))
     report = schur.verify_schur_ses((2, 1), 3, ZZ)
     assert not report["ok"]
     failed = [c["name"] for c in report["checks"] if not c["ok"]]
@@ -92,8 +90,8 @@ def test_a_doubled_pivot_of_a_weight_orbit_of_six_fails_only_the_lattice(monkeyp
     # decides a lead other than 1 on the full relation, so both are doubled.
     t = T([[2, 1, 1]])
     box_a, box_b = frozenset({(1, 1)}), frozenset({(1, 2)})
-    doubled = _doubled_at(schur.garnir, (T([[2, 1]]), box_a, box_b), (t, box_a, box_b))
-    monkeypatch.setattr(schur, "garnir", doubled)
+    doubled = _doubled_at(schur._garnir_int, (T([[2, 1]]).columns, box_a, box_b), (t.columns, box_a, box_b))
+    monkeypatch.setattr(schur, "_garnir_int", doubled)
     assert schur.verify_schur_ses((3,), 3, QQ)["ok"]
     report = schur.verify_schur_ses((3,), 3, ZZ)
     failed = [c["name"] for c in report["checks"] if not c["ok"]]

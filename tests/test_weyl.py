@@ -360,15 +360,17 @@ def test_the_row_order_compares_two_rows_as_their_two_row_labels(data):
 
 def test_the_scan_builds_each_two_row_snake_once(monkeypatch):
     built = []
+    original = weyl._dual_garnir_int
 
-    def recording(label, i, j, jp, ring=ZZ):
-        built.append((label, i, j, jp))
-        return dual_snake(label, i, j, jp, ring)
+    def recording(rows, box_a, box_b):
+        built.append((rows, box_a, box_b))
+        return original(rows, box_a, box_b)
 
-    monkeypatch.setattr(weyl, "dual_snake", recording)
+    monkeypatch.setattr(weyl, "_dual_garnir_int", recording)
     assert verify_weyl_kernel((2, 2, 1), 3, QQ)["ok"]
     assert built
-    assert all(len(label.shape) == 2 and i == 1 for label, i, _, _ in built)
+    for rows, box_a, box_b in built:
+        assert len(rows) == 2 and {i for i, _ in box_a} == {1} and {i for i, _ in box_b} == {2}
     assert len(set(built)) == len(built)
 
 
@@ -376,22 +378,24 @@ def test_the_scan_builds_each_two_row_snake_once(monkeypatch):
 def test_a_two_row_snake_that_fails_is_decided_on_the_full_snake(mutation, monkeypatch):
     # (1, 1, 1) on [[1,2],[1,2]] is the two-row snake of (1, 1, 1) on
     # [[1,2],[1,2],[v]], which is that label's pivot
-    two_rows = T([[1, 2], [1, 2]])
+    two_rows = T([[1, 2], [1, 2]]).rows
+    box_a, box_b = frozenset({(1, 1), (1, 2)}), frozenset({(2, 1)})  # the snake (1, 1, 1)
     built = []
+    original = weyl._dual_garnir_int
 
-    def corrupted(label, i, j, jp, ring=ZZ):
-        built.append((label, i, j, jp))
-        rel = dual_snake(label, i, j, jp, ring)
-        if (label, i, j, jp) == (two_rows, 1, 1, 1):
-            element = rel.element.scaled(2) if mutation == "doubled" else sym_lower(ring, {EX_T: 1})
-            return dataclasses.replace(rel, element=element)
+    def corrupted(rows, a, b):
+        built.append((rows, a, b))
+        rel = original(rows, a, b)
+        if (rows, a, b) == (two_rows, box_a, box_b):
+            return {u: 2 * c for u, c in rel.items()} if mutation == "doubled" else {EX_T.rows: 1}
         return rel
 
-    monkeypatch.setattr(weyl, "dual_snake", corrupted)
+    monkeypatch.setattr(weyl, "_dual_garnir_int", corrupted)
     report = verify_weyl_kernel((2, 2, 1), 2, ZZ)
     assert report["ok"]
     assert report["ranks"]["snake_certificate"] == {"pivots": report["ranks"]["expected_nullity"]}
-    assert [b for b in built if len(b[0].shape) == 3] == [(T([[1, 2], [1, 2], [v]]), 1, 1, 1) for v in (1, 2)]
+    expected = [(T([[1, 2], [1, 2], [v]]).rows, box_a, box_b) for v in (1, 2)]
+    assert [b for b in built if len(b[0]) == 3] == expected
 
 
 STRAIGHTENING_RINGS = (ZZ, QQ, integers_mod(4), integers_mod(6))
@@ -465,14 +469,13 @@ class TestVerifyKernel:
     @pytest.mark.parametrize("ring", (QQ, ZZ), ids=str)
     def test_a_snake_outside_the_kernel_fails_the_check(self, ring, monkeypatch):
         t = T([[1, 2], [1, 2]])
+        snake = (t.rows, frozenset({(1, 1), (1, 2)}), frozenset({(2, 1)}))  # (1, 1, 1) on t
+        original = weyl._dual_garnir_int
 
         def corrupted(*args):
-            rel = dual_snake(*args)
-            if args[:4] == (t, 1, 1, 1):
-                return dataclasses.replace(rel, element=sym_lower(ring, {EX_T: 1}))
-            return rel
+            return {EX_T.rows: 1} if args == snake else original(*args)
 
-        monkeypatch.setattr(weyl, "dual_snake", corrupted)
+        monkeypatch.setattr(weyl, "_dual_garnir_int", corrupted)
         report = verify_weyl_kernel((2, 2), 2, ring)
         assert not report["ok"]
         assert [c["name"] for c in report["checks"] if not c["ok"]] == ["snakes_lie_in_kernel"]

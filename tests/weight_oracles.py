@@ -25,9 +25,9 @@ def column_sorted_labels(shape, m):
     return [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)]
 
 
-def identity_locality(t, r):
-    """Every relation is its own local relation."""
-    return t, r
+def identity_locality(lines, r):
+    """Every relation is its own local relation: the one on the label's own lines."""
+    return lines, r
 
 
 def full_scan(shape, m):
