@@ -3,7 +3,7 @@
 Both kernel checks prove their theorem with one integer certificate per
 (shape, max_entry), built by :func:`kernel_certificate` and reused for
 every ring.  Let N be the number of labels of the domain's basis that are
-not semistandard.  The certificate has five parts:
+not semistandard.  The certificate has six parts:
 
 1. every relation maps to zero over the integers (a relation the scan
    skips because it is provably zero does so trivially);
@@ -19,7 +19,12 @@ not semistandard.  The certificate has five parts:
 5. parts 1 and 2 may be proved on local relations, when a relation is
    its relation on some lines of its label with the other lines put back,
    and the kernel map and the order split the same way: a relation maps
-   to zero when its local relation does, and has the same lead.
+   to zero when its local relation does, and has the same lead;
+6. on a shape with three or more rows, parts 1 and 2 may be read off the
+   certificates of its adjacent two-row shapes, when every relation is
+   local to two adjacent rows and every pivot is the pivot of two adjacent
+   rows, and each of those certificates is clean: no relation fails and
+   every pivot has lead 1.
 
 Relations and kernel maps are defined over the integers and commute with
 base change, so over every ring R the N pivots stay independent in the
@@ -78,6 +83,24 @@ relation are both zero.  A column permutation σ sends the relation on
 relation up to sign.  The Schur side also skips the relations its zero
 rule proves zero, and never a pivot, and it uses part 4 (see
 :mod:`weylkit.schur`).
+
+Part 6 is part 5 applied once per pair of adjacent rows.  Let λ have k
+rows, k >= 3, and let the certificate of (λ_i, λ_{i+1}) at the same m be
+clean for each i < k.  That certificate scans every row-sorted label of
+(λ_i, λ_{i+1}) with entries at most m, with every snake (1, j, j') on it
+and no orbit reduction.  A snake (i, j, j') on a row-sorted label t of λ
+is local to the snake (1, j, j') on rows i and i+1 of t, which is one of
+those, so it maps to zero (part 1).  The pivot of a t that is not
+semistandard is (i, j, j'): i is the first row with an entry at least the
+one below it, and (1, j, j') is the pivot of rows i and i+1 of t, a
+two-row label that is not semistandard, so the pivot on t has that
+pivot's lead, 1 (part 2).  Hence λ has its N = #rssyt - #ssyt pivots with
+lead 1, and only part 3 is left to check on it.  When some pair is not
+clean, λ is scanned as before, so a failing report names what the scan
+finds.  The Schur side cannot read its certificates off two columns the
+same way: its orbit scan (part 4) certifies the pivots of two-column
+labels only on dominant weights, so a two-column certificate says nothing
+of the lead of most two-column labels' pivots.
 
 The scan runs on lines, a label's columns on the Schur side and its rows
 on the Weyl side, with relations and kernel images as ``{lines: int}``;
@@ -272,7 +295,7 @@ def kernel_certificate(
     weight per orbit (part 4).  The semistandard images are checked on
     every label.
     """
-    own, other = ("rows", "columns") if rows else ("columns", "rows")
+    own = "rows" if rows else "columns"
     key = partial(line_order_key, max_entry=max_entry)
 
     def maps_to_zero(rel: dict) -> bool:
@@ -281,11 +304,24 @@ def kernel_certificate(
     bad, pivots, odd_pivots = _scan_relations(
         labels, relation_labels, relation, maps_to_zero, own, pivot, key, build, orbit_size, local
     )
-    odd_images = []
+    rank = len(semistandard)
+    odd_images = semistandard_images(semistandard, kernel_image, rows, max_entry, image)
+    return KernelCertificate(bad, dimension - rank, rank, pivots, tuple(odd_pivots), odd_images)
+
+
+def semistandard_images(semistandard, kernel_image, rows, max_entry, image) -> tuple:
+    """Part 3 of the certificate: (lead, s, ``image(s)``) for each semistandard s whose image is not unitriangular.
+
+    The image of s is ``kernel_image`` of its own lines, its rows with
+    ``rows``, else its columns; it should have coefficient 1 on s's other
+    lines and every other term strictly above them in the order of
+    :func:`~weylkit.tableaux.line_order_key`.
+    """
+    own, other = ("rows", "columns") if rows else ("columns", "rows")
+    key = partial(line_order_key, max_entry=max_entry)
+    odd = []
     for s in semistandard:
         lead = _lead(getattr(s, other), kernel_image(getattr(s, own)), lambda u: tuple(-v for v in key(u)))
         if lead != 1:
-            odd_images.append((lead, s, image(s)))
-    rank = len(semistandard)
-    odd_pivots, odd_images = tuple(odd_pivots), tuple(odd_images)
-    return KernelCertificate(bad, dimension - rank, rank, pivots, odd_pivots, odd_images)
+            odd.append((lead, s, image(s)))
+    return tuple(odd)

@@ -36,7 +36,10 @@ and builds a snake on more rows only when its two-row snake does not map
 to zero, or when it is a pivot whose two-row snake does not lead with 1.
 It reads them on lines from ``_dual_garnir_int``, which keeps a relation
 on a label's rows as ``{rows: int}``, and builds a public snake only for
-a counterexample.
+a counterexample.  A shape with three or more rows is not scanned when
+the certificates of its adjacent two-row shapes are clean: its snakes and
+pivots are theirs put back, and only its semistandard copolytabloids are
+checked (part 6 of the certificate).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .tableaux import (
     row_order_key,
     sort_rows,
 )
-from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
+from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report, semistandard_images
 
 
 def copolytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> ColumnTabloidElement:
@@ -154,9 +157,12 @@ def snake_boxsets(shape: tuple[int, ...], i: int, j: int, jp: int) -> tuple[froz
         raise InputError("snake end column exceeds the lower row")
     if j > jp:
         raise InputError("snake columns must satisfy j <= j'")
-    box_a = frozenset((i, r) for r in range(j, shape[i - 1] + 1))
-    box_b = frozenset((i + 1, r) for r in range(1, jp + 1))
-    return box_a, box_b
+    return _snake_boxes(shape[i - 1], i, j, jp)
+
+
+def _snake_boxes(upper: int, i: int, j: int, jp: int) -> tuple[frozenset, frozenset]:
+    """Box sets (A, B) of the snake (i, j, j') under an upper row of length ``upper``, unchecked."""
+    return frozenset((i, r) for r in range(j, upper + 1)), frozenset((i + 1, r) for r in range(1, jp + 1))
 
 
 def dual_snake(t: Tableau, i: int, j: int, jp: int, ring: CoefficientRing = ZZ) -> Relation:
@@ -219,28 +225,33 @@ class StraighteningCertificate:
 def _snake_pivot(t: Tableau) -> tuple[int, int, int]:
     """The snake (i, j, j') that :func:`straighten` applies to a label that is not semistandard.
 
-    It runs through the first box (i, j0), rows then columns, whose entry is
-    >= the one below.  The start column j walks left from j0 while the
-    upper-row value repeats, and the end column j' walks right while the
-    lower-row value repeats.  This keeps every value of a row wholly inside
-    or wholly outside the chosen boxes, which forces a unit leading
-    coefficient.
+    Row i is the first whose entry in some column is >= the one below, and
+    (1, j, j') is the pivot of the two-row label on rows i and i+1, so the
+    pivot of t is local to a pivot of two rows (part 6 of the certificate
+    in :mod:`weylkit.verify`).
     """
     rows = t.rows
-    i, j0 = next(
-        (i, j)
-        for i in range(1, len(rows))
-        for j in range(1, len(rows[i]) + 1)
-        if rows[i - 1][j - 1] >= rows[i][j - 1]
-    )
-    upper, lower = rows[i - 1], rows[i]
+    i = next(i for i in range(1, len(rows)) if any(a >= b for a, b in zip(rows[i - 1], rows[i])))
+    return (i, *_two_row_pivot(rows[i - 1], rows[i]))
+
+
+def _two_row_pivot(upper: tuple, lower: tuple) -> tuple[int, int]:
+    """(j, j') of the pivot snake on two sorted rows, some entry of ``upper`` >= the one below it.
+
+    The snake runs through the first such column j0.  The start column j
+    walks left from j0 while the upper-row value repeats, and the end
+    column j' walks right while the lower-row value repeats.  This keeps
+    every value of a row wholly inside or wholly outside the chosen boxes,
+    which forces a unit leading coefficient.
+    """
+    j0 = next(j for j in range(1, len(lower) + 1) if upper[j - 1] >= lower[j - 1])
     j = j0
     while j > 1 and upper[j - 2] == upper[j0 - 1]:
         j -= 1
     jp = j0
     while jp < len(lower) and lower[jp] == lower[j0 - 1]:
         jp += 1
-    return i, j, jp
+    return j, jp
 
 
 def straighten(x: SymLowerElement) -> StraighteningCertificate:
@@ -311,10 +322,16 @@ def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertific
     """
     rssyt = enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD)
     snakes = list(snake_labels(shape))
+    # (A, B) of each snake and of its two-row snake, by the length of its upper row
+    boxes = {
+        (shape[i - 1], *snake): _snake_boxes(shape[i - 1], *snake)
+        for i, j, jp in snakes
+        for snake in ((i, j, jp), (1, j, jp))
+    }
     return kernel_certificate(
         labels=rssyt,
         relation_labels=lambda t: snakes,
-        relation=lambda rows, snake: _dual_garnir_int(rows, *snake_boxsets(tuple(map(len, rows)), *snake)),
+        relation=lambda rows, snake: _dual_garnir_int(rows, *boxes[len(rows[snake[0] - 1]), *snake]),
         kernel_image=_wedge_of_rsym_int,
         rows=True,
         pivot=_snake_pivot,
@@ -333,9 +350,20 @@ def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
 
     Each snake is decided on its two rows (part 5 of the certificate in
     :mod:`weylkit.verify`): a snake whose two-row snake maps to zero is
-    not built, and a pivot's lead is read off its two-row snake.
+    not built, and a pivot's lead is read off its two-row snake.  A shape
+    with three or more rows reads its snakes and pivots off the cached
+    certificates of its adjacent two-row shapes (part 6), and checks only
+    its semistandard copolytabloids, when each of those is clean; else it
+    is scanned.
     """
-    return _snake_scan(shape, max_entry, _local_snake)
+    pairs = (_certificate(shape[i : i + 2], max_entry) for i in range(len(shape) - 1))
+    if len(shape) < 3 or any(pair.bad is not None or pair.odd_pivots for pair in pairs):
+        return _snake_scan(shape, max_entry, _local_snake)
+    semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
+    rank = len(semistandard)
+    nullity = count_tableaux(shape, max_entry, ROW_SEMISTANDARD) - rank
+    odd_images = semistandard_images(semistandard, _wedge_of_rsym_int, True, max_entry, copolytabloid)
+    return KernelCertificate(None, nullity, rank, nullity, (), odd_images)
 
 
 def verify_weyl_kernel(

@@ -269,14 +269,132 @@ def test_the_orbit_scan_matches_the_scan_over_every_weight(shape):
         assert fields(schur._certificate(shape, m)) == fields(full_scan(shape, m)), m
 
 
-LOCAL_SCAN_CASES = [(shape, m) for shape in SHAPES for m in (1, 2, 3)] + [
-    (shape, 4) for shape in partitions_up_to(3)
-]
+LOCAL_SCAN_CASES = (
+    [(shape, m) for shape in SHAPES for m in (1, 2, 3)]
+    + [(shape, 4) for shape in partitions_up_to(3)]
+    + [(shape, 4) for shape in SHAPES if sum(shape) > 3 and len(shape) > 2]
+)
 
 
 @pytest.mark.parametrize("shape, m", LOCAL_SCAN_CASES, ids=str)
 def test_the_two_row_scan_matches_the_full_snake_scan(shape, m):
     assert fields(weyl._certificate(shape, m)) == fields(full_snake_scan(shape, m))
+
+
+# ---------------------------------------------------------------------------
+# a shape with three or more rows read off its adjacent two-row certificates
+
+
+def test_every_pivot_and_snake_of_a_label_is_one_of_two_adjacent_rows():
+    # The premises of part 6 of the certificate in weylkit.verify, on every
+    # row-sorted label that is not semistandard: its pivot is the pivot of
+    # the two-row label on its first rows that are not column-strict, and
+    # the snakes on rows i and i+1 are the snakes of (λ_i, λ_{i+1}).
+    labels = 0
+    for shape in partitions_up_to(6):
+        for i in range(1, len(shape)):
+            on_row_i = [(1, j, jp) for row, j, jp in weyl.snake_labels(shape) if row == i]
+            assert on_row_i == list(weyl.snake_labels(shape[i - 1 : i + 1])), (shape, i)
+        for m in (1, 2, 3):
+            for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
+                if t.is_semistandard:
+                    continue
+                i = next(i for i in range(1, len(shape)) if not T(t.rows[i - 1 : i + 1]).is_semistandard)
+                two_rows = T(t.rows[i - 1 : i + 1])
+                pivot = weyl._two_row_pivot(*two_rows.rows)
+                assert weyl._snake_pivot(t) == (i, *pivot), t
+                assert weyl._snake_pivot(two_rows) == (1, *pivot), t
+                labels += 1
+    assert labels > 1000
+
+
+def _doubled_pivot_on_rows_two_and_three(original):
+    # [[1,2],[2,3],[2]] is column-strict on rows 1-2; its pivot (2, 1, 1)
+    # is local to the pivot (1, 1, 1) of [[2,3],[2]].  Doubling both keeps
+    # the snake its two-row snake put back, and gives both lead 2.
+    t, two_rows = T([[1, 2], [2, 3], [2]]), T([[2, 3], [2]])
+    targets = (
+        (t.rows, frozenset({(2, 1), (2, 2)}), frozenset({(3, 1)})),
+        (two_rows.rows, frozenset({(1, 1), (1, 2)}), frozenset({(2, 1)})),
+    )
+    return lambda *args: {u: 2 * c for u, c in original(*args).items()} if args in targets else original(*args)
+
+
+def _doubled(original):
+    return lambda rows: {u: 2 * c for u, c in original(rows).items()}
+
+
+def _scaled_by_rows_with_a_repeat(original):
+    # 2 to the number of rows with a repeated entry: a product over the
+    # rows, so it still splits as part 5 needs, but the snakes no longer
+    # map to zero
+    def scaled(rows):
+        factor = 2 ** sum(len(set(row)) < len(row) for row in rows)
+        return {u: factor * c for u, c in original(rows).items()}
+
+    return scaled
+
+
+THREE_ROW_MUTANTS = {
+    "dual_garnir_doubled_pivot": ("_dual_garnir_int", _doubled_pivot_on_rows_two_and_three),
+    "wedge_doubled": ("_wedge_of_rsym_int", _doubled),
+    "wedge_scaled_by_repeats": ("_wedge_of_rsym_int", _scaled_by_rows_with_a_repeat),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(THREE_ROW_MUTANTS))
+def test_a_three_row_certificate_matches_the_full_snake_scan_under_a_mutant(mutant, monkeypatch):
+    """Negative controls of part 6: the reduction and the full scan must agree under each mutant.
+
+    Doubling a pivot on rows 2-3 leaves the two-row certificate of (2, 1)
+    with an odd pivot, so (2, 2, 1) is scanned and names its label.
+    Doubling every copolytabloid leaves the two-row certificates clean, so
+    (2, 2, 1) is read off them and checks its images under the mutant.
+    Scaling by the rows with a repeat breaks the snakes of (2, 1) and
+    (2, 2, 1) alike.
+
+    The full scan also catches a ``_snake_pivot`` that returns (i, j', j')
+    in place of (i, j, j') when i >= 2 and j < j': on (2, 2, 2) at m = 3
+    it reports 11 odd pivots.  The reduction never asks a shape with three
+    or more rows for its pivots, so it would not; that class is now
+    guarded by ``test_every_pivot_and_snake_of_a_label_is_one_of_two_adjacent_rows``.
+    """
+    name, mutate = THREE_ROW_MUTANTS[mutant]
+    monkeypatch.setattr(weyl, name, mutate(getattr(weyl, name)))
+    shape, m = (2, 2, 1), 3
+    cert = weyl._certificate(shape, m)
+    assert fields(cert) == fields(full_snake_scan(shape, m))
+    pair = weyl._certificate((2, 1), m)
+    if mutant == "dual_garnir_doubled_pivot":
+        assert pair.bad is None and pair.odd_pivots
+        report = weyl.verify_weyl_kernel(shape, m, ZZ)
+        failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
+        assert list(failed) == ["snake_lattice_is_direct_summand"]
+        example = failed["snake_lattice_is_direct_summand"]
+        assert (example["tableau"], example["row"], example["cols"]) == (T([[1, 2], [2, 3], [2]]).to_json(), 2, [1, 1])
+        assert weyl.verify_weyl_kernel(shape, m, QQ)["ok"]
+    elif mutant == "wedge_doubled":
+        assert pair.bad is None and not pair.odd_pivots
+        assert len(cert.odd_images) == cert.rank > 0
+    else:
+        assert pair.bad is not None and cert.bad is not None
+
+
+def test_a_three_row_certificate_builds_no_snake_once_its_two_row_shapes_are_cached(monkeypatch):
+    weyl._certificate((2, 2), 3)
+    weyl._certificate((2, 1), 3)
+    calls = []
+
+    def counting(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("_dual_garnir_int", "_snake_pivot"):
+        monkeypatch.setattr(weyl, name, counting(name, getattr(weyl, name)))
+    cert = weyl._certificate((2, 2, 1), 3)
+    assert calls == []
+    assert cert.bad is None and cert.pivots == cert.nullity
+    info = weyl._certificate.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
 
 
 SIZE_SIX = tuple(shape for shape in partitions_up_to(6) if sum(shape) == 6)
