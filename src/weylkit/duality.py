@@ -67,7 +67,7 @@ from math import prod
 from operator import floordiv, truediv
 
 from .coeffs import QQ, ZZ, CoefficientRing, InputError, LinComb
-from .linalg import leading_coefficient
+from .linalg import reduce_by_pivots
 from .places import stabilizer_order
 from .powers import (
     ColumnTabloidElement,
@@ -78,7 +78,7 @@ from .powers import (
     _wedge_of_rsym_int,
     sum_images,
 )
-from .schur import _polytabloid_int, polytabloid
+from .schur import _polytabloid_int
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -87,7 +87,7 @@ from .tableaux import (
     check_partition,
     enumerate_tableaux,
     from_word,
-    row_order_key,
+    line_order_key,
     sort_rows,
 )
 from .weyl import copolytabloid
@@ -383,28 +383,23 @@ def _dual_coordinates(shape: tuple[int, ...], max_entry: int) -> dict:
 
     The polytabloid of a semistandard s has coefficient 1 on s and every
     other label above s in the row order, so a polytabloid reduces over the
-    integers: at its least label s, subtract that coefficient times s's.
+    integers (:func:`~weylkit.linalg.reduce_by_pivots`, least label first).
     A row tabloid is semistandard exactly when it is column standard, so
     the basis polytabloids are among the ones reduced.
     """
 
-    def key(u):
-        return row_order_key(u, max_entry)
+    def key(rows):
+        return line_order_key(rows, max_entry)
 
-    def reversed_key(u):
-        return tuple(-v for v in key(u))
-
-    images = {u: polytabloid(u) for u in enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)}
+    labels = {u.rows: u for u in enumerate_tableaux(shape, max_entry, COLUMN_STANDARD)}
+    images = {rows: _polytabloid_int(u.columns) for rows, u in labels.items()}
     coordinates: dict[Tableau, dict[Tableau, int]] = {}
-    for u, rest in images.items():
-        while not rest.is_zero:
-            s = min(rest.labels(), key=key)
-            basis = images.get(s)
-            if basis is None or leading_coefficient(basis, s, reversed_key) != 1:
-                raise RuntimeError("polytabloid failed to decompose over the semistandard basis")
-            c = rest.coeff(s)
-            coordinates.setdefault(s, {})[u] = c
-            rest = rest.combine(basis, 1, -c)
+    for rows, u in labels.items():
+        rest, steps = reduce_by_pivots(images[rows], images.get, key, ZZ, above=True)
+        if rest:
+            raise RuntimeError("polytabloid failed to decompose over the semistandard basis")
+        for s, c in steps:
+            coordinates.setdefault(labels[s], {})[u] = c
     return coordinates
 
 

@@ -2,8 +2,9 @@
 
 The verify paths compute no rank.  They read both ranks of a kernel
 theorem off unitriangular certificates (see :mod:`weylkit.verify`), built
-with :func:`leading_coefficient`: a row whose coefficient on one label is
-1 and whose other labels all sort strictly below it.
+with :func:`lead`: a row whose coefficient on one label is 1 and whose
+other labels all sort strictly below it (or all above), the rows that
+:func:`reduce_by_pivots` straightens along (Fulton, *Young Tableaux*, §7.4).
 
 Over the integers the same pivots certify that a relation lattice is a
 direct summand.  For each label outside the semistandard basis there is
@@ -21,14 +22,14 @@ rows over the rationals or a prime residue field) and
 matrix) decide the same questions far more slowly; the tests keep them as
 the certificates' oracles.  :func:`solve_exact` (dense elimination over
 the rationals) is likewise the oracle of
-:func:`weylkit.duality.polytabloid_dual_image`, which instead reduces
-every column-standard polytabloid of the shape once, over the integers,
-along the unitriangular semistandard polytabloid basis, and reads t's
-coordinates off that one reduction.
+:func:`weylkit.duality.polytabloid_dual_image`, which instead reads t's
+coordinates off one such reduction, over the integers, of every
+column-standard polytabloid of the shape.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .coeffs import QQ, CoefficientRing
@@ -126,16 +127,44 @@ def solve_exact(columns: list[dict], target: dict) -> list[Fraction] | None:
     return solution
 
 
-def leading_coefficient(element, label, key):
-    """Coefficient of ``label`` in ``element`` when every other label sorts below it.
+def lead(lines, terms: dict, key, above: bool = False):
+    """The coefficient of ``lines`` in ``terms`` when every other term sorts strictly below it under ``key``, else None.
 
-    ``key`` maps a label to its sort key.  Returns ``None`` when some other
-    label of the element does not sort strictly below ``label``.
+    With ``above``, every other term must sort strictly above it instead.
     """
-    top = key(label)
-    if any(key(u) >= top for u in element.labels() if u != label):
+    top = key(lines)
+    if any(key(u) <= top if above else key(u) >= top for u in terms if u != lines):
         return None
-    return element.coeff(label)
+    return terms.get(lines, 0)
+
+
+def reduce_by_pivots(terms: dict, pivot, key, ring: CoefficientRing, above: bool = False) -> tuple[dict, list]:
+    """Clear ``{lines: coeff}`` terms along unitriangular pivot relations, greatest term first (least with ``above``).
+
+    ``pivot(lines)`` is None for a term that stays, else a ``{lines: int}``
+    relation whose :func:`lead` under ``key`` must be 1, or the loop raises
+    ``RuntimeError``; its other terms come later, so no term is cleared
+    twice.  Returns the nonzero terms left, in the ring, and each cleared
+    term's ``(lines, coefficient)``, in order.
+    """
+    order = key if above else (lambda u: tuple(-v for v in key(u)))
+    work = dict(terms)
+    heap = [(order(u), u) for u in work]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        _, lines = heapq.heappop(heap)
+        coeff = work[lines]
+        if coeff == 0 or (relation := pivot(lines)) is None:
+            continue
+        if lead(lines, relation, key, above) != 1:
+            raise RuntimeError(f"the pivot relation on {[list(line) for line in lines]} does not lead with 1")
+        for u, c in relation.items():
+            if u not in work:
+                heapq.heappush(heap, (order(u), u))
+            work[u] = ring.normalize(work.get(u, 0) - coeff * c)
+        steps.append((lines, coeff))
+    return {u: c for u, c in work.items() if c != 0}, steps
 
 
 def smith_elementary_divisors(rows: list[dict[int, int]], ncols: int) -> list[int]:

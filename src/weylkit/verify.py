@@ -114,6 +114,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .coeffs import QQ, ZZ, CoefficientRing, InputError
+from .linalg import lead
 from .powers import sum_images
 from .tableaux import check_partition, line_order_key
 
@@ -223,14 +224,6 @@ class KernelCertificate:
         return self.ranks(ZZ)[1] is not None and self.pivots == self.nullity
 
 
-def _lead(lines, terms: dict, key):
-    """The coefficient of ``lines`` in ``terms`` when every other term sorts below it under ``key``, else None."""
-    top = key(lines)
-    if any(key(u) >= top for u in terms if u != lines):
-        return None
-    return terms.get(lines, 0)
-
-
 def _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot, key, build, orbit_size, local):
     """(first relation not mapping to zero, pivots with lead 1 times their orbit sizes, the other pivots)."""
     pivots, odd = 0, []
@@ -238,7 +231,7 @@ def _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot,
     # relation it is local to does too (part 5), else None
     local_relations = {}
     for t in labels:
-        target = None if t.is_semistandard else pivot(t)
+        target = pivot(t)
         lines = getattr(t, own)
         on_target = None  # (the lines the pivot's lead is read at, the relation that decides it)
         for r in relation_labels(t):
@@ -255,13 +248,13 @@ def _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot,
                 on_target = here[0], rel
         if target is None:
             continue
-        lead = _lead(*on_target, key) if on_target else None
-        if lead != 1 and on_target:  # read it on the relation on t, which has the same lead (part 5)
-            lead = _lead(lines, relation(lines, target), key)
-        if lead == 1:
+        leading = lead(*on_target, key) if on_target else None
+        if leading != 1 and on_target:  # read it on the relation on t, which has the same lead (part 5)
+            leading = lead(lines, relation(lines, target), key)
+        if leading == 1:
             pivots += orbit_size(t)
         else:
-            odd.append((lead, t, build(t, target) if on_target else None, orbit_size(t)))
+            odd.append((leading, t, build(t, target) if on_target else None, orbit_size(t)))
     return None, pivots, odd
 
 
@@ -281,14 +274,15 @@ def kernel_certificate(
     relation maps to zero when the sum of ``kernel_image`` over its terms
     has every coefficient 0.  The scan stops at the first relation that
     does not; a side leaves out of ``relation_labels(t)`` only labels whose
-    relation on t is zero, and never ``pivot(t)``.  For each t that is not
-    semistandard, the relation on ``pivot(t)`` (None for no pivot) should
-    have coefficient 1 on t's own lines and every other term strictly
-    below.  The domain has ``dimension`` basis labels, and ``kernel_image``
-    of the own lines of each s in ``semistandard`` should have coefficient
-    1 on s's other lines and every other term strictly above.  Only a
-    counterexample is built in public form: the relation ``build(t, r)``
-    and the image ``image(s)``, whose ``to_json()`` a failed check reports.
+    relation on t is zero, and never ``pivot(t)``, which is None exactly on
+    the labels that need no pivot (the semistandard ones and those outside
+    the basis); on every other t its relation should have coefficient 1 on
+    t's own lines and every other term strictly below.  The domain has
+    ``dimension`` basis labels, and ``kernel_image`` of the own lines of
+    each s in ``semistandard`` should have coefficient 1 on s's other lines
+    and every other term strictly above.  Only a counterexample is built in
+    public form: the relation ``build(t, r)`` and the image ``image(s)``,
+    whose ``to_json()`` a failed check reports.
 
     Each pivot of a label t counts ``orbit_size(t)`` times: 1 by default,
     or the size of the S_m-orbit of t's weight when ``labels`` holds one
@@ -321,7 +315,7 @@ def semistandard_images(semistandard, kernel_image, rows, max_entry, image) -> t
     key = partial(line_order_key, max_entry=max_entry)
     odd = []
     for s in semistandard:
-        lead = _lead(getattr(s, other), kernel_image(getattr(s, own)), lambda u: tuple(-v for v in key(u)))
-        if lead != 1:
-            odd.append((lead, s, image(s)))
+        leading = lead(getattr(s, other), kernel_image(getattr(s, own)), key, above=True)
+        if leading != 1:
+            odd.append((leading, s, image(s)))
     return tuple(odd)

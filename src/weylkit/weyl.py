@@ -34,23 +34,22 @@ snake (1, j, j') on rows i and i+1 of t, with t's other rows put back in
 every term.  So the certificate builds and maps each two-row snake once,
 and builds a snake on more rows only when its two-row snake does not map
 to zero, or when it is a pivot whose two-row snake does not lead with 1.
-It reads them on lines from ``_dual_garnir_int``, which keeps a relation
-on a label's rows as ``{rows: int}``, and builds a public snake only for
-a counterexample.  A shape with three or more rows is not scanned when
-the certificates of its adjacent two-row shapes are clean: its snakes and
-pivots are theirs put back, and only its semistandard copolytabloids are
-checked (part 6 of the certificate).
+Like ``straighten``, it reads them on lines from ``_dual_garnir_int``,
+which keeps a relation on a label's rows as ``{rows: int}``, and builds
+a public snake only for a counterexample.  A shape with three or more
+rows is not scanned when the certificates of its adjacent two-row shapes
+are clean: its snakes and pivots are theirs put back, and only its
+semistandard copolytabloids are checked (part 6 of the certificate).
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from functools import cache, partial
 
 from .coeffs import ZZ, CoefficientRing, InputError, LinComb
-from .linalg import leading_coefficient
+from .linalg import reduce_by_pivots
 from .places import (
     Relation,
     check_line_label,
@@ -71,7 +70,7 @@ from .tableaux import (
     conjugate,
     count_tableaux,
     enumerate_tableaux,
-    row_order_key,
+    line_order_key,
     sort_rows,
 )
 from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report, semistandard_images
@@ -222,17 +221,16 @@ class StraighteningCertificate:
         return identity and all(s.is_semistandard for s in self.coords.labels())
 
 
-def _snake_pivot(t: Tableau) -> tuple[int, int, int]:
-    """The snake (i, j, j') that :func:`straighten` applies to a label that is not semistandard.
+def _snake_pivot(rows: tuple) -> tuple[int, int, int] | None:
+    """The snake (i, j, j') that :func:`straighten` applies to the label with these rows, or None on a semistandard one.
 
     Row i is the first whose entry in some column is >= the one below, and
     (1, j, j') is the pivot of the two-row label on rows i and i+1, so the
     pivot of t is local to a pivot of two rows (part 6 of the certificate
     in :mod:`weylkit.verify`).
     """
-    rows = t.rows
-    i = next(i for i in range(1, len(rows)) if any(a >= b for a, b in zip(rows[i - 1], rows[i])))
-    return (i, *_two_row_pivot(rows[i - 1], rows[i]))
+    i = next((i for i in range(1, len(rows)) if any(a >= b for a, b in zip(rows[i - 1], rows[i]))), None)
+    return None if i is None else (i, *_two_row_pivot(rows[i - 1], rows[i]))
 
 
 def _two_row_pivot(upper: tuple, lower: tuple) -> tuple[int, int]:
@@ -257,43 +255,25 @@ def _two_row_pivot(upper: tuple, lower: tuple) -> tuple[int, int]:
 def straighten(x: SymLowerElement) -> StraighteningCertificate:
     """Rewrite x as semistandard coordinates modulo dual snake relations.
 
-    Repeatedly clears the row-order-greatest label that is not semistandard
-    with its pivot snake (:func:`_snake_pivot`), checked as in part 2 of the
-    kernel certificate: coefficient exactly 1 on the label, and every other
-    label strictly below it in the row order.  A snake that fails raises
-    ``RuntimeError`` naming the label.  Hence the popped labels strictly
-    decrease, each is cleared at most once, and as they are row-sorted
-    fillings of one shape from a finite alphabet, the loop ends.
+    :func:`~weylkit.linalg.reduce_by_pivots` on rows repeatedly clears the
+    row-order-greatest label that is not semistandard with its pivot snake
+    (:func:`_snake_pivot`), checked as in part 2 of the kernel certificate:
+    coefficient exactly 1 on the label, and every other label strictly
+    below it in the row order.  A snake that fails raises ``RuntimeError``
+    naming the label.  Hence the cleared labels strictly decrease, each is
+    cleared at most once, and as they are row-sorted fillings of one shape
+    from a finite alphabet, the loop ends.
     """
-    ring = x.ring
-    max_entry = max([1, *(t.max_entry for t in x.labels())])
-    key = partial(row_order_key, max_entry=max_entry)
-    work = dict(x.lin.items())
-    heap: list[tuple[tuple, Tableau]] = []
-    gamma: list[tuple[Tableau, int, int, int, object]] = []
+    ring, shape = x.ring, x.shape
+    key = partial(line_order_key, max_entry=max([1, *(t.max_entry for t in x.labels())]))
 
-    def push(label):
-        if not label.is_semistandard:
-            heapq.heappush(heap, (tuple(-v for v in key(label)), label))
+    def pivot(rows):
+        snake = _snake_pivot(rows)
+        return None if snake is None else _dual_garnir_int(rows, *_snake_boxes(len(rows[snake[0] - 1]), *snake))
 
-    for label in work:
-        push(label)
-    while heap:
-        _, label = heapq.heappop(heap)
-        coeff = work[label]
-        if coeff == 0:
-            continue
-        i, j, jp = _snake_pivot(label)
-        snake = dual_snake(label, i, j, jp, ring).element
-        if leading_coefficient(snake, label, key) != 1:
-            raise RuntimeError(f"dual snake {(i, j, jp)} on {label!r} does not lead with 1 in the row order")
-        for u, c in snake.lin.items():
-            if u not in work:
-                push(u)
-            work[u] = ring.sub(work.get(u, ring.zero), ring.mul(coeff, c))
-        gamma.append((label, i, j, jp, ring.neg(coeff)))
-
-    return StraighteningCertificate(x, SymLowerElement(LinComb(ring, work)), tuple(gamma))
+    left, steps = reduce_by_pivots({t.rows: c for t, c in x.lin.unordered_items()}, pivot, key, ring)
+    gamma = tuple((Tableau._fresh(rows, shape), *_snake_pivot(rows), ring.neg(c)) for rows, c in steps)
+    return StraighteningCertificate(x, SymLowerElement._on_lines(ring, shape, left), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +314,7 @@ def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertific
         relation=lambda rows, snake: _dual_garnir_int(rows, *boxes[len(rows[snake[0] - 1]), *snake]),
         kernel_image=_wedge_of_rsym_int,
         rows=True,
-        pivot=_snake_pivot,
+        pivot=lambda t: _snake_pivot(t.rows),
         max_entry=max_entry,
         dimension=len(rssyt),
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),

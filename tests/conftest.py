@@ -11,7 +11,7 @@ import weylkit.weyl as weyl
 def fresh_kernel_certificates():
     """Clear the per-(shape, m) certificates and pairing tables before each test.
 
-    A test that monkeypatches a relation builder or ``duality.polytabloid``
+    A test that monkeypatches a relation builder or ``duality._polytabloid_int``
     must see its mutation, not a table cached by an earlier test.
     """
     schur._certificate.cache_clear()

@@ -10,10 +10,11 @@ the semistandard polytabloid basis again for each t.
 """
 
 from weylkit.coeffs import QQ, ZZ, CoefficientRing, LinComb
-from weylkit.linalg import leading_coefficient
 from weylkit.powers import ColumnTabloidElement
 from weylkit.schur import polytabloid
 from weylkit.tableaux import COLUMN_STANDARD, Tableau, enumerate_tableaux, row_order_key, sort_rows
+
+from straighten_oracle import leading_coefficient
 
 
 def pairing_image(t: Tableau, max_entry: int, ring: CoefficientRing = ZZ) -> ColumnTabloidElement:

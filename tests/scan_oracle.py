@@ -4,7 +4,7 @@ This is the scan as it ran before it moved onto lines.  Every relation is
 a public :class:`~weylkit.places.Relation` from ``schur.garnir`` or
 ``weyl.dual_snake``, mapped by the public element map
 (``apply_polytabloid_map`` or ``wedge_of_sym_lower``) and asked
-``is_zero``; every lead is read by :func:`weylkit.linalg.leading_coefficient`
+``is_zero``; every lead is read by :func:`straighten_oracle.leading_coefficient`
 in ``column_order_key`` or ``row_order_key``; and every semistandard image
 is the public ``polytabloid`` or ``copolytabloid``.  The public maps are
 looked up when called, so a test's patch of a line-form builder reaches
@@ -18,7 +18,6 @@ from math import factorial
 import weylkit.powers as powers
 import weylkit.schur as schur
 import weylkit.weyl as weyl
-from weylkit.linalg import leading_coefficient
 from weylkit.places import stabilizer_order
 from weylkit.tableaux import (
     COLUMN_STANDARD,
@@ -34,6 +33,7 @@ from weylkit.tableaux import (
 )
 from weylkit.verify import KernelCertificate
 
+from straighten_oracle import leading_coefficient
 from weight_oracles import column_sorted_labels, is_dominant
 
 _UNBUILT = object()
@@ -155,7 +155,7 @@ def weyl_scan(shape, m, full=False):
         relation_labels=lambda t: snakes,
         build=_snake_on,
         kernel_map=lambda x: powers.wedge_of_sym_lower(x),
-        pivot=weyl._snake_pivot,
+        pivot=lambda t: weyl._snake_pivot(t.rows),
         key=lambda u: row_order_key(u, m),
         dimension=len(rssyt),
         semistandard=enumerate_tableaux(shape, m, SEMISTANDARD),

@@ -396,9 +396,20 @@ class TestPolytabloidDualImage:
                     assert [image.coeff(u) for image in images] == solution
 
     def test_a_basis_without_a_unit_diagonal_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(duality, "polytabloid", lambda t: polytabloid(t) + polytabloid(t))
-        with pytest.raises(RuntimeError, match="failed to decompose over the semistandard basis"):
+        original = duality._polytabloid_int
+        monkeypatch.setattr(duality, "_polytabloid_int", lambda cols: {u: 2 * c for u, c in original(cols).items()})
+        with pytest.raises(RuntimeError, match="does not lead with 1"):
             polytabloid_dual_image(T([[1, 1], [2]]), 2)
+
+    def test_a_label_outside_the_basis_is_an_internal_error(self, monkeypatch):
+        # [[2, 1], [3]] is column standard, not semistandard; [[1, 2], [1]] is no basis label's pivot
+        original = duality._polytabloid_int
+        extra, target = T([[1, 2], [1]]).rows, T([[2, 1], [3]]).columns
+        monkeypatch.setattr(
+            duality, "_polytabloid_int", lambda cols: {**original(cols), extra: 1} if cols == target else original(cols)
+        )
+        with pytest.raises(RuntimeError, match="failed to decompose over the semistandard basis"):
+            polytabloid_dual_image(T([[1, 1], [2]]), 3)
 
     def test_an_entry_outside_the_alphabet_is_refused(self):
         with pytest.raises(InputError, match="tableau entries exceed the alphabet"):
@@ -441,11 +452,12 @@ class TestNegativeControl:
 
     def test_each_column_standard_polytabloid_is_expanded_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(duality, "polytabloid", lambda t: calls.append(t) or polytabloid(t))
+        original = duality._polytabloid_int
+        monkeypatch.setattr(duality, "_polytabloid_int", lambda columns: calls.append(columns) or original(columns))
         find_dual_basis_mismatch([(3, 2)], [3])
-        # once each, not once per semistandard t (708 calls)
+        # once each, not once per semistandard t (708 calls) nor once more per pivot
         csyt = enumerate_tableaux((3, 2), 3, COLUMN_STANDARD)
-        assert len(calls) == len(csyt) and set(calls) == set(csyt)
+        assert len(calls) == len(csyt) and set(calls) == {u.columns for u in csyt}
 
     @pytest.mark.parametrize(
         "shapes, entries, payload",

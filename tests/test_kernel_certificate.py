@@ -302,8 +302,8 @@ def test_every_pivot_and_snake_of_a_label_is_one_of_two_adjacent_rows():
                 i = next(i for i in range(1, len(shape)) if not T(t.rows[i - 1 : i + 1]).is_semistandard)
                 two_rows = T(t.rows[i - 1 : i + 1])
                 pivot = weyl._two_row_pivot(*two_rows.rows)
-                assert weyl._snake_pivot(t) == (i, *pivot), t
-                assert weyl._snake_pivot(two_rows) == (1, *pivot), t
+                assert weyl._snake_pivot(t.rows) == (i, *pivot), t
+                assert weyl._snake_pivot(two_rows.rows) == (1, *pivot), t
                 labels += 1
     assert labels > 1000
 

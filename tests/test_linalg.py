@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
-from weylkit.linalg import leading_coefficient, rank_of_rows, smith_elementary_divisors, solve_exact
+from weylkit.linalg import lead, rank_of_rows, reduce_by_pivots, smith_elementary_divisors, solve_exact
 
 
 class TestRank:
@@ -107,18 +108,55 @@ class TestSmith:
             assert smith_elementary_divisors(rows, ncols) == expected, dense
 
 
-class TestLeadingCoefficient:
+class TestLead:
     def test_unit_on_the_greatest_label(self):
-        element = LinComb(ZZ, {5: 1, 3: -2, 1: 7})
-        assert leading_coefficient(element, 5, key=lambda u: u) == 1
+        assert lead(5, {5: 1, 3: -2, 1: 7}, key=lambda u: u) == 1
+
+    def test_unit_on_the_least_label_above(self):
+        assert lead(1, {5: -2, 3: 7, 1: 1}, key=lambda u: u, above=True) == 1
 
     def test_rejects_a_label_not_strictly_below(self):
-        element = LinComb(ZZ, {5: 1, 3: -2, 1: 7})
-        assert leading_coefficient(element, 3, key=lambda u: u) is None
-        assert leading_coefficient(element, 5, key=lambda u: u % 2) is None
+        terms = {5: 1, 3: -2, 1: 7}
+        assert lead(3, terms, key=lambda u: u) is None
+        assert lead(5, terms, key=lambda u: u % 2) is None
 
-    def test_absent_label_reads_zero(self):
-        assert leading_coefficient(LinComb(ZZ, {1: 4}), 2, key=lambda u: u) == 0
+    def test_rejects_a_label_not_strictly_above(self):
+        terms = {5: 1, 3: -2, 1: 7}
+        assert lead(3, terms, key=lambda u: u, above=True) is None
+        assert lead(1, terms, key=lambda u: u % 2, above=True) is None
+
+    @pytest.mark.parametrize("above", (False, True))
+    def test_absent_label_reads_zero(self, above):
+        assert lead(2, {3 if above else 1: 4}, key=lambda u: u, above=above) == 0
+
+
+class TestReduceByPivots:
+    # labels are tuples of lines; a label's key is its single entry
+    @staticmethod
+    def key(lines):
+        return lines[0]
+
+    def test_clears_the_greatest_label_first_and_keeps_the_rest(self):
+        relations = {((3,),): {((3,),): 1, ((2,),): 2}, ((2,),): {((2,),): 1, ((1,),): -1}}
+        left, steps = reduce_by_pivots({((3,),): 1, ((2,),): 1}, relations.get, self.key, ZZ)
+        assert steps == [(((3,),), 1), (((2,),), -1)]
+        assert left == {((1,),): -1}
+
+    @pytest.mark.parametrize(
+        "above, relation",
+        [
+            (False, {((2,),): 2, ((1,),): 1}),  # lead 2
+            (False, {((2,),): 1, ((3,),): 1}),  # a term above
+            (True, {((2,),): 1, ((1,),): 1}),  # a term below
+        ],
+        ids=("lead-2", "term-above", "term-below-with-above"),
+    )
+    def test_a_pivot_without_lead_one_raises(self, above, relation):
+        def pivot(lines):
+            return relation if lines == ((2,),) else None
+
+        with pytest.raises(RuntimeError, match=re.escape("the pivot relation on [[2]] does not lead with 1")):
+            reduce_by_pivots({((2,),): 1}, pivot, self.key, ZZ, above=above)
 
 
 class TestSolve:

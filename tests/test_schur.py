@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import weylkit.schur as schur
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod
-from weylkit.linalg import leading_coefficient
 from weylkit.places import PlacePermutation
 from weylkit.powers import ColumnTabloidElement, RowTabloidElement
 from weylkit.schur import (
@@ -33,6 +32,7 @@ from weylkit.tableaux import (
 
 from place_oracles import column_preserving_permutations, shuffle_garnir, wedge_projection
 from smith_oracle import schur_relation_rows, smith_verdict
+from straighten_oracle import leading_coefficient
 from weight_oracles import column_sorted_labels, full_scan, is_dominant, relabel_columns
 
 T = Tableau

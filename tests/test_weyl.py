@@ -43,6 +43,7 @@ from weylkit.weyl import (
     weyl_basis,
 )
 
+import straighten_oracle
 from smith_oracle import weyl_relation_rows
 
 T = Tableau
@@ -224,7 +225,7 @@ class TestDualSnake:
         for shape, m in [((2, 2), 3), ((3, 2), 3), ((2, 2, 1), 2)]:
             for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
                 if not t.is_semistandard:
-                    rel = dual_snake(t, *_snake_pivot(t))
+                    rel = dual_snake(t, *_snake_pivot(t.rows))
                     assert rel.element.coeff(t) == 1
 
     def test_the_pivot_runs_through_the_first_violation_along_equal_runs(self):
@@ -232,9 +233,10 @@ class TestDualSnake:
 
         # First violation: 2 >= 2 at (1, 2); the upper run of 2s starts at
         # column 2 and the lower run of 2s ends at column 3.
-        assert _snake_pivot(T([[1, 2, 2], [2, 2, 2]])) == (1, 2, 3)
-        assert _snake_pivot(T([[1, 1], [1, 2]])) == (1, 1, 1)
-        assert _snake_pivot(T([[1, 2], [2, 3], [2]])) == (2, 1, 1)
+        assert _snake_pivot(T([[1, 2, 2], [2, 2, 2]]).rows) == (1, 2, 3)
+        assert _snake_pivot(T([[1, 1], [1, 2]]).rows) == (1, 1, 1)
+        assert _snake_pivot(T([[1, 2], [2, 3], [2]]).rows) == (2, 1, 1)
+        assert _snake_pivot(T([[1, 1], [2, 2], [3]]).rows) is None  # semistandard: no pivot
 
 
 class TestStraighten:
@@ -307,20 +309,18 @@ class TestStraighten:
     def test_a_snake_with_a_label_above_its_own_is_refused(self, monkeypatch):
         t = T([[1, 2], [1, 2]])
         built = []
+        original = weyl._dual_garnir_int
 
-        def corrupted(label, i, j, jp, ring=ZZ):
-            built.append(label)
-            rel = dual_snake(label, i, j, jp, ring)
-            if label == t:
-                # [[2, 2], [1, 1]] lies above t in the row order
-                coords = {**dict(rel.element.lin.items()), T([[2, 2], [1, 1]]): 1}
-                return dataclasses.replace(rel, element=sym_lower(ring, coords))
-            return rel
+        def corrupted(rows, box_a, box_b):
+            built.append(rows)
+            rel = original(rows, box_a, box_b)
+            # [[2, 2], [1, 1]] lies above t in the row order
+            return {**rel, T([[2, 2], [1, 1]]).rows: 1} if rows == t.rows else rel
 
-        monkeypatch.setattr(weyl, "dual_snake", corrupted)
+        monkeypatch.setattr(weyl, "_dual_garnir_int", corrupted)
         with pytest.raises(RuntimeError, match=re.escape("[[1, 2], [1, 2]]")):
             straighten(sym_lower(ZZ, {t: 1}))
-        assert built == [t]
+        assert built == [t.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +420,34 @@ def test_straightening_clears_each_label_once_over_every_ring(case):
     assert all(s.is_semistandard for s in cert.coords.labels())
     keys = [row_order_key(t, m) for t, *_ in cert.gamma]
     assert all(a > b for a, b in zip(keys, keys[1:]))
+
+
+def cli_fields(cert):
+    """The ``coords`` and ``gamma`` of ``weylkit straighten``'s JSON, built from ``cert`` as the CLI builds them."""
+    ring = cert.source.ring
+    gamma = [(t.to_json(), i, [j, jp], ring.format_coeff(c)) for t, i, j, jp, c in cert.gamma]
+    return cert.coords.to_json(), gamma
+
+
+def assert_straightens_as_the_tableau_loop(x):
+    got, expected = straighten(x), straighten_oracle.straighten(x)
+    assert got.coords == expected.coords and got.gamma == expected.gamma, x
+    assert cli_fields(got) == cli_fields(expected), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements_to_straighten())
+def test_straightening_matches_the_tableau_loop_over_every_ring(case):
+    assert_straightens_as_the_tableau_loop(case[1])
+
+
+@pytest.mark.parametrize("ring", STRAIGHTENING_RINGS, ids=str)
+def test_every_single_label_straightens_as_the_tableau_loop_does(ring):
+    # the CLI's case: one row-sorted label with coefficient 1; entries up to 3 cover m = 1, 2, 3
+    labels = [t for shape in partitions_up_to(5) for t in enumerate_tableaux(shape, 3, ROW_SEMISTANDARD)]
+    for t in labels:
+        assert_straightens_as_the_tableau_loop(sym_lower(ring, {t: 1}))
+    assert len(labels) > 1000
 
 
 class TestWeylBasis:
