@@ -133,6 +133,17 @@ def parse_boxes(text: str) -> frozenset:
     return frozenset((int(i), int(j)) for i, j in found)
 
 
+_PAIR_RE = re.compile(r"\s*([0-9]+)\s*:\s*([0-9]+)\s*")
+
+
+def parse_pair(text: str, flag: str, expected: str) -> tuple[int, int]:
+    """Two integers in ASCII digits, written ``a:b``, the value of ``flag``."""
+    match = _PAIR_RE.fullmatch(text)
+    if not match:
+        raise CliError(f"malformed {flag} {text!r}: expected {expected}")
+    return int(match[1]), int(match[2])
+
+
 def parse_matrix_arg(text: str, ring: CoefficientRing) -> EntryMatrix:
     try:
         rows = json.loads(text)
@@ -286,10 +297,7 @@ def _cmd_dual_garnir(args, cfg):
     t, ring = _element_op_common(args, cfg)
     box_a, box_b = parse_boxes(args.boxA), parse_boxes(args.boxB)
     if args.rows:
-        try:
-            ra, rb = (int(v) for v in args.rows.split(":"))
-        except ValueError as exc:
-            raise CliError(f"malformed --rows {args.rows!r}: expected i:i'") from exc
+        ra, rb = parse_pair(args.rows, "--rows", "i:i'")
         if {b[0] for b in box_a} != {ra} or {b[0] for b in box_b} != {rb}:
             raise CliError("--rows disagrees with the box sets")
     builders = {
@@ -303,10 +311,7 @@ def _cmd_dual_garnir(args, cfg):
 
 def _cmd_snake(args, cfg):
     t, ring = _element_op_common(args, cfg)
-    try:
-        j, jp = (int(v) for v in args.cols.split(":"))
-    except ValueError as exc:
-        raise CliError(f"malformed --cols {args.cols!r}: expected j:j'") from exc
+    j, jp = parse_pair(args.cols, "--cols", "j:j'")
     return _emit_relation(dual_snake(t, args.row, j, jp, ring), args)
 
 

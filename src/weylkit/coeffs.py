@@ -177,17 +177,14 @@ def integers_mod(n: int) -> CoefficientRing:
 
 
 def parse_ring(tag: str) -> CoefficientRing:
-    """Inverse of :attr:`CoefficientRing.tag`."""
+    """Inverse of :attr:`CoefficientRing.tag`; the modulus of ``zmod:<n>`` is in ASCII digits."""
     if tag == "z":
         return ZZ
     if tag == "q":
         return QQ
-    if tag.startswith("zmod:"):
-        try:
-            modulus = int(tag.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"unknown ring tag {tag!r}") from exc
-        return integers_mod(modulus)
+    modulus = tag.removeprefix("zmod:")
+    if modulus != tag and modulus.isascii() and modulus.isdigit():
+        return integers_mod(int(modulus))
     raise InputError(f"unknown ring tag {tag!r}")
 
 

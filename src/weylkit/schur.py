@@ -12,8 +12,8 @@ ones, and both kinds of relation are one :class:`~weylkit.places.Relation`
 record (``SchurRelation`` is its old name here), so a failed check reports
 either in the same JSON shape.  ``verify_schur_ses`` checks the kernel
 description on one instance with the integer certificate of
-:mod:`weylkit.verify`, over the column-sorted labels of one weight per
-S_m-orbit, built once per (shape, max_entry) and shared by every ring.
+:mod:`weylkit.verify`, built once per (shape, max_entry) and shared by
+every ring.
 
 A Garnir relation on (t, A, B) is zero when t repeats an entry v on
 A | B: swapping the two boxes that hold v is a sign-reversing involution
@@ -21,11 +21,15 @@ on the coset terms.  A term with both copies of v in one column vanishes
 in the exterior power, and a term with one copy in A's column and one in
 B's meets its partner, the same column tabloid with the opposite sign.
 The certificate skips those relations, and never a pivot, whose label is
-column standard.  It decides each other relation on its two columns (part
-5 of the certificate in :mod:`weylkit.verify`): the relation on (t, A, B)
+column standard.  A Garnir relation is local to its two columns (part 4
+of the certificate in :mod:`weylkit.verify`): the relation on (t, A, B)
 is the one on columns j_A and j_B of t, A and B moved onto columns 1 and
 2, with t's other columns put back in every term and projected to the
-exterior power.
+exterior power.  So a shape with three or more columns is not scanned
+when the certificates of its two-column shapes, one for each pair of its
+columns, are clean: its relations and pivots are theirs put back, and
+only its semistandard polytabloids are checked (part 5).  Every other
+shape is scanned over all its column-sorted labels.
 
 Polytabloids are expanded one column at a time by the kernel
 ``powers.line_products``, not alternating, which this module reads but
@@ -39,13 +43,12 @@ only the nonzero part of its sum.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from functools import cache
 from itertools import combinations
-from math import factorial, prod
+from math import prod
 
 from .coeffs import ZZ, CoefficientRing
-from .places import Relation, check_line_label, shuffles, stabilizer_order
+from .places import Relation, check_line_label, shuffles
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
@@ -60,7 +63,7 @@ from .tableaux import (
 )
 from .powers import ColumnTabloidElement, RowTabloidElement, line_products, sum_images
 from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
-from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report
+from .verify import KernelCertificate, check, checked_shape, kernel_certificate, read_off_pairs, report
 
 
 @cache
@@ -136,32 +139,33 @@ def garnir_labels(shape):
 def _garnir_pivot(t: Tableau) -> tuple[frozenset, frozenset] | None:
     """Box sets (A, B) that straighten the first row descent t(i, j) > t(i, j+1).
 
-    A runs down column j from row i and B down column j+1 to row i.  For a
-    column-standard t every entry of A exceeds every entry of B, so the
-    identity coset term is t with coefficient +1, and every other term moves
-    a larger entry out of column j and lands strictly below t in the column
-    order.  None when t is not column standard or has no row descent.
+    They are the pivot of the two-column label on columns j and j+1 of t
+    (:func:`_two_column_pivot`), moved onto those columns, so the pivot of
+    t is local to a pivot of two columns (part 5 of the certificate in
+    :mod:`weylkit.verify`).  None when t is not column standard or has no
+    row descent.
     """
     if not t.is_column_standard:
         return None
-    for i, row in enumerate(t.rows, 1):
-        for j in range(1, len(row)):
-            if row[j - 1] > row[j]:
-                col_len = conjugate(t.shape)[j - 1]
-                box_a = frozenset((r, j) for r in range(i, col_len + 1))
-                box_b = frozenset((r, j + 1) for r in range(1, i + 1))
-                return box_a, box_b
-    return None
+    row = next((row for row in t.rows if any(a > b for a, b in zip(row, row[1:]))), None)
+    if row is None:
+        return None
+    j = next(j for j in range(1, len(row)) if row[j - 1] > row[j])
+    box_a, box_b = _two_column_pivot(*t.columns[j - 1 : j + 1])
+    return frozenset((i, j) for i, _ in box_a), frozenset((i, j + 1) for i, _ in box_b)
 
 
-def _content(t: Tableau, max_entry: int) -> tuple[int, ...]:
-    """The weight of t: how often it holds each of 1, ..., max_entry."""
-    counts = Counter(t.reading_word)
-    return tuple(counts[v] for v in range(1, max_entry + 1))
+def _two_column_pivot(left: tuple, right: tuple) -> tuple[frozenset, frozenset]:
+    """Box sets (A, B) of the pivot on two strictly increasing columns, some entry of ``left`` > the one beside it.
 
-
-def _is_dominant(weight: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(weight, weight[1:]))
+    A runs down column 1 from the first such row i and B down column 2 to
+    row i.  Every entry of A exceeds every entry of B, so the identity
+    coset term is the label itself with coefficient +1, and every other
+    term moves a larger entry out of column 1 and lands strictly below it
+    in the column order.
+    """
+    i = next(i for i in range(1, len(right) + 1) if left[i - 1] > right[i - 1])
+    return frozenset((r, 1) for r in range(i, len(left) + 1)), frozenset((r, 2) for r in range(1, i + 1))
 
 
 def _relation_labels(shape: tuple[int, ...]):
@@ -170,23 +174,16 @@ def _relation_labels(shape: tuple[int, ...]):
     return lambda t: [(a, b) for a, b in boxsets if not _repeats_an_entry(t.rows, a | b)]
 
 
-def _local_garnir(columns: tuple, boxes: tuple[frozenset, frozenset]):
-    """The two-column relation the one on (t, A, B) is local to: t's columns j_A and j_B, A and B moved onto 1 and 2."""
-    box_a, box_b = boxes
-    cols = (columns[next(iter(box_a))[1] - 1], columns[next(iter(box_b))[1] - 1])
-    return cols, (frozenset((i, 1) for i, _ in box_a), frozenset((i, 2) for i, _ in box_b))
-
-
-def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size, local) -> KernelCertificate:
-    """The certificate on the Garnir relations of the column-sorted ``labels``, decided on ``local`` relations.
+def _garnir_scan(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
+    """The certificate on the Garnir relations of every column-sorted label.
 
     The relations on each label less the zero ones of the module docstring;
-    pivots on the first row descent (:func:`_garnir_pivot`), each counted
-    ``orbit_size(t)`` times; and the semistandard polytabloids, whose every
-    other row tabloid is above their own in the row order.
+    pivots on the first row descent (:func:`_garnir_pivot`); and the
+    semistandard polytabloids, whose every other row tabloid is above their
+    own in the row order.
     """
     return kernel_certificate(
-        labels=labels,
+        labels=[transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)],
         relation_labels=_relation_labels(shape),
         relation=lambda columns, boxes: _garnir_int(columns, *boxes),
         kernel_image=_polytabloid_int,
@@ -197,8 +194,6 @@ def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size, loc
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
         build=lambda t, boxes: garnir(t, *boxes),
         image=polytabloid,
-        local=local,
-        orbit_size=orbit_size,
     )
 
 
@@ -206,20 +201,21 @@ def _garnir_scan(shape: tuple[int, ...], max_entry: int, labels, orbit_size, loc
 def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of the Schur side, shared by every ring.
 
-    Garnir relations commute with relabelling the entries by S_m up to
-    sign, and so does the polytabloid map; the zero rule depends only on
-    which entries are equal.  So the scan covers only the column-sorted
-    labels whose content weakly decreases, one weight per S_m-orbit, and
-    counts each pivot with the size of its weight's orbit (part 4 of the
-    certificate in :mod:`weylkit.verify`).  Each relation is decided on
-    its two columns (part 5), and built only when those do not decide it.
+    A shape with three or more columns reads its relations and pivots off
+    the cached certificates of its two-column shapes, one for each pair of
+    its columns, since a Garnir relation joins any two (part 5 of the
+    certificate in :mod:`weylkit.verify`), and checks only its semistandard
+    polytabloids, when each of those is clean; else it is scanned.
     """
-    column_sorted = [transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)]
-    dominant = [t for t in column_sorted if _is_dominant(_content(t, max_entry))]
-    group_order = factorial(max_entry)
-    return _garnir_scan(
-        shape, max_entry, dominant, lambda t: group_order // stabilizer_order(_content(t, max_entry)), _local_garnir
-    )
+    lengths = conjugate(shape)
+    if len(lengths) > 2:
+        pairs = (_certificate(conjugate((a, b)), max_entry) for a, b in combinations(lengths, 2))
+        semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
+        dimension = count_tableaux(shape, max_entry, COLUMN_STANDARD)
+        cert = read_off_pairs(pairs, semistandard, dimension, _polytabloid_int, False, max_entry, polytabloid)
+        if cert is not None:
+            return cert
+    return _garnir_scan(shape, max_entry)
 
 
 def verify_schur_ses(

@@ -3,7 +3,7 @@
 Both kernel checks prove their theorem with one integer certificate per
 (shape, max_entry), built by :func:`kernel_certificate` and reused for
 every ring.  Let N be the number of labels of the domain's basis that are
-not semistandard.  The certificate has six parts:
+not semistandard.  The certificate has five parts:
 
 1. every relation maps to zero over the integers (a relation the scan
    skips because it is provably zero does so trivially);
@@ -12,19 +12,15 @@ not semistandard.  The certificate has six parts:
    the side's order;
 3. the image of each semistandard label s has coefficient exactly 1 on s
    and every other label strictly above s in the image's order;
-4. parts 1 and 2 may be proved on one weight per S_m-orbit, when the
-   relation family and the kernel map commute with relabelling the
-   entries, and each pivot found there is counted with the size of its
-   weight's orbit;
-5. parts 1 and 2 may be proved on local relations, when a relation is
-   its relation on some lines of its label with the other lines put back,
-   and the kernel map and the order split the same way: a relation maps
-   to zero when its local relation does, and has the same lead;
-6. on a shape with three or more rows, parts 1 and 2 may be read off the
-   certificates of its adjacent two-row shapes, when every relation is
-   local to two adjacent rows and every pivot is the pivot of two adjacent
-   rows, and each of those certificates is clean: no relation fails and
-   every pivot has lead 1.
+4. a relation maps to zero when its local relation does, and has the same
+   lead, when it is that relation on some lines of its label with the
+   other lines put back, and the kernel map and the order split the same
+   way;
+5. on a shape with three or more lines, parts 1 and 2 may be read off the
+   certificates of its two-line shapes, when every relation is local to
+   two lines and every pivot is the pivot of two adjacent lines, and each
+   of those certificates is clean: no relation fails and every pivot has
+   lead 1.
 
 Relations and kernel maps are defined over the integers and commute with
 base change, so over every ring R the N pivots stay independent in the
@@ -37,19 +33,7 @@ integers the pivots in addition make the relation lattice a direct summand
 proves the ranks over a ring where it is a unit (over the integers the
 ranks are rational), but never the direct summand.
 
-Part 4 is transport.  Every map here preserves content, the weight
-μ ∈ N^m, so the domain, the relation span and the kernel split into weight
-blocks.  Suppose relabelling the entries by σ ∈ S_m sends the relation
-family onto itself up to sign, commutes with the kernel map and keeps
-every skip rule's verdict.  Then σ is a Z-isomorphism from block μ to
-block σμ that carries relations to ± relations and kernel to kernel, so
-membership, the N_μ pivots and the direct summand on block μ carry over to
-σμ.  The weights with weakly decreasing content meet every orbit once, and
-the orbit of μ has m! / |Stab μ| weights.  Part 3 is checked on every
-semistandard label: the order its unitriangularity is read in depends on
-the order of the alphabet, which σ does not keep.
-
-Part 5 is locality.  Say the relation on (t, r) equals, term for term,
+Part 4 is locality.  Say the relation on (t, r) equals, term for term,
 its local relation on (u, s), where u is some lines of t, with t's other
 lines put back into every term; say the kernel map of a label is the
 product, in a fixed order, of maps of its parts, so that it factors as
@@ -58,49 +42,52 @@ order compares two labels that differ only on u's lines as it compares
 those lines.  Then the relation's image is the local relation's image
 times a fixed factor, so it is zero when the local image is.  And each
 term of the relation lies below t exactly when its local term lies below
-u, with the same coefficients, so both have the same lead.  The scan
-maps each local relation once per certificate.  It builds a relation in
-full only when its local relation does not map to zero, and then decides
-on the full relation, or when it is a pivot whose local lead is not 1,
-and then reports the full relation as the counterexample.
+u, with the same coefficients, so both have the same lead.
 
-Both sides run this one scan with part 5.  The Weyl side scans the
-row-sorted labels with dual snakes, each label counted once (a snake
-takes the largest entries of a row, so the snake family is not
-S_m-stable), and decides the snake (i, j, j') on t on the snake (1, j, j')
-on rows i and i+1 of t, as Weyl functors are built (Akin–Buchsbaum–Weyman,
-*Schur functors and Schur complexes*, Adv. Math. 44 (1982)): the wedge
-projection takes each column to the wedge of its boxes in the rows above,
-in rows i and i+1, and in the rows below, and the row order compares
-labels that agree outside two rows as their two-row labels (see
-:mod:`weylkit.weyl`).  The Schur side is its transpose: column-sorted
-labels, which are the transposes of the row-sorted labels of the
-conjugate shape, with Garnir relations, each decided on its two columns.
+Both sides meet part 4 on two lines.  The Weyl side scans the row-sorted
+labels with dual snakes, and the snake (i, j, j') on t is the snake
+(1, j, j') on rows i and i+1 of t put back, as Weyl functors are built
+(Akin–Buchsbaum–Weyman, *Schur functors and Schur complexes*, Adv. Math.
+44 (1982)): the wedge projection takes each column to the wedge of its
+boxes in the rows above, in rows i and i+1, and in the rows below, and the
+row order compares labels that agree outside two rows as their two-row
+labels (see :mod:`weylkit.weyl`).  The Schur side is its transpose:
+column-sorted labels, which are the transposes of the row-sorted labels of
+the conjugate shape, with Garnir relations, the one on (t, A, B) being the
+one on columns j_A and j_B of t with A and B moved onto columns 1 and 2.
 The terms put back are projected to the exterior power, so when another
 column of t repeats an entry, the relation and its put-back two-column
 relation are both zero.  A column permutation σ sends the relation on
 (t, A, B) to ± the one on (σt, σA, σB), so these labels give every Garnir
 relation up to sign.  The Schur side also skips the relations its zero
-rule proves zero, and never a pivot, and it uses part 4 (see
-:mod:`weylkit.schur`).
+rule proves zero, and never a pivot (see :mod:`weylkit.schur`).
 
-Part 6 is part 5 applied once per pair of adjacent rows.  Let λ have k
-rows, k >= 3, and let the certificate of (λ_i, λ_{i+1}) at the same m be
-clean for each i < k.  That certificate scans every row-sorted label of
-(λ_i, λ_{i+1}) with entries at most m, with every snake (1, j, j') on it
-and no orbit reduction.  A snake (i, j, j') on a row-sorted label t of λ
-is local to the snake (1, j, j') on rows i and i+1 of t, which is one of
-those, so it maps to zero (part 1).  The pivot of a t that is not
-semistandard is (i, j, j'): i is the first row with an entry at least the
-one below it, and (1, j, j') is the pivot of rows i and i+1 of t, a
-two-row label that is not semistandard, so the pivot on t has that
-pivot's lead, 1 (part 2).  Hence λ has its N = #rssyt - #ssyt pivots with
-lead 1, and only part 3 is left to check on it.  When some pair is not
-clean, λ is scanned as before, so a failing report names what the scan
-finds.  The Schur side cannot read its certificates off two columns the
-same way: its orbit scan (part 4) certifies the pivots of two-column
-labels only on dominant weights, so a two-column certificate says nothing
-of the lead of most two-column labels' pivots.
+Part 5 is part 4 applied once per pair of lines.  Let λ have k >= 3 lines,
+rows on the Weyl side and columns on the Schur side, and let each
+certificate below, at the same m, be clean; each scans every label of its
+two-line shape with entries at most m, whatever its weight, and every
+relation on it.
+
+- Membership.  A snake lies on two adjacent rows, so the Weyl side reads
+  the certificates of (λ_i, λ_{i+1}) for each i < k.  A Garnir relation
+  joins any two columns, so the Schur side reads those of the shapes
+  with columns (c_a, c_b), for every a < b, c the column lengths of λ.  A
+  relation on a label t of λ is local to the relation on the two-line
+  label of its two lines, which one of those certificates scanned, so it
+  maps to zero (part 1).
+- Pivots.  The pivot of a t that is not semistandard is the pivot of two
+  adjacent lines of t put back: on the Weyl side rows i and i+1, i the
+  first row with an entry at least the one below it; on the Schur side
+  columns j and j+1, j the first column of a descent in the first row
+  with one.  That two-line label is not semistandard either, so its pivot
+  has lead 1, and so has t's (part 2).
+
+Hence λ has its N pivots with lead 1, and only part 3 is left to check on
+it.  When some certificate is not clean, or λ has at most two lines, λ is
+scanned with every relation built in full, so a failing report names what
+the scan finds.  That scan needs no locality: on a shape with at most two
+lines a relation's local relation is the relation itself, and a shape with
+more lines is scanned only when one of its two-line shapes already failed.
 
 The scan runs on lines, a label's columns on the Schur side and its rows
 on the Weyl side, with relations and kernel images as ``{lines: int}``;
@@ -163,8 +150,8 @@ def _is_unit(lead, ring: CoefficientRing) -> bool:
 class KernelCertificate:
     """What :func:`kernel_certificate` found on one (shape, max_entry).
 
-    ``odd_pivots`` holds (lead, label, relation, orbit size) for each label
-    whose pivot relation does not have leading coefficient exactly 1, and
+    ``odd_pivots`` holds (lead, label, relation) for each label whose pivot
+    relation does not have leading coefficient exactly 1, and
     ``odd_images`` holds (lead, label, image) for each semistandard label
     whose image does not have coefficient exactly 1 on it.  A lead is None
     when some other label lies on the wrong side, or when no relation
@@ -177,7 +164,7 @@ class KernelCertificate:
     bad: object  # the first relation that does not map to zero; the scan stops there
     nullity: int  # N: the basis labels that are not semistandard
     rank: int  # the semistandard labels
-    pivots: int  # pivot relations with leading coefficient exactly 1, each counted with its orbit size
+    pivots: int  # pivot relations with leading coefficient exactly 1
     odd_pivots: tuple
     odd_images: tuple
 
@@ -194,13 +181,13 @@ class KernelCertificate:
 
     def pivot_failure(self, ring: CoefficientRing) -> dict | None:
         """The first pivot whose leading coefficient is not a unit over ``ring``."""
-        failed = (self._pivot(t, rel) for lead, t, rel, _ in self.odd_pivots if not _is_unit(lead, ring))
+        failed = (self._pivot(t, rel) for lead, t, rel in self.odd_pivots if not _is_unit(lead, ring))
         return next(failed, None)
 
     @property
     def lattice_failure(self) -> dict | None:
         """The first pivot whose leading coefficient is not exactly 1."""
-        return next((self._pivot(t, rel) for _, t, rel, _ in self.odd_pivots), None)
+        return next((self._pivot(t, rel) for _, t, rel in self.odd_pivots), None)
 
     def _pivot(self, t, rel) -> dict:
         return {"tableau": t.to_json()} if rel is None else rel.to_json()
@@ -214,7 +201,7 @@ class KernelCertificate:
         """
         if self.image_failure(ring) is not None:
             return None, None
-        every_pivot = self.pivots + sum(size for *_, size in self.odd_pivots) == self.nullity
+        every_pivot = self.pivots + len(self.odd_pivots) == self.nullity
         proved = self.bad is None and every_pivot and self.pivot_failure(ring) is None
         return self.rank, self.nullity if proved else None
 
@@ -224,70 +211,49 @@ class KernelCertificate:
         return self.ranks(ZZ)[1] is not None and self.pivots == self.nullity
 
 
-def _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot, key, build, orbit_size, local):
-    """(first relation not mapping to zero, pivots with lead 1 times their orbit sizes, the other pivots)."""
+def _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot, key, build):
+    """(first relation not mapping to zero, pivots with lead 1, the other pivots)."""
     pivots, odd = 0, []
-    # local (lines, r) -> its relation when that maps to zero, so that every
-    # relation it is local to does too (part 5), else None
-    local_relations = {}
     for t in labels:
         target = pivot(t)
         lines = getattr(t, own)
-        on_target = None  # (the lines the pivot's lead is read at, the relation that decides it)
+        on_target = None
         for r in relation_labels(t):
-            here = local(lines, r)
-            if here not in local_relations:
-                rel = relation(*here)
-                local_relations[here] = rel if maps_to_zero(rel) else None
-            rel = local_relations[here]
-            if rel is None:
-                here, rel = (lines, r), relation(lines, r)
-                if not maps_to_zero(rel):
-                    return build(t, r), pivots, odd
+            rel = relation(lines, r)
+            if not maps_to_zero(rel):
+                return build(t, r), pivots, odd
             if r == target:
-                on_target = here[0], rel
+                on_target = rel
         if target is None:
             continue
-        leading = lead(*on_target, key) if on_target else None
-        if leading != 1 and on_target:  # read it on the relation on t, which has the same lead (part 5)
-            leading = lead(lines, relation(lines, target), key)
+        leading = None if on_target is None else lead(lines, on_target, key)
         if leading == 1:
-            pivots += orbit_size(t)
+            pivots += 1
         else:
-            odd.append((leading, t, build(t, target) if on_target else None, orbit_size(t)))
+            odd.append((leading, t, None if on_target is None else build(t, target)))
     return None, pivots, odd
 
 
 def kernel_certificate(
-    labels, relation_labels, relation, kernel_image, rows, pivot, max_entry, dimension, semistandard, build, image,
-    local, orbit_size=lambda t: 1,
+    labels, relation_labels, relation, kernel_image, rows, pivot, max_entry, dimension, semistandard, build, image
 ) -> KernelCertificate:
     """Build the integer certificate of a kernel theorem on one (shape, max_entry).
 
     A label's own lines are its rows with ``rows``, else its columns, and
-    every order is :func:`~weylkit.tableaux.line_order_key`.  Decides
-    the relation on (t, r) for every label t and every relation label r in
-    ``relation_labels(t)`` on its local relation ``local(lines, r)``, with
-    t's own lines (part 5 of the module docstring): a hashable pair (u, s)
-    whose relation ``relation(u, s)`` is built and mapped once, and
-    ``lambda lines, r: (lines, r)`` makes every relation its own.  A
-    relation maps to zero when the sum of ``kernel_image`` over its terms
-    has every coefficient 0.  The scan stops at the first relation that
-    does not; a side leaves out of ``relation_labels(t)`` only labels whose
-    relation on t is zero, and never ``pivot(t)``, which is None exactly on
-    the labels that need no pivot (the semistandard ones and those outside
-    the basis); on every other t its relation should have coefficient 1 on
-    t's own lines and every other term strictly below.  The domain has
-    ``dimension`` basis labels, and ``kernel_image`` of the own lines of
-    each s in ``semistandard`` should have coefficient 1 on s's other lines
-    and every other term strictly above.  Only a counterexample is built in
-    public form: the relation ``build(t, r)`` and the image ``image(s)``,
-    whose ``to_json()`` a failed check reports.
-
-    Each pivot of a label t counts ``orbit_size(t)`` times: 1 by default,
-    or the size of the S_m-orbit of t's weight when ``labels`` holds one
-    weight per orbit (part 4).  The semistandard images are checked on
-    every label.
+    every order is :func:`~weylkit.tableaux.line_order_key`.  Builds the
+    relation ``relation(lines, r)`` on t's own lines for every label t and
+    every relation label r in ``relation_labels(t)``; it maps to zero when
+    the sum of ``kernel_image`` over its terms has every coefficient 0.
+    The scan stops at the first relation that does not; a side leaves out
+    of ``relation_labels(t)`` only labels whose relation on t is zero, and
+    never ``pivot(t)``, which is None exactly on the labels that need no
+    pivot (the semistandard ones and those outside the basis); on every
+    other t its relation should have coefficient 1 on t's own lines and
+    every other term strictly below.  The domain has ``dimension`` basis
+    labels, and the semistandard labels are checked by
+    :func:`semistandard_images`.  Only a counterexample is built in public
+    form: the relation ``build(t, r)`` and the image ``image(s)``, whose
+    ``to_json()`` a failed check reports.
     """
     own = "rows" if rows else "columns"
     key = partial(line_order_key, max_entry=max_entry)
@@ -295,12 +261,27 @@ def kernel_certificate(
     def maps_to_zero(rel: dict) -> bool:
         return not any(sum_images(rel.items(), kernel_image, {}).values())
 
-    bad, pivots, odd_pivots = _scan_relations(
-        labels, relation_labels, relation, maps_to_zero, own, pivot, key, build, orbit_size, local
-    )
+    bad, pivots, odd_pivots = _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot, key, build)
     rank = len(semistandard)
     odd_images = semistandard_images(semistandard, kernel_image, rows, max_entry, image)
     return KernelCertificate(bad, dimension - rank, rank, pivots, tuple(odd_pivots), odd_images)
+
+
+def read_off_pairs(pairs, semistandard, dimension, kernel_image, rows, max_entry, image) -> KernelCertificate | None:
+    """Part 5 of the certificate: a shape's certificate read off those of its two-line shapes, or None.
+
+    ``pairs`` are the certificates of the two-line shapes of a shape with
+    three or more lines that the module docstring names for its side.  When
+    each is clean, every relation maps to zero and all N pivots have lead
+    1, so only the images of ``semistandard`` are checked, as in
+    :func:`kernel_certificate`; else the shape has to be scanned, and the
+    result is None.
+    """
+    if any(pair.bad is not None or pair.odd_pivots for pair in pairs):
+        return None
+    rank = len(semistandard)
+    odd_images = semistandard_images(semistandard, kernel_image, rows, max_entry, image)
+    return KernelCertificate(None, dimension - rank, rank, dimension - rank, (), odd_images)
 
 
 def semistandard_images(semistandard, kernel_image, rows, max_entry, image) -> tuple:

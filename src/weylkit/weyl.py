@@ -29,17 +29,16 @@ certificate, and to stop; ``verify_weyl_kernel`` certifies it with the
 integer certificate of :mod:`weylkit.verify`, built once per
 (shape, max_entry) and shared by every ring.
 
-A dual snake is local to its two rows: the snake (i, j, j') on t is the
-snake (1, j, j') on rows i and i+1 of t, with t's other rows put back in
-every term.  So the certificate builds and maps each two-row snake once,
-and builds a snake on more rows only when its two-row snake does not map
-to zero, or when it is a pivot whose two-row snake does not lead with 1.
-Like ``straighten``, it reads them on lines from ``_dual_garnir_int``,
-which keeps a relation on a label's rows as ``{rows: int}``, and builds
-a public snake only for a counterexample.  A shape with three or more
-rows is not scanned when the certificates of its adjacent two-row shapes
-are clean: its snakes and pivots are theirs put back, and only its
-semistandard copolytabloids are checked (part 6 of the certificate).
+A dual snake is local to its two rows (part 4 of the certificate): the
+snake (i, j, j') on t is the snake (1, j, j') on rows i and i+1 of t,
+with t's other rows put back in every term.  So a shape with three or
+more rows is not scanned when the certificates of its adjacent two-row
+shapes are clean: its snakes and pivots are theirs put back, and only its
+semistandard copolytabloids are checked (part 5).  Every other shape is
+scanned over all its row-sorted labels.  Like ``straighten``, the scan
+reads snakes on lines from ``_dual_garnir_int``, which keeps a relation
+on a label's rows as ``{rows: int}``, and builds a public snake only for
+a counterexample.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from .tableaux import (
     line_order_key,
     sort_rows,
 )
-from .verify import KernelCertificate, check, checked_shape, kernel_certificate, report, semistandard_images
+from .verify import KernelCertificate, check, checked_shape, kernel_certificate, read_off_pairs, report
 
 
 def copolytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> ColumnTabloidElement:
@@ -226,7 +225,7 @@ def _snake_pivot(rows: tuple) -> tuple[int, int, int] | None:
 
     Row i is the first whose entry in some column is >= the one below, and
     (1, j, j') is the pivot of the two-row label on rows i and i+1, so the
-    pivot of t is local to a pivot of two rows (part 6 of the certificate
+    pivot of t is local to a pivot of two rows (part 5 of the certificate
     in :mod:`weylkit.verify`).
     """
     i = next((i for i in range(1, len(rows)) if any(a >= b for a, b in zip(rows[i - 1], rows[i]))), None)
@@ -287,14 +286,8 @@ def weyl_basis(shape, max_entry: int, ring: CoefficientRing = ZZ):
     ]
 
 
-def _local_snake(rows: tuple, snake: tuple[int, int, int]):
-    """The two-row snake the snake (i, j, j') on t is local to, t given by its rows: rows i and i+1, and (1, j, j')."""
-    i, j, jp = snake
-    return rows[i - 1 : i + 1], (1, j, jp)
-
-
-def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertificate:
-    """The certificate on the dual snakes of every row-sorted label, decided on ``local`` snakes.
+def _snake_scan(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
+    """The certificate on the dual snakes of every row-sorted label.
 
     Pivots on the snakes that ``straighten`` applies, and the semistandard
     copolytabloids, whose every other column tabloid is above their own in
@@ -302,16 +295,11 @@ def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertific
     """
     rssyt = enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD)
     snakes = list(snake_labels(shape))
-    # (A, B) of each snake and of its two-row snake, by the length of its upper row
-    boxes = {
-        (shape[i - 1], *snake): _snake_boxes(shape[i - 1], *snake)
-        for i, j, jp in snakes
-        for snake in ((i, j, jp), (1, j, jp))
-    }
+    boxes = {snake: _snake_boxes(shape[snake[0] - 1], *snake) for snake in snakes}
     return kernel_certificate(
         labels=rssyt,
         relation_labels=lambda t: snakes,
-        relation=lambda rows, snake: _dual_garnir_int(rows, *boxes[len(rows[snake[0] - 1]), *snake]),
+        relation=lambda rows, snake: _dual_garnir_int(rows, *boxes[snake]),
         kernel_image=_wedge_of_rsym_int,
         rows=True,
         pivot=lambda t: _snake_pivot(t.rows),
@@ -320,7 +308,6 @@ def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertific
         semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
         build=lambda t, snake: dual_snake(t, *snake),
         image=copolytabloid,
-        local=local,
     )
 
 
@@ -328,22 +315,20 @@ def _snake_scan(shape: tuple[int, ...], max_entry: int, local) -> KernelCertific
 def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of the Weyl side, shared by every ring.
 
-    Each snake is decided on its two rows (part 5 of the certificate in
-    :mod:`weylkit.verify`): a snake whose two-row snake maps to zero is
-    not built, and a pivot's lead is read off its two-row snake.  A shape
-    with three or more rows reads its snakes and pivots off the cached
-    certificates of its adjacent two-row shapes (part 6), and checks only
-    its semistandard copolytabloids, when each of those is clean; else it
-    is scanned.
+    A shape with three or more rows reads its snakes and pivots off the
+    cached certificates of its adjacent two-row shapes (part 5 of the
+    certificate in :mod:`weylkit.verify`), and checks only its
+    semistandard copolytabloids, when each of those is clean; else it is
+    scanned.
     """
-    pairs = (_certificate(shape[i : i + 2], max_entry) for i in range(len(shape) - 1))
-    if len(shape) < 3 or any(pair.bad is not None or pair.odd_pivots for pair in pairs):
-        return _snake_scan(shape, max_entry, _local_snake)
-    semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
-    rank = len(semistandard)
-    nullity = count_tableaux(shape, max_entry, ROW_SEMISTANDARD) - rank
-    odd_images = semistandard_images(semistandard, _wedge_of_rsym_int, True, max_entry, copolytabloid)
-    return KernelCertificate(None, nullity, rank, nullity, (), odd_images)
+    if len(shape) > 2:
+        pairs = (_certificate(shape[i : i + 2], max_entry) for i in range(len(shape) - 1))
+        semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
+        dimension = count_tableaux(shape, max_entry, ROW_SEMISTANDARD)
+        cert = read_off_pairs(pairs, semistandard, dimension, _wedge_of_rsym_int, True, max_entry, copolytabloid)
+        if cert is not None:
+            return cert
+    return _snake_scan(shape, max_entry)
 
 
 def verify_weyl_kernel(

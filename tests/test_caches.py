@@ -15,11 +15,11 @@ PACKAGE = Path(weylkit.__file__).parent
 
 ALLOWED = {
     "tableaux.enumerate_tableaux": (
-        "hit ratio 0.47 sweep-field (141 of 303 calls), 0.45 lattice-z (95 of 211), 0.857 equivariance (396 of 462)"
+        "hit ratio 0.43 sweep-field (120 of 282 calls), 0.50 lattice-z (95 of 190), 0.857 equivariance (396 of 462)"
     ),
     "schur._polytabloid_int": (
-        "hit ratio 0.46 sweep-field (450 of 985 calls, once duality._pairing_rows reads each polytabloid once "
-        "per (shape, m)), 0.61 lattice-z (258 of 421), 0.993 equivariance (25,749 of 25,921 calls: both sides of "
+        "hit ratio 0.39 sweep-field (335 of 870 calls, once duality._pairing_rows reads each polytabloid once "
+        "per (shape, m)), 0.52 lattice-z (183 of 353), 0.993 equivariance (25,749 of 25,921 calls: both sides of "
         "every check read each label's line-form image from it, so every matrix of a (shape, m) shares one set "
         "of images and the misses stay at 172)"
     ),
@@ -28,15 +28,18 @@ ALLOWED = {
         "(40,740 of 41,029 calls: both sides of every check read each label's line-form image from it, so every "
         "matrix of a (shape, m) shares one set of images and the misses stay at 289)"
     ),
-    "schur._certificate": "three rings share one certificate: hit ratio 0.67 on sweep-field",
+    "schur._certificate": (
+        "three rings share one certificate, and a shape with three or more columns reads those of the two-column "
+        "shapes of its column pairs: hit ratio 0.80 sweep-field (210 of 264 calls), 0.62 lattice-z (95 of 153)"
+    ),
     "weyl._certificate": (
         "three rings share one certificate, and a shape with three or more rows reads those of its adjacent "
         "two-row shapes: hit ratio 0.75 sweep-field (162 of 216 calls), 0.47 lattice-z (52 of 110)"
     ),
     "schur._garnir_int": (
-        "hit ratio 0.72 sweep-field (63 of 88 calls), 0.73 lattice-z (68 of 93), 0.00 element-ops (0 of 84), "
-        "keyed by a label's columns: a sweep's hits are two-column relations that another certificate of the run "
-        "built; bench/spans.py reads it"
+        "hit ratio 0.06 sweep-field (2 of 35 calls), 0.19 lattice-z (11 of 59), 0.00 element-ops (0 of 84), "
+        "keyed by a label's columns: a sweep builds only two-column relations, and its hits are those that the "
+        "certificate of the same shape at another m built; bench/spans.py reads it"
     ),
     "weyl._dual_garnir_int": (
         "hit ratio 0.21 sweep-field (101 of 491 calls), 0.23 lattice-z (128 of 547), 0.38 element-ops (246 of 652), "

@@ -374,6 +374,26 @@ class TestExitCodes:
         code, out, err = run(capsys, "snake", "--tableau", "[[1,1],[2,2]]", "--row", "1", "--cols", "1")
         assert (code, out, err) == (2, "", "error: malformed --cols '1': expected j:j'\n")
 
+    @pytest.mark.parametrize("cols", ["\u0661:2", "+1:2", "1:2_0"])
+    def test_cols_outside_ascii_digits(self, capsys, cols):
+        code, out, err = run(capsys, "snake", "--tableau", "[[1,1],[2,2]]", "--row", "1", "--cols", cols)
+        assert (code, out, err) == (2, "", f"error: malformed --cols {cols!r}: expected j:j'\n")
+
+    @pytest.mark.parametrize("rows", ["+1: 2", "1:\u0662"])
+    def test_rows_outside_ascii_digits(self, capsys, rows):
+        args = ("--tableau", "[[1,1],[2,2]]", "--rows", rows, "--boxA", "(1,1),(1,2)", "--boxB", "(2,1)")
+        code, out, err = run(capsys, "dual-garnir", *args)
+        assert (code, out, err) == (2, "", f"error: malformed --rows {rows!r}: expected i:i'\n")
+
+    def test_spaces_around_a_pair_are_accepted(self, capsys):
+        code, out, _ = run(capsys, "snake", "--tableau", "[[1,1],[2,2]]", "--row", "1", "--cols", " 1 : 1 ")
+        assert code == 0 and json.loads(out)["cols"] == [1, 1]
+
+    @pytest.mark.parametrize("tag", ["zmod:1_3", "zmod:+5", "zmod: 7", "zmod:\u0665"])
+    def test_a_ring_modulus_outside_ascii_digits(self, capsys, tag):
+        code, out, err = run(capsys, "rsym", "--tableau", "[[1,2]]", "--ring", tag)
+        assert (code, out, err) == (2, "", f"error: unknown ring tag {tag!r}\n")
+
     def test_a_composite_modulus_is_not_a_field(self, capsys):
         # 399165290221 * 798330580441, a strong pseudoprime to every base 2..37
         code, out, err = run(

@@ -78,6 +78,11 @@ class TestRings:
         for ring in (ZZ, QQ, Z3, integers_mod(12)):
             assert parse_ring(ring.tag) == ring
 
+    @pytest.mark.parametrize("tag", ["zmod:1_3", "zmod:+5", "zmod: 7", "zmod:7 ", "zmod:\u0665", "zmod:", "zmod"])
+    def test_a_modulus_outside_ascii_digits_is_refused(self, tag):
+        with pytest.raises(InputError, match="unknown ring tag"):
+            parse_ring(tag)
+
     def test_coeff_strings(self):
         assert QQ.format_coeff(Fraction(1, 2)) == "1/2"
         assert QQ.parse_coeff("-3/6") == Fraction(-1, 2)

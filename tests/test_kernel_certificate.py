@@ -7,6 +7,7 @@ by a multiple of 2, and must be reused for the second ring onwards.
 """
 
 import dataclasses
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,9 +23,11 @@ from weylkit.tableaux import (
     ROW_SEMISTANDARD,
     SEMISTANDARD,
     Tableau,
+    conjugate,
     count_tableaux,
     enumerate_tableaux,
     partitions_up_to,
+    transpose,
 )
 
 from rank_oracle import schur_verdict, weyl_verdict
@@ -256,7 +259,7 @@ def test_wedge_projection_commutes_with_base_change(drawn, data):
 
 
 # ---------------------------------------------------------------------------
-# relabelling: the soundness of one weight per S_m-orbit on the Schur side
+# each certificate against the full scan over every label
 
 
 def fields(cert):
@@ -264,7 +267,7 @@ def fields(cert):
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
-def test_the_orbit_scan_matches_the_scan_over_every_weight(shape):
+def test_the_schur_certificate_matches_the_full_scan(shape):
     for m in (1, 2, 3, 4):
         assert fields(schur._certificate(shape, m)) == fields(full_scan(shape, m)), m
 
@@ -282,11 +285,11 @@ def test_the_two_row_scan_matches_the_full_snake_scan(shape, m):
 
 
 # ---------------------------------------------------------------------------
-# a shape with three or more rows read off its adjacent two-row certificates
+# a shape with three or more lines read off its two-line certificates
 
 
 def test_every_pivot_and_snake_of_a_label_is_one_of_two_adjacent_rows():
-    # The premises of part 6 of the certificate in weylkit.verify, on every
+    # The premises of part 5 of the certificate in weylkit.verify, on every
     # row-sorted label that is not semistandard: its pivot is the pivot of
     # the two-row label on its first rows that are not column-strict, and
     # the snakes on rows i and i+1 are the snakes of (λ_i, λ_{i+1}).
@@ -308,6 +311,130 @@ def test_every_pivot_and_snake_of_a_label_is_one_of_two_adjacent_rows():
     assert labels > 1000
 
 
+def test_every_pivot_and_garnir_label_of_a_label_is_one_of_two_columns():
+    # The premises of part 5 of the certificate in weylkit.verify on the
+    # Schur side: the Garnir labels on columns a < b are those of the
+    # two-column shape with columns (c_a, c_b), moved onto a and b; and on
+    # every column-standard label that is not semistandard, the pivot is
+    # the pivot of the two-column label on columns j and j+1, j the first
+    # descent of the first row with one, moved onto those columns.
+    labels = 0
+    for shape in partitions_up_to(6):
+        lengths = conjugate(shape)
+        moved = []
+        for a, b in combinations(range(1, len(lengths) + 1), 2):
+            two_columns = conjugate((lengths[a - 1], lengths[b - 1]))
+            for box_a, box_b in schur.garnir_labels(two_columns):
+                moved.append((frozenset((i, a) for i, _ in box_a), frozenset((i, b) for i, _ in box_b)))
+        assert moved == list(schur.garnir_labels(shape)), shape
+        for m in (1, 2, 3):
+            for t in enumerate_tableaux(shape, m, COLUMN_STANDARD):
+                if t.is_semistandard:
+                    continue
+                i, row = next((i, row) for i, row in enumerate(t.rows, 1) if any(x > y for x, y in zip(row, row[1:])))
+                j = next(j for j in range(1, len(row)) if row[j - 1] > row[j])
+                pivot = schur._garnir_pivot(t)
+                assert pivot == (
+                    frozenset((r, j) for r in range(i, lengths[j - 1] + 1)),
+                    frozenset((r, j + 1) for r in range(1, i + 1)),
+                ), t
+                two_columns = transpose(T(t.columns[j - 1 : j + 1]))
+                assert not two_columns.is_semistandard, t
+                box_a, box_b = schur._garnir_pivot(two_columns)
+                assert pivot == (frozenset((r, j) for r, _ in box_a), frozenset((r, j + 1) for r, _ in box_b)), t
+                labels += 1
+    assert labels > 1000
+
+
+def _doubled_pivot_on_columns_two_and_three(original):
+    # [[1,2,1],[2,3]] has its first row descent on columns 2 and 3; its
+    # pivot is the pivot of [[2,1],[3]] moved onto them.  Doubling both
+    # keeps the relation its two-column relation put back, and gives both
+    # lead 2.
+    t, two_columns = T([[1, 2, 1], [2, 3]]), T([[2, 1], [3]])
+    targets = (
+        (t.columns, frozenset({(1, 2), (2, 2)}), frozenset({(1, 3)})),
+        (two_columns.columns, frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})),
+    )
+    return lambda *args: {u: 2 * c for u, c in original(*args).items()} if args in targets else original(*args)
+
+
+def _broken_on_columns_one_and_three(original):
+    # The relation with A all of column 1 and B column 3 on [[1,1,4],[2,2],[3]]
+    # is the one on [[1,4],[2],[3]], a label of (2, 1, 1), the shape of
+    # columns 1 and 3 of (3, 2, 1) and of no two adjacent columns.  Adding
+    # each label to its relation keeps one the other put back, and takes
+    # both out of the kernel.
+    t, two_columns = T([[1, 1, 4], [2, 2], [3]]), T([[1, 4], [2], [3]])
+    box_a = frozenset({(1, 1), (2, 1), (3, 1)})
+    targets = {
+        (t.columns, box_a, frozenset({(1, 3)})): t.columns,
+        (two_columns.columns, box_a, frozenset({(1, 2)})): two_columns.columns,
+    }
+
+    def broken(*args):
+        rel = original(*args)
+        return {**rel, targets[args]: rel.get(targets[args], 0) + 1} if args in targets else rel
+
+    return broken
+
+
+THREE_COLUMN_MUTANTS = {
+    # (the mutant of _garnir_int, the instance, the two-column shape it leaves unclean, the failing check,
+    #  the label it names and its (A, B))
+    "doubled_pivot_on_columns_two_and_three": (
+        _doubled_pivot_on_columns_two_and_three, ((3, 2), 3), (2, 1), "garnir_lattice_is_direct_summand",
+        T([[1, 2, 1], [2, 3]]), ([[1, 2], [2, 2]], [[1, 3]]),
+    ),
+    "broken_on_columns_one_and_three": (
+        _broken_on_columns_one_and_three, ((3, 2, 1), 4), (2, 1, 1), "garnir_relations_map_to_zero",
+        T([[1, 1, 4], [2, 2], [3]]), ([[1, 1], [2, 1], [3, 1]], [[1, 3]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(THREE_COLUMN_MUTANTS))
+def test_a_three_column_certificate_with_a_pair_that_is_not_clean_is_the_full_scan(mutant, monkeypatch):
+    """Negative controls of part 5 on the Schur side.
+
+    The doubled pivot leaves the certificate of (2, 1), the shape of
+    columns 2 and 3 of (3, 2), with an odd pivot; the broken relation
+    leaves that of (2, 1, 1), the shape of columns 1 and 3 of (3, 2, 1)
+    only, with a relation outside the kernel.  Either way the shape is
+    scanned, gets the full scan's fields and names the label.
+    """
+    mutate, (shape, m), pair_shape, check_name, t, (box_a, box_b) = THREE_COLUMN_MUTANTS[mutant]
+    monkeypatch.setattr(schur, "_garnir_int", mutate(schur._garnir_int))
+    assert fields(schur._certificate(shape, m)) == fields(full_scan(shape, m)) == fields(schur_scan(shape, m))
+    pair = schur._certificate(pair_shape, m)
+    assert pair.bad is not None or pair.odd_pivots
+    report = schur.verify_schur_ses(shape, m, ZZ, size_cap=None, entry_cap=None)
+    failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
+    assert list(failed) == [check_name]
+    example = failed[check_name]
+    assert (example["tableau"], example["boxA"], example["boxB"]) == (t.to_json(), {"boxes": box_a}, {"boxes": box_b})
+    # over Q a lead of 2 is a unit, but a relation outside the kernel still fails
+    assert schur.verify_schur_ses(shape, m, QQ, size_cap=None, entry_cap=None)["ok"] == (pair.bad is None)
+
+
+def test_a_cold_three_column_certificate_builds_only_two_column_relations(monkeypatch):
+    calls = {"_garnir_int": [], "_garnir_pivot": []}
+
+    def recording(name, original):
+        return lambda first, *rest: calls[name].append(first) or original(first, *rest)
+
+    for name in calls:
+        monkeypatch.setattr(schur, name, recording(name, getattr(schur, name)))
+    cert = schur._certificate((3, 2, 1), 3)
+    assert cert.bad is None and cert.pivots == cert.nullity > 0
+    assert calls["_garnir_int"] and calls["_garnir_pivot"]
+    assert {len(columns) for columns in calls["_garnir_int"]} == {2}
+    assert {len(t.columns) for t in calls["_garnir_pivot"]} == {2}
+    info = schur._certificate.cache_info()
+    # (3, 2, 1) and the shapes of its column pairs: (2, 2, 1), (2, 1, 1) and (2, 1)
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
+
+
 def _doubled_pivot_on_rows_two_and_three(original):
     # [[1,2],[2,3],[2]] is column-strict on rows 1-2; its pivot (2, 1, 1)
     # is local to the pivot (1, 1, 1) of [[2,3],[2]].  Doubling both keeps
@@ -326,7 +453,7 @@ def _doubled(original):
 
 def _scaled_by_rows_with_a_repeat(original):
     # 2 to the number of rows with a repeated entry: a product over the
-    # rows, so it still splits as part 5 needs, but the snakes no longer
+    # rows, so it still splits as part 4 needs, but the snakes no longer
     # map to zero
     def scaled(rows):
         factor = 2 ** sum(len(set(row)) < len(row) for row in rows)
@@ -344,7 +471,7 @@ THREE_ROW_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", sorted(THREE_ROW_MUTANTS))
 def test_a_three_row_certificate_matches_the_full_snake_scan_under_a_mutant(mutant, monkeypatch):
-    """Negative controls of part 6: the reduction and the full scan must agree under each mutant.
+    """Negative controls of part 5: the reduction and the full scan must agree under each mutant.
 
     Doubling a pivot on rows 2-3 leaves the two-row certificate of (2, 1)
     with an odd pivot, so (2, 2, 1) is scanned and names its label.
@@ -410,8 +537,8 @@ def test_both_local_scans_match_the_full_scans_at_size_six(shape):
 def test_the_line_scans_match_the_tableau_scans(shape, m):
     assert fields(schur._certificate(shape, m)) == fields(schur_scan(shape, m))
     assert fields(weyl._certificate(shape, m)) == fields(weyl_scan(shape, m))
-    assert fields(full_scan(shape, m)) == fields(schur_scan(shape, m, full=True))
-    assert fields(full_snake_scan(shape, m)) == fields(weyl_scan(shape, m, full=True))
+    assert fields(full_scan(shape, m)) == fields(schur_scan(shape, m))
+    assert fields(full_snake_scan(shape, m)) == fields(weyl_scan(shape, m))
 
 
 def test_both_kernel_theorems_hold_over_z_with_a_direct_summand_at_size_six():
@@ -424,6 +551,10 @@ def test_both_kernel_theorems_hold_over_z_with_a_direct_summand_at_size_six():
             report = verify(shape, 3, ZZ, size_cap=None)
             assert report["ok"], (shape, verify.__name__)
             assert lattice in [c["name"] for c in report["checks"]], (shape, verify.__name__)
+
+
+# ---------------------------------------------------------------------------
+# relabelling: Garnir relations and the polytabloid map commute with S_m
 
 
 @st.composite
@@ -490,12 +621,15 @@ def test_a_label_without_its_pivot_relation_is_named(monkeypatch):
         assert report["ranks"]["garnir_span"] is None
 
 
-def test_a_dropped_pivot_of_a_weight_orbit_of_six_fails_every_ring(monkeypatch):
-    # [[2,1,1]] has content (2,1,0), whose S_3-orbit has 6 weights
+def test_a_dropped_pivot_on_three_columns_fails_the_full_scan_on_every_ring(monkeypatch):
+    # (3,) reads its pivots off the clean certificate of (2,), so only the
+    # full scan, which it falls back to, asks [[2,1,1]] for its pivot; that
+    # a pivot on three columns is one on two is
+    # test_every_pivot_and_garnir_label_of_a_label_is_one_of_two_columns
     t, original = T([[2, 1, 1]]), schur._garnir_pivot
     monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t else original(u))
+    cert = full_scan((3,), 3)
+    assert fields(cert) == fields(schur_scan((3,), 3))
     for ring in (QQ, ZZ):
-        report = schur.verify_schur_ses((3,), 3, ring)
-        failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
-        assert failed["rank_sum_matches_wedge_dim"] == {"tableau": t.to_json()}
-        assert report["ranks"]["garnir_span"] is None
+        assert cert.pivot_failure(ring) == {"tableau": t.to_json()}
+        assert cert.ranks(ring) == (cert.rank, None)

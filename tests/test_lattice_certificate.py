@@ -83,11 +83,10 @@ def test_schur_certificate_names_a_corrupted_pivot(monkeypatch):
     assert schur.verify_schur_ses((2, 1), 3, QQ)["ok"]
 
 
-def test_a_doubled_pivot_of_a_weight_orbit_of_six_fails_only_the_lattice(monkeypatch):
-    # [[2,1,1]] has content (2,1,0), whose S_3-orbit has 6 weights; its
-    # pivot, on its first row descent, counts for all six, doubled or not.
-    # The scan reads its lead off the two-column relation on [[2,1]], and
-    # decides a lead other than 1 on the full relation, so both are doubled.
+def test_a_doubled_pivot_on_three_columns_fails_only_the_lattice(monkeypatch):
+    # The pivot of [[2,1,1]], on its first row descent, is the pivot of
+    # [[2,1]] put back.  Doubling both leaves the certificate of (2,) with an
+    # odd pivot, so (3,) is scanned, and names [[2,1,1]].
     t = T([[2, 1, 1]])
     box_a, box_b = frozenset({(1, 1)}), frozenset({(1, 2)})
     doubled = _doubled_at(schur._garnir_int, (T([[2, 1]]).columns, box_a, box_b), (t.columns, box_a, box_b))

@@ -33,7 +33,7 @@ from weylkit.tableaux import (
 from place_oracles import column_preserving_permutations, shuffle_garnir, wedge_projection
 from smith_oracle import schur_relation_rows, smith_verdict
 from straighten_oracle import leading_coefficient
-from weight_oracles import column_sorted_labels, full_scan, is_dominant, relabel_columns
+from weight_oracles import column_sorted_labels, full_scan
 
 T = Tableau
 
@@ -200,17 +200,16 @@ def _up_to_sign(lin):
 
 
 class TestColumnSortedLabels:
-    """The verify loop decides Garnir relations on column-sorted labels of one weight per S_m-orbit."""
+    """The full scan decides Garnir relations on every column-sorted label."""
 
     @staticmethod
-    def scanned(shape, m, monkeypatch, full=False):
-        """The (t, A, B) a Z certificate decides, with their relations, and those it skips, on the labels it scans.
+    def scanned(shape, m, monkeypatch):
+        """The (t, A, B) the full scan decides, with their relations, and those it skips, on the labels it scans.
 
-        The certificate of ``verify_schur_ses`` scans the column-sorted
-        labels of weakly decreasing content; with ``full``, the oracle scans
-        every column-sorted label.  The scan decides the relation on every
-        (A, B) that ``_relation_labels`` keeps for t, whether it builds that
-        relation or only its two-column relation.
+        The full scan, which a certificate runs on a shape with at most two
+        columns and on one whose two-column certificates are not all clean,
+        decides the relation on every (A, B) that ``_relation_labels``
+        keeps for t.
         """
         decided = []
         original = schur._relation_labels
@@ -226,30 +225,20 @@ class TestColumnSortedLabels:
             return recorded
 
         monkeypatch.setattr(schur, "_relation_labels", recording)
-        labels = column_sorted_labels(shape, m)
-        if full:
-            cert = full_scan(shape, m)
-            assert cert.bad is None and cert.pivots == cert.nullity
-        else:
-            assert verify_schur_ses(shape, m, ZZ)["ok"]
-            labels = [t for t in labels if is_dominant(t, m)]
-        every = [(t, box_a, box_b) for t in labels for box_a, box_b in garnir_labels(shape)]
+        cert = full_scan(shape, m)
+        assert cert.bad is None and cert.pivots == cert.nullity
+        every = [(t, box_a, box_b) for t in column_sorted_labels(shape, m) for box_a, box_b in garnir_labels(shape)]
         relations = {label: garnir(*label) for label in decided}
         return relations, [label for label in every if label not in relations]
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     @pytest.mark.parametrize("shape", tuple(partitions_up_to(4)), ids=str)
     def test_relations_match_the_all_labels_loop_up_to_sign(self, shape, m, monkeypatch):
-        # the S_m-images of the relations decided on one weight per orbit
+        # a column permutation sends a relation to ± one on a column-sorted label
         decided, skipped = self.scanned(shape, m, monkeypatch)
         zeros = [shuffle_garnir(*label) for label in skipped]
         assert all(lin.is_zero for lin in zeros)
-        images = {
-            _up_to_sign(relabel_columns(rel.element.lin, sigma))
-            for rel in decided.values()
-            for sigma in iperms(range(1, m + 1))
-        }
-        found = images | {_up_to_sign(lin) for lin in zeros}
+        found = {_up_to_sign(rel.element.lin) for rel in decided.values()} | {_up_to_sign(lin) for lin in zeros}
         oracle = {
             _up_to_sign(shuffle_garnir(t, box_a, box_b))
             for t in enumerate_tableaux(shape, m, ALL)
@@ -261,20 +250,18 @@ class TestColumnSortedLabels:
         skipped_in_all = 0
         for shape in partitions_up_to(5):
             for m in (1, 2, 3):
-                for full in (False, True):
-                    schur._certificate.cache_clear()
-                    decided, skipped = self.scanned(shape, m, monkeypatch, full)
-                    for label in skipped:
-                        assert shuffle_garnir(*label).is_zero, label
-                    for t in enumerate_tableaux(shape, m, COLUMN_STANDARD):
-                        if not t.is_semistandard and (full or is_dominant(t, m)):
-                            assert (t, *schur._garnir_pivot(t)) in decided, t
-                    skipped_in_all += len(skipped) if full else 0
+                decided, skipped = self.scanned(shape, m, monkeypatch)
+                for label in skipped:
+                    assert shuffle_garnir(*label).is_zero, label
+                for t in enumerate_tableaux(shape, m, COLUMN_STANDARD):
+                    if not t.is_semistandard:
+                        assert (t, *schur._garnir_pivot(t)) in decided, t
+                skipped_in_all += len(skipped)
         assert skipped_in_all > 3000
 
     def test_the_scan_builds_no_zero_relation(self, monkeypatch):
-        # the zero rule skips each relation that repeats an entry on A | B; one
-        # whose other column repeats an entry is decided on its two columns
+        # the zero rule skips each relation that repeats an entry on A | B, and
+        # a shape with three or more columns builds none of its own
         built = []
         original = schur._garnir_int
 
@@ -327,7 +314,7 @@ class TestColumnSortedLabels:
 
 
 # ---------------------------------------------------------------------------
-# locality: a Garnir relation is decided on its two columns
+# locality: a Garnir relation is its two-column relation put back
 
 
 THREE_COLUMN_SHAPES = [shape for shape in partitions_up_to(5) if shape[0] > 2]
@@ -347,9 +334,9 @@ def test_a_relation_is_its_two_column_relation_with_the_other_columns_put_back(s
         for t in column_sorted_labels(shape, m):
             for box_a, box_b in garnir_labels(shape):
                 (ja,), (jb,) = {j for _, j in box_a}, {j for _, j in box_b}
-                # the two-column relation as the scan names and builds it
-                columns, boxes = schur._local_garnir(t.columns, (box_a, box_b))
-                local = schur._garnir_int(columns, *boxes)
+                # the two-column relation: columns j_A and j_B, A and B moved onto columns 1 and 2
+                columns = (t.columns[ja - 1], t.columns[jb - 1])
+                local = schur._garnir_int(columns, frozenset((i, 1) for i, _ in box_a), frozenset((i, 2) for i, _ in box_b))
                 put_back = wedge_projection((with_columns(t, ja, jb, u), c) for u, c in local.items())
                 relation = garnir(t, box_a, box_b).element.lin
                 assert relation == put_back, (t, box_a, box_b)
@@ -376,22 +363,6 @@ def test_the_column_order_compares_two_columns_as_their_two_column_labels(data):
     assert whole == (column_order_key(u, m) < column_order_key(v, m))
 
 
-def test_the_scan_builds_each_two_column_relation_once(monkeypatch):
-    built = []
-    original = schur._garnir_int
-
-    def recording(columns, box_a, box_b):
-        built.append((columns, box_a, box_b))
-        return original(columns, box_a, box_b)
-
-    monkeypatch.setattr(schur, "_garnir_int", recording)
-    assert verify_schur_ses((3, 2), 3, QQ)["ok"]
-    assert built
-    for columns, box_a, box_b in built:
-        assert len(columns) == 2 and {j for _, j in box_a} == {1} and {j for _, j in box_b} == {2}
-    assert len(set(built)) == len(built)
-
-
 def test_a_sweep_leaves_only_two_column_relations_in_the_garnir_cache(monkeypatch):
     original = schur._garnir_int
     called = set()
@@ -408,27 +379,3 @@ def test_a_sweep_leaves_only_two_column_relations_in_the_garnir_cache(monkeypatc
     # every key the cache holds came from a call
     assert original.cache_info().currsize == len(called)
     assert all(len(columns) <= 2 for columns, _, _ in called)
-
-
-@pytest.mark.parametrize("mutation", ("doubled", "outside_the_kernel"))
-def test_a_two_column_relation_that_fails_is_decided_on_the_full_relation(mutation, monkeypatch):
-    # ({(2,1)}, {(1,2),(2,2)}) on [[1,1],[3,2]] is the two-column relation of
-    # the same (A, B) on [[1,1,v],[3,2]], which is that label's pivot
-    two_columns = T([[1, 1], [3, 2]]).columns
-    box_a, box_b = frozenset({(2, 1)}), frozenset({(1, 2), (2, 2)})
-    built = []
-    original = schur._garnir_int
-
-    def corrupted(columns, a, b):
-        built.append((columns, a, b))
-        rel = original(columns, a, b)
-        if (columns, a, b) == (two_columns, box_a, box_b):
-            return {u: 2 * c for u, c in rel.items()} if mutation == "doubled" else {two_columns: 1}
-        return rel
-
-    monkeypatch.setattr(schur, "_garnir_int", corrupted)
-    report = verify_schur_ses((3, 2), 3, ZZ)
-    assert report["ok"]
-    assert report["ranks"]["garnir_certificate"] == {"pivots": report["ranks"]["garnir_span"]}
-    expected = [(T([[1, 1, v], [3, 2]]).columns, box_a, box_b) for v in (1, 2)]
-    assert [b for b in built if len(b[0]) == 3] == expected

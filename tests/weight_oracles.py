@@ -1,12 +1,10 @@
-"""Weights, relabelling by S_m, and the full scans the certificates are compared with.
+"""Relabelling by S_m, and the full scans the certificates are compared with.
 
-The Schur certificate scans the column-sorted labels of one weight per
-S_m-orbit, and both certificates decide each relation on its local
-relation: a Garnir relation on its two columns, a dual snake on its two
-rows.  These helpers check the symmetry that makes one weight per orbit
-enough, and give the full scans as oracles: the same scan with every
-relation its own local relation, so that each is built and mapped in full,
-over every column-sorted label on the Schur side.
+Garnir relations and the polytabloid map commute with relabelling the
+entries; these helpers check that symmetry.  The full scans are the
+oracles of both certificates: the scan of each side over every label of
+the shape, with every relation built in full, which a shape with three or
+more lines otherwise reads off its two-line certificates.
 """
 
 import weylkit.schur as schur
@@ -15,29 +13,18 @@ from weylkit.coeffs import ZZ, LinComb
 from weylkit.tableaux import ROW_SEMISTANDARD, Tableau, conjugate, enumerate_tableaux, sort_columns, sort_rows, transpose
 
 
-def is_dominant(t, m):
-    """Whether t's content, the counts of 1, ..., m, weakly decreases."""
-    content = [t.reading_word.count(v) for v in range(1, m + 1)]
-    return content == sorted(content, reverse=True)
-
-
 def column_sorted_labels(shape, m):
     return [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)]
 
 
-def identity_locality(lines, r):
-    """Every relation is its own local relation: the one on the label's own lines."""
-    return lines, r
-
-
 def full_scan(shape, m):
-    """The Schur certificate over every column-sorted label, each pivot counted once and built in full."""
-    return schur._garnir_scan(shape, m, column_sorted_labels(shape, m), lambda t: 1, identity_locality)
+    """The Schur certificate over every column-sorted label."""
+    return schur._garnir_scan(shape, m)
 
 
 def full_snake_scan(shape, m):
-    """The Weyl certificate with every snake on every label built and mapped in full."""
-    return weyl._snake_scan(shape, m, identity_locality)
+    """The Weyl certificate over every row-sorted label."""
+    return weyl._snake_scan(shape, m)
 
 
 def adjacent_transposition(m, i):
