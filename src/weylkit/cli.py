@@ -72,7 +72,7 @@ class CliError(Exception):
 
 @dataclass
 class RunConfig:
-    """Size caps and run options; WEYLKIT_MAX_SIZE raises the size caps."""
+    """Size caps and run options; WEYLKIT_MAX_SIZE, in ASCII digits, raises the size caps."""
 
     element_size_cap: int = 8
     verify_size_cap: int = 5
@@ -84,10 +84,10 @@ class RunConfig:
         cfg = cls()
         override = os.environ.get("WEYLKIT_MAX_SIZE")
         if override:
-            try:
-                cap = int(override)
-            except ValueError as exc:
-                raise CliError(f"WEYLKIT_MAX_SIZE must be an integer, got {override!r}") from exc
+            digits = override.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise CliError(f"WEYLKIT_MAX_SIZE must be an integer, got {override!r}")
+            cap = int(override)
             if cap <= 0:
                 raise CliError(f"WEYLKIT_MAX_SIZE must be positive, got {override!r}")
             cfg.element_size_cap = cap

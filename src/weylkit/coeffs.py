@@ -146,6 +146,10 @@ class CoefficientRing:
         return str(self.normalize(a))
 
     def parse_coeff(self, s: str):
+        """Inverse of :meth:`format_coeff`: ASCII digits, an optional leading minus and an optional denominator."""
+        num, slash, den = s.partition("/")
+        if not (_is_ascii_digits(num.removeprefix("-")) and (not slash or _is_ascii_digits(den))):
+            raise ValueError(f"malformed coefficient {s!r}")
         if self.kind == "q":
             return Fraction(s)
         if "/" in s:
@@ -176,6 +180,11 @@ def integers_mod(n: int) -> CoefficientRing:
     return CoefficientRing.integers_mod(n)
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """Whether ``text`` is one or more of the digits 0-9, which ``int()`` reads as written."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_ring(tag: str) -> CoefficientRing:
     """Inverse of :attr:`CoefficientRing.tag`; the modulus of ``zmod:<n>`` is in ASCII digits."""
     if tag == "z":
@@ -183,7 +192,7 @@ def parse_ring(tag: str) -> CoefficientRing:
     if tag == "q":
         return QQ
     modulus = tag.removeprefix("zmod:")
-    if modulus != tag and modulus.isascii() and modulus.isdigit():
+    if modulus != tag and _is_ascii_digits(modulus):
         return integers_mod(int(modulus))
     raise InputError(f"unknown ring tag {tag!r}")
 

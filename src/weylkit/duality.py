@@ -42,19 +42,28 @@ and the polytabloid for e, from the exterior power into the symmetric
 power, read off its columns.  Both are the cached ``{lines: int}`` basis
 maps of :mod:`weylkit.powers` and :mod:`weylkit.schur`.  The map is
 linear, so the left side is Phi(g t) = sum over s of (g t)_s Phi(s): g
-acts on each line of t (the divided power on t's rows for lambda, the
-exterior power on t's columns for e), and each label s of the result, a
-tuple of lines, goes through the map's basis image.  The kernel that
-expands those images, ``powers.line_products``, is multilinear in its line
-images, so this is the value of the kernel run on g's images of t's lines.
+acts on each line of t apart (the divided power on t's rows for lambda,
+the exterior power on t's columns for e), so (g t)_s is the product over
+the line positions of the coefficient of s's line in g's image of t's.
+The kernel that expands the label images, ``powers.line_products``, is
+multilinear in its line images, so this is the value of the kernel run on
+g's images of t's lines.  The check sums the left side of every label at
+once, over the sources s rather than over the labels t.  The basis labels
+are every tuple of valid lines, one per position, so the sources that
+some label reaches are every tuple of the lines reached at each position,
+and a source reaches only basis labels.  ``_source_rows`` transposes g's
+power on each position's lines into rows, and each source is read once:
+one whose image Phi(s) is zero is skipped, and any other adds Phi(s)
+times (g t)_s, the product of its rows, into every label t it reaches.
 The right side acts on each column (lambda) or row (e) of the terms of
 Phi(t).  Each label has one accumulator over Z, keyed by column tuples
 (lambda) or row tuples (e): the left side is added into it and the right
-side subtracted, and the label fails when some coefficient is nonzero in
-the ring.  That is exact, since Z -> R is additive: the reduced sides are
-equal exactly when every coefficient of their difference reduces to 0.
-No Tableau is built except for a witness, whose two sides are then
-computed apart.
+side subtracted, and the first label in enumeration order with a
+coefficient nonzero in the ring fails.  That is exact, since Z -> R is
+additive: the reduced sides are equal exactly when every coefficient of
+their difference reduces to 0.  No Tableau is built except for a
+witness, whose right side is then computed apart and whose left side is
+read off as the difference plus the right side, exact over Z.
 """
 
 from __future__ import annotations
@@ -76,7 +85,6 @@ from .powers import (
     TableauElement,
     TensorElement,
     _wedge_of_rsym_int,
-    sum_images,
 )
 from .schur import _polytabloid_int
 from .tableaux import (
@@ -465,9 +473,43 @@ def _map(which: str) -> tuple:
     raise InputError(f"unknown map {which!r}")
 
 
-def _left_side(lines: tuple, g: EntryMatrix, space: str, image, acc: dict) -> dict:
-    """``acc`` plus the map on g acting on the label with these lines, by linearity (module docstring); unreduced."""
-    return sum_images(_line_images(g, space, lines), image, acc)
+def _source_rows(g: EntryMatrix, space: str, basis_lines) -> dict:
+    """g's power on the basis lines of one position, transposed: ``{source line: (basis lines, coefficients)}``.
+
+    Row s holds, for each basis line b whose image under g has a term on s,
+    that b and the coefficient of s in it, reduced into the ring.
+    """
+    rows: dict[tuple[int, ...], tuple[list, list]] = {}
+    for b in basis_lines:
+        for s, v in zip(*_part_image(g, space, b)):
+            basis, values = rows.setdefault(s, ([], []))
+            basis.append(b)
+            values.append(v)
+    return rows
+
+
+def _left_sides(labels: list, g: EntryMatrix, space: str, image) -> dict:
+    """Phi(g t) for every basis label t, keyed by t's lines in the order of ``labels``, summed over the sources; unreduced.
+
+    ``labels`` holds the lines of every basis label.  They are every tuple
+    of valid lines, one per position, so whatever a source reaches is a
+    basis label (see the module docstring).
+    """
+    left: dict = {lines: {} for lines in labels}
+    if not left:  # with no position to take it over, the product below would still read the empty source
+        return left
+    tables = [_source_rows(g, space, dict.fromkeys(position)) for position in zip(*labels)]
+    for sources in product(*tables):
+        terms = image(sources).items()
+        if not terms:
+            continue
+        rows = [table[s] for table, s in zip(tables, sources)]
+        targets = map(left.__getitem__, product(*(basis for basis, _ in rows)))
+        reached = list(zip(targets, map(prod, product(*(values for _, values in rows)))))
+        for key, v in terms:
+            for acc, c in reached:
+                acc[key] = acc.get(key, 0) + c * v
+    return left
 
 
 def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: str):
@@ -481,13 +523,14 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
         raise InputError("entry matrix too small for the alphabet")
     kind, space, target, image = _map(which)
     ring = g.ring
-    for t in enumerate_tableaux(shape, max_entry, kind):
-        lines = _lines(t, space)
-        difference = _left_side(lines, g, space, image, {})
-        _functorial_terms(((key, -c) for key, c in image(lines).items()), g, target.space, difference)
+    labels = enumerate_tableaux(shape, max_entry, kind)
+    left = _left_sides([_lines(t, space) for t in labels], g, space, image)
+    for t, (lines, difference) in zip(labels, left.items()):
+        terms = image(lines)
+        _functorial_terms(((key, -c) for key, c in terms.items()), g, target.space, difference)
         if any(map(ring.normalize, difference.values())):
-            lhs = _left_side(lines, g, space, image, {})
-            rhs = _functorial_terms(image(lines).items(), g, target.space, {})
+            rhs = _functorial_terms(terms.items(), g, target.space, {})
+            lhs = {key: c + rhs.get(key, 0) for key, c in difference.items()}
             lhs, rhs = (target._on_lines(ring, shape, side).to_json() for side in (lhs, rhs))
             return {"tableau": t.to_json(), "lhs": lhs, "rhs": rhs}
     return None

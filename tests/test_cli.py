@@ -28,6 +28,15 @@ from weylkit.weyl import dual_snake
 T = Tableau
 
 
+# the equivariance report on lambda, shape (1,1,1,1), alphabet 3 and a dense matrix, without its wall time, as
+# json.dumps wrote it when the check read each label's sources apart
+DENSE_EQUIVARIANCE_REPORT = (
+    '{"command": "equivariance", "instance": {"shape": [1, 1, 1, 1], "entries": 3, "ring": "z", "map": "lambda", '
+    '"matrix": [[2, 1, 1], [1, 1, 1], [1, 1, 2]]}, "dims": {}, "checks": [{"name": "map_commutes_with_action", '
+    '"ok": true, "counterexample": null}], "ok": true}'
+)
+
+
 def run(capsys, *argv):
     code = dispatch(list(argv))
     out = capsys.readouterr()
@@ -230,6 +239,21 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_equivariance_report_on_a_dense_matrix_is_pinned(self, capsys):
+        # lambda is 0 on every label here: no column of four entries from {1, 2, 3} is strictly increasing
+        code, out, _ = run(
+            capsys,
+            "equivariance",
+            "--shape", "1,1,1,1",
+            "--entries", "3",
+            "--matrix", "[[2,1,1],[1,1,1],[1,1,2]]",
+            "--map", "lambda",
+        )
+        report = json.loads(out)
+        assert code == 0 and report["ok"] is True
+        del report["wall_time_s"]
+        assert json.dumps(report) == DENSE_EQUIVARIANCE_REPORT
+
     def test_equivariance_over_the_rationals(self, capsys):
         code, out, _ = run(
             capsys,
@@ -341,10 +365,23 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["rssyt"] > 0
 
-    @pytest.mark.parametrize("value, problem", [("-3", "be positive"), ("0", "be positive"), ("abc", "be an integer")])
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("-3", "be positive"),
+            ("0", "be positive"),
+            ("abc", "be an integer"),
+            # int() takes each of these as 10, but the cap is in ASCII digits
+            ("1_0", "be an integer"),
+            ("\u0661\u0660", "be an integer"),
+            ("+10", "be an integer"),
+            (" 10", "be an integer"),
+        ],
+    )
     def test_env_override_must_be_a_positive_integer(self, capsys, monkeypatch, value, problem):
         monkeypatch.setenv("WEYLKIT_MAX_SIZE", value)
-        code, out, err = run(capsys, "dims", "--shape", "2", "--entries", "2")
+        # the default cap of 8 refuses this shape of size 9, and the last four values, read by int() as 10, let it through
+        code, out, err = run(capsys, "dims", "--shape", "4,3,2", "--entries", "3")
         assert (code, out) == (2, "")
         assert err == f"error: WEYLKIT_MAX_SIZE must {problem}, got {value!r}\n"
 

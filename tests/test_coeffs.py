@@ -91,6 +91,40 @@ class TestRings:
         with pytest.raises(ValueError):
             ZZ.parse_coeff("1/2")
 
+    @pytest.mark.parametrize("tag", ["z", "q", "zmod:7"])
+    @pytest.mark.parametrize(
+        "text", ["1_0", "\u0665", " +3", "+3", "3 ", "\uff13", "1.5", "1e3", "", "-", "--1", "1/", "/2", "1/-2", "1/+2"]
+    )
+    def test_a_coefficient_outside_ascii_digits_is_refused(self, tag, text):
+        with pytest.raises(ValueError, match="malformed coefficient"):
+            parse_ring(tag).parse_coeff(text)
+
+    def test_the_denominator_rules_are_unchanged(self):
+        assert ZZ.parse_coeff("-4/1") == -4
+        assert integers_mod(7).parse_coeff("-3/01") == 4
+        assert QQ.parse_coeff("4/6") == Fraction(2, 3)
+        for ring in (ZZ, integers_mod(7)):
+            with pytest.raises(ValueError, match="is not an element"):
+                ring.parse_coeff("1/0")
+        with pytest.raises(ZeroDivisionError):
+            QQ.parse_coeff("1/0")
+
+    @pytest.mark.parametrize("tag", ["z", "q", "zmod:7"])
+    def test_every_formatted_coefficient_round_trips(self, tag):
+        ring = parse_ring(tag)
+        values = [*range(-30, 31), 10**30, -(10**30)]
+        if ring == QQ:
+            values += [Fraction(n, d) for n in range(-12, 13) for d in range(1, 13)] + [Fraction(-(10**20), 3)]
+        for a in values:
+            text = ring.format_coeff(a)
+            assert ring.parse_coeff(text) == ring.normalize(a), text
+
+    def test_an_element_with_a_malformed_coefficient_is_refused_from_json(self):
+        obj = LinComb(ZZ, {"a": 10}).to_json(lambda l: l)
+        obj["terms"][0]["coeff"] = "1_0"
+        with pytest.raises(ValueError, match="malformed coefficient '1_0'"):
+            LinComb.from_json(obj, lambda l: l)
+
 
 class TestCombine:
     def test_additive_inverse_cancels(self):

@@ -2,7 +2,7 @@ import inspect
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from itertools import permutations as iperms
 from operator import attrgetter
 
@@ -52,6 +52,7 @@ from weylkit.tableaux import (
 from weylkit.weyl import copolytabloid, dual_garnir, dual_garnir_labels
 
 import dual_image_oracles as oracle
+import equivariance_oracle
 import projection_oracles
 from row_image_oracle import arrangement_row_image
 
@@ -500,6 +501,31 @@ MINOR_SIGN_WITNESS_IDENTITY = (
 )
 
 
+def one_minor_flipped(original):
+    """``_part_image`` with the first minor on the column (1, 2) of the exterior power negated."""
+
+    def part_image(g, space, line):
+        keys, minors = original(g, space, line)
+        if (space, line) != (ColumnTabloidElement.space, (1, 2)):
+            return keys, minors
+        return keys, (-minors[0],) + minors[1:]
+
+    return part_image
+
+
+def undivided(original):
+    """``_part_image`` with the symmetric power of g in place of the divided power."""
+
+    def part_image(g, space, line):
+        return original(g, RowTabloidElement.space if space == SymLowerElement.space else space, line)
+
+    return part_image
+
+
+# a unimodular matrix with no zero entry: every line reaches many sources
+DENSE = [[2, 1, 1], [1, 1, 1], [1, 1, 2]]
+
+
 class TestEquivariance:
     def test_identity_commutes(self):
         assert equivariance_check((2, 1), 2, EntryMatrix.identity(2), WEDGE_MAP)
@@ -537,15 +563,7 @@ class TestEquivariance:
             assert wedge_of_sym_lower(acted).is_zero
 
     def test_a_wrong_minor_sign_gives_counterexamples(self, monkeypatch):
-        original = duality._part_image
-
-        def one_minor_flipped(g, space, line):
-            keys, minors = original(g, space, line)
-            if (space, line) != (ColumnTabloidElement.space, (1, 2)):
-                return keys, minors
-            return keys, (-minors[0],) + minors[1:]
-
-        monkeypatch.setattr(duality, "_part_image", one_minor_flipped)
+        monkeypatch.setattr(duality, "_part_image", one_minor_flipped(duality._part_image))
         g = random_unimodular(random.Random(5), 3)
         assert json.dumps(equivariance_counterexample((2, 1), 3, g, WEDGE_MAP)) == MINOR_SIGN_WITNESS_LAMBDA
         assert json.dumps(equivariance_counterexample((2, 1), 3, g, POLYTABLOID_MAP)) == MINOR_SIGN_WITNESS_E
@@ -553,12 +571,7 @@ class TestEquivariance:
         assert json.dumps(equivariance_counterexample((1, 1), 2, identity, WEDGE_MAP)) == MINOR_SIGN_WITNESS_IDENTITY
 
     def test_a_divided_power_without_the_stabiliser_rescale_gives_counterexamples(self, monkeypatch):
-        original = duality._part_image
-
-        def undivided(g, space, line):
-            return original(g, RowTabloidElement.space if space == SymLowerElement.space else space, line)
-
-        monkeypatch.setattr(duality, "_part_image", undivided)
+        monkeypatch.setattr(duality, "_part_image", undivided(duality._part_image))
         g = random_unimodular(random.Random(5), 3)
         assert equivariance_counterexample((2, 1), 3, g, WEDGE_MAP) is not None
         assert equivariance_counterexample((2,), 2, EntryMatrix(ZZ, [[1, 1], [0, 1]]), WEDGE_MAP) is not None
@@ -600,6 +613,29 @@ class TestEquivariance:
         with pytest.raises(InputError, match="entry matrix too small for the alphabet"):
             equivariance_counterexample((2, 1), 3, EntryMatrix.identity(2), which)
 
+    @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP])
+    def test_each_source_image_is_read_once(self, monkeypatch, which):
+        # the per-label loop read a source's image again for every label that reaches it
+        calls = []
+        kind, space, _, original = duality._map(which)
+        monkeypatch.setattr(duality, LINE_FORM_IMAGE[which], lambda lines: calls.append(lines) or original(lines))
+        g = EntryMatrix(ZZ, DENSE)
+        labels = [duality._lines(t, space) for t in enumerate_tableaux((2, 1), 3, kind)]
+        sources = {key for lines in labels for key, _ in duality._line_images(g, space, lines)}
+        reached = [{s for lines in labels for s in duality._part_image(g, space, lines[i])[0]} for i in range(2)]
+        assert sources == set(product(*reached))
+        assert equivariance_counterexample((2, 1), 3, g, which) is None
+        assert sorted(calls) == sorted([*sources, *labels])
+
+    def test_a_map_that_is_zero_on_every_source_reads_each_once(self, monkeypatch):
+        calls = []
+        _, _, _, original = duality._map(WEDGE_MAP)
+        monkeypatch.setattr(duality, LINE_FORM_IMAGE[WEDGE_MAP], lambda lines: calls.append(lines) or original(lines))
+        assert equivariance_counterexample((1, 1, 1, 1), 3, EntryMatrix(ZZ, DENSE), WEDGE_MAP) is None
+        # 3^4 sources on the left side, then the same 3^4 basis labels on the right, every image zero
+        assert len(calls) == 2 * 81 and len(set(calls)) == 81
+        assert not any(map(original, calls))
+
 
 # criterion 8's random unimodular matrices are multiplied by a diagonal of these units of the ring
 LEFT_SIDE_UNITS = {"z": (1,), "q": (Fraction(1, 2), Fraction(2, 5)), "zmod:6": (5,)}
@@ -625,17 +661,26 @@ def projected_entry_action(t, g, which):
     return {u.rows: c for u, c in image.items()}
 
 
-def left_side_differs(t, g, which):
-    """Whether the check's left side on t, read through the line-form basis images, misses either oracle.
+def check_left_sides(shape, m, g, which):
+    """The check's left side on every basis label of the shape at alphabet m, keyed by the label's lines."""
+    kind, space, _, image = duality._map(which)
+    return duality._left_sides([duality._lines(t, space) for t in enumerate_tableaux(shape, m, kind)], g, space, image)
 
-    The oracles are the kernel run on g's images of t's lines and the
-    projected entry action, each reduced into the ring.
+
+def left_side_differs(t, g, which, left):
+    """Whether the per-label left side on t, read through the line-form basis images, misses an oracle.
+
+    The oracles are the kernel run on g's images of t's lines, the
+    projected entry action and ``left``, the check's left sides summed
+    over the sources, each reduced into the ring.
     """
     _, space, _, image = duality._map(which)
-    lhs = duality._ring_terms(g.ring, duality._left_side(duality._lines(t, space), g, space, image, {}))
+    lines = duality._lines(t, space)
+    lhs = duality._ring_terms(g.ring, equivariance_oracle.left_side(lines, g, space, image, {}))
     return (
         lhs != duality._ring_terms(g.ring, projection_oracles.mapped_action(t, g, which))
         or lhs != projected_entry_action(t, g, which)
+        or lhs != duality._ring_terms(g.ring, left[lines])
     )
 
 
@@ -645,8 +690,9 @@ def left_side_mismatches(tag, which):
     for shape in partitions_up_to(4):
         for m in (1, 2, 3):
             for g in left_side_matrices(tag, m):
+                left = check_left_sides(shape, m, g, which)
                 for t in enumerate_tableaux(shape, m, kind):
-                    if left_side_differs(t, g, which):
+                    if left_side_differs(t, g, which, left):
                         yield t, g
 
 
@@ -667,6 +713,28 @@ def mutated(kernel, old, new):
     namespace = dict(vars(inspect.getmodule(kernel)))
     exec(source.replace(old, new), namespace)
     return namespace[kernel.__name__]
+
+
+class TestSourceSums:
+    """The check with its left side summed over the sources against the per-label check it replaces."""
+
+    @pytest.mark.parametrize("mutant", [None, one_minor_flipped, undivided], ids=["none", "minor-sign", "undivided"])
+    @pytest.mark.parametrize("tag", sorted(LEFT_SIDE_UNITS))
+    def test_the_check_matches_the_per_label_oracle(self, monkeypatch, tag, mutant):
+        # |shape| <= 4 at m <= 3, two matrices of each size m and m + 1; witnesses are compared as json.dumps writes them
+        if mutant is not None:
+            monkeypatch.setattr(duality, "_part_image", mutant(duality._part_image))
+        cases = witnesses = 0
+        for shape in partitions_up_to(4):
+            for m in (1, 2, 3):
+                for g in left_side_matrices(tag, m) + left_side_matrices(tag, m + 1):
+                    for which in (WEDGE_MAP, POLYTABLOID_MAP):
+                        payload = json.dumps(equivariance_counterexample(shape, m, g, which))
+                        assert payload == json.dumps(equivariance_oracle.counterexample(shape, m, g, which))
+                        cases += 1
+                        witnesses += payload != "null"
+        assert cases == 264
+        assert (witnesses > 0) == (mutant is not None)
 
 
 class TestLineKernels:
@@ -712,7 +780,8 @@ class TestLineKernels:
         g = random_unimodular(random.Random(4), 4)
         for shape in partitions_up_to(3):
             assert equivariance_counterexample(shape, 2, g, which) is None
-            assert not [t for t in enumerate_tableaux(shape, 2, kind) if left_side_differs(t, g, which)]
+            left = check_left_sides(shape, 2, g, which)
+            assert not [t for t in enumerate_tableaux(shape, 2, kind) if left_side_differs(t, g, which, left)]
         assert {max(map(max, lines)) for lines in mapped if lines} >= {3, 4}
 
     @pytest.mark.parametrize(
