@@ -27,7 +27,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-from .coeffs import QQ, CoefficientRing, InputError, LinComb, parse_ring
+from .coeffs import QQ, CoefficientRing, InputError, LinComb, _is_ascii_digits, parse_ring
 from .duality import (
     POLYTABLOID_MAP,
     WEDGE_MAP,
@@ -84,8 +84,7 @@ class RunConfig:
         cfg = cls()
         override = os.environ.get("WEYLKIT_MAX_SIZE")
         if override:
-            digits = override.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
+            if not _is_ascii_digits(override.removeprefix("-")):
                 raise CliError(f"WEYLKIT_MAX_SIZE must be an integer, got {override!r}")
             cap = int(override)
             if cap <= 0:

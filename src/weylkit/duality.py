@@ -489,14 +489,14 @@ def _source_rows(g: EntryMatrix, space: str, basis_lines) -> dict:
 
 
 def _left_sides(labels: list, g: EntryMatrix, space: str, image) -> dict:
-    """Phi(g t) for every basis label t, keyed by t's lines in the order of ``labels``, summed over the sources; unreduced.
+    """Phi(g t) of each basis label t, summed over the sources, keyed by t's lines in the labels' order; unreduced.
 
     ``labels`` holds the lines of every basis label.  They are every tuple
     of valid lines, one per position, so whatever a source reaches is a
     basis label (see the module docstring).
     """
     left: dict = {lines: {} for lines in labels}
-    if not left:  # with no position to take it over, the product below would still read the empty source
+    if not left:  # the product of no tables below would still yield the empty source
         return left
     tables = [_source_rows(g, space, dict.fromkeys(position)) for position in zip(*labels)]
     for sources in product(*tables):

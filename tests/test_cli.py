@@ -380,7 +380,7 @@ class TestExitCodes:
     )
     def test_env_override_must_be_a_positive_integer(self, capsys, monkeypatch, value, problem):
         monkeypatch.setenv("WEYLKIT_MAX_SIZE", value)
-        # the default cap of 8 refuses this shape of size 9, and the last four values, read by int() as 10, let it through
+        # the default cap of 8 refuses this shape of size 9; the last four values, read by int() as 10, let it through
         code, out, err = run(capsys, "dims", "--shape", "4,3,2", "--entries", "3")
         assert (code, out) == (2, "")
         assert err == f"error: WEYLKIT_MAX_SIZE must {problem}, got {value!r}\n"

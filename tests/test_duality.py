@@ -721,7 +721,7 @@ class TestSourceSums:
     @pytest.mark.parametrize("mutant", [None, one_minor_flipped, undivided], ids=["none", "minor-sign", "undivided"])
     @pytest.mark.parametrize("tag", sorted(LEFT_SIDE_UNITS))
     def test_the_check_matches_the_per_label_oracle(self, monkeypatch, tag, mutant):
-        # |shape| <= 4 at m <= 3, two matrices of each size m and m + 1; witnesses are compared as json.dumps writes them
+        # |shape| <= 4 at m <= 3, two matrices of each size m and m + 1; witnesses compared as json.dumps writes them
         if mutant is not None:
             monkeypatch.setattr(duality, "_part_image", mutant(duality._part_image))
         cases = witnesses = 0
