@@ -10,26 +10,22 @@ representatives mixing a column subset A with a later-column subset B once
 label check and the kernel check are the transposes of the dual Garnir
 ones, and both kinds of relation are one :class:`~weylkit.places.Relation`
 record (``SchurRelation`` is its old name here), so a failed check reports
-either in the same JSON shape.  ``verify_schur_ses`` checks the kernel
-description on one instance with the integer certificate of
-:mod:`weylkit.verify`, built once per (shape, max_entry) and shared by
-every ring.
+either in the same JSON shape.  ``SCHUR`` is this side's
+:class:`~weylkit.verify.Side`, the data from which :mod:`weylkit.verify`
+builds the certificate and the report of ``verify_schur_ses``.
 
 A Garnir relation on (t, A, B) is zero when t repeats an entry v on
 A | B: swapping the two boxes that hold v is a sign-reversing involution
 on the coset terms.  A term with both copies of v in one column vanishes
 in the exterior power, and a term with one copy in A's column and one in
 B's meets its partner, the same column tabloid with the opposite sign.
-The certificate skips those relations, and never a pivot, whose label is
-column standard.  A Garnir relation is local to its two columns (part 4
-of the certificate in :mod:`weylkit.verify`): the relation on (t, A, B)
-is the one on columns j_A and j_B of t, A and B moved onto columns 1 and
-2, with t's other columns put back in every term and projected to the
-exterior power.  So a shape with three or more columns is not scanned
-when the certificates of its two-column shapes, one for each pair of its
-columns, are clean: its relations and pivots are theirs put back, and
-only its semistandard polytabloids are checked (part 5).  Every other
-shape is scanned over all its column-sorted labels.
+The scan skips those relations (``_relation_labels``), and never a pivot,
+whose label is column standard.  A Garnir relation is local to its two
+columns (part 4 of the certificate in :mod:`weylkit.verify`): the
+relation on (t, A, B) is the one on columns j_A and j_B of t, A and B
+moved onto columns 1 and 2, with t's other columns put back in every term
+and projected to the exterior power.  So the two-line shapes of part 5
+are those of every pair of columns.
 
 Polytabloids are expanded one column at a time by the kernel
 ``powers.line_products``, not alternating, which this module reads but
@@ -42,7 +38,6 @@ only the nonzero part of its sum.
 
 from __future__ import annotations
 
-import time
 from functools import cache
 from itertools import combinations
 from math import prod
@@ -52,18 +47,15 @@ from .places import Relation, check_line_label, shuffles
 from .tableaux import (
     COLUMN_STANDARD,
     ROW_SEMISTANDARD,
-    SEMISTANDARD,
     Tableau,
     check_partition,
     conjugate,
-    count_tableaux,
     enumerate_tableaux,
     sort_line,
     transpose,
 )
 from .powers import ColumnTabloidElement, RowTabloidElement, line_products, sum_images
-from .verify import SizeCapExceeded as SizeCapExceeded  # the name's old home, kept importable
-from .verify import KernelCertificate, check, checked_shape, kernel_certificate, read_off_pairs, report
+from .verify import Side, verify
 
 
 @cache
@@ -174,48 +166,27 @@ def _relation_labels(shape: tuple[int, ...]):
     return lambda t: [(a, b) for a, b in boxsets if not _repeats_an_entry(t.rows, a | b)]
 
 
-def _garnir_scan(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
-    """The certificate on the Garnir relations of every column-sorted label.
-
-    The relations on each label less the zero ones of the module docstring;
-    pivots on the first row descent (:func:`_garnir_pivot`); and the
-    semistandard polytabloids, whose every other row tabloid is above their
-    own in the row order.
-    """
-    return kernel_certificate(
-        labels=[transpose(u) for u in enumerate_tableaux(conjugate(shape), max_entry, ROW_SEMISTANDARD)],
-        relation_labels=_relation_labels(shape),
-        relation=lambda columns, boxes: _garnir_int(columns, *boxes),
-        kernel_image=_polytabloid_int,
-        rows=False,
-        pivot=_garnir_pivot,
-        max_entry=max_entry,
-        dimension=count_tableaux(shape, max_entry, COLUMN_STANDARD),
-        semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
-        build=lambda t, boxes: garnir(t, *boxes),
-        image=polytabloid,
-    )
-
-
-@cache
-def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
-    """The integer certificate of the Schur side, shared by every ring.
-
-    A shape with three or more columns reads its relations and pivots off
-    the cached certificates of its two-column shapes, one for each pair of
-    its columns, since a Garnir relation joins any two (part 5 of the
-    certificate in :mod:`weylkit.verify`), and checks only its semistandard
-    polytabloids, when each of those is clean; else it is scanned.
-    """
-    lengths = conjugate(shape)
-    if len(lengths) > 2:
-        pairs = (_certificate(conjugate((a, b)), max_entry) for a, b in combinations(lengths, 2))
-        semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
-        dimension = count_tableaux(shape, max_entry, COLUMN_STANDARD)
-        cert = read_off_pairs(pairs, semistandard, dimension, _polytabloid_int, False, max_entry, polytabloid)
-        if cert is not None:
-            return cert
-    return _garnir_scan(shape, max_entry)
+SCHUR = Side(
+    command="schur-verify",
+    rows=False,
+    basis=COLUMN_STANDARD,
+    scan_labels=lambda shape, m: [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)],
+    pairs=lambda shape: [conjugate(pair) for pair in combinations(conjugate(shape), 2)],
+    relations=lambda shape: (_relation_labels(shape), lambda columns, boxes: _garnir_int(columns, *boxes)),
+    kernel_image=_polytabloid_int,
+    pivot=lambda t: _garnir_pivot(t),
+    build=lambda t, boxes: garnir(t, *boxes),
+    image=lambda s: polytabloid(s),
+    checks=(
+        ("membership", "garnir_relations_map_to_zero"),
+        ("image", "image_rank_is_ssyt_count"),
+        ("span", "rank_sum_matches_wedge_dim"),
+        ("lattice", "garnir_lattice_is_direct_summand"),
+    ),
+    rank_keys=("polytabloid_map", "garnir_span"),
+    pivots_key="garnir_certificate",
+    dims=lambda shape, m, dimension, ssyt: {"csyt": dimension, "ssyt": ssyt, "wedge_dim": dimension},
+)
 
 
 def verify_schur_ses(
@@ -233,19 +204,4 @@ def verify_schur_ses(
     (shape, max_entry); over the integers the ranks are rational, and the
     relation lattice is in addition a direct summand.
     """
-    shape = checked_shape(shape, max_entry, ring, size_cap, entry_cap)
-    started = time.perf_counter()
-    cert = _certificate(shape, max_entry)
-    rank_image, span = cert.ranks(ring)
-    checks = [check("garnir_relations_map_to_zero", cert.bad is None, cert.membership_failure)]
-    ranks = {"polytabloid_map": rank_image, "garnir_span": span}
-    if cert.bad is None:
-        checks.append(check("image_rank_is_ssyt_count", rank_image is not None, cert.image_failure(ring)))
-        checks.append(check("rank_sum_matches_wedge_dim", span is not None, cert.pivot_failure(ring)))
-        if ring.kind == "z":
-            ranks["garnir_certificate"] = {"pivots": cert.pivots}
-            checks.append(check("garnir_lattice_is_direct_summand", cert.direct_summand, cert.lattice_failure))
-    instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
-    dim = cert.rank + cert.nullity
-    dims = {"csyt": dim, "ssyt": cert.rank, "wedge_dim": dim}
-    return report("schur-verify", instance, dims, checks, started, ranks)
+    return verify(SCHUR, shape, max_entry, ring, size_cap, entry_cap)

@@ -1,9 +1,21 @@
-"""The parts the verify paths share: size caps, reports, and the kernel certificate.
+"""The verify paths of both kernel theorems: size caps, the kernel certificate, and the report.
 
-Both kernel checks prove their theorem with one integer certificate per
-(shape, max_entry), built by :func:`kernel_certificate` and reused for
-every ring.  Let N be the number of labels of the domain's basis that are
-not semistandard.  The certificate has five parts:
+The two theorems are transposes of each other, and a :class:`Side` holds
+all that differs between them: the Schur side ``schur.SCHUR`` and the Weyl
+side ``weyl.WEYL``.  Its fields name a label's own lines, the basis, the
+labels the scan walks, the two-line shapes part 5 reads, the relations,
+the kernel image, the pivot, the public builders of a counterexample, and
+the report's check names, their order, and its rank and dims keys.  The
+rest is written once for both sides:
+
+- :func:`certificate` builds the integer certificate of one
+  (side, shape, max_entry), cached and reused for every ring;
+- :func:`scan` is its full scan, every label and every relation;
+- :func:`verify` checks the theorem over one ring and assembles the
+  report off the certificate.
+
+Let N be the number of labels of the domain's basis that are not
+semistandard.  The certificate has five parts:
 
 1. every relation maps to zero over the integers (a relation the scan
    skips because it is provably zero does so trivially);
@@ -84,10 +96,11 @@ relation on it.
 
 Hence λ has its N pivots with lead 1, and only part 3 is left to check on
 it.  When some certificate is not clean, or λ has at most two lines, λ is
-scanned with every relation built in full, so a failing report names what
-the scan finds.  That scan needs no locality: on a shape with at most two
-lines a relation's local relation is the relation itself, and a shape with
-more lines is scanned only when one of its two-line shapes already failed.
+scanned with every relation built in full (:func:`scan`), so a failing
+report names what the scan finds.  That scan needs no locality: on a shape
+with at most two lines a relation's local relation is the relation
+itself, and a shape with more lines is scanned only when one of its
+two-line shapes already failed.
 
 The scan runs on lines, a label's columns on the Schur side and its rows
 on the Weyl side, with relations and kernel images as ``{lines: int}``;
@@ -97,13 +110,14 @@ a public relation or image is built only for a counterexample.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
-from .coeffs import QQ, ZZ, CoefficientRing, InputError
+from .coeffs import QQ, CoefficientRing, InputError
 from .linalg import lead
 from .powers import sum_images
-from .tableaux import check_partition, line_order_key
+from .tableaux import SEMISTANDARD, check_partition, count_tableaux, enumerate_tableaux, line_order_key
 
 
 class SizeCapExceeded(InputError):
@@ -141,14 +155,56 @@ def report(command: str, instance: dict, dims: dict, checks: list, started: floa
     return out
 
 
-def _is_unit(lead, ring: CoefficientRing) -> bool:
-    """Whether ``lead`` is a unit where the ranks over ``ring`` are taken (Q for Z)."""
-    return lead is not None and (ring if ring.is_field else QQ).is_unit(lead)
+@dataclass(frozen=True, eq=False)
+class Side:
+    """What differs between the two kernel theorems; ``eq=False`` hashes a side by identity.
+
+    A label's own lines are its rows with ``rows``, else its columns, and
+    its kernel image lies in the labels on the other lines.  The domain's
+    basis labels are those of kind ``basis``.
+
+    - ``scan_labels(shape, m)``: the labels :func:`scan` walks;
+    - ``pairs(shape)``: the two-line shapes whose certificates part 5
+      reads, more than one exactly when the shape has three or more lines;
+    - ``relations(shape)``: (``relation_labels``, ``relation``), built once
+      per scan.  ``relation_labels(t)`` are the relation labels kept on a
+      label t: a side leaves out only labels whose relation on t is zero,
+      and never ``pivot(t)``.  ``relation(lines, r)`` is the relation on
+      t's own lines as ``{lines: int}``;
+    - ``kernel_image(lines)``: the kernel map of a label, as ``{lines: int}``;
+    - ``pivot(t)``: the relation label of t's pivot, None exactly on the
+      labels that need none (the semistandard ones and those outside the
+      basis);
+    - ``build(t, r)`` and ``image(s)``: the public relation and image, built
+      only for a counterexample;
+    - the report: its ``command``; its ``checks``, (kind, name) in report
+      order, the kinds "membership", "image", "span" and "lattice"; its
+      ``rank_keys`` over (rank of the map, rank of the span, N) and, over
+      Z, ``pivots_key``; and ``dims(shape, m, dimension, ssyt)``.
+
+    A field that a test patches is a function that looks the module global
+    up when it is called.
+    """
+
+    command: str
+    rows: bool
+    basis: str
+    scan_labels: Callable
+    pairs: Callable
+    relations: Callable
+    kernel_image: Callable
+    pivot: Callable
+    build: Callable
+    image: Callable
+    checks: tuple
+    rank_keys: tuple
+    pivots_key: str
+    dims: Callable
 
 
 @dataclass(frozen=True)
 class KernelCertificate:
-    """What :func:`kernel_certificate` found on one (shape, max_entry).
+    """What :func:`certificate` found on one (side, shape, max_entry).
 
     ``odd_pivots`` holds (lead, label, relation) for each label whose pivot
     relation does not have leading coefficient exactly 1, and
@@ -156,9 +212,7 @@ class KernelCertificate:
     whose image does not have coefficient exactly 1 on it.  A lead is None
     when some other label lies on the wrong side, or when no relation
     carries the pivot label; the relation is then None too.  Both are empty
-    on every instance the theorem covers.  The failure methods give
-    counterexamples as JSON: a relation as its ``to_json()``, the same on
-    both sides, and a pivot label no relation carries as its tableau.
+    on every instance the theorem covers.
     """
 
     bad: object  # the first relation that does not map to zero; the scan stops there
@@ -168,135 +222,130 @@ class KernelCertificate:
     odd_pivots: tuple
     odd_images: tuple
 
-    @property
-    def membership_failure(self) -> dict | None:
-        return None if self.bad is None else self.bad.to_json()
 
-    def image_failure(self, ring: CoefficientRing) -> dict | None:
-        """The first semistandard label whose image is not unitriangular over ``ring``."""
-        for lead, s, image in self.odd_images:
-            if not _is_unit(lead, ring):
-                return {"tableau": s.to_json(), "image": image.to_json()}
-        return None
+@cache
+def certificate(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
+    """The integer certificate of ``side`` on one (shape, max_entry), shared by every ring.
 
-    def pivot_failure(self, ring: CoefficientRing) -> dict | None:
-        """The first pivot whose leading coefficient is not a unit over ``ring``."""
-        failed = (self._pivot(t, rel) for lead, t, rel in self.odd_pivots if not _is_unit(lead, ring))
-        return next(failed, None)
-
-    @property
-    def lattice_failure(self) -> dict | None:
-        """The first pivot whose leading coefficient is not exactly 1."""
-        return next((self._pivot(t, rel) for _, t, rel in self.odd_pivots), None)
-
-    def _pivot(self, t, rel) -> dict:
-        return {"tableau": t.to_json()} if rel is None else rel.to_json()
-
-    def ranks(self, ring: CoefficientRing) -> tuple[int | None, int | None]:
-        """Ranks over ``ring`` (over Q for Z) of the map and of the relation span.
-
-        The map's rank is #ssyt when its images are unitriangular, and the
-        span's is N when in addition every relation maps to zero and the N
-        pivots' leading coefficients are units; each is None otherwise.
-        """
-        if self.image_failure(ring) is not None:
-            return None, None
-        every_pivot = self.pivots + len(self.odd_pivots) == self.nullity
-        proved = self.bad is None and every_pivot and self.pivot_failure(ring) is None
-        return self.rank, self.nullity if proved else None
-
-    @property
-    def direct_summand(self) -> bool:
-        """The relation lattice is a direct summand (over the integers)."""
-        return self.ranks(ZZ)[1] is not None and self.pivots == self.nullity
-
-
-def _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot, key, build):
-    """(first relation not mapping to zero, pivots with lead 1, the other pivots)."""
-    pivots, odd = 0, []
-    for t in labels:
-        target = pivot(t)
-        lines = getattr(t, own)
-        on_target = None
-        for r in relation_labels(t):
-            rel = relation(lines, r)
-            if not maps_to_zero(rel):
-                return build(t, r), pivots, odd
-            if r == target:
-                on_target = rel
-        if target is None:
-            continue
-        leading = None if on_target is None else lead(lines, on_target, key)
-        if leading == 1:
-            pivots += 1
-        else:
-            odd.append((leading, t, None if on_target is None else build(t, target)))
-    return None, pivots, odd
-
-
-def kernel_certificate(
-    labels, relation_labels, relation, kernel_image, rows, pivot, max_entry, dimension, semistandard, build, image
-) -> KernelCertificate:
-    """Build the integer certificate of a kernel theorem on one (shape, max_entry).
-
-    A label's own lines are its rows with ``rows``, else its columns, and
-    every order is :func:`~weylkit.tableaux.line_order_key`.  Builds the
-    relation ``relation(lines, r)`` on t's own lines for every label t and
-    every relation label r in ``relation_labels(t)``; it maps to zero when
-    the sum of ``kernel_image`` over its terms has every coefficient 0.
-    The scan stops at the first relation that does not; a side leaves out
-    of ``relation_labels(t)`` only labels whose relation on t is zero, and
-    never ``pivot(t)``, which is None exactly on the labels that need no
-    pivot (the semistandard ones and those outside the basis); on every
-    other t its relation should have coefficient 1 on t's own lines and
-    every other term strictly below.  The domain has ``dimension`` basis
-    labels, and the semistandard labels are checked by
-    :func:`semistandard_images`.  Only a counterexample is built in public
-    form: the relation ``build(t, r)`` and the image ``image(s)``, whose
-    ``to_json()`` a failed check reports.
+    A shape with three or more lines reads its relations and pivots off the
+    cached certificates of ``side.pairs(shape)`` (part 5), and checks only
+    its semistandard images, when each of those is clean; else it is
+    scanned (:func:`scan`).
     """
-    own = "rows" if rows else "columns"
-    key = partial(line_order_key, max_entry=max_entry)
-
-    def maps_to_zero(rel: dict) -> bool:
-        return not any(sum_images(rel.items(), kernel_image, {}).values())
-
-    bad, pivots, odd_pivots = _scan_relations(labels, relation_labels, relation, maps_to_zero, own, pivot, key, build)
-    rank = len(semistandard)
-    odd_images = semistandard_images(semistandard, kernel_image, rows, max_entry, image)
-    return KernelCertificate(bad, dimension - rank, rank, pivots, tuple(odd_pivots), odd_images)
+    pairs = side.pairs(shape)  # at most one on a shape with at most two lines: itself
+    if len(pairs) < 2 or any(
+        cert.bad is not None or cert.odd_pivots for cert in (certificate(side, pair, max_entry) for pair in pairs)
+    ):
+        return scan(side, shape, max_entry)
+    nullity, rank, odd_images = _semistandard_images(side, shape, max_entry)
+    return KernelCertificate(None, nullity, rank, nullity, (), odd_images)
 
 
-def read_off_pairs(pairs, semistandard, dimension, kernel_image, rows, max_entry, image) -> KernelCertificate | None:
-    """Part 5 of the certificate: a shape's certificate read off those of its two-line shapes, or None.
+def scan(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
+    """The certificate of ``side`` with every label of ``side.scan_labels`` scanned and every relation built.
 
-    ``pairs`` are the certificates of the two-line shapes of a shape with
-    three or more lines that the module docstring names for its side.  When
-    each is clean, every relation maps to zero and all N pivots have lead
-    1, so only the images of ``semistandard`` are checked, as in
-    :func:`kernel_certificate`; else the shape has to be scanned, and the
-    result is None.
-    """
-    if any(pair.bad is not None or pair.odd_pivots for pair in pairs):
-        return None
-    rank = len(semistandard)
-    odd_images = semistandard_images(semistandard, kernel_image, rows, max_entry, image)
-    return KernelCertificate(None, dimension - rank, rank, dimension - rank, (), odd_images)
-
-
-def semistandard_images(semistandard, kernel_image, rows, max_entry, image) -> tuple:
-    """Part 3 of the certificate: (lead, s, ``image(s)``) for each semistandard s whose image is not unitriangular.
-
-    The image of s is ``kernel_image`` of its own lines, its rows with
-    ``rows``, else its columns; it should have coefficient 1 on s's other
-    lines and every other term strictly above them in the order of
+    A relation maps to zero when the sum of ``side.kernel_image`` over its
+    terms has every coefficient 0; the scan stops at the first that does
+    not.  On every label t with a pivot, the relation on ``side.pivot(t)``
+    should have coefficient 1 on t's own lines and every other term
+    strictly below them, in the order of
     :func:`~weylkit.tableaux.line_order_key`.
     """
-    own, other = ("rows", "columns") if rows else ("columns", "rows")
+    own = "rows" if side.rows else "columns"
     key = partial(line_order_key, max_entry=max_entry)
+    relation_labels, relation = side.relations(shape)
+    bad, pivots, odd = None, 0, []
+    for t in side.scan_labels(shape, max_entry):
+        target, lines, on_target = side.pivot(t), getattr(t, own), None
+        for r in relation_labels(t):
+            rel = relation(lines, r)
+            if any(sum_images(rel.items(), side.kernel_image, {}).values()):
+                bad = side.build(t, r)
+                break
+            if r == target:
+                on_target = rel
+        if bad is not None:
+            break
+        if target is not None:
+            leading = None if on_target is None else lead(lines, on_target, key)
+            if leading == 1:
+                pivots += 1
+            else:
+                odd.append((leading, t, None if on_target is None else side.build(t, target)))
+    nullity, rank, odd_images = _semistandard_images(side, shape, max_entry)
+    return KernelCertificate(bad, nullity, rank, pivots, tuple(odd), odd_images)
+
+
+def _semistandard_images(side: Side, shape: tuple[int, ...], max_entry: int) -> tuple[int, int, tuple]:
+    """(N, #ssyt, the odd images): part 3 of the certificate.
+
+    The odd images are (lead, s, ``side.image(s)``) for each semistandard s
+    whose image is not unitriangular.  The image of s is
+    ``side.kernel_image`` of its own lines; it should have coefficient 1 on
+    s's other lines and every other term strictly above them in the order
+    of :func:`~weylkit.tableaux.line_order_key`.
+    """
+    own, other = ("rows", "columns") if side.rows else ("columns", "rows")
+    key = partial(line_order_key, max_entry=max_entry)
+    semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
     odd = []
     for s in semistandard:
-        leading = lead(getattr(s, other), kernel_image(getattr(s, own)), key, above=True)
+        leading = lead(getattr(s, other), side.kernel_image(getattr(s, own)), key, above=True)
         if leading != 1:
-            odd.append((leading, s, image(s)))
-    return tuple(odd)
+            odd.append((leading, s, side.image(s)))
+    rank = len(semistandard)
+    return count_tableaux(shape, max_entry, side.basis) - rank, rank, tuple(odd)
+
+
+def _first_not_unit(odd: tuple, units: CoefficientRing):
+    """The first (lead, label, relation or image) of ``odd`` whose lead is not a unit of ``units``, or None."""
+    return next((entry for entry in odd if entry[0] is None or not units.is_unit(entry[0])), None)
+
+
+def _pivot_json(entry) -> dict:
+    _, t, rel = entry
+    return {"tableau": t.to_json()} if rel is None else rel.to_json()
+
+
+def verify(side: Side, shape, max_entry: int, ring: CoefficientRing, size_cap, entry_cap) -> dict:
+    """The report of ``side``'s kernel theorem on one instance over ``ring``, read off its :func:`certificate`.
+
+    The ranks are taken over ``ring``, over Q for Z.  The map's rank is
+    #ssyt when its images are unitriangular, with leads that are units;
+    the span's is N when in addition every relation maps to zero and every
+    one of the N pivots has a lead that is a unit.  Each is None otherwise.
+    The checks after a failed membership check are left out, and over Z
+    the lattice check adds that the relation lattice is a direct summand:
+    every pivot has lead exactly 1.
+    """
+    shape = checked_shape(shape, max_entry, ring, size_cap, entry_cap)
+    started = time.perf_counter()
+    cert = certificate(side, shape, max_entry)
+    units = ring if ring.is_field else QQ
+    odd_image, odd_pivot = _first_not_unit(cert.odd_images, units), _first_not_unit(cert.odd_pivots, units)
+    rank = cert.rank if odd_image is None else None
+    every_pivot = cert.pivots + len(cert.odd_pivots) == cert.nullity
+    proved = rank is not None and cert.bad is None and every_pivot and odd_pivot is None
+    span = cert.nullity if proved else None
+    ranks = dict(zip(side.rank_keys, (rank, span, cert.nullity)))
+    checks = []
+    for kind, name in side.checks:
+        if kind == "membership":
+            ok, example = cert.bad is None, None if cert.bad is None else cert.bad.to_json()
+        elif kind == "image":
+            ok = rank is not None
+            example = None if ok else {"tableau": odd_image[1].to_json(), "image": odd_image[2].to_json()}
+        elif kind == "span":
+            ok, example = span is not None, None if odd_pivot is None else _pivot_json(odd_pivot)
+        elif ring.kind == "z":
+            ranks[side.pivots_key] = {"pivots": cert.pivots}
+            ok = span is not None and cert.pivots == cert.nullity
+            example = _pivot_json(cert.odd_pivots[0]) if cert.odd_pivots else None
+        else:
+            continue
+        checks.append(check(name, ok, example))
+        if kind == "membership" and not ok:
+            break
+    instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
+    dims = side.dims(shape, max_entry, cert.rank + cert.nullity, cert.rank)
+    return report(side.command, instance, dims, checks, started, ranks)

@@ -25,25 +25,21 @@ are aligned with runs of equal entries, the relation has unit leading
 coefficient on its own label and all other labels strictly smaller in the
 row order.  ``straighten`` checks that on every snake it applies, which is
 all it needs to rewrite any element into semistandard coordinates with a
-certificate, and to stop; ``verify_weyl_kernel`` certifies it with the
-integer certificate of :mod:`weylkit.verify`, built once per
-(shape, max_entry) and shared by every ring.
+certificate, and to stop.  ``WEYL`` is this side's
+:class:`~weylkit.verify.Side`, the data from which :mod:`weylkit.verify`
+builds the certificate and the report of ``verify_weyl_kernel``.
 
-A dual snake is local to its two rows (part 4 of the certificate): the
-snake (i, j, j') on t is the snake (1, j, j') on rows i and i+1 of t,
-with t's other rows put back in every term.  So a shape with three or
-more rows is not scanned when the certificates of its adjacent two-row
-shapes are clean: its snakes and pivots are theirs put back, and only its
-semistandard copolytabloids are checked (part 5).  Every other shape is
-scanned over all its row-sorted labels.  Like ``straighten``, the scan
-reads snakes on lines from ``_dual_garnir_int``, which keeps a relation
-on a label's rows as ``{rows: int}``, and builds a public snake only for
-a counterexample.
+A dual snake is local to its two rows (part 4 of the certificate in
+:mod:`weylkit.verify`): the snake (i, j, j') on t is the snake (1, j, j')
+on rows i and i+1 of t, with t's other rows put back in every term.  So
+the two-line shapes of part 5 are those of adjacent rows.  Like
+``straighten``, the certificate reads snakes on lines from
+``_dual_garnir_int``, which keeps a relation on a label's rows as
+``{rows: int}``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -72,7 +68,7 @@ from .tableaux import (
     line_order_key,
     sort_rows,
 )
-from .verify import KernelCertificate, check, checked_shape, kernel_certificate, read_off_pairs, report
+from .verify import Side, verify
 
 
 def copolytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> ColumnTabloidElement:
@@ -286,49 +282,36 @@ def weyl_basis(shape, max_entry: int, ring: CoefficientRing = ZZ):
     ]
 
 
-def _snake_scan(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
-    """The certificate on the dual snakes of every row-sorted label.
-
-    Pivots on the snakes that ``straighten`` applies, and the semistandard
-    copolytabloids, whose every other column tabloid is above their own in
-    the column order.
-    """
-    rssyt = enumerate_tableaux(shape, max_entry, ROW_SEMISTANDARD)
+def _snake_relations(shape: tuple[int, ...]):
+    """Every snake of the shape on every label, and the snake on a label's rows, its box sets built once."""
     snakes = list(snake_labels(shape))
     boxes = {snake: _snake_boxes(shape[snake[0] - 1], *snake) for snake in snakes}
-    return kernel_certificate(
-        labels=rssyt,
-        relation_labels=lambda t: snakes,
-        relation=lambda rows, snake: _dual_garnir_int(rows, *boxes[snake]),
-        kernel_image=_wedge_of_rsym_int,
-        rows=True,
-        pivot=lambda t: _snake_pivot(t.rows),
-        max_entry=max_entry,
-        dimension=len(rssyt),
-        semistandard=enumerate_tableaux(shape, max_entry, SEMISTANDARD),
-        build=lambda t, snake: dual_snake(t, *snake),
-        image=copolytabloid,
-    )
+    return (lambda t: snakes), lambda rows, snake: _dual_garnir_int(rows, *boxes[snake])
 
 
-@cache
-def _certificate(shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
-    """The integer certificate of the Weyl side, shared by every ring.
-
-    A shape with three or more rows reads its snakes and pivots off the
-    cached certificates of its adjacent two-row shapes (part 5 of the
-    certificate in :mod:`weylkit.verify`), and checks only its
-    semistandard copolytabloids, when each of those is clean; else it is
-    scanned.
-    """
-    if len(shape) > 2:
-        pairs = (_certificate(shape[i : i + 2], max_entry) for i in range(len(shape) - 1))
-        semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
-        dimension = count_tableaux(shape, max_entry, ROW_SEMISTANDARD)
-        cert = read_off_pairs(pairs, semistandard, dimension, _wedge_of_rsym_int, True, max_entry, copolytabloid)
-        if cert is not None:
-            return cert
-    return _snake_scan(shape, max_entry)
+WEYL = Side(
+    command="weyl-verify",
+    rows=True,
+    basis=ROW_SEMISTANDARD,
+    scan_labels=lambda shape, m: enumerate_tableaux(shape, m, ROW_SEMISTANDARD),
+    pairs=lambda shape: [shape[i : i + 2] for i in range(len(shape) - 1)],
+    relations=_snake_relations,
+    kernel_image=lambda rows: _wedge_of_rsym_int(rows),
+    pivot=lambda t: _snake_pivot(t.rows),
+    build=lambda t, snake: dual_snake(t, *snake),
+    image=lambda s: copolytabloid(s),
+    checks=(
+        ("image", "projection_rank_is_ssyt_count"),
+        ("membership", "snakes_lie_in_kernel"),
+        ("span", "snake_span_rank_is_nullity"),
+        ("lattice", "snake_lattice_is_direct_summand"),
+    ),
+    rank_keys=("projection", "snake_span", "expected_nullity"),
+    pivots_key="snake_certificate",
+    dims=lambda shape, m, dimension, ssyt: {
+        "rssyt": dimension, "ssyt": ssyt, "csyt": count_tableaux(shape, m, COLUMN_STANDARD)
+    },
+)
 
 
 def verify_weyl_kernel(
@@ -348,25 +331,4 @@ def verify_weyl_kernel(
     (shape, max_entry); over the integers the ranks are rational, and the
     snake lattice is in addition a direct summand.
     """
-    shape = checked_shape(shape, max_entry, ring, size_cap, entry_cap)
-    started = time.perf_counter()
-    cert = _certificate(shape, max_entry)
-    rank_projection, span = cert.ranks(ring)
-    checks = [
-        check("projection_rank_is_ssyt_count", rank_projection is not None, cert.image_failure(ring)),
-        check("snakes_lie_in_kernel", cert.bad is None, cert.membership_failure),
-    ]
-    ranks = {
-        "projection": rank_projection,
-        "snake_span": span,
-        "expected_nullity": cert.nullity,
-    }
-    if cert.bad is None:
-        checks.append(check("snake_span_rank_is_nullity", span is not None, cert.pivot_failure(ring)))
-        if ring.kind == "z":
-            ranks["snake_certificate"] = {"pivots": cert.pivots}
-            checks.append(check("snake_lattice_is_direct_summand", cert.direct_summand, cert.lattice_failure))
-    instance = {"shape": list(shape), "entries": max_entry, "ring": ring.tag}
-    csyt = count_tableaux(shape, max_entry, COLUMN_STANDARD)
-    dims = {"rssyt": cert.rank + cert.nullity, "ssyt": cert.rank, "csyt": csyt}
-    return report("weyl-verify", instance, dims, checks, started, ranks)
+    return verify(WEYL, shape, max_entry, ring, size_cap, entry_cap)

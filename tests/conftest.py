@@ -3,8 +3,7 @@
 import pytest
 
 import weylkit.duality as duality
-import weylkit.schur as schur
-import weylkit.weyl as weyl
+import weylkit.verify as verify
 
 
 @pytest.fixture(autouse=True)
@@ -14,6 +13,5 @@ def fresh_kernel_certificates():
     A test that monkeypatches a relation builder or ``duality._polytabloid_int``
     must see its mutation, not a table cached by an earlier test.
     """
-    schur._certificate.cache_clear()
-    weyl._certificate.cache_clear()
+    verify.certificate.cache_clear()
     duality._pairing_rows.cache_clear()

@@ -10,7 +10,7 @@ is the public ``polytabloid`` or ``copolytabloid``.  The public maps are
 looked up when called, so a test's patch of a line-form builder reaches
 them.  :func:`schur_scan` and :func:`weyl_scan` scan every label of the
 shape, with every relation built in full: the certificate that both
-``_certificate`` and the full scan of each side must equal.
+``verify.certificate`` and ``verify.scan`` of each side must equal.
 """
 
 import weylkit.powers as powers

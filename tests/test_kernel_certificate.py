@@ -14,9 +14,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import weylkit.powers as powers
 import weylkit.schur as schur
+import weylkit.verify as verify
 import weylkit.weyl as weyl
 from weylkit.coeffs import QQ, ZZ, LinComb, integers_mod, parse_ring
 from weylkit.powers import ColumnTabloidElement, SymLowerElement, wedge_of_sym_lower
+from weylkit.schur import SCHUR
 from weylkit.tableaux import (
     ALL,
     COLUMN_STANDARD,
@@ -29,6 +31,8 @@ from weylkit.tableaux import (
     partitions_up_to,
     transpose,
 )
+from weylkit.verify import certificate
+from weylkit.weyl import WEYL
 
 from rank_oracle import schur_verdict, weyl_verdict
 from scan_oracle import schur_scan, weyl_scan
@@ -133,8 +137,8 @@ def test_a_relation_broken_only_away_from_2_fails_modulo_2(side, monkeypatch):
         assert failed[0]["counterexample"] is not None
         assert report["ranks"][span_key] is None
     # the tableau scan finds the same counterexample, through the public builder
-    line_scan, tableau_scan = (schur._certificate, schur_scan) if side == "schur" else (weyl._certificate, weyl_scan)
-    assert fields(line_scan(shape, m)) == fields(tableau_scan(shape, m))
+    line_side, tableau_scan = (SCHUR, schur_scan) if side == "schur" else (WEYL, weyl_scan)
+    assert fields(certificate(line_side, shape, m)) == fields(tableau_scan(shape, m))
 
 
 def test_both_sides_report_a_broken_relation_in_one_shape(monkeypatch):
@@ -269,7 +273,7 @@ def fields(cert):
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_the_schur_certificate_matches_the_full_scan(shape):
     for m in (1, 2, 3, 4):
-        assert fields(schur._certificate(shape, m)) == fields(full_scan(shape, m)), m
+        assert fields(certificate(SCHUR, shape, m)) == fields(full_scan(shape, m)), m
 
 
 LOCAL_SCAN_CASES = (
@@ -281,7 +285,7 @@ LOCAL_SCAN_CASES = (
 
 @pytest.mark.parametrize("shape, m", LOCAL_SCAN_CASES, ids=str)
 def test_the_two_row_scan_matches_the_full_snake_scan(shape, m):
-    assert fields(weyl._certificate(shape, m)) == fields(full_snake_scan(shape, m))
+    assert fields(certificate(WEYL, shape, m)) == fields(full_snake_scan(shape, m))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +409,8 @@ def test_a_three_column_certificate_with_a_pair_that_is_not_clean_is_the_full_sc
     """
     mutate, (shape, m), pair_shape, check_name, t, (box_a, box_b) = THREE_COLUMN_MUTANTS[mutant]
     monkeypatch.setattr(schur, "_garnir_int", mutate(schur._garnir_int))
-    assert fields(schur._certificate(shape, m)) == fields(full_scan(shape, m)) == fields(schur_scan(shape, m))
-    pair = schur._certificate(pair_shape, m)
+    assert fields(certificate(SCHUR, shape, m)) == fields(full_scan(shape, m)) == fields(schur_scan(shape, m))
+    pair = certificate(SCHUR, pair_shape, m)
     assert pair.bad is not None or pair.odd_pivots
     report = schur.verify_schur_ses(shape, m, ZZ, size_cap=None, entry_cap=None)
     failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
@@ -425,12 +429,12 @@ def test_a_cold_three_column_certificate_builds_only_two_column_relations(monkey
 
     for name in calls:
         monkeypatch.setattr(schur, name, recording(name, getattr(schur, name)))
-    cert = schur._certificate((3, 2, 1), 3)
+    cert = certificate(SCHUR, (3, 2, 1), 3)
     assert cert.bad is None and cert.pivots == cert.nullity > 0
     assert calls["_garnir_int"] and calls["_garnir_pivot"]
     assert {len(columns) for columns in calls["_garnir_int"]} == {2}
     assert {len(t.columns) for t in calls["_garnir_pivot"]} == {2}
-    info = schur._certificate.cache_info()
+    info = certificate.cache_info()
     # (3, 2, 1) and the shapes of its column pairs: (2, 2, 1), (2, 1, 1) and (2, 1)
     assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
 
@@ -489,9 +493,9 @@ def test_a_three_row_certificate_matches_the_full_snake_scan_under_a_mutant(muta
     name, mutate = THREE_ROW_MUTANTS[mutant]
     monkeypatch.setattr(weyl, name, mutate(getattr(weyl, name)))
     shape, m = (2, 2, 1), 3
-    cert = weyl._certificate(shape, m)
+    cert = certificate(WEYL, shape, m)
     assert fields(cert) == fields(full_snake_scan(shape, m))
-    pair = weyl._certificate((2, 1), m)
+    pair = certificate(WEYL, (2, 1), m)
     if mutant == "dual_garnir_doubled_pivot":
         assert pair.bad is None and pair.odd_pivots
         report = weyl.verify_weyl_kernel(shape, m, ZZ)
@@ -508,8 +512,8 @@ def test_a_three_row_certificate_matches_the_full_snake_scan_under_a_mutant(muta
 
 
 def test_a_three_row_certificate_builds_no_snake_once_its_two_row_shapes_are_cached(monkeypatch):
-    weyl._certificate((2, 2), 3)
-    weyl._certificate((2, 1), 3)
+    certificate(WEYL, (2, 2), 3)
+    certificate(WEYL, (2, 1), 3)
     calls = []
 
     def counting(name, original):
@@ -517,10 +521,10 @@ def test_a_three_row_certificate_builds_no_snake_once_its_two_row_shapes_are_cac
 
     for name in ("_dual_garnir_int", "_snake_pivot"):
         monkeypatch.setattr(weyl, name, counting(name, getattr(weyl, name)))
-    cert = weyl._certificate((2, 2, 1), 3)
+    cert = certificate(WEYL, (2, 2, 1), 3)
     assert calls == []
     assert cert.bad is None and cert.pivots == cert.nullity
-    info = weyl._certificate.cache_info()
+    info = certificate.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
 
 
@@ -529,14 +533,14 @@ SIZE_SIX = tuple(shape for shape in partitions_up_to(6) if sum(shape) == 6)
 
 @pytest.mark.parametrize("shape", SIZE_SIX, ids=str)
 def test_both_local_scans_match_the_full_scans_at_size_six(shape):
-    assert fields(schur._certificate(shape, 3)) == fields(full_scan(shape, 3))
-    assert fields(weyl._certificate(shape, 3)) == fields(full_snake_scan(shape, 3))
+    assert fields(certificate(SCHUR, shape, 3)) == fields(full_scan(shape, 3))
+    assert fields(certificate(WEYL, shape, 3)) == fields(full_snake_scan(shape, 3))
 
 
 @pytest.mark.parametrize("shape, m", LOCAL_SCAN_CASES + [(shape, 3) for shape in SIZE_SIX], ids=str)
 def test_the_line_scans_match_the_tableau_scans(shape, m):
-    assert fields(schur._certificate(shape, m)) == fields(schur_scan(shape, m))
-    assert fields(weyl._certificate(shape, m)) == fields(weyl_scan(shape, m))
+    assert fields(certificate(SCHUR, shape, m)) == fields(schur_scan(shape, m))
+    assert fields(certificate(WEYL, shape, m)) == fields(weyl_scan(shape, m))
     assert fields(full_scan(shape, m)) == fields(schur_scan(shape, m))
     assert fields(full_snake_scan(shape, m)) == fields(weyl_scan(shape, m))
 
@@ -605,7 +609,7 @@ def test_an_image_that_is_not_unitriangular_is_named(monkeypatch):
     assert set(failed) == {"projection_rank_is_ssyt_count", "snake_span_rank_is_nullity"}
     assert failed["projection_rank_is_ssyt_count"]["tableau"] == T([[1, 1], [2]]).to_json()
     assert failed["projection_rank_is_ssyt_count"]["image"] == weyl.copolytabloid(T([[1, 1], [2]])).to_json()
-    assert fields(weyl._certificate((2, 1), 2)) == fields(weyl_scan((2, 1), 2))
+    assert fields(certificate(WEYL, (2, 1), 2)) == fields(weyl_scan((2, 1), 2))
     assert (report["ranks"]["projection"], report["ranks"]["snake_span"]) == (None, None)
 
 
@@ -622,14 +626,18 @@ def test_a_label_without_its_pivot_relation_is_named(monkeypatch):
 
 
 def test_a_dropped_pivot_on_three_columns_fails_the_full_scan_on_every_ring(monkeypatch):
-    # (3,) reads its pivots off the clean certificate of (2,), so only the
-    # full scan, which it falls back to, asks [[2,1,1]] for its pivot; that
-    # a pivot on three columns is one on two is
+    # (3,) reads its pivots off the clean certificate of (2,), so its report
+    # passes and only the full scan asks [[2,1,1]] for its pivot; the report
+    # read off that scan names the label on every ring.  That a pivot on
+    # three columns is one on two is
     # test_every_pivot_and_garnir_label_of_a_label_is_one_of_two_columns
     t, original = T([[2, 1, 1]]), schur._garnir_pivot
     monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t else original(u))
-    cert = full_scan((3,), 3)
-    assert fields(cert) == fields(schur_scan((3,), 3))
+    assert fields(full_scan((3,), 3)) == fields(schur_scan((3,), 3))
+    assert schur.verify_schur_ses((3,), 3, ZZ)["ok"]
+    monkeypatch.setattr(verify, "certificate", lambda side, shape, m: verify.scan(side, shape, m))
     for ring in (QQ, ZZ):
-        assert cert.pivot_failure(ring) == {"tableau": t.to_json()}
-        assert cert.ranks(ring) == (cert.rank, None)
+        report = schur.verify_schur_ses((3,), 3, ring)
+        failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
+        assert failed["rank_sum_matches_wedge_dim"] == {"tableau": t.to_json()}
+        assert (report["ranks"]["polytabloid_map"], report["ranks"]["garnir_span"]) == (report["dims"]["ssyt"], None)

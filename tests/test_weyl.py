@@ -16,7 +16,6 @@ from weylkit.powers import (
     sym_lower_expand,
     wedge_of_sym_lower,
 )
-from weylkit.schur import SizeCapExceeded
 from weylkit.tableaux import (
     ALL,
     ROW_SEMISTANDARD,
@@ -27,6 +26,7 @@ from weylkit.tableaux import (
     row_order_key,
     sort_rows,
 )
+from weylkit.verify import SizeCapExceeded
 from weylkit.weyl import (
     STAR_STAR_VARIANT,
     STAR_VARIANT,

@@ -7,10 +7,11 @@ the shape, with every relation built in full, which a shape with three or
 more lines otherwise reads off its two-line certificates.
 """
 
-import weylkit.schur as schur
-import weylkit.weyl as weyl
+import weylkit.verify as verify
 from weylkit.coeffs import ZZ, LinComb
+from weylkit.schur import SCHUR
 from weylkit.tableaux import ROW_SEMISTANDARD, Tableau, conjugate, enumerate_tableaux, sort_columns, sort_rows, transpose
+from weylkit.weyl import WEYL
 
 
 def column_sorted_labels(shape, m):
@@ -19,12 +20,12 @@ def column_sorted_labels(shape, m):
 
 def full_scan(shape, m):
     """The Schur certificate over every column-sorted label."""
-    return schur._garnir_scan(shape, m)
+    return verify.scan(SCHUR, shape, m)
 
 
 def full_snake_scan(shape, m):
     """The Weyl certificate over every row-sorted label."""
-    return weyl._snake_scan(shape, m)
+    return verify.scan(WEYL, shape, m)
 
 
 def adjacent_transposition(m, i):
