@@ -299,7 +299,10 @@ def _semistandard_images(side: Side, shape: tuple[int, ...], max_entry: int) -> 
 
 def _first_not_unit(odd: tuple, units: CoefficientRing):
     """The first (lead, label, relation or image) of ``odd`` whose lead is not a unit of ``units``, or None."""
-    return next((entry for entry in odd if entry[0] is None or not units.is_unit(entry[0])), None)
+    for entry in odd:
+        if entry[0] is None or not units.is_unit(entry[0]):
+            return entry
+    return None
 
 
 def _pivot_json(entry) -> dict:
