@@ -182,8 +182,8 @@ class Side:
       ``rank_keys`` over (rank of the map, rank of the span, N) and, over
       Z, ``pivots_key``; and ``dims(shape, m, dimension, ssyt)``.
 
-    A field that a test patches is a function that looks the module global
-    up when it is called.
+    A field that wraps a module global in a lambda looks it up when it is
+    called, so a patch of that global reaches the certificate.
     """
 
     command: str
