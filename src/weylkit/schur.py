@@ -173,7 +173,7 @@ SCHUR = Side(
     scan_labels=lambda shape, m: [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)],
     pairs=lambda shape: [conjugate(pair) for pair in combinations(conjugate(shape), 2)],
     relations=lambda shape: (_relation_labels(shape), lambda columns, boxes: _garnir_int(columns, *boxes)),
-    kernel_image=_polytabloid_int,
+    kernel_map=lambda: _polytabloid_int,
     pivot=lambda t: _garnir_pivot(t),
     build=lambda t, boxes: garnir(t, *boxes),
     image=lambda s: polytabloid(s),

@@ -113,6 +113,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
+from typing import NamedTuple
 
 from .coeffs import QQ, CoefficientRing, InputError
 from .linalg import lead
@@ -171,7 +172,8 @@ class Side:
       label t: a side leaves out only labels whose relation on t is zero,
       and never ``pivot(t)``.  ``relation(lines, r)`` is the relation on
       t's own lines as ``{lines: int}``;
-    - ``kernel_image(lines)``: the kernel map of a label, as ``{lines: int}``;
+    - ``kernel_map()``: the function giving the kernel image of a label's
+      own lines, as ``{lines: int}``, looked up once per certificate;
     - ``pivot(t)``: the relation label of t's pivot, None exactly on the
       labels that need none (the semistandard ones and those outside the
       basis);
@@ -192,7 +194,7 @@ class Side:
     scan_labels: Callable
     pairs: Callable
     relations: Callable
-    kernel_image: Callable
+    kernel_map: Callable
     pivot: Callable
     build: Callable
     image: Callable
@@ -202,8 +204,7 @@ class Side:
     dims: Callable
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
+class KernelCertificate(NamedTuple):
     """What :func:`certificate` found on one (side, shape, max_entry).
 
     ``odd_pivots`` holds (lead, label, relation) for each label whose pivot
@@ -244,7 +245,7 @@ def certificate(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCer
 def scan(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The certificate of ``side`` with every label of ``side.scan_labels`` scanned and every relation built.
 
-    A relation maps to zero when the sum of ``side.kernel_image`` over its
+    A relation maps to zero when the sum of the kernel images over its
     terms has every coefficient 0; the scan stops at the first that does
     not.  On every label t with a pivot, the relation on ``side.pivot(t)``
     should have coefficient 1 on t's own lines and every other term
@@ -254,12 +255,13 @@ def scan(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificat
     own = "rows" if side.rows else "columns"
     key = partial(line_order_key, max_entry=max_entry)
     relation_labels, relation = side.relations(shape)
+    kernel_image = side.kernel_map()
     bad, pivots, odd = None, 0, []
     for t in side.scan_labels(shape, max_entry):
         target, lines, on_target = side.pivot(t), getattr(t, own), None
         for r in relation_labels(t):
             rel = relation(lines, r)
-            if any(sum_images(rel.items(), side.kernel_image, {}).values()):
+            if any(sum_images(rel.items(), kernel_image, {}).values()):
                 bad = side.build(t, r)
                 break
             if r == target:
@@ -280,17 +282,18 @@ def _semistandard_images(side: Side, shape: tuple[int, ...], max_entry: int) -> 
     """(N, #ssyt, the odd images): part 3 of the certificate.
 
     The odd images are (lead, s, ``side.image(s)``) for each semistandard s
-    whose image is not unitriangular.  The image of s is
-    ``side.kernel_image`` of its own lines; it should have coefficient 1 on
-    s's other lines and every other term strictly above them in the order
-    of :func:`~weylkit.tableaux.line_order_key`.
+    whose image is not unitriangular.  The image of s is the kernel image
+    of its own lines; it should have coefficient 1 on s's other lines and
+    every other term strictly above them in the order of
+    :func:`~weylkit.tableaux.line_order_key`.
     """
     own, other = ("rows", "columns") if side.rows else ("columns", "rows")
     key = partial(line_order_key, max_entry=max_entry)
+    kernel_image = side.kernel_map()
     semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
     odd = []
     for s in semistandard:
-        leading = lead(getattr(s, other), side.kernel_image(getattr(s, own)), key, above=True)
+        leading = lead(getattr(s, other), kernel_image(getattr(s, own)), key, above=True)
         if leading != 1:
             odd.append((leading, s, side.image(s)))
     rank = len(semistandard)

@@ -296,7 +296,7 @@ WEYL = Side(
     scan_labels=lambda shape, m: enumerate_tableaux(shape, m, ROW_SEMISTANDARD),
     pairs=lambda shape: [shape[i : i + 2] for i in range(len(shape) - 1)],
     relations=_snake_relations,
-    kernel_image=lambda rows: _wedge_of_rsym_int(rows),
+    kernel_map=lambda: _wedge_of_rsym_int,
     pivot=lambda t: _snake_pivot(t.rows),
     build=lambda t, snake: dual_snake(t, *snake),
     image=lambda s: copolytabloid(s),
