@@ -113,7 +113,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import NamedTuple
 
 from .coeffs import QQ, CoefficientRing, InputError
 from .linalg import lead
@@ -204,7 +203,8 @@ class Side:
     dims: Callable
 
 
-class KernelCertificate(NamedTuple):
+@dataclass(frozen=True)
+class KernelCertificate:
     """What :func:`certificate` found on one (side, shape, max_entry).
 
     ``odd_pivots`` holds (lead, label, relation) for each label whose pivot
