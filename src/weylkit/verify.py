@@ -233,7 +233,7 @@ def certificate(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCer
     its semistandard images, when each of those is clean; else it is
     scanned (:func:`scan`).
     """
-    pairs = side.pairs(shape)  # at most one on a shape with at most two lines: itself
+    pairs = side.pairs(shape)  # a shape with at most two lines has at most one: itself
     if len(pairs) < 2 or any(
         cert.bad is not None or cert.odd_pivots for cert in (certificate(side, pair, max_entry) for pair in pairs)
     ):
