@@ -391,7 +391,11 @@ def enumerate_tableaux(shape, max_entry: int, kind: str = ALL) -> tuple[Tableau,
 
 
 def count_tableaux(shape, max_entry: int, kind: str = ALL) -> int:
-    """Cardinality of :func:`enumerate_tableaux` without materializing "all"."""
+    """Cardinality of :func:`enumerate_tableaux`, by a formula and without enumerating.
+
+    The semistandard count is Stanley's hook-content formula: the product
+    over the boxes (i, j) of (max_entry + j - i) / hook(i, j).
+    """
     shape = _check_request(shape, max_entry, kind)
     if kind == ALL:
         return max_entry ** sum(shape)
@@ -405,4 +409,10 @@ def count_tableaux(shape, max_entry: int, kind: str = ALL) -> int:
         for k in conjugate(shape):
             out *= comb(max_entry, k)
         return out
-    return len(enumerate_tableaux(shape, max_entry, kind))
+    columns = conjugate(shape)
+    contents = hooks = 1
+    for i, row_len in enumerate(shape):
+        for j in range(row_len):
+            contents *= max_entry + j - i
+            hooks *= row_len - j + columns[j] - i - 1
+    return contents // hooks

@@ -9,13 +9,14 @@ the report's check names, their order, and its rank and dims keys.  The
 rest is written once for both sides:
 
 - :func:`certificate` builds the integer certificate of one
-  (side, shape, max_entry), cached and reused for every ring;
+  (side, shape, max_entry), cached and reused for every ring, from packed
+  blocks cached per (side, shape, k) and shared by every max_entry;
 - :func:`scan` is its full scan, every label and every relation;
 - :func:`verify` checks the theorem over one ring and assembles the
   report off the certificate.
 
 Let N be the number of labels of the domain's basis that are not
-semistandard.  The certificate has five parts:
+semistandard.  The certificate has six parts:
 
 1. every relation maps to zero over the integers (a relation the scan
    skips because it is provably zero does so trivially);
@@ -32,7 +33,10 @@ semistandard.  The certificate has five parts:
    certificates of its two-line shapes, when every relation is local to
    two lines and every pivot is the pivot of two adjacent lines, and each
    of those certificates is clean: no relation fails and every pivot has
-   lead 1.
+   lead 1;
+6. parts 1 to 3 on the labels with entries at most m may be read off the
+   packed labels, those with entries exactly {1..k}, for every
+   k <= min(m, |λ|).
 
 Relations and kernel maps are defined over the integers and commute with
 base change, so over every ring R the N pivots stay independent in the
@@ -102,6 +106,39 @@ with at most two lines a relation's local relation is the relation
 itself, and a shape with more lines is scanned only when one of its
 two-line shapes already failed.
 
+Part 6 is the packing lemma.  Let φ be an order-preserving injection of
+{1..k} into {1..m}.  Everything the certificate reads commutes with φ:
+
+- every term of a relation or an image has its label's content.  φ keeps
+  a sorted line sorted with the same sign, equal entries equal and
+  distinct ones distinct, so the relation and the kernel image of φ(t) are
+  those of t with φ applied to every term, and the Schur zero rule and
+  both pivot rules (the Schur one compares with ``>``, the Weyl one with
+  ``>=`` and ``==``) pick the same boxes on φ(t) as on t;
+- :func:`~weylkit.tableaux.line_order_key` compares two labels of one
+  content on the values in φ's image only, in the same order, so every
+  lead is unchanged.
+
+Every label with entries in {1..m} is φ(u) for exactly one packed label u,
+with k <= min(m, |λ|) values, and one φ.  The *packed block* of
+(side, λ, k) checks part 3 on the packed semistandard labels with k values
+and, on a shape with at most two lines, parts 1 and 2 on the packed labels
+the scan walks; it is clean when nothing fails.  When every block of λ
+with k <= min(m, |λ|) is clean, and on a shape with three or more lines
+every block of each two-line shape of part 5 too, the certificate on
+(λ, m) is clean: no relation fails, the N pivots have lead 1, and the
+images are unitriangular.  Counting the pushforwards, #ssyt(λ, m) is
+Σ_k C(m, k)·P_k, with P_k the packed semistandard labels of the block,
+and N is the dimension minus #ssyt.  The blocks are cached per
+(side, shape, k), so the cost stops growing once m passes |λ|: the
+functors are natural in a free module of any rank (ABW 1982), and for
+m >= |λ| the Schur algebra and its modules stabilise (Green, *Polynomial
+representations of GL_n*, LNM 830, §6).  The premise is a property of
+the relations, the kernel maps, the pivots and the order, and is not
+checked at run time.  When some block is not clean, the certificate is
+built at m without part 6 (part 5 or :func:`scan`), so a failing report
+names what the certificate at m finds, as it did before part 6.
+
 The scan runs on lines, a label's columns on the Schur side and its rows
 on the Weyl side, with relations and kernel images as ``{lines: int}``;
 a public relation or image is built only for a counterexample.
@@ -113,6 +150,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
+from math import comb
 
 from .coeffs import QQ, CoefficientRing, InputError
 from .linalg import lead
@@ -163,9 +201,11 @@ class Side:
     its kernel image lies in the labels on the other lines.  The domain's
     basis labels are those of kind ``basis``.
 
-    - ``scan_labels(shape, m)``: the labels :func:`scan` walks;
+    - ``scan_labels(shape, m)``: the labels :func:`scan` walks, whose
+      packed ones a packed block walks;
     - ``pairs(shape)``: the two-line shapes whose certificates part 5
-      reads, more than one exactly when the shape has three or more lines;
+      reads, and whose packed blocks part 6 reads, more than one exactly
+      when the shape has three or more lines;
     - ``relations(shape)``: (``relation_labels``, ``relation``), built once
       per scan.  ``relation_labels(t)`` are the relation labels kept on a
       label t: a side leaves out only labels whose relation on t is zero,
@@ -228,12 +268,20 @@ class KernelCertificate:
 def certificate(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of ``side`` on one (shape, max_entry), shared by every ring.
 
-    A shape with three or more lines reads its relations and pivots off the
-    cached certificates of ``side.pairs(shape)`` (part 5), and checks only
-    its semistandard images, when each of those is clean; else it is
-    scanned (:func:`scan`).
+    When the packed blocks it needs are clean, the certificate is theirs
+    pushed forward (part 6): those of the shape and, on a shape with three
+    or more lines, those of ``side.pairs(shape)``, each for every k up to
+    max_entry and its size.  Else a shape with three or more lines reads its
+    relations and pivots off the cached certificates of its pairs (part 5),
+    and checks only its semistandard images, when each of those is clean;
+    and any other shape is scanned (:func:`scan`).
     """
     pairs = side.pairs(shape)  # a shape with at most two lines has at most one: itself
+    counts = [_packed_counts(side, block, max_entry) for block in ([shape] if len(pairs) < 2 else [shape, *pairs])]
+    if None not in counts:
+        rank = sum(comb(max_entry, k) * count for k, count in enumerate(counts[0], 1))
+        nullity = count_tableaux(shape, max_entry, side.basis) - rank
+        return KernelCertificate(None, nullity, rank, nullity, (), ())
     if len(pairs) < 2 or any(
         cert.bad is not None or cert.odd_pivots for cert in (certificate(side, pair, max_entry) for pair in pairs)
     ):
@@ -242,8 +290,42 @@ def certificate(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCer
     return KernelCertificate(None, nullity, rank, nullity, (), odd_images)
 
 
+def _packed_counts(side: Side, shape: tuple[int, ...], max_entry: int) -> list | None:
+    """[P_1, ..., P_k] of the packed blocks of ``shape``, k = min(max_entry, |shape|), or None when one is not clean."""
+    counts = [_packed_block(side, shape, k) for k in range(1, min(max_entry, sum(shape)) + 1)]
+    return None if None in counts else counts
+
+
+@cache
+def _packed_block(side: Side, shape: tuple[int, ...], k: int) -> int | None:
+    """P_k, the packed semistandard labels of ``shape``, when its packed block at k is clean; else None.
+
+    A packed label has entries exactly {1..k}.  The block checks part 3 on
+    the packed semistandard labels and, on a shape with at most two lines,
+    parts 1 and 2 on the packed labels of ``side.scan_labels``.
+    """
+    if len(side.pairs(shape)) < 2:
+        bad, _, odd_pivots = _scan_relations(side, shape, _packed(side.scan_labels(shape, k), k), k)
+        if bad is not None or odd_pivots:
+            return None
+    semistandard = _packed(enumerate_tableaux(shape, k, SEMISTANDARD), k)
+    return None if _odd_images(side, semistandard, k) else len(semistandard)
+
+
+def _packed(labels, k: int) -> list:
+    """The labels, with entries at most k, whose entries are exactly {1..k}."""
+    return [t for t in labels if len({v for row in t.rows for v in row}) == k]
+
+
 def scan(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
-    """The certificate of ``side`` with every label of ``side.scan_labels`` scanned and every relation built.
+    """The certificate of ``side`` with every label of ``side.scan_labels`` scanned and every relation built."""
+    bad, pivots, odd_pivots = _scan_relations(side, shape, side.scan_labels(shape, max_entry), max_entry)
+    nullity, rank, odd_images = _semistandard_images(side, shape, max_entry)
+    return KernelCertificate(bad, nullity, rank, pivots, odd_pivots, odd_images)
+
+
+def _scan_relations(side: Side, shape: tuple[int, ...], labels, max_entry: int) -> tuple:
+    """(the first relation not mapped to zero, the pivots with lead 1, the odd pivots) on ``labels``: parts 1 and 2.
 
     A relation maps to zero when the sum of the kernel images over its
     terms has every coefficient 0; the scan stops at the first that does
@@ -256,48 +338,49 @@ def scan(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificat
     key = partial(line_order_key, max_entry=max_entry)
     relation_labels, relation = side.relations(shape)
     kernel_image = side.kernel_map()
-    bad, pivots, odd = None, 0, []
-    for t in side.scan_labels(shape, max_entry):
+    pivots, odd = 0, []
+    for t in labels:
         target, lines, on_target = side.pivot(t), getattr(t, own), None
         for r in relation_labels(t):
             rel = relation(lines, r)
             if any(sum_images(rel.items(), kernel_image, {}).values()):
-                bad = side.build(t, r)
-                break
+                return side.build(t, r), pivots, tuple(odd)
             if r == target:
                 on_target = rel
-        if bad is not None:
-            break
         if target is not None:
             leading = None if on_target is None else lead(lines, on_target, key)
             if leading == 1:
                 pivots += 1
             else:
                 odd.append((leading, t, None if on_target is None else side.build(t, target)))
-    nullity, rank, odd_images = _semistandard_images(side, shape, max_entry)
-    return KernelCertificate(bad, nullity, rank, pivots, tuple(odd), odd_images)
+    return None, pivots, tuple(odd)
 
 
 def _semistandard_images(side: Side, shape: tuple[int, ...], max_entry: int) -> tuple[int, int, tuple]:
-    """(N, #ssyt, the odd images): part 3 of the certificate.
+    """(N, #ssyt, the odd images) on the labels with entries at most ``max_entry``."""
+    semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
+    rank = len(semistandard)
+    return count_tableaux(shape, max_entry, side.basis) - rank, rank, _odd_images(side, semistandard, max_entry)
 
-    The odd images are (lead, s, ``side.image(s)``) for each semistandard s
-    whose image is not unitriangular.  The image of s is the kernel image
-    of its own lines; it should have coefficient 1 on s's other lines and
-    every other term strictly above them in the order of
+
+def _odd_images(side: Side, semistandard, max_entry: int) -> tuple:
+    """The odd images of the ``semistandard`` labels: part 3 of the certificate.
+
+    They are (lead, s, ``side.image(s)``) for each s whose image is not
+    unitriangular.  The image of s is the kernel image of its own lines; it
+    should have coefficient 1 on s's other lines and every other term
+    strictly above them in the order of
     :func:`~weylkit.tableaux.line_order_key`.
     """
     own, other = ("rows", "columns") if side.rows else ("columns", "rows")
     key = partial(line_order_key, max_entry=max_entry)
     kernel_image = side.kernel_map()
-    semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
     odd = []
     for s in semistandard:
         leading = lead(getattr(s, other), kernel_image(getattr(s, own)), key, above=True)
         if leading != 1:
             odd.append((leading, s, side.image(s)))
-    rank = len(semistandard)
-    return count_tableaux(shape, max_entry, side.basis) - rank, rank, tuple(odd)
+    return tuple(odd)
 
 
 def _first_not_unit(odd: tuple, units: CoefficientRing):

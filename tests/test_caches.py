@@ -15,33 +15,37 @@ PACKAGE = Path(weylkit.__file__).parent
 
 ALLOWED = {
     "tableaux.enumerate_tableaux": (
-        "hit ratio 0.43 sweep-field (120 of 282 calls), 0.50 lattice-z (95 of 190), 0.857 equivariance (396 of 462)"
+        "hit ratio 0.41 sweep-field (108 of 266 calls), 0.50 lattice-z (76 of 152), 0.857 equivariance (396 of 462)"
     ),
     "schur._polytabloid_int": (
-        "hit ratio 0.39 sweep-field (335 of 870 calls, once duality._pairing_rows reads each polytabloid once "
-        "per (shape, m)), 0.52 lattice-z (183 of 353), 0.993 equivariance (25,749 of 25,921 calls: both sides of "
+        "hit ratio 0.30 sweep-field (229 of 764 calls, once duality._pairing_rows reads each polytabloid once "
+        "per (shape, m)), 0.41 lattice-z (56 of 138), 0.993 equivariance (25,749 of 25,921 calls: both sides of "
         "every check read each label's line-form image from it, so every matrix of a (shape, m) shares one set "
         "of images and the misses stay at 172)"
     ),
     "powers._wedge_of_rsym_int": (
-        "hit ratio 0.60 sweep-field (1,541 of 2,559 calls), 0.80 lattice-z (1,189 of 1,487), 0.993 equivariance "
+        "hit ratio 0.48 sweep-field (944 of 1,962 calls), 0.80 lattice-z (581 of 725), 0.993 equivariance "
         "(40,740 of 41,029 calls: both sides of every check read each label's line-form image from it, so every "
         "matrix of a (shape, m) shares one set of images and the misses stay at 289)"
     ),
     "verify.certificate": (
-        "one cache for both sides: three rings share one certificate, and a shape with three or more lines reads "
-        "those of its two-line shapes (every column pair on the Schur side, adjacent rows on the Weyl side): hit "
-        "ratio 0.78 sweep-field (372 of 480 calls), 0.56 lattice-z (147 of 263)"
+        "one cache for both sides: three rings share one certificate: hit ratio 0.67 sweep-field (216 of 324 "
+        "calls); 0.00 lattice-z (0 of 116), whose ops are each a new (shape, m) over one ring"
+    ),
+    "verify._packed_block": (
+        "one packed block per (side, shape, k) serves the certificate at every m >= k, and a shape with three or "
+        "more lines reads those of its two-line shapes: hit ratio 0.79 sweep-field (381 of 481 calls), 0.80 "
+        "lattice-z (383 of 479)"
     ),
     "schur._garnir_int": (
-        "hit ratio 0.06 sweep-field (2 of 35 calls), 0.19 lattice-z (11 of 59), 0.00 element-ops (0 of 84), "
-        "keyed by a label's columns: a sweep builds only two-column relations, and its hits are those that the "
-        "certificate of the same shape at another m built; bench/spans.py reads it"
+        "hit ratio 0.00 sweep-field (0 of 29 calls), 0.00 lattice-z (0 of 29), 0.00 element-ops (0 of 84), "
+        "keyed by a label's columns: a sweep builds each two-column relation on a packed label once, in its "
+        "packed block; bench/spans.py reads it"
     ),
     "weyl._dual_garnir_int": (
-        "hit ratio 0.21 sweep-field (101 of 491 calls), 0.23 lattice-z (128 of 547), 0.38 element-ops (246 of 652), "
-        "keyed by a label's rows: a sweep's hits are two-row snakes that another certificate of the run built; "
-        "bench/spans.py reads it"
+        "hit ratio 0.00 sweep-field (0 of 228 calls), 0.00 lattice-z (0 of 228), 0.38 element-ops (246 of 652), "
+        "keyed by a label's rows: a sweep builds each two-row snake on a packed label once, in its packed block, "
+        "and the hits are straighten's; bench/spans.py reads it"
     ),
     "places._positional_double_coset_reps": "no workload calls it; the tier-1 double-coset loops reuse it",
     "cli._parser": "hit ratio 0.998 element-ops (599 of 600 requests); one parser per process",

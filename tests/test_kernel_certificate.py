@@ -7,7 +7,7 @@ by a multiple of 2, and must be reused for the second ring onwards.
 """
 
 import dataclasses
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -434,21 +434,38 @@ def test_a_cold_three_column_certificate_builds_only_two_column_relations(monkey
     assert calls["_garnir_int"] and calls["_garnir_pivot"]
     assert {len(columns) for columns in calls["_garnir_int"]} == {2}
     assert {len(t.columns) for t in calls["_garnir_pivot"]} == {2}
-    info = certificate.cache_info()
-    # (3, 2, 1) and the shapes of its column pairs: (2, 2, 1), (2, 1, 1) and (2, 1)
-    assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
+    # (3, 2, 1) alone, pushed forward from the packed blocks at k = 1, 2, 3
+    # of itself and of the shapes of its column pairs: (2, 2, 1), (2, 1, 1)
+    # and (2, 1)
+    info, blocks = certificate.cache_info(), verify._packed_block.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    assert (blocks.hits, blocks.misses, blocks.currsize) == (0, 12, 12)
+
+
+def packed_rows(rows):
+    """The packed label that ``rows`` push forward from: their distinct entries renumbered 1, 2, ... in order."""
+    values = {v: i for i, v in enumerate(sorted(set(chain.from_iterable(rows))), 1)}
+    return tuple(tuple(values[v] for v in row) for row in rows)
 
 
 def _doubled_pivot_on_rows_two_and_three(original):
     # [[1,2],[2,3],[2]] is column-strict on rows 1-2; its pivot (2, 1, 1)
-    # is local to the pivot (1, 1, 1) of [[2,3],[2]].  Doubling both keeps
-    # the snake its two-row snake put back, and gives both lead 2.
-    t, two_rows = T([[1, 2], [2, 3], [2]]), T([[2, 3], [2]])
+    # is local to the pivot (1, 1, 1) of [[2,3],[2]], which is [[1,2],[1]]
+    # pushed forward.  Doubling both on every pushforward of these packed
+    # labels keeps the snake its two-row snake put back, gives both lead 2,
+    # and commutes with every order-preserving relabelling, as part 6 of
+    # the certificate needs.
+    t, two_rows = T([[1, 2], [2, 3], [2]]), T([[1, 2], [1]])
     targets = (
         (t.rows, frozenset({(2, 1), (2, 2)}), frozenset({(3, 1)})),
         (two_rows.rows, frozenset({(1, 1), (1, 2)}), frozenset({(2, 1)})),
     )
-    return lambda *args: {u: 2 * c for u, c in original(*args).items()} if args in targets else original(*args)
+
+    def doubled(rows, box_a, box_b):
+        rel = original(rows, box_a, box_b)
+        return {u: 2 * c for u, c in rel.items()} if (packed_rows(rows), box_a, box_b) in targets else rel
+
+    return doubled
 
 
 def _doubled(original):
@@ -524,8 +541,11 @@ def test_a_three_row_certificate_builds_no_snake_once_its_two_row_shapes_are_cac
     cert = certificate(WEYL, (2, 2, 1), 3)
     assert calls == []
     assert cert.bad is None and cert.pivots == cert.nullity
-    info = certificate.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
+    # (2, 2, 1) reads the packed blocks at k = 1, 2, 3 of its two-row
+    # shapes, which their certificates built, and builds its own three
+    info, blocks = certificate.cache_info(), verify._packed_block.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+    assert (blocks.hits, blocks.misses, blocks.currsize) == (6, 9, 9)
 
 
 SIZE_SIX = tuple(shape for shape in partitions_up_to(6) if sum(shape) == 6)
