@@ -3,7 +3,7 @@
 The two theorems are transposes of each other, and a :class:`Side` holds
 all that differs between them: the Schur side ``schur.SCHUR`` and the Weyl
 side ``weyl.WEYL``.  Its fields name a label's own lines, the basis, the
-labels the scan walks, the two-line shapes part 5 reads, the relations,
+labels the scan walks, the two-line shapes of part 5, the relations,
 the kernel image, the pivot, the public builders of a counterexample, and
 the report's check names, their order, and its rank and dims keys.  The
 rest is written once for both sides:
@@ -29,14 +29,14 @@ semistandard.  The certificate has six parts:
    lead, when it is that relation on some lines of its label with the
    other lines put back, and the kernel map and the order split the same
    way;
-5. on a shape with three or more lines, parts 1 and 2 may be read off the
-   certificates of its two-line shapes, when every relation is local to
-   two lines and every pivot is the pivot of two adjacent lines, and each
-   of those certificates is clean: no relation fails and every pivot has
-   lead 1;
+5. on a shape with three or more lines, parts 1 and 2 may be read off
+   the packed blocks of its two-line shapes (part 6), when every relation
+   is local to two lines and every pivot is the pivot of two adjacent
+   lines, and each of those blocks is clean: no relation fails and every
+   pivot has lead 1;
 6. parts 1 to 3 on the labels with entries at most m may be read off the
    packed labels, those with entries exactly {1..k}, for every
-   k <= min(m, |λ|).
+   1 <= k <= min(m, |λ|).
 
 Relations and kernel maps are defined over the integers and commute with
 base change, so over every ring R the N pivots stay independent in the
@@ -80,8 +80,8 @@ rule proves zero, and never a pivot (see :mod:`weylkit.schur`).
 
 Part 5 is part 4 applied once per pair of lines.  Let λ have k >= 3 lines,
 rows on the Weyl side and columns on the Schur side, and let each
-certificate below, at the same m, be clean; each scans every label of its
-two-line shape with entries at most m, whatever its weight, and every
+certificate below, at the same m, be clean; each covers every label of
+its two-line shape with entries at most m, whatever its weight, and every
 relation on it.
 
 - Membership.  A snake lies on two adjacent rows, so the Weyl side reads
@@ -89,7 +89,7 @@ relation on it.
   joins any two columns, so the Schur side reads those of the shapes
   with columns (c_a, c_b), for every a < b, c the column lengths of λ.  A
   relation on a label t of λ is local to the relation on the two-line
-  label of its two lines, which one of those certificates scanned, so it
+  label of its two lines, which one of those certificates covers, so it
   maps to zero (part 1).
 - Pivots.  The pivot of a t that is not semistandard is the pivot of two
   adjacent lines of t put back: on the Weyl side rows i and i+1, i the
@@ -99,12 +99,7 @@ relation on it.
   has lead 1, and so has t's (part 2).
 
 Hence λ has its N pivots with lead 1, and only part 3 is left to check on
-it.  When some certificate is not clean, or λ has at most two lines, λ is
-scanned with every relation built in full (:func:`scan`), so a failing
-report names what the scan finds.  That scan needs no locality: on a shape
-with at most two lines a relation's local relation is the relation
-itself, and a shape with more lines is scanned only when one of its
-two-line shapes already failed.
+it.
 
 Part 6 is the packing lemma.  Let φ be an order-preserving injection of
 {1..k} into {1..m}.  Everything the certificate reads commutes with φ:
@@ -119,25 +114,31 @@ Part 6 is the packing lemma.  Let φ be an order-preserving injection of
   content on the values in φ's image only, in the same order, so every
   lead is unchanged.
 
-Every label with entries in {1..m} is φ(u) for exactly one packed label u,
-with k <= min(m, |λ|) values, and one φ.  The *packed block* of
-(side, λ, k) checks part 3 on the packed semistandard labels with k values
-and, on a shape with at most two lines, parts 1 and 2 on the packed labels
-the scan walks; it is clean when nothing fails.  When every block of λ
-with k <= min(m, |λ|) is clean, and on a shape with three or more lines
-every block of each two-line shape of part 5 too, the certificate on
-(λ, m) is clean: no relation fails, the N pivots have lead 1, and the
-images are unitriangular.  Counting the pushforwards, #ssyt(λ, m) is
-Σ_k C(m, k)·P_k, with P_k the packed semistandard labels of the block,
-and N is the dimension minus #ssyt.  The blocks are cached per
-(side, shape, k), so the cost stops growing once m passes |λ|: the
-functors are natural in a free module of any rank (ABW 1982), and for
-m >= |λ| the Schur algebra and its modules stabilise (Green, *Polynomial
-representations of GL_n*, LNM 830, §6).  The premise is a property of
-the relations, the kernel maps, the pivots and the order, and is not
-checked at run time.  When some block is not clean, the certificate is
-built at m without part 6 (part 5 or :func:`scan`), so a failing report
-names what the certificate at m finds, as it did before part 6.
+Every label of a shape λ that is not empty, with entries in {1..m}, is
+φ(u) for exactly one packed label u, with 1 <= k <= min(m, |λ|) values,
+and one φ.  The *packed block* of (side, λ, k) checks part 3 on the
+packed semistandard labels with k values, and parts 1 and 2:
+
+- on a shape with at most two lines, on the packed labels the scan walks;
+- on a shape with more lines, by part 5: the block is clean only when
+  the blocks at k of its two-line shapes with at least k boxes are.
+
+The certificate on (λ, m) reads every block of λ with k <= min(m, |λ|).
+A two-line shape of λ has at most |λ| boxes, so these read every block
+of it with k <= min(m, its size), its certificate at m is clean by the
+lemma, and part 5 gives parts 1 and 2 on λ at m.  So when every block of
+λ is clean, the certificate on (λ, m) is clean: no relation fails, the N
+pivots have lead 1, and the images are unitriangular; #ssyt(λ, m) is
+then counted by formula, and N is the dimension minus #ssyt.  The blocks
+are cached per (side, shape, k), so the cost stops growing once m passes
+|λ|: the functors are natural in a free module of any rank (ABW 1982),
+and for m >= |λ| the Schur algebra and its modules stabilise (Green,
+*Polynomial representations of GL_n*, LNM 830, §6).  The premise is a
+property of the relations, the kernel maps, the pivots and the order,
+and is not checked at run time.  Else, and on the empty shape, whose one
+label has no value, the certificate is :func:`scan`, every label and
+every relation at m built in full, so a failing report names what the
+scan finds; it needs no locality.
 
 The scan runs on lines, a label's columns on the Schur side and its rows
 on the Weyl side, with relations and kernel images as ``{lines: int}``;
@@ -150,7 +151,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
-from math import comb
 
 from .coeffs import QQ, CoefficientRing, InputError
 from .linalg import lead
@@ -203,9 +203,9 @@ class Side:
 
     - ``scan_labels(shape, m)``: the labels :func:`scan` walks, whose
       packed ones a packed block walks;
-    - ``pairs(shape)``: the two-line shapes whose certificates part 5
-      reads, and whose packed blocks part 6 reads, more than one exactly
-      when the shape has three or more lines;
+    - ``pairs(shape)``: the two-line shapes whose packed blocks a packed
+      block of the shape reads for parts 1 and 2 (part 5), more than one
+      exactly when the shape has three or more lines;
     - ``relations(shape)``: (``relation_labels``, ``relation``), built once
       per scan.  ``relation_labels(t)`` are the relation labels kept on a
       label t: a side leaves out only labels whose relation on t is zero,
@@ -268,48 +268,35 @@ class KernelCertificate:
 def certificate(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The integer certificate of ``side`` on one (shape, max_entry), shared by every ring.
 
-    When the packed blocks it needs are clean, the certificate is theirs
-    pushed forward (part 6): those of the shape and, on a shape with three
-    or more lines, those of ``side.pairs(shape)``, each for every k up to
-    max_entry and its size.  Else a shape with three or more lines reads its
-    relations and pivots off the cached certificates of its pairs (part 5),
-    and checks only its semistandard images, when each of those is clean;
-    and any other shape is scanned (:func:`scan`).
+    When the shape is not empty and every packed block of it with k up to
+    max_entry and its size is clean, the certificate is theirs pushed
+    forward (part 6), with #ssyt and N counted without enumerating; else
+    it is :func:`scan`.
     """
-    pairs = side.pairs(shape)  # a shape with at most two lines has at most one: itself
-    counts = [_packed_counts(side, block, max_entry) for block in ([shape] if len(pairs) < 2 else [shape, *pairs])]
-    if None not in counts:
-        rank = sum(comb(max_entry, k) * count for k, count in enumerate(counts[0], 1))
-        nullity = count_tableaux(shape, max_entry, side.basis) - rank
-        return KernelCertificate(None, nullity, rank, nullity, (), ())
-    if len(pairs) < 2 or any(
-        cert.bad is not None or cert.odd_pivots for cert in (certificate(side, pair, max_entry) for pair in pairs)
-    ):
+    if not shape or not all(_packed_block(side, shape, k) for k in range(1, min(max_entry, sum(shape)) + 1)):
         return scan(side, shape, max_entry)
-    nullity, rank, odd_images = _semistandard_images(side, shape, max_entry)
-    return KernelCertificate(None, nullity, rank, nullity, (), odd_images)
-
-
-def _packed_counts(side: Side, shape: tuple[int, ...], max_entry: int) -> list | None:
-    """[P_1, ..., P_k] of the packed blocks of ``shape``, k = min(max_entry, |shape|), or None when one is not clean."""
-    counts = [_packed_block(side, shape, k) for k in range(1, min(max_entry, sum(shape)) + 1)]
-    return None if None in counts else counts
+    rank = count_tableaux(shape, max_entry, SEMISTANDARD)
+    nullity = count_tableaux(shape, max_entry, side.basis) - rank
+    return KernelCertificate(None, nullity, rank, nullity, (), ())
 
 
 @cache
-def _packed_block(side: Side, shape: tuple[int, ...], k: int) -> int | None:
-    """P_k, the packed semistandard labels of ``shape``, when its packed block at k is clean; else None.
+def _packed_block(side: Side, shape: tuple[int, ...], k: int) -> bool:
+    """Whether the packed block of ``shape`` at k is clean.
 
     A packed label has entries exactly {1..k}.  The block checks part 3 on
-    the packed semistandard labels and, on a shape with at most two lines,
-    parts 1 and 2 on the packed labels of ``side.scan_labels``.
+    the packed semistandard labels, and parts 1 and 2: on a shape with at
+    most two lines on the packed labels of ``side.scan_labels``, and on a
+    shape with more lines by part 5, as the blocks at k of those shapes of
+    ``side.pairs(shape)`` with at least k boxes.
     """
-    if len(side.pairs(shape)) < 2:
+    pairs = side.pairs(shape)  # a shape with at most two lines has at most one: itself
+    if len(pairs) < 2:
         bad, _, odd_pivots = _scan_relations(side, shape, _packed(side.scan_labels(shape, k), k), k)
-        if bad is not None or odd_pivots:
-            return None
-    semistandard = _packed(enumerate_tableaux(shape, k, SEMISTANDARD), k)
-    return None if _odd_images(side, semistandard, k) else len(semistandard)
+        clean = bad is None and not odd_pivots
+    else:
+        clean = all(_packed_block(side, pair, k) for pair in pairs if k <= sum(pair))
+    return clean and not _odd_images(side, _packed(enumerate_tableaux(shape, k, SEMISTANDARD), k), k)
 
 
 def _packed(labels, k: int) -> list:
@@ -320,8 +307,10 @@ def _packed(labels, k: int) -> list:
 def scan(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
     """The certificate of ``side`` with every label of ``side.scan_labels`` scanned and every relation built."""
     bad, pivots, odd_pivots = _scan_relations(side, shape, side.scan_labels(shape, max_entry), max_entry)
-    nullity, rank, odd_images = _semistandard_images(side, shape, max_entry)
-    return KernelCertificate(bad, nullity, rank, pivots, odd_pivots, odd_images)
+    semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
+    rank = len(semistandard)
+    nullity = count_tableaux(shape, max_entry, side.basis) - rank
+    return KernelCertificate(bad, nullity, rank, pivots, odd_pivots, _odd_images(side, semistandard, max_entry))
 
 
 def _scan_relations(side: Side, shape: tuple[int, ...], labels, max_entry: int) -> tuple:
@@ -354,13 +343,6 @@ def _scan_relations(side: Side, shape: tuple[int, ...], labels, max_entry: int) 
             else:
                 odd.append((leading, t, None if on_target is None else side.build(t, target)))
     return None, pivots, tuple(odd)
-
-
-def _semistandard_images(side: Side, shape: tuple[int, ...], max_entry: int) -> tuple[int, int, tuple]:
-    """(N, #ssyt, the odd images) on the labels with entries at most ``max_entry``."""
-    semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
-    rank = len(semistandard)
-    return count_tableaux(shape, max_entry, side.basis) - rank, rank, _odd_images(side, semistandard, max_entry)
 
 
 def _odd_images(side: Side, semistandard, max_entry: int) -> tuple:

@@ -19,13 +19,13 @@ ALLOWED = {
     ),
     "schur._polytabloid_int": (
         "hit ratio 0.30 sweep-field (229 of 764 calls, once duality._pairing_rows reads each polytabloid once "
-        "per (shape, m)), 0.41 lattice-z (56 of 138), 0.993 equivariance (25,749 of 25,921 calls: both sides of "
+        "per (shape, m)), 0.41 lattice-z (56 of 138), 0.956 equivariance (3,764 of 3,936 calls: both sides of "
         "every check read each label's line-form image from it, so every matrix of a (shape, m) shares one set "
         "of images and the misses stay at 172)"
     ),
     "powers._wedge_of_rsym_int": (
-        "hit ratio 0.48 sweep-field (944 of 1,962 calls), 0.80 lattice-z (581 of 725), 0.993 equivariance "
-        "(40,740 of 41,029 calls: both sides of every check read each label's line-form image from it, so every "
+        "hit ratio 0.48 sweep-field (944 of 1,962 calls), 0.80 lattice-z (581 of 725), 0.958 equivariance "
+        "(6,525 of 6,814 calls: both sides of every check read each label's line-form image from it, so every "
         "matrix of a (shape, m) shares one set of images and the misses stay at 289)"
     ),
     "verify.certificate": (
@@ -33,9 +33,9 @@ ALLOWED = {
         "calls); 0.00 lattice-z (0 of 116), whose ops are each a new (shape, m) over one ring"
     ),
     "verify._packed_block": (
-        "one packed block per (side, shape, k) serves the certificate at every m >= k, and a shape with three or "
-        "more lines reads those of its two-line shapes: hit ratio 0.79 sweep-field (381 of 481 calls), 0.80 "
-        "lattice-z (383 of 479)"
+        "one packed block per (side, shape, k) serves the certificate at every m >= k, and the block of a shape "
+        "with three or more lines reads those of its two-line shapes at the same k: hit ratio 0.69 sweep-field "
+        "(225 of 325 calls), 0.72 lattice-z (245 of 341)"
     ),
     "schur._garnir_int": (
         "hit ratio 0.00 sweep-field (0 of 29 calls), 0.00 lattice-z (0 of 29), 0.00 element-ops (0 of 84), "

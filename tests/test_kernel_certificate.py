@@ -289,7 +289,7 @@ def test_the_two_row_scan_matches_the_full_snake_scan(shape, m):
 
 
 # ---------------------------------------------------------------------------
-# a shape with three or more lines read off its two-line certificates
+# a shape with three or more lines read off the packed blocks of its two-line shapes
 
 
 def test_every_pivot_and_snake_of_a_label_is_one_of_two_adjacent_rows():
@@ -410,6 +410,7 @@ def test_a_three_column_certificate_with_a_pair_that_is_not_clean_is_the_full_sc
     mutate, (shape, m), pair_shape, check_name, t, (box_a, box_b) = THREE_COLUMN_MUTANTS[mutant]
     monkeypatch.setattr(schur, "_garnir_int", mutate(schur._garnir_int))
     assert fields(certificate(SCHUR, shape, m)) == fields(full_scan(shape, m)) == fields(schur_scan(shape, m))
+    assert certificate.cache_info().currsize == 1  # a failing block sends the shape to the scan, and no other
     pair = certificate(SCHUR, pair_shape, m)
     assert pair.bad is not None or pair.odd_pivots
     report = schur.verify_schur_ses(shape, m, ZZ, size_cap=None, entry_cap=None)
@@ -496,8 +497,9 @@ def test_a_three_row_certificate_matches_the_full_snake_scan_under_a_mutant(muta
 
     Doubling a pivot on rows 2-3 leaves the two-row certificate of (2, 1)
     with an odd pivot, so (2, 2, 1) is scanned and names its label.
-    Doubling every copolytabloid leaves the two-row certificates clean, so
-    (2, 2, 1) is read off them and checks its images under the mutant.
+    Doubling every copolytabloid leaves the relations and pivots of the
+    two-row certificates clean but fails every block on its images, so
+    (2, 2, 1) is scanned and names its odd images.
     Scaling by the rows with a repeat breaks the snakes of (2, 1) and
     (2, 2, 1) alike.
 
@@ -512,6 +514,7 @@ def test_a_three_row_certificate_matches_the_full_snake_scan_under_a_mutant(muta
     shape, m = (2, 2, 1), 3
     cert = certificate(WEYL, shape, m)
     assert fields(cert) == fields(full_snake_scan(shape, m))
+    assert certificate.cache_info().currsize == 1  # a failing block sends the shape to the scan, and no other
     pair = certificate(WEYL, (2, 1), m)
     if mutant == "dual_garnir_doubled_pivot":
         assert pair.bad is None and pair.odd_pivots
@@ -646,10 +649,10 @@ def test_a_label_without_its_pivot_relation_is_named(monkeypatch):
 
 
 def test_a_dropped_pivot_on_three_columns_fails_the_full_scan_on_every_ring(monkeypatch):
-    # (3,) reads its pivots off the clean certificate of (2,), so its report
-    # passes and only the full scan asks [[2,1,1]] for its pivot; the report
-    # read off that scan names the label on every ring.  That a pivot on
-    # three columns is one on two is
+    # The packed blocks of (3,) read their pivots off the clean blocks of
+    # (2,), so its report passes and only the full scan asks [[2,1,1]] for
+    # its pivot; the report read off that scan names the label on every
+    # ring.  That a pivot on three columns is one on two is
     # test_every_pivot_and_garnir_label_of_a_label_is_one_of_two_columns
     t, original = T([[2, 1, 1]]), schur._garnir_pivot
     monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t else original(u))

@@ -42,7 +42,7 @@ from test_kernel_certificate import THREE_ROW_MUTANTS, fields
 T = Tableau
 TARGET = 7  # every φ maps into {1..TARGET}
 SIDES = {"schur": SCHUR, "weyl": WEYL}
-SHAPES = tuple(partitions_up_to(5))
+SHAPES = ((), *partitions_up_to(5))  # the empty shape has no packed block with k >= 1
 LINE_CACHES = (schur._garnir_int, schur._polytabloid_int, weyl._dual_garnir_int, powers._wedge_of_rsym_int)
 
 
@@ -164,8 +164,8 @@ def test_the_mutants_that_commute_with_every_injection_keep_the_premise(mutant, 
 def test_the_certificate_is_the_full_scan_with_and_without_each_mutant():
     # A mutant that commutes with φ leaves the premise standing, so a block
     # that is clean proves its pushforwards clean, and one that is not sends
-    # the certificate back to part 5 or the scan.  One test for all of them,
-    # so the mutants reuse the relations and images built without one.
+    # the certificate back to the scan.  One test for all of them, so the
+    # mutants reuse the relations and images built without one.
     for mutant in [None, *sorted(PHI_CLOSED)]:
         certificate.cache_clear()
         _packed_block.cache_clear()
