@@ -23,7 +23,6 @@ import os
 import re
 import stat
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -535,6 +534,8 @@ def _run_to_file(path: str, run) -> int:
     temp file is deleted and ``path`` is left as it was.  A replace that
     fails (say, because ``path`` is a directory) is a usage error.
     """
+    import tempfile  # only on this path: importing it costs a cold start 3-6 ms (shutil, random)
+
     target = os.path.abspath(path)
     try:
         fd, tmp = tempfile.mkstemp(

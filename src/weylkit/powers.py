@@ -17,9 +17,15 @@ time: alternating, it puts rows into the columns of the exterior power;
 otherwise it puts columns into the rows of the symmetric power.  On
 identity images it gives the basis maps ``_wedge_of_rsym_int``, from a
 label's rows, and ``schur._polytabloid_int``, from its columns, each
-cached as the kernel's ``{lines: int}``.  A tableau is built at the API
-boundary only, and :func:`sum_images` extends a basis map linearly on
-lines, so an element's image labels just the nonzero part of its sum.
+cached as the kernel's ``{lines: int}``.  The fold's state after k source
+lines is the image of the label's first k lines, so each map starts a
+basis label with two or more lines from the cached image of the label
+without its last line, a basis label of a smaller shape that a sweep
+visits too, and folds that line alone; any other label, such as a CLI
+request with unsorted lines, is folded whole and caches no prefix.  A
+tableau is built at the API boundary only, and :func:`sum_images`
+extends a basis map linearly on lines, so an element's image labels just
+the nonzero part of its sum.
 The kernel is multilinear in the line images, so the equivariance check
 in :mod:`weylkit.duality` maps g acting on a label through those basis
 maps rather than running it on g's images.
@@ -212,22 +218,24 @@ def sym_lower_expand(x: SymLowerElement) -> TensorElement:
     return TensorElement(x.lin.map_labels(lambda t: rsym(t).lin))
 
 
-def line_products(nlines: int, images, alternating: bool) -> dict:
-    """The product of line images, put into ``nlines`` target lines one source line at a time.
+def line_products(partial: dict, images, alternating: bool) -> dict:
+    """The product of line images, folded into the states of ``partial`` one source line at a time.
 
-    ``images`` holds, for each source line, the ``(keys, values)`` of its
-    image: lines and their coefficients.  Each distinct arrangement of a
-    key puts its j-th entry into target line j, after the line's entries
-    that are at most it.  With ``alternating`` the targets are columns of
-    the exterior power: an entry costs the sign (-1)^k, with k the number
-    of the column's entries above it, and a state vanishes at its first
-    repeated column entry.  Without it the targets are sorted rows of the
-    symmetric power, at no sign, and the sources are exterior columns, so
-    each arrangement costs its own sign.  Equal partial states merge after
-    each source line.  Returns the nonzero terms of ``{lines: coeff}``,
-    with the coefficients unreduced.
+    ``partial`` is the start, ``{lines: coeff}``: ``{((),) * n: 1}`` for n
+    empty target lines, or the image of the label's first source lines,
+    which the fold extends by the rest.  ``images`` holds, for each source
+    line, the ``(keys, values)`` of its image: lines and their
+    coefficients.  Each distinct arrangement of a key puts its j-th entry
+    into target line j, after the line's entries that are at most it.
+    With ``alternating`` the targets are columns of the exterior power: an
+    entry costs the sign (-1)^k, with k the number of the column's entries
+    above it, and a state vanishes at its first repeated column entry.
+    Without it the targets are sorted rows of the symmetric power, at no
+    sign, and the sources are exterior columns, so each arrangement costs
+    its own sign.  Equal partial states merge after each source line.
+    Returns the nonzero terms of ``{lines: coeff}``, with the coefficients
+    unreduced; ``partial`` is only read.
     """
-    partial: dict[tuple[tuple[int, ...], ...], object] = {((),) * nlines: 1}
     for keys, values in images:
         arrangements = [
             (word, v if alternating else v * permutation_sign(word))
@@ -269,8 +277,14 @@ def _wedge_of_rsym_int(rows: tuple[tuple[int, ...], ...]) -> dict:
     """The wedge projection of the row symmetrisation of the label with these rows, as ``{columns: int}``.
 
     Constant on row classes, since the kernel arranges each row's multiset.
+    A label with two or more rows, all sorted, folds its last row into the
+    cached image of the label without it, a basis label of a smaller shape;
+    any other label is folded from empty columns, one per entry of its
+    first row, so an unsorted label leaves no prefix in the cache.
     """
-    return line_products(len(rows[0]) if rows else 0, [((row,), (1,)) for row in rows], alternating=True)
+    if len(rows) > 1 and all(a <= b for row in rows for a, b in zip(row, row[1:])):
+        return line_products(_wedge_of_rsym_int(rows[:-1]), [((rows[-1],), (1,))], alternating=True)
+    return line_products({((),) * len(rows[0]) if rows else (): 1}, [((row,), (1,)) for row in rows], alternating=True)
 
 
 def wedge_of_sym_lower(x: SymLowerElement) -> ColumnTabloidElement:

@@ -30,10 +30,12 @@ are those of every pair of columns.
 Polytabloids are expanded one column at a time by the kernel
 ``powers.line_products``, not alternating, which this module reads but
 does not define.  ``_polytabloid_int`` keeps the expansion of each label's
-columns as ``{rows: int}``, and ``_garnir_int`` a Garnir relation on a
-label's columns as ``{columns: int}``; a tableau is built only for a
-public element or a counterexample, and the map on an element labels
-only the nonzero part of its sum.
+columns as ``{rows: int}``; on a column-standard label with two or more
+columns it folds the last column into the cached expansion of the label
+without it, and every other label it folds whole.  ``_garnir_int``
+keeps a Garnir relation on a label's columns as ``{columns: int}``; a
+tableau is built only for a public element or a counterexample, and the
+map on an element labels only the nonzero part of its sum.
 """
 
 from __future__ import annotations
@@ -60,12 +62,20 @@ from .verify import Side, verify
 
 @cache
 def _polytabloid_int(columns: tuple[tuple[int, ...], ...]) -> dict:
-    """The polytabloid of the label with these columns, as ``{rows: int}``; empty on a repeated column entry."""
+    """The polytabloid of the label with these columns, as ``{rows: int}``; empty on a repeated column entry.
+
+    A label with two or more columns, all strictly increasing, folds its
+    last column, at sign +1, into the cached polytabloid of the label
+    without it, a basis label of a smaller shape; any other label is folded
+    from empty rows, one per entry of its first column.
+    """
+    if len(columns) > 1 and all(a < b for col in columns for a, b in zip(col, col[1:])):
+        return line_products(_polytabloid_int(columns[:-1]), [((columns[-1],), (1,))], alternating=False)
     sorted_cols = [sort_line(col) for col in columns]
     if None in sorted_cols:
         return {}
     images = [((col,), (sign,)) for sign, col in sorted_cols]
-    return line_products(len(columns[0]) if columns else 0, images, alternating=False)
+    return line_products({((),) * len(columns[0]) if columns else (): 1}, images, alternating=False)
 
 
 def polytabloid(t: Tableau, ring: CoefficientRing = ZZ) -> RowTabloidElement:
@@ -171,7 +181,7 @@ SCHUR = Side(
     rows=False,
     basis=COLUMN_STANDARD,
     scan_labels=lambda shape, m: [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)],
-    pairs=lambda shape: [conjugate(pair) for pair in combinations(conjugate(shape), 2)],
+    pairs=lambda shape: list(dict.fromkeys(conjugate(pair) for pair in combinations(conjugate(shape), 2))),
     relations=lambda shape: (_relation_labels(shape), lambda columns, boxes: _garnir_int(columns, *boxes)),
     kernel_map=lambda: _polytabloid_int,
     pivot=lambda t: _garnir_pivot(t),

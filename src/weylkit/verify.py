@@ -204,8 +204,8 @@ class Side:
     - ``scan_labels(shape, m)``: the labels :func:`scan` walks, whose
       packed ones a packed block walks;
     - ``pairs(shape)``: the two-line shapes whose packed blocks a packed
-      block of the shape reads for parts 1 and 2 (part 5), more than one
-      exactly when the shape has three or more lines;
+      block of a shape with three or more lines reads for parts 1 and 2
+      (part 5), each listed once, in the order of its first pair of lines;
     - ``relations(shape)``: (``relation_labels``, ``relation``), built once
       per scan.  ``relation_labels(t)`` are the relation labels kept on a
       label t: a side leaves out only labels whose relation on t is zero,
@@ -290,12 +290,11 @@ def _packed_block(side: Side, shape: tuple[int, ...], k: int) -> bool:
     shape with more lines by part 5, as the blocks at k of those shapes of
     ``side.pairs(shape)`` with at least k boxes.
     """
-    pairs = side.pairs(shape)  # a shape with at most two lines has at most one: itself
-    if len(pairs) < 2:
+    if (len(shape) if side.rows else shape[0]) <= 2:  # its own lines: rows, or columns
         bad, _, odd_pivots = _scan_relations(side, shape, _packed(side.scan_labels(shape, k), k), k)
         clean = bad is None and not odd_pivots
     else:
-        clean = all(_packed_block(side, pair, k) for pair in pairs if k <= sum(pair))
+        clean = all(_packed_block(side, pair, k) for pair in side.pairs(shape) if k <= sum(pair))
     return clean and not _odd_images(side, _packed(enumerate_tableaux(shape, k, SEMISTANDARD), k), k)
 
 

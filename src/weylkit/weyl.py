@@ -294,7 +294,7 @@ WEYL = Side(
     rows=True,
     basis=ROW_SEMISTANDARD,
     scan_labels=lambda shape, m: enumerate_tableaux(shape, m, ROW_SEMISTANDARD),
-    pairs=lambda shape: [shape[i : i + 2] for i in range(len(shape) - 1)],
+    pairs=lambda shape: list(dict.fromkeys(shape[i : i + 2] for i in range(len(shape) - 1))),
     relations=_snake_relations,
     kernel_map=lambda: _wedge_of_rsym_int,
     pivot=lambda t: _snake_pivot(t.rows),

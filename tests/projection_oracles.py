@@ -68,4 +68,4 @@ def mapped_action(t: Tableau, g, which: str) -> dict:
     space = SymLowerElement.space if which == WEDGE_MAP else ColumnTabloidElement.space
     lines = _lines(t, space)
     images = [_part_image(g, space, line) for line in lines]
-    return line_products(len(lines[0]) if lines else 0, images, alternating=which == WEDGE_MAP)
+    return line_products({((),) * len(lines[0]) if lines else (): 1}, images, alternating=which == WEDGE_MAP)

@@ -18,15 +18,17 @@ ALLOWED = {
         "hit ratio 0.41 sweep-field (108 of 266 calls), 0.50 lattice-z (76 of 152), 0.857 equivariance (396 of 462)"
     ),
     "schur._polytabloid_int": (
-        "hit ratio 0.30 sweep-field (229 of 764 calls, once duality._pairing_rows reads each polytabloid once "
-        "per (shape, m)), 0.41 lattice-z (56 of 138), 0.956 equivariance (3,764 of 3,936 calls: both sides of "
-        "every check read each label's line-form image from it, so every matrix of a (shape, m) shares one set "
-        "of images and the misses stay at 172)"
+        "hit ratio 0.59 sweep-field (757 of 1,292 calls, once duality._pairing_rows reads each polytabloid once "
+        "per (shape, m); a column-standard label reads the image of its label without the last column from it, "
+        "and the misses stay at 535), 0.60 lattice-z (132 of 220), 0.958 equivariance (3,929 of 4,101 calls: "
+        "both sides of every check read each label's line-form image from it, so every matrix of a (shape, m) "
+        "shares one set of images and the misses stay at 172)"
     ),
     "powers._wedge_of_rsym_int": (
-        "hit ratio 0.48 sweep-field (944 of 1,962 calls), 0.80 lattice-z (581 of 725), 0.958 equivariance "
-        "(6,525 of 6,814 calls: both sides of every check read each label's line-form image from it, so every "
-        "matrix of a (shape, m) shares one set of images and the misses stay at 289)"
+        "hit ratio 0.65 sweep-field (1,907 of 2,925 calls; a row-sorted label reads the image of its label "
+        "without the last row from it, and the misses stay at 1,018), 0.81 lattice-z (688 of 850), 0.959 "
+        "equivariance (6,780 of 7,069 calls: both sides of every check read each label's line-form image from "
+        "it, so every matrix of a (shape, m) shares one set of images and the misses stay at 289)"
     ),
     "verify.certificate": (
         "one cache for both sides: three rings share one certificate: hit ratio 0.67 sweep-field (216 of 324 "
@@ -34,8 +36,8 @@ ALLOWED = {
     ),
     "verify._packed_block": (
         "one packed block per (side, shape, k) serves the certificate at every m >= k, and the block of a shape "
-        "with three or more lines reads those of its two-line shapes at the same k: hit ratio 0.69 sweep-field "
-        "(225 of 325 calls), 0.72 lattice-z (245 of 341)"
+        "with three or more lines reads those of its two-line shapes at the same k, each once: hit ratio 0.62 "
+        "sweep-field (160 of 260 calls), 0.65 lattice-z (180 of 276)"
     ),
     "schur._garnir_int": (
         "hit ratio 0.00 sweep-field (0 of 29 calls), 0.00 lattice-z (0 of 29), 0.00 element-ops (0 of 84), "

@@ -93,7 +93,7 @@ def premise_failures(side, shape):
     own = "rows" if side.rows else "columns"
     relation_labels, relation = side.relations(shape)
     kernel_image = side.kernel_map()
-    scans = len(side.pairs(shape)) < 2
+    scans = (len(shape) if side.rows else sum(shape[:1])) <= 2  # at most two own lines: rows, or columns
     for k in range(1, sum(shape) + 1):
         labels = packed(side.scan_labels(shape, k), k)
         contents = defaultdict(list)
