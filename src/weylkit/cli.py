@@ -121,14 +121,21 @@ def parse_tableau_arg(text: str) -> Tableau:
         raise CliError(f"malformed tableau JSON: {exc}") from exc
 
 
-_BOX_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
+_BOX = r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)"
+_BOX_RE = re.compile(_BOX)
+_BOX_SET_RE = re.compile(rf"[ \t]*{_BOX}(?:[ \t]*,[ \t]*{_BOX})*[ \t]*")
 
 
 def parse_boxes(text: str) -> frozenset:
-    found = _BOX_RE.findall(text)
-    if not found or _BOX_RE.sub("", text).strip(", \t") != "":
+    """Distinct boxes ``(i,j)`` in ASCII digits, separated by single commas; spaces and tabs are allowed."""
+    if not _BOX_SET_RE.fullmatch(text):
         raise CliError(f"malformed box set {text!r}: expected e.g. '(1,1),(1,2)'")
-    return frozenset((int(i), int(j)) for i, j in found)
+    found = [(int(i), int(j)) for i, j in _BOX_RE.findall(text)]
+    boxes = frozenset(found)
+    if len(boxes) < len(found):
+        i, j = next(box for k, box in enumerate(found) if box in found[:k])
+        raise CliError(f"malformed box set {text!r}: box ({i},{j}) is repeated")
+    return boxes
 
 
 _PAIR_RE = re.compile(r"\s*([0-9]+)\s*:\s*([0-9]+)\s*")

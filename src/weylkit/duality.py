@@ -28,10 +28,12 @@ Each power of g on one line is computed in one place, ``_part_image``,
 one factor at a time: the exterior power as g e_{c_1} ^ ... ^ g e_{c_k},
 the symmetric power as g e_{r_1} ... g e_{r_k}, and the divided power read
 off the symmetric one by rescaling with the stabilisers, an exact division
-over every ring (see its docstring).  The product is ``_line_product``,
-kept apart from the line kernel of :mod:`weylkit.powers`: its factors are
-single entries, on which that kernel's loop over arrangements costs more
-than it saves.
+over every ring (see its docstring).  So one product per row and matrix
+serves both powers: the first request for either power of a row stores
+both on g, and the stabiliser order of each sorted line is read off its
+runs of equal entries.  The product is ``_line_product``, kept apart from
+the line kernel of :mod:`weylkit.powers`: its factors are single entries,
+on which that kernel's loop over arrangements costs more than it saves.
 
 The equivariance check compares, on each basis label t, the map applied
 to g acting on t with g acting on the map's image of t, on tuples of
@@ -51,10 +53,12 @@ g's images of t's lines.  The check sums the left side of every label at
 once, over the sources s rather than over the labels t.  The basis labels
 are every tuple of valid lines, one per position, so the sources that
 some label reaches are every tuple of the lines reached at each position,
-and a source reaches only basis labels.  ``_source_rows`` transposes g's
-power on each position's lines into rows, and each source is read once:
-one whose image Phi(s) is zero is skipped, and any other adds Phi(s)
-times (g t)_s, the product of its rows, into every label t it reaches.
+and a source reaches only basis labels.  ``_basis_lines`` reads those
+lines once per (shape, m, map), for every matrix.  ``_source_rows``
+transposes g's power on each position's lines into rows, and each source
+is read once: one whose image Phi(s) is zero is skipped, and any other
+adds Phi(s) times (g t)_s, the product of its rows, into every label t it
+reaches.
 The right side acts on each column (lambda) or row (e) of the terms of
 Phi(t).  Each label has one accumulator over Z, keyed by column tuples
 (lambda) or row tuples (e): the left side is added into it and the right
@@ -77,7 +81,6 @@ from operator import floordiv, truediv
 
 from .coeffs import QQ, ZZ, CoefficientRing, InputError, LinComb
 from .linalg import reduce_by_pivots
-from .places import stabilizer_order
 from .powers import (
     ColumnTabloidElement,
     RowTabloidElement,
@@ -259,6 +262,24 @@ def _line_product(g: EntryMatrix, line: tuple[int, ...], alternating: bool) -> d
     return partial
 
 
+def _sorted_stabilizer(line: tuple[int, ...]) -> int:
+    """|Stab line| of a sorted line, the product of the factorials of its runs of equal entries.
+
+    The i-th entry of a run multiplies the order by i.
+    """
+    order = run = 1
+    for a, b in zip(line, line[1:]):
+        run = run + 1 if a == b else 1
+        order *= run
+    return order
+
+
+def _reduced_image(ring: CoefficientRing, partial: dict) -> tuple:
+    """The lines of ``partial`` whose coefficient is nonzero in the ring, and those coefficients reduced."""
+    terms = _ring_terms(ring, partial)
+    return tuple(terms), tuple(terms.values())
+
+
 def _part_image(g: EntryMatrix, space: str, line: tuple[int, ...]) -> tuple:
     """The power of g that acts on the space, on one of its lines, memoised on g.
 
@@ -272,18 +293,26 @@ def _part_image(g: EntryMatrix, space: str, line: tuple[int, ...]) -> tuple:
     prod_i g[s_sigma(i), r_i] over every sigma in S_k.  D(g)[s, row] is an
     integer polynomial in the entries of g, so the division is exact:
     ``//`` on the integer representatives over Z and Z/n, ``/`` on
-    Fractions over Q.
+    Fractions over Q.  So one product of g on a row serves both powers:
+    the first request for either stores the two, and each stabiliser order
+    is read off the runs of a sorted line.
     """
-    key = (space, line)
-    image = g._images.get(key)
+    images = g._images
+    image = images.get((space, line))
     if image is None:
-        partial = _line_product(g, line, alternating=space == ColumnTabloidElement.space)
-        if space == SymLowerElement.space:
-            stab = stabilizer_order(line)
-            divide = truediv if g.ring == QQ else floordiv
-            partial = {s: divide(v * stabilizer_order(s), stab) for s, v in partial.items()}
-        terms = _ring_terms(g.ring, partial)
-        image = g._images[key] = (tuple(terms), tuple(terms.values()))
+        ring = g.ring
+        if space == ColumnTabloidElement.space:
+            images[space, line] = _reduced_image(ring, _line_product(g, line, alternating=True))
+        else:
+            partial = _line_product(g, line, alternating=False)
+            stab = _sorted_stabilizer(line)
+            divide = truediv if ring == QQ else floordiv
+            symmetric = images[RowTabloidElement.space, line] = _reduced_image(ring, partial)
+            divided = {s: divide(v * _sorted_stabilizer(s), stab) for s, v in partial.items()}
+            keys, values = _reduced_image(ring, divided)
+            # over Z and Q both powers are nonzero on the same lines, and then they share one tuple of them
+            images[SymLowerElement.space, line] = (symmetric[0] if keys == symmetric[0] else keys, values)
+        image = images[space, line]
     return image
 
 
@@ -473,6 +502,12 @@ def _map(which: str) -> tuple:
     raise InputError(f"unknown map {which!r}")
 
 
+@cache
+def _basis_lines(shape: tuple[int, ...], max_entry: int, kind: str, space: str) -> tuple:
+    """The lines that g acts on of each basis label of the kind, in enumeration order: read once per (shape, m, map)."""
+    return tuple(_lines(t, space) for t in enumerate_tableaux(shape, max_entry, kind))
+
+
 def _source_rows(g: EntryMatrix, space: str, basis_lines) -> dict:
     """g's power on the basis lines of one position, transposed: ``{source line: (basis lines, coefficients)}``.
 
@@ -524,7 +559,7 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
     kind, space, target, image = _map(which)
     ring = g.ring
     labels = enumerate_tableaux(shape, max_entry, kind)
-    left = _left_sides([_lines(t, space) for t in labels], g, space, image)
+    left = _left_sides(_basis_lines(shape, max_entry, kind, space), g, space, image)
     for t, (lines, difference) in zip(labels, left.items()):
         terms = image(lines)
         _functorial_terms(((key, -c) for key, c in terms.items()), g, target.space, difference)

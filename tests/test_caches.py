@@ -15,7 +15,7 @@ PACKAGE = Path(weylkit.__file__).parent
 
 ALLOWED = {
     "tableaux.enumerate_tableaux": (
-        "hit ratio 0.41 sweep-field (108 of 266 calls), 0.50 lattice-z (76 of 152), 0.857 equivariance (396 of 462)"
+        "hit ratio 0.41 sweep-field (108 of 266 calls), 0.50 lattice-z (76 of 152), 0.875 equivariance (462 of 528)"
     ),
     "schur._polytabloid_int": (
         "hit ratio 0.59 sweep-field (757 of 1,292 calls, once duality._pairing_rows reads each polytabloid once "
@@ -51,6 +51,11 @@ ALLOWED = {
     ),
     "places._positional_double_coset_reps": "no workload calls it; the tier-1 double-coset loops reuse it",
     "cli._parser": "hit ratio 0.998 element-ops (599 of 600 requests); one parser per process",
+    "duality._basis_lines": (
+        "hit ratio 0.857 equivariance (396 of 462 calls): the lines of every basis label of a (shape, m, map) serve "
+        "every matrix of the check, which otherwise transposed the same column-standard labels again for each "
+        "(1,968 Tableau.columns calls); no other workload calls it"
+    ),
     "duality._pairing_rows": (
         "hit ratio 0.956 sweep-field (1,177 of 1,231 calls): one transposed polytabloid matrix per (shape, m) "
         "serves every label's pairing image; no other workload calls it"

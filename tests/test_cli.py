@@ -75,6 +75,29 @@ class TestParsers:
         with pytest.raises(CliError, match="malformed box set"):
             parse_boxes(text)
 
+    # each was read as a box set, the repeat dropped, until boxes had to be distinct and one comma apart
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("(1,1),(2,1),(2,1)", "box (2,1) is repeated"),
+            ("(2,1), ( 2 , 1 )", "box (2,1) is repeated"),
+            ("(1,1)(2,1)", "expected e.g."),
+            ("(1,1),,,(2,1)", "expected e.g."),
+            ("(1,1),,(2,1)", "expected e.g."),
+            (",(1,1),", "expected e.g."),
+            ("(1,1),", "expected e.g."),
+            (",(1,1)", "expected e.g."),
+            ("", "expected e.g."),
+        ],
+    )
+    def test_malformed_box_sets_exit_2(self, capsys, text, detail):
+        code, out, err = run(capsys, "garnir", "--tableau", "[[1,2],[3,4]]", "--boxA", text, "--boxB", "(1,2)")
+        assert (code, out) == (2, "")
+        assert f"malformed box set {text!r}: {detail}" in err
+
+    def test_boxes_may_be_spaced_around_their_commas(self):
+        assert parse_boxes("\t(1,1) ,\t(2,1) , (1,2)") == frozenset({(1, 1), (2, 1), (1, 2)})
+
 
 class TestDims:
     def test_hook(self, capsys):

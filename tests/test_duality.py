@@ -25,6 +25,7 @@ from weylkit.duality import (
     polytabloid_dual_image,
 )
 from weylkit.linalg import solve_exact
+from weylkit.places import stabilizer_order
 from weylkit.powers import (
     ColumnTabloidElement,
     RowTabloidElement,
@@ -54,7 +55,7 @@ from weylkit.weyl import copolytabloid, dual_garnir, dual_garnir_labels
 import dual_image_oracles as oracle
 import equivariance_oracle
 import projection_oracles
-from row_image_oracle import arrangement_row_image
+from row_image_oracle import arrangement_row_image, separate_row_images
 
 T = Tableau
 
@@ -287,6 +288,89 @@ class TestRowImage:
         # g e_1 . g e_2 = e_1 (e_1 + e_2): S[(1,1), (1,2)] = 1, and |Stab (1,1)| / |Stab (1,2)| = 2
         assert dict(zip(*duality._part_image(g, RowTabloidElement.space, (1, 2)))) == {(1, 1): 1, (1, 2): 1}
         assert dict(zip(*duality._part_image(g, SymLowerElement.space, (1, 2)))) == {(1, 1): 2, (1, 2): 1}
+
+
+# a dense unimodular matrix of each size: no entry is zero
+DENSE_BY_SIZE = {1: [[-1]], 2: [[2, 1], [1, 1]], 3: [[2, 1, 1], [1, 1, 1], [1, 1, 2]]}
+
+
+def row_image_matrices(tag, m):
+    """The identity, a cyclic permutation and a dense unimodular matrix of size m over the ring."""
+    ring = parse_ring(tag)
+    cycle = tuple(range(2, m + 1)) + (1,)
+    return [EntryMatrix.identity(m, ring), EntryMatrix.permutation(cycle, ring), EntryMatrix(ring, DENSE_BY_SIZE[m])]
+
+
+def sorted_rows(m, lengths=range(1, 5)):
+    """Every sorted row over {1..m} of the given lengths, 1 to 4 unless told otherwise."""
+    return [row for k in lengths for row in combinations_with_replacement(range(1, m + 1), k)]
+
+
+def row_image_mismatches(part_image, tag):
+    """The (g, row, first power asked for) on which ``part_image`` misses the two products taken apart."""
+    spaces = (RowTabloidElement.space, SymLowerElement.space)
+    for m in (1, 2, 3):
+        for matrix in row_image_matrices(tag, m):
+            for row in sorted_rows(m):
+                expected = separate_row_images(matrix, row)
+                for first in spaces:
+                    g = EntryMatrix(matrix.ring, matrix.entries)  # nothing memoised yet
+                    part_image(g, first, row)
+                    got = tuple(dict(zip(*part_image(g, space, row))) for space in spaces)
+                    if got != expected:
+                        yield g, row, first
+
+
+class TestSharedRowProduct:
+    """One product of g on a row serves the symmetric and the divided power."""
+
+    @pytest.mark.parametrize("tag", ["z", "zmod:4", "zmod:6", "q"])
+    def test_both_powers_match_the_products_taken_apart(self, tag):
+        assert list(row_image_mismatches(duality._part_image, tag)) == []
+        # 3 + 6 + 10 + 15 sorted rows for m = 3; the cases hold the divided rescale to something
+        assert len(sorted_rows(3)) == 34 and separate_row_images(EntryMatrix(ZZ, DENSE), (1, 2))[1][1, 1] == 4
+
+    def test_a_rescale_with_the_stabiliser_of_the_wrong_line_is_caught(self):
+        mutant = mutated(duality._part_image, "v * _sorted_stabilizer(s), stab", "v * stab, _sorted_stabilizer(s)")
+        for tag in ("z", "zmod:4", "zmod:6", "q"):
+            assert list(row_image_mismatches(mutant, tag)), tag
+
+    def test_stabiliser_orders_are_read_off_the_runs(self):
+        lines = sorted_rows(4, range(8))
+        assert len(lines) == 330  # the empty line and every sorted line of 1 to 7 entries in {1..4}
+        for line in lines:
+            assert duality._sorted_stabilizer(line) == stabilizer_order(line), line
+
+    @pytest.mark.parametrize("space", [RowTabloidElement.space, SymLowerElement.space])
+    def test_one_request_stores_the_two_row_images_from_one_product(self, monkeypatch, space):
+        products = []
+        original = duality._line_product
+
+        def counted(g, line, alternating):
+            products.append((line, alternating))
+            return original(g, line, alternating)
+
+        monkeypatch.setattr(duality, "_line_product", counted)
+        g = EntryMatrix(ZZ, DENSE)
+        duality._part_image(g, space, (1, 1, 2))
+        assert set(g._images) == {(RowTabloidElement.space, (1, 1, 2)), (SymLowerElement.space, (1, 1, 2))}
+        # over Z both powers are nonzero on the same lines, so they keep one tuple of them
+        assert g._images[RowTabloidElement.space, (1, 1, 2)][0] is g._images[SymLowerElement.space, (1, 1, 2)][0]
+        duality._part_image(g, RowTabloidElement.space, (1, 1, 2))
+        duality._part_image(g, SymLowerElement.space, (1, 1, 2))
+        duality._part_image(g, ColumnTabloidElement.space, (1, 2))
+        assert products == [((1, 1, 2), False), ((1, 2), True)]
+        assert len(g._images) == 3
+
+    def test_basis_lines_are_read_once_per_shape_alphabet_and_map(self, monkeypatch):
+        for which in (WEDGE_MAP, POLYTABLOID_MAP):
+            assert equivariance_check((2, 1), 3, EntryMatrix.identity(3), which)
+        calls = []
+        original = duality._lines
+        monkeypatch.setattr(duality, "_lines", lambda t, space: calls.append(t) or original(t, space))
+        for which in (WEDGE_MAP, POLYTABLOID_MAP):
+            assert equivariance_check((2, 1), 3, EntryMatrix(ZZ, DENSE), which)
+        assert calls == []
 
 
 class TestPairing:
