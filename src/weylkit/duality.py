@@ -244,7 +244,7 @@ def _line_product(g: EntryMatrix, line: tuple[int, ...], alternating: bool) -> d
     that are at most a, and in the exterior product a repeat vanishes and
     putting e_a in costs the sign of the entries of d above it.
     """
-    partial: dict[tuple[int, ...], object] = {(): 1}
+    partial: dict[tuple[int, ...], object] = {(): g.ring.one}
     for c in line:
         image = [(a, row[c - 1]) for a, row in enumerate(g.entries, 1) if row[c - 1] != 0]
         new: dict[tuple[int, ...], object] = {}

@@ -20,12 +20,14 @@ on the coset terms.  A term with both copies of v in one column vanishes
 in the exterior power, and a term with one copy in A's column and one in
 B's meets its partner, the same column tabloid with the opposite sign.
 The scan skips those relations (``_relation_labels``), and never a pivot,
-whose label is column standard.  A Garnir relation is local to its two
-columns (part 4 of the certificate in :mod:`weylkit.verify`): the
-relation on (t, A, B) is the one on columns j_A and j_B of t, A and B
-moved onto columns 1 and 2, with t's other columns put back in every term
-and projected to the exterior power.  So the two-line shapes of part 5
-are those of every pair of columns.
+whose label is column standard; like the pivot (``_garnir_pivot``), the
+zero rule reads only the label's columns, the lines the scan walks.  A
+Garnir relation is local to its two columns (part 4 of the certificate
+in :mod:`weylkit.verify`): the relation on (t, A, B) is the one on
+columns j_A and j_B of t, A and B moved onto columns 1 and 2, with t's
+other columns put back in every term and projected to the exterior
+power.  So the two-line shapes of part 5 are those of every pair of
+columns.
 
 Polytabloids are expanded one column at a time by the kernel
 ``powers.line_products``, not alternating, which this module reads but
@@ -46,16 +48,7 @@ from math import prod
 
 from .coeffs import ZZ, CoefficientRing
 from .places import Relation, check_line_label, shuffles
-from .tableaux import (
-    COLUMN_STANDARD,
-    ROW_SEMISTANDARD,
-    Tableau,
-    check_partition,
-    conjugate,
-    enumerate_tableaux,
-    sort_line,
-    transpose,
-)
+from .tableaux import COLUMN_STANDARD, Tableau, check_partition, conjugate, sort_line
 from .powers import ColumnTabloidElement, RowTabloidElement, line_products, sum_images
 from .verify import Side, verify
 
@@ -138,22 +131,21 @@ def garnir_labels(shape):
                             yield frozenset(sub_a), frozenset(sub_b)
 
 
-def _garnir_pivot(t: Tableau) -> tuple[frozenset, frozenset] | None:
-    """Box sets (A, B) that straighten the first row descent t(i, j) > t(i, j+1).
+def _garnir_pivot(cols: tuple) -> tuple[frozenset, frozenset] | None:
+    """Box sets (A, B) that straighten the first row descent t(i, j) > t(i, j+1), t the label with columns ``cols``.
 
-    They are the pivot of the two-column label on columns j and j+1 of t
+    Row i is the first row with a descent, and j the first in it.  They are
+    the pivot of the two-column label on columns j and j+1 of t
     (:func:`_two_column_pivot`), moved onto those columns, so the pivot of
     t is local to a pivot of two columns (part 5 of the certificate in
     :mod:`weylkit.verify`).  None when t is not column standard or has no
     row descent.
     """
-    if not t.is_column_standard:
+    descents = [(i, j) for j in range(1, len(cols)) for i, (a, b) in enumerate(zip(*cols[j - 1 : j + 1])) if a > b]
+    if not descents or any(a >= b for col in cols for a, b in zip(col, col[1:])):
         return None
-    row = next((row for row in t.rows if any(a > b for a, b in zip(row, row[1:]))), None)
-    if row is None:
-        return None
-    j = next(j for j in range(1, len(row)) if row[j - 1] > row[j])
-    box_a, box_b = _two_column_pivot(*t.columns[j - 1 : j + 1])
+    j = min(descents)[1]
+    box_a, box_b = _two_column_pivot(*cols[j - 1 : j + 1])
     return frozenset((i, j) for i, _ in box_a), frozenset((i, j + 1) for i, _ in box_b)
 
 
@@ -171,20 +163,19 @@ def _two_column_pivot(left: tuple, right: tuple) -> tuple[frozenset, frozenset]:
 
 
 def _relation_labels(shape: tuple[int, ...]):
-    """The function giving the (A, B) on which a label t repeats no entry: those the zero rule keeps."""
-    boxsets = list(garnir_labels(shape))
-    return lambda t: [(a, b) for a, b in boxsets if not _repeats_an_entry(t.rows, a | b)]
+    """The function giving the (A, B) on which a label's columns repeat no entry: those the zero rule keeps."""
+    boxsets = [(a, b, frozenset((j, i) for i, j in a | b)) for a, b in garnir_labels(shape)]
+    return lambda columns: [(a, b) for a, b, on_columns in boxsets if not _repeats_an_entry(columns, on_columns)]
 
 
 SCHUR = Side(
     command="schur-verify",
     rows=False,
     basis=COLUMN_STANDARD,
-    scan_labels=lambda shape, m: [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)],
     pairs=lambda shape: list(dict.fromkeys(conjugate(pair) for pair in combinations(conjugate(shape), 2))),
     relations=lambda shape: (_relation_labels(shape), lambda columns, boxes: _garnir_int(columns, *boxes)),
     kernel_map=lambda: _polytabloid_int,
-    pivot=lambda t: _garnir_pivot(t),
+    pivot=lambda columns: _garnir_pivot(columns),
     build=lambda t, boxes: garnir(t, *boxes),
     image=lambda s: polytabloid(s),
     checks=(

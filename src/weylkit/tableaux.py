@@ -180,12 +180,6 @@ class Tableau:
         return t
 
 
-def transpose(t: Tableau) -> Tableau:
-    """The tableau of the conjugate shape whose rows are the columns of t."""
-    cols = t.columns
-    return Tableau._fresh(cols, tuple(map(len, cols)))
-
-
 # ---------------------------------------------------------------------------
 # orders
 

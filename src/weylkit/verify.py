@@ -3,10 +3,10 @@
 The two theorems are transposes of each other, and a :class:`Side` holds
 all that differs between them: the Schur side ``schur.SCHUR`` and the Weyl
 side ``weyl.WEYL``.  Its fields name a label's own lines, the basis, the
-labels the scan walks, the two-line shapes of part 5, the relations,
-the kernel image, the pivot, the public builders of a counterexample, and
-the report's check names, their order, and its rank and dims keys.  The
-rest is written once for both sides:
+two-line shapes of part 5, the relations, the kernel image, the pivot,
+the public builders of a counterexample, and the report's check names,
+their order, and its rank and dims keys.  The rest is written once for
+both sides:
 
 - :func:`certificate` builds the integer certificate of one
   (side, shape, max_entry), cached and reused for every ring, from packed
@@ -141,8 +141,10 @@ every relation at m built in full, so a failing report names what the
 scan finds; it needs no locality.
 
 The scan runs on lines, a label's columns on the Schur side and its rows
-on the Weyl side, with relations and kernel images as ``{lines: int}``;
-a public relation or image is built only for a counterexample.
+on the Weyl side: it walks each label as its own lines (:func:`_scan_lines`),
+whose relation labels, pivot, relations and kernel image are read off them,
+the last two as ``{lines: int}``.  A tableau, and a public relation or
+image, is built only for a label a report names.
 """
 
 from __future__ import annotations
@@ -151,11 +153,14 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import combinations_with_replacement, product
 
 from .coeffs import QQ, CoefficientRing, InputError
 from .linalg import lead
 from .powers import sum_images
-from .tableaux import SEMISTANDARD, check_partition, count_tableaux, enumerate_tableaux, line_order_key
+from .tableaux import (
+    SEMISTANDARD, Tableau, check_partition, conjugate, count_tableaux, enumerate_tableaux, from_columns, line_order_key
+)
 
 
 class SizeCapExceeded(InputError):
@@ -201,21 +206,19 @@ class Side:
     its kernel image lies in the labels on the other lines.  The domain's
     basis labels are those of kind ``basis``.
 
-    - ``scan_labels(shape, m)``: the labels :func:`scan` walks, whose
-      packed ones a packed block walks;
     - ``pairs(shape)``: the two-line shapes whose packed blocks a packed
       block of a shape with three or more lines reads for parts 1 and 2
       (part 5), each listed once, in the order of its first pair of lines;
     - ``relations(shape)``: (``relation_labels``, ``relation``), built once
-      per scan.  ``relation_labels(t)`` are the relation labels kept on a
-      label t: a side leaves out only labels whose relation on t is zero,
-      and never ``pivot(t)``.  ``relation(lines, r)`` is the relation on
-      t's own lines as ``{lines: int}``;
+      per scan.  ``relation_labels(lines)`` are the relation labels kept on
+      the label t with these own lines: a side leaves out only labels whose
+      relation on t is zero, and never ``pivot(lines)``.
+      ``relation(lines, r)`` is the relation on t as ``{lines: int}``;
     - ``kernel_map()``: the function giving the kernel image of a label's
       own lines, as ``{lines: int}``, looked up once per certificate;
-    - ``pivot(t)``: the relation label of t's pivot, None exactly on the
-      labels that need none (the semistandard ones and those outside the
-      basis);
+    - ``pivot(lines)``: the relation label of the pivot of the label with
+      these own lines, None exactly on the labels that need none (the
+      semistandard ones and those outside the basis);
     - ``build(t, r)`` and ``image(s)``: the public relation and image, built
       only for a counterexample;
     - the report: its ``command``; its ``checks``, (kind, name) in report
@@ -230,7 +233,6 @@ class Side:
     command: str
     rows: bool
     basis: str
-    scan_labels: Callable
     pairs: Callable
     relations: Callable
     kernel_map: Callable
@@ -286,26 +288,39 @@ def _packed_block(side: Side, shape: tuple[int, ...], k: int) -> bool:
 
     A packed label has entries exactly {1..k}.  The block checks part 3 on
     the packed semistandard labels, and parts 1 and 2: on a shape with at
-    most two lines on the packed labels of ``side.scan_labels``, and on a
+    most two lines on the packed labels of :func:`_scan_lines`, and on a
     shape with more lines by part 5, as the blocks at k of those shapes of
     ``side.pairs(shape)`` with at least k boxes.
     """
     if (len(shape) if side.rows else shape[0]) <= 2:  # its own lines: rows, or columns
-        bad, _, odd_pivots = _scan_relations(side, shape, _packed(side.scan_labels(shape, k), k), k)
+        packed = [lines for lines in _scan_lines(side, shape, k) if _is_packed(lines, k)]
+        bad, _, odd_pivots = _scan_relations(side, shape, packed, k)
         clean = bad is None and not odd_pivots
     else:
         clean = all(_packed_block(side, pair, k) for pair in side.pairs(shape) if k <= sum(pair))
-    return clean and not _odd_images(side, _packed(enumerate_tableaux(shape, k, SEMISTANDARD), k), k)
+    semistandard = [s for s in enumerate_tableaux(shape, k, SEMISTANDARD) if _is_packed(s.rows, k)]
+    return clean and not _odd_images(side, semistandard, k)
 
 
-def _packed(labels, k: int) -> list:
-    """The labels, with entries at most k, whose entries are exactly {1..k}."""
-    return [t for t in labels if len({v for row in t.rows for v in row}) == k]
+def _is_packed(lines, k: int) -> bool:
+    """Whether the label with these lines, its entries at most k, has entries exactly {1..k}."""
+    return len({v for line in lines for v in line}) == k
+
+
+def _scan_lines(side: Side, shape: tuple[int, ...], max_entry: int) -> list:
+    """The labels :func:`scan` walks, as own lines: the rows of row-sorted fillings of the shape or its conjugate."""
+    lengths = shape if side.rows else conjugate(shape)
+    return list(product(*(combinations_with_replacement(range(1, max_entry + 1), n) for n in lengths)))
+
+
+def _label(side: Side, shape: tuple[int, ...], lines) -> Tableau:
+    """The tableau of ``shape`` with these own lines: built only for a label a report names."""
+    return Tableau._fresh(lines, shape) if side.rows else from_columns(shape, lines)
 
 
 def scan(side: Side, shape: tuple[int, ...], max_entry: int) -> KernelCertificate:
-    """The certificate of ``side`` with every label of ``side.scan_labels`` scanned and every relation built."""
-    bad, pivots, odd_pivots = _scan_relations(side, shape, side.scan_labels(shape, max_entry), max_entry)
+    """The certificate of ``side`` with every label of :func:`_scan_lines` scanned and every relation built."""
+    bad, pivots, odd_pivots = _scan_relations(side, shape, _scan_lines(side, shape, max_entry), max_entry)
     semistandard = enumerate_tableaux(shape, max_entry, SEMISTANDARD)
     rank = len(semistandard)
     nullity = count_tableaux(shape, max_entry, side.basis) - rank
@@ -317,22 +332,21 @@ def _scan_relations(side: Side, shape: tuple[int, ...], labels, max_entry: int) 
 
     A relation maps to zero when the sum of the kernel images over its
     terms has every coefficient 0; the scan stops at the first that does
-    not.  On every label t with a pivot, the relation on ``side.pivot(t)``
-    should have coefficient 1 on t's own lines and every other term
-    strictly below them, in the order of
+    not.  On every label, given by its own lines, with a pivot, the relation
+    on ``side.pivot(lines)`` should have coefficient 1 on those lines and
+    every other term strictly below them, in the order of
     :func:`~weylkit.tableaux.line_order_key`.
     """
-    own = "rows" if side.rows else "columns"
     key = partial(line_order_key, max_entry=max_entry)
     relation_labels, relation = side.relations(shape)
     kernel_image = side.kernel_map()
     pivots, odd = 0, []
-    for t in labels:
-        target, lines, on_target = side.pivot(t), getattr(t, own), None
-        for r in relation_labels(t):
+    for lines in labels:
+        target, on_target = side.pivot(lines), None
+        for r in relation_labels(lines):
             rel = relation(lines, r)
             if any(sum_images(rel.items(), kernel_image, {}).values()):
-                return side.build(t, r), pivots, tuple(odd)
+                return side.build(_label(side, shape, lines), r), pivots, tuple(odd)
             if r == target:
                 on_target = rel
         if target is not None:
@@ -340,6 +354,7 @@ def _scan_relations(side: Side, shape: tuple[int, ...], labels, max_entry: int) 
             if leading == 1:
                 pivots += 1
             else:
+                t = _label(side, shape, lines)
                 odd.append((leading, t, None if on_target is None else side.build(t, target)))
     return None, pivots, tuple(odd)
 

@@ -286,18 +286,17 @@ def _snake_relations(shape: tuple[int, ...]):
     """Every snake of the shape on every label, and the snake on a label's rows, its box sets built once."""
     snakes = list(snake_labels(shape))
     boxes = {snake: _snake_boxes(shape[snake[0] - 1], *snake) for snake in snakes}
-    return (lambda t: snakes), lambda rows, snake: _dual_garnir_int(rows, *boxes[snake])
+    return (lambda rows: snakes), lambda rows, snake: _dual_garnir_int(rows, *boxes[snake])
 
 
 WEYL = Side(
     command="weyl-verify",
     rows=True,
     basis=ROW_SEMISTANDARD,
-    scan_labels=lambda shape, m: enumerate_tableaux(shape, m, ROW_SEMISTANDARD),
     pairs=lambda shape: list(dict.fromkeys(shape[i : i + 2] for i in range(len(shape) - 1))),
     relations=_snake_relations,
     kernel_map=lambda: _wedge_of_rsym_int,
-    pivot=lambda t: _snake_pivot(t.rows),
+    pivot=lambda rows: _snake_pivot(rows),
     build=lambda t, snake: dual_snake(t, *snake),
     image=lambda s: copolytabloid(s),
     checks=(

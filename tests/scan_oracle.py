@@ -11,6 +11,9 @@ looked up when called, so a test's patch of a line-form builder reaches
 them.  :func:`schur_scan` and :func:`weyl_scan` scan every label of the
 shape, with every relation built in full: the certificate that both
 ``verify.certificate`` and ``verify.scan`` of each side must equal.
+:func:`tableau_garnir_pivot` is the Schur pivot as it read a tableau before
+it moved onto a label's columns, and ``weight_oracles.column_sorted_labels``
+the labels the Schur scan walked, as tableaux.
 """
 
 import weylkit.powers as powers
@@ -29,6 +32,18 @@ from weylkit.verify import KernelCertificate
 
 from straighten_oracle import leading_coefficient
 from weight_oracles import column_sorted_labels
+
+
+def tableau_garnir_pivot(t):
+    """Box sets (A, B) on the first descent of the first row of t with one, or None when t is not column standard."""
+    if not t.is_column_standard:
+        return None
+    row = next((row for row in t.rows if any(a > b for a, b in zip(row, row[1:]))), None)
+    if row is None:
+        return None
+    j = next(j for j in range(1, len(row)) if row[j - 1] > row[j])
+    box_a, box_b = schur._two_column_pivot(*t.columns[j - 1 : j + 1])
+    return frozenset((i, j) for i, _ in box_a), frozenset((i, j + 1) for i, _ in box_b)
 
 
 def _scan_relations(labels, relation_labels, build, kernel_map, pivot, key):
@@ -66,12 +81,13 @@ def _certificate(labels, relation_labels, build, kernel_map, pivot, key, dimensi
 
 def schur_scan(shape, m):
     """The Schur certificate over every column-sorted label."""
+    kept = schur._relation_labels(shape)
     return _certificate(
         labels=column_sorted_labels(shape, m),
-        relation_labels=schur._relation_labels(shape),
+        relation_labels=lambda t: kept(t.columns),
         build=lambda t, boxes: schur.garnir(t, *boxes),
         kernel_map=lambda x: schur.apply_polytabloid_map(x),
-        pivot=schur._garnir_pivot,
+        pivot=lambda t: schur._garnir_pivot(t.columns),
         key=lambda u: column_order_key(u, m),
         dimension=count_tableaux(shape, m, COLUMN_STANDARD),
         semistandard=enumerate_tableaux(shape, m, SEMISTANDARD),

@@ -301,8 +301,8 @@ def row_image_matrices(tag, m):
     return [EntryMatrix.identity(m, ring), EntryMatrix.permutation(cycle, ring), EntryMatrix(ring, DENSE_BY_SIZE[m])]
 
 
-def sorted_rows(m, lengths=range(1, 5)):
-    """Every sorted row over {1..m} of the given lengths, 1 to 4 unless told otherwise."""
+def sorted_rows(m, lengths=range(5)):
+    """Every sorted row over {1..m} of the given lengths, 0 to 4 unless told otherwise."""
     return [row for k in lengths for row in combinations_with_replacement(range(1, m + 1), k)]
 
 
@@ -327,8 +327,8 @@ class TestSharedRowProduct:
     @pytest.mark.parametrize("tag", ["z", "zmod:4", "zmod:6", "q"])
     def test_both_powers_match_the_products_taken_apart(self, tag):
         assert list(row_image_mismatches(duality._part_image, tag)) == []
-        # 3 + 6 + 10 + 15 sorted rows for m = 3; the cases hold the divided rescale to something
-        assert len(sorted_rows(3)) == 34 and separate_row_images(EntryMatrix(ZZ, DENSE), (1, 2))[1][1, 1] == 4
+        # the empty row and 3 + 6 + 10 + 15 sorted rows for m = 3; the cases hold the divided rescale to something
+        assert len(sorted_rows(3)) == 35 and separate_row_images(EntryMatrix(ZZ, DENSE), (1, 2))[1][1, 1] == 4
 
     def test_a_rescale_with_the_stabiliser_of_the_wrong_line_is_caught(self):
         mutant = mutated(duality._part_image, "v * _sorted_stabilizer(s), stab", "v * stab, _sorted_stabilizer(s)")

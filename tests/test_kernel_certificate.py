@@ -7,6 +7,7 @@ by a multiple of 2, and must be reused for the second ring onwards.
 """
 
 import dataclasses
+import re
 from itertools import chain, combinations
 
 import pytest
@@ -29,13 +30,12 @@ from weylkit.tableaux import (
     count_tableaux,
     enumerate_tableaux,
     partitions_up_to,
-    transpose,
 )
 from weylkit.verify import certificate
 from weylkit.weyl import WEYL
 
 from rank_oracle import schur_verdict, weyl_verdict
-from scan_oracle import schur_scan, weyl_scan
+from scan_oracle import schur_scan, tableau_garnir_pivot, weyl_scan
 from weight_oracles import (
     adjacent_transposition,
     column_sorted_labels,
@@ -337,14 +337,14 @@ def test_every_pivot_and_garnir_label_of_a_label_is_one_of_two_columns():
                     continue
                 i, row = next((i, row) for i, row in enumerate(t.rows, 1) if any(x > y for x, y in zip(row, row[1:])))
                 j = next(j for j in range(1, len(row)) if row[j - 1] > row[j])
-                pivot = schur._garnir_pivot(t)
+                pivot = schur._garnir_pivot(t.columns)
                 assert pivot == (
                     frozenset((r, j) for r in range(i, lengths[j - 1] + 1)),
                     frozenset((r, j + 1) for r in range(1, i + 1)),
                 ), t
-                two_columns = transpose(T(t.columns[j - 1 : j + 1]))
+                two_columns = T(T(t.columns[j - 1 : j + 1]).columns)
                 assert not two_columns.is_semistandard, t
-                box_a, box_b = schur._garnir_pivot(two_columns)
+                box_a, box_b = schur._garnir_pivot(two_columns.columns)
                 assert pivot == (frozenset((r, j) for r, _ in box_a), frozenset((r, j + 1) for r, _ in box_b)), t
                 labels += 1
     assert labels > 1000
@@ -434,7 +434,7 @@ def test_a_cold_three_column_certificate_builds_only_two_column_relations(monkey
     assert cert.bad is None and cert.pivots == cert.nullity > 0
     assert calls["_garnir_int"] and calls["_garnir_pivot"]
     assert {len(columns) for columns in calls["_garnir_int"]} == {2}
-    assert {len(t.columns) for t in calls["_garnir_pivot"]} == {2}
+    assert {len(columns) for columns in calls["_garnir_pivot"]} == {2}
     # (3, 2, 1) alone, pushed forward from the packed blocks at k = 1, 2, 3
     # of itself and of the shapes of its column pairs: (2, 2, 1), (2, 1, 1)
     # and (2, 1)
@@ -568,16 +568,104 @@ def test_the_line_scans_match_the_tableau_scans(shape, m):
     assert fields(full_snake_scan(shape, m)) == fields(weyl_scan(shape, m))
 
 
-def test_both_kernel_theorems_hold_over_z_with_a_direct_summand_at_size_six():
+def both_theorems_hold_over_z_with_a_direct_summand_at_size_six(m):
     assert len(SIZE_SIX) == 11
     for shape in SIZE_SIX:
         for verify, lattice in (
             (schur.verify_schur_ses, "garnir_lattice_is_direct_summand"),
             (weyl.verify_weyl_kernel, "snake_lattice_is_direct_summand"),
         ):
-            report = verify(shape, 3, ZZ, size_cap=None)
+            report = verify(shape, m, ZZ, size_cap=None, entry_cap=None)
             assert report["ok"], (shape, verify.__name__)
             assert lattice in [c["name"] for c in report["checks"]], (shape, verify.__name__)
+            assert report["dims"]["ssyt"] == count_tableaux(shape, m, SEMISTANDARD), (shape, verify.__name__)
+
+
+def test_both_kernel_theorems_hold_over_z_with_a_direct_summand_at_size_six():
+    both_theorems_hold_over_z_with_a_direct_summand_at_size_six(3)
+
+
+def test_both_kernel_theorems_hold_over_z_on_every_shape_of_size_six_at_m_six():
+    # every packed block of a shape of size 6 runs, k = 1..6, where m = 3 stops at k = 3
+    both_theorems_hold_over_z_with_a_direct_summand_at_size_six(6)
+
+
+# ---------------------------------------------------------------------------
+# the Side docstring lists its fields by hand
+
+
+def undocumented_and_stale_fields(doc):
+    """(the fields of ``Side`` that ``doc`` never names, the names in ``doc`` that are no field and no known name).
+
+    A field is named in double backquotes, alone or called: ``rows`` or
+    ``pairs(shape)``.  The other names the docstring may quote are the
+    dataclass option ``eq`` and the two halves of ``relations``.
+    """
+    named = set(re.findall(r"``([A-Za-z_]\w*)", doc))
+    fields_of_side = {f.name for f in dataclasses.fields(verify.Side)}
+    return fields_of_side - named, named - fields_of_side - {"eq", "relation_labels", "relation"}
+
+
+def test_the_side_docstring_names_every_field_and_no_other():
+    doc = verify.Side.__doc__
+    assert undocumented_and_stale_fields(doc) == (set(), set())
+    # a removed field left in the docstring, and a field it drops, are both caught
+    assert undocumented_and_stale_fields(doc + "``scan_labels(shape, m)``") == (set(), {"scan_labels"})
+    assert undocumented_and_stale_fields(doc.replace("``pairs(shape)``", "pairs")) == ({"pairs"}, set())
+
+
+# ---------------------------------------------------------------------------
+# the scan walks each label as its own lines
+
+
+@pytest.mark.parametrize("shape", ((), *SHAPES), ids=str)
+def test_the_scanned_lines_are_those_of_the_tableau_enumerators_in_order(shape):
+    for m in (1, 2, 3):
+        assert verify._scan_lines(SCHUR, shape, m) == [t.columns for t in column_sorted_labels(shape, m)], m
+        assert verify._scan_lines(WEYL, shape, m) == [t.rows for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD)], m
+
+
+def test_the_garnir_pivot_on_columns_is_the_pivot_on_the_tableau():
+    pivots = 0
+    for shape in SHAPES:
+        for m in (1, 2, 3, 4):
+            for t in column_sorted_labels(shape, m):
+                pivot = schur._garnir_pivot(t.columns)
+                assert pivot == tableau_garnir_pivot(t), t
+                pivots += pivot is not None
+    assert pivots > 1000
+
+
+def test_a_scan_builds_no_tableau(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scan built a tableau")
+
+    cases = [(side, shape, m) for side in (SCHUR, WEYL) for shape in SHAPES for m in (1, 2, 3)]
+    for _, shape, m in cases:
+        enumerate_tableaux(shape, m, SEMISTANDARD)  # the semistandard labels of part 3, enumerated once
+    monkeypatch.setattr(Tableau, "__init__", refuse)
+    monkeypatch.setattr(Tableau, "_fresh", refuse)
+    for side, shape, m in cases:
+        cert = verify.scan(side, shape, m)
+        assert cert.bad is None and cert.pivots == cert.nullity, (side.command, shape, m)
+
+
+def test_a_certificate_builds_only_the_labels_its_report_names(monkeypatch):
+    built = []
+    original = verify._label
+    monkeypatch.setattr(verify, "_label", lambda side, shape, lines: built.append(lines) or original(side, shape, lines))
+    for shape in SHAPES:
+        for m in (1, 2, 3):
+            assert schur.verify_schur_ses(shape, m, ZZ)["ok"] and weyl.verify_weyl_kernel(shape, m, ZZ)["ok"]
+    assert built == []
+    # garnir_plus_two of tests/failing_reports.json: one relation leaves the kernel
+    certificate.cache_clear()
+    verify._packed_block.cache_clear()
+    builder, target, _, _, label, (shape, m), check_name = MUTATIONS["schur"]
+    monkeypatch.setattr(schur, builder, plus_a_label(getattr(schur, builder), target, label.columns, 2))
+    report = schur.verify_schur_ses(shape, m, ZZ)
+    named = next(c for c in report["checks"] if c["name"] == check_name)["counterexample"]["tableau"]
+    assert built and set(built) == {Tableau.from_json(named).columns}
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +695,7 @@ def test_garnir_relations_and_zero_rules_commute_with_an_adjacent_transposition(
     image_of_u = schur.garnir(u, moved_a, moved_b).element.lin
     assert image in (image_of_u, -image_of_u)
     kept = schur._relation_labels(shape)
-    assert ((box_a, box_b) in kept(t)) == ((moved_a, moved_b) in kept(u))
+    assert ((box_a, box_b) in kept(t.columns)) == ((moved_a, moved_b) in kept(u.columns))
 
 
 @settings(max_examples=80, deadline=None)
@@ -639,7 +727,7 @@ def test_an_image_that_is_not_unitriangular_is_named(monkeypatch):
 def test_a_label_without_its_pivot_relation_is_named(monkeypatch):
     # A pivot label that is no Garnir label leaves [[2,1],[3]] without a pivot.
     t, original = T([[2, 1], [3]]), schur._garnir_pivot
-    monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t else original(u))
+    monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t.columns else original(u))
     for ring in (QQ, ZZ):
         report = schur.verify_schur_ses((2, 1), 3, ring)
         failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["ok"]}
@@ -655,7 +743,7 @@ def test_a_dropped_pivot_on_three_columns_fails_the_full_scan_on_every_ring(monk
     # ring.  That a pivot on three columns is one on two is
     # test_every_pivot_and_garnir_label_of_a_label_is_one_of_two_columns
     t, original = T([[2, 1, 1]]), schur._garnir_pivot
-    monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t else original(u))
+    monkeypatch.setattr(schur, "_garnir_pivot", lambda u: ("no", "label") if u == t.columns else original(u))
     assert fields(full_scan((3,), 3)) == fields(schur_scan((3,), 3))
     assert schur.verify_schur_ses((3,), 3, ZZ)["ok"]
     monkeypatch.setattr(verify, "certificate", lambda side, shape, m: verify.scan(side, shape, m))

@@ -15,7 +15,7 @@ reads a clean certificate off the packed blocks alone.  So:
 """
 
 from collections import defaultdict
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -34,7 +34,7 @@ from weylkit.tableaux import (
     line_order_key,
     partitions_up_to,
 )
-from weylkit.verify import _packed_block, certificate, scan
+from weylkit.verify import _packed_block, _scan_lines, certificate, scan
 from weylkit.weyl import WEYL
 
 from test_kernel_certificate import THREE_ROW_MUTANTS, fields
@@ -68,8 +68,8 @@ def push_terms(terms, phi):
 
 
 def packed(labels, k):
-    """The labels whose entries are exactly {1..k}."""
-    return [t for t in labels if set(t.reading_word) == set(range(1, k + 1))]
+    """The labels, each given by its lines, whose entries are exactly {1..k}."""
+    return [lines for lines in labels if set(chain.from_iterable(lines)) == set(range(1, k + 1))]
 
 
 def _ranks(keys):
@@ -82,38 +82,37 @@ def _ranks(keys):
 def premise_failures(side, shape):
     """(what, packed label, φ) for each thing the certificate reads on ``shape`` that does not commute with φ.
 
-    On every packed label t of ``side.scan_labels`` and every φ: the
-    relation labels kept on t, t's pivot and its kernel image; on a shape
-    with at most two lines, whose packed blocks scan relations, every
-    relation kept on t; and, among the labels of each content, every
-    comparison of ``line_order_key`` on their rows and on their columns.
-    The functions are those of ``side``, looked up at call time, so a
-    test's patch reaches them.
+    On every packed label of ``verify._scan_lines``, given by its own
+    lines, and every φ: the relation labels kept on it, its pivot and its
+    kernel image; on a shape with at most two lines, whose packed blocks
+    scan relations, every relation kept on it; and, among the labels of
+    each content, every comparison of ``line_order_key`` on their rows and
+    on their columns.  The functions are those of ``side``, looked up at
+    call time, so a test's patch reaches them.
     """
-    own = "rows" if side.rows else "columns"
     relation_labels, relation = side.relations(shape)
     kernel_image = side.kernel_map()
     scans = (len(shape) if side.rows else sum(shape[:1])) <= 2  # at most two own lines: rows, or columns
     for k in range(1, sum(shape) + 1):
-        labels = packed(side.scan_labels(shape, k), k)
+        labels = packed(_scan_lines(side, shape, k), k)
         contents = defaultdict(list)
-        for t in labels:
-            contents[tuple(sorted(t.reading_word))].append(t)
+        for own in labels:
+            # the tableau whose rows are the label's own lines: its columns are the label's other lines
+            contents[tuple(sorted(chain.from_iterable(own)))].append(T(own))
         groups = [(group, lines) for group in contents.values() if len(group) > 1 for lines in ("rows", "columns")]
         orders = [_ranks(line_order_key(getattr(t, lines), k) for t in group) for group, lines in groups]
-        packed_data = [(t, getattr(t, own), relation_labels(t), side.pivot(t)) for t in labels]
+        packed_data = [(lines, relation_labels(lines), side.pivot(lines)) for lines in labels]
         for phi in combinations(range(1, TARGET + 1), k):
-            for t, lines, kept, pivot in packed_data:
-                u = T._fresh(push(t.rows, phi), t.shape)
-                moved = getattr(u, own)
-                if relation_labels(u) != kept:
-                    yield "relation labels", t, phi
-                if side.pivot(u) != pivot:
-                    yield "pivot", t, phi
+            for lines, kept, pivot in packed_data:
+                moved = push(lines, phi)
+                if relation_labels(moved) != kept:
+                    yield "relation labels", lines, phi
+                if side.pivot(moved) != pivot:
+                    yield "pivot", lines, phi
                 if kernel_image(moved) != push_terms(kernel_image(lines), phi):
-                    yield "kernel image", t, phi
+                    yield "kernel image", lines, phi
                 if scans and any(relation(moved, r) != push_terms(relation(lines, r), phi) for r in kept):
-                    yield "relation", t, phi
+                    yield "relation", lines, phi
             for (group, lines), order in zip(groups, orders):
                 if _ranks(line_order_key(push(getattr(t, lines), phi), TARGET) for t in group) != order:
                     yield f"order on {lines}", group[0], phi
@@ -145,7 +144,7 @@ def test_a_mutant_that_breaks_only_a_label_skipping_a_value_fails_the_premise(mo
     pushed, scanned = certificate(WEYL, (2, 1), 3), scan(WEYL, (2, 1), 3)
     assert pushed.bad is None and not pushed.odd_pivots
     assert [(lead, t) for lead, t, _ in scanned.odd_pivots] == [(2, T([[2, 3], [2]]))]
-    assert next(premise_failures(WEYL, (2, 1)), None) == ("relation", T([[1, 2], [1]]), (2, 3))
+    assert next(premise_failures(WEYL, (2, 1)), None) == ("relation", T([[1, 2], [1]]).rows, (2, 3))
 
 
 # The Weyl mutants of part 5's negative controls all commute with φ.
@@ -185,7 +184,7 @@ def test_the_packed_counts_push_forward_to_every_count(kind):
     # Uncached: the labels at k = 6 would stay in memory for the session.
     enumerate_all = enumerate_tableaux.__wrapped__
     for shape in partitions_up_to(6):
-        counts = [len(packed(enumerate_all(shape, k, kind), k)) for k in range(1, sum(shape) + 1)]
+        counts = [len(packed([t.rows for t in enumerate_all(shape, k, kind)], k)) for k in range(1, sum(shape) + 1)]
         for m in range(1, 8):
             assert sum(comb(m, k) * count for k, count in enumerate(counts, 1)) == count_tableaux(shape, m, kind)
 

@@ -10,12 +10,12 @@ more lines otherwise reads off its two-line certificates.
 import weylkit.verify as verify
 from weylkit.coeffs import ZZ, LinComb
 from weylkit.schur import SCHUR
-from weylkit.tableaux import ROW_SEMISTANDARD, Tableau, conjugate, enumerate_tableaux, sort_columns, sort_rows, transpose
+from weylkit.tableaux import ROW_SEMISTANDARD, Tableau, conjugate, enumerate_tableaux, sort_columns, sort_rows
 from weylkit.weyl import WEYL
 
 
 def column_sorted_labels(shape, m):
-    return [transpose(u) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)]
+    return [Tableau(u.columns) for u in enumerate_tableaux(conjugate(shape), m, ROW_SEMISTANDARD)]
 
 
 def full_scan(shape, m):
