@@ -138,6 +138,19 @@ def parse_boxes(text: str) -> frozenset:
     return boxes
 
 
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits with an optional leading minus, the type of ``--entries`` and ``--row``.
+
+    Named ``int``, which argparse prints in its error: ``invalid int value: '...'``.
+    """
+    if not _is_ascii_digits(text.removeprefix("-")):
+        raise ValueError(text)
+    return int(text)
+
+
+_ascii_int.__name__ = "int"
+
+
 _PAIR_RE = re.compile(r"\s*([0-9]+)\s*:\s*([0-9]+)\s*")
 
 
@@ -410,8 +423,8 @@ class Command:
 
 _SHAPE = ("--shape", {"required": True})
 _SHAPE_CHECK = ("--shape", {})
-_ENTRIES = ("--entries", {"type": int, "required": True})
-_ENTRIES_BOUND = ("--entries", {"type": int})
+_ENTRIES = ("--entries", {"type": _ascii_int, "required": True})
+_ENTRIES_BOUND = ("--entries", {"type": _ascii_int})
 _TABLEAU = ("--tableau", {"required": True})
 _BOXES = (("--boxA", {"required": True}), ("--boxB", {"required": True}))
 _RING = ("--ring", {"default": "z", "help": "z | q | zmod:<n>"})
@@ -461,7 +474,7 @@ _COMMANDS = (
         "adjacent-row relation labelled (tableau, i, (j, j'))",
         (
             _TABLEAU,
-            ("--row", {"type": int, "required": True}),
+            ("--row", {"type": _ascii_int, "required": True}),
             ("--cols", {"required": True, "help": "j:j'"}),
             _ENTRIES_BOUND,
             _RING,

@@ -86,7 +86,12 @@ class CoefficientRing:
         return Fraction(1) if self.kind == "q" else 1 % self.modulus if self.kind == "zmod" else 1
 
     def normalize(self, value):
-        """Coerce ``value`` into canonical form, rejecting non-exact input and bools."""
+        """Coerce ``value`` into canonical form, rejecting non-exact input and bools.
+
+        Ints are read on every ring, and Fractions over Q or, when whole,
+        over Z and Z/n; any other type, a string or a Decimal among them,
+        is refused.
+        """
         if type(value) is int:
             if self.kind == "z":
                 return value
@@ -94,6 +99,8 @@ class CoefficientRing:
         if isinstance(value, (bool, float)):
             raise TypeError(f"{value!r} is not an exact element of {self}")
         if self.kind == "q":
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"{value!r} is not an exact element of {self}")
             return value if type(value) is Fraction else Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:

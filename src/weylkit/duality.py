@@ -59,15 +59,22 @@ transposes g's power on each position's lines into rows, and each source
 is read once: one whose image Phi(s) is zero is skipped, and any other
 adds Phi(s) times (g t)_s, the product of its rows, into every label t it
 reaches.
-The right side acts on each column (lambda) or row (e) of the terms of
-Phi(t).  Each label has one accumulator over Z, keyed by column tuples
-(lambda) or row tuples (e): the left side is added into it and the right
-side subtracted, and the first label in enumeration order with a
-coefficient nonzero in the ring fails.  That is exact, since Z -> R is
-additive: the reduced sides are equal exactly when every coefficient of
-their difference reduces to 0.  No Tableau is built except for a
-witness, whose right side is then computed apart and whose left side is
-read off as the difference plus the right side, exact over Z.
+The right side, g Phi(t) = sum over u of Phi(t)_u g u, acts on each
+column (lambda) or row (e) of the target labels u.  It too is summed in
+one pass, over the distinct targets rather than over the labels: each
+label's image is read once and indexed by its targets u, and g's image of
+each u is expanded once and subtracted, times Phi(t)_u, from every label
+whose image reaches u.  Each label has one accumulator over Z, keyed by
+column tuples (lambda) or row tuples (e): the left side is added into it
+and the right side subtracted, and the first label in enumeration order
+with a coefficient nonzero in the ring fails.  That is exact, since
+Z -> R is additive: the reduced sides are equal exactly when every
+coefficient of their difference reduces to 0.  The coefficients summed
+are integers, or Fractions over Q, so one that is exactly 0 is 0 in
+every ring, and only a difference with a nonzero one is reduced.  No
+Tableau is built except for a witness, whose right side is then computed
+apart and whose left side is read off as the difference plus the right
+side, exact over Z.
 """
 
 from __future__ import annotations
@@ -134,9 +141,13 @@ def _determinant(ring: CoefficientRing, rows) -> object:
 
 
 def _matrix_entry(ring: CoefficientRing, value, a: int, b: int):
-    """Entry (a, b) of a matrix over ``ring``, or an error that names it and the problem."""
+    """Entry (a, b) of a matrix over ``ring``, or an error that names it and the problem.
+
+    JSON has no fractions, so over Q an entry may also be a string as the
+    reports write it, such as ``"-3/4"``, read by ``parse_coeff``.
+    """
     try:
-        return ring.normalize(value)
+        return ring.parse_coeff(value) if ring == QQ and isinstance(value, str) else ring.normalize(value)
     except ZeroDivisionError as exc:
         raise InputError(f"entry ({a}, {b}) {value!r} has a zero denominator") from exc
     except (TypeError, ValueError) as exc:
@@ -547,11 +558,29 @@ def _left_sides(labels: list, g: EntryMatrix, space: str, image) -> dict:
     return left
 
 
+def _subtract_right_sides(sides: dict, g: EntryMatrix, space: str, image) -> None:
+    """Subtract g Phi(t) from each label's side, keyed by t's lines, over the distinct target labels u; unreduced.
+
+    Each label's image is read once and indexed by its targets, so g acts
+    on each u once, and c times that is taken from every side whose
+    image has the coefficient c on u.
+    """
+    reached: dict = {}
+    for lines, acc in sides.items():
+        for u, c in image(lines).items():
+            reached.setdefault(u, []).append((acc, c))
+    for u, accs in reached.items():
+        for key, v in _line_images(g, space, u):
+            for acc, c in accs:
+                acc[key] = acc.get(key, 0) - c * v
+
+
 def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: str):
     """First basis label where the map fails to commute with the action, or None.
 
     Both sides are taken over Z, one added and one subtracted in a single
-    dict, which the check reduces into the ring (see the module docstring).
+    dict, which the check reduces into the ring when it is not exactly
+    zero (see the module docstring).
     """
     shape = check_partition(shape)
     if g.size < max_entry:
@@ -559,12 +588,11 @@ def equivariance_counterexample(shape, max_entry: int, g: EntryMatrix, which: st
     kind, space, target, image = _map(which)
     ring = g.ring
     labels = enumerate_tableaux(shape, max_entry, kind)
-    left = _left_sides(_basis_lines(shape, max_entry, kind, space), g, space, image)
-    for t, (lines, difference) in zip(labels, left.items()):
-        terms = image(lines)
-        _functorial_terms(((key, -c) for key, c in terms.items()), g, target.space, difference)
-        if any(map(ring.normalize, difference.values())):
-            rhs = _functorial_terms(terms.items(), g, target.space, {})
+    sides = _left_sides(_basis_lines(shape, max_entry, kind, space), g, space, image)
+    _subtract_right_sides(sides, g, target.space, image)
+    for t, (lines, difference) in zip(labels, sides.items()):
+        if any(difference.values()) and any(map(ring.normalize, difference.values())):
+            rhs = _functorial_terms(image(lines).items(), g, target.space, {})
             lhs = {key: c + rhs.get(key, 0) for key, c in difference.items()}
             lhs, rhs = (target._on_lines(ring, shape, side).to_json() for side in (lhs, rhs))
             return {"tableau": t.to_json(), "lhs": lhs, "rhs": rhs}

@@ -1,13 +1,16 @@
 """The equivariance check one label at a time: the oracle of ``duality.equivariance_counterexample``.
 
 This is the check as it ran before it summed the left side over the
-sources.  For each basis label t, in enumeration order, g acts on each of
-t's lines apart, and every label s of the result goes through the map's
-basis image, zero or not: Phi(g t) = sum over s of (g t)_s Phi(s).  The
-right side and the reduction into the ring are the check's own.  A
-witness has its two sides computed apart.  Everything is read from
-``weylkit.duality`` when called, so a test's patch of ``_part_image`` or
-of a label image reaches the oracle as it reaches the check.
+sources and the right side over the targets.  Both sides are taken per
+label, in enumeration order.  On the left, g acts on each of t's lines
+apart, and every label s of the result goes through the map's basis
+image, zero or not: Phi(g t) = sum over s of (g t)_s Phi(s).  On the
+right, g acts on each line of each term u of Phi(t) apart, once per
+(t, u).  Every coefficient of the difference is reduced into the ring,
+whether it is exactly 0 or not.  A witness has its two sides computed
+apart.  Everything is read from ``weylkit.duality`` when called, so a
+test's patch of ``_part_image`` or of a label image reaches the oracle
+as it reaches the check.
 """
 
 import weylkit.duality as duality

@@ -11,6 +11,7 @@ import argparse
 
 from weylkit.cli import (
     _CLASS_NAMES,
+    _ascii_int,
     _cmd_basis,
     _cmd_copolytabloid,
     _cmd_dims,
@@ -47,11 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dims", _cmd_dims, help="basis cardinalities for one shape and alphabet")
     p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
+    p.add_argument("--entries", type=_ascii_int, required=True)
 
     p = add("basis", _cmd_basis, help="list the tableaux of one classification")
     p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
+    p.add_argument("--entries", type=_ascii_int, required=True)
     p.add_argument("--class", dest="cls", choices=sorted(_CLASS_NAMES), default="semistandard")
 
     for name, handler in (
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, handler, help=f"{name} of a tableau")
         p.add_argument("--tableau", required=True)
         p.add_argument("--shape")
-        p.add_argument("--entries", type=int)
+        p.add_argument("--entries", type=_ascii_int)
         add_ring(p)
         add_format(p)
 
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxA", required=True)
     p.add_argument("--boxB", required=True)
     p.add_argument("--shape")
-    p.add_argument("--entries", type=int)
+    p.add_argument("--entries", type=_ascii_int)
     add_ring(p)
     add_format(p)
 
@@ -81,37 +82,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxB", required=True)
     p.add_argument("--shape")
     p.add_argument("--rows", help="i:i' sanity check against the box sets")
-    p.add_argument("--entries", type=int)
+    p.add_argument("--entries", type=_ascii_int)
     p.add_argument("--variant", choices=("plain", "dc", "star", "star-star"), default="plain")
     add_ring(p)
     add_format(p)
 
     p = add("snake", _cmd_snake, help="adjacent-row relation labelled (tableau, i, (j, j'))")
     p.add_argument("--tableau", required=True)
-    p.add_argument("--row", type=int, required=True)
+    p.add_argument("--row", type=_ascii_int, required=True)
     p.add_argument("--cols", required=True, help="j:j'")
-    p.add_argument("--entries", type=int)
+    p.add_argument("--entries", type=_ascii_int)
     add_ring(p)
     add_format(p)
 
     p = add("straighten", _cmd_straighten, help="semistandard coordinates with certificate")
     p.add_argument("--tableau", required=True)
-    p.add_argument("--entries", type=int, required=True)
+    p.add_argument("--entries", type=_ascii_int, required=True)
     add_ring(p)
 
     for name, side in (("schur-verify", "column"), ("weyl-verify", "row")):
         p = add(name, _cmd_verify, help=f"rank bookkeeping of the {side}-side kernel")
         p.add_argument("--shape", required=True)
-        p.add_argument("--entries", type=int, required=True)
+        p.add_argument("--entries", type=_ascii_int, required=True)
         add_ring(p, default="q")
 
     p = add("duality-check", _cmd_duality_check, help="pairing image against copolytabloids")
     p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
+    p.add_argument("--entries", type=_ascii_int, required=True)
 
     p = add("equivariance", _cmd_equivariance, help="map commutation with an entry matrix")
     p.add_argument("--shape", required=True)
-    p.add_argument("--entries", type=int, required=True)
+    p.add_argument("--entries", type=_ascii_int, required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--map", choices=("e", "lambda"), required=True)
     add_ring(p)

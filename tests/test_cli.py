@@ -352,7 +352,7 @@ class TestExitCodes:
         "matrix, message",
         [
             ('[["1/0",0],[0,1]]', "entry (1, 1) '1/0' has a zero denominator"),
-            ('[[1,"x"],[0,1]]', "entry (1, 2): Invalid literal for Fraction: 'x'"),
+            ('[[1,"x"],[0,1]]', "entry (1, 2): malformed coefficient 'x'"),
             ('{"a":1}', "entry matrix must be a list of rows, each a list of entries"),
             ("5", "entry matrix must be a list of rows, each a list of entries"),
             ("[5]", "entry matrix must be a list of rows, each a list of entries"),
@@ -369,6 +369,26 @@ class TestExitCodes:
             "--ring", "q",
         )
         assert (code, out, err) == (2, "", f"error: bad entry matrix: {message}\n")
+
+    # Fraction() read each of these over Q, as 1, 2, 100 and 1, and the report echoed the number
+    @pytest.mark.parametrize("entry", ["\u0661", " 2 ", "1e2", "+1"])
+    @pytest.mark.parametrize("tag", ["z", "q", "zmod:5"])
+    def test_a_matrix_entry_outside_the_coefficient_form_is_refused(self, capsys, tag, entry):
+        matrix = json.dumps([[entry]])
+        code, out, err = run(
+            capsys, "equivariance", "--shape", "1", "--entries", "1", "--ring", tag, "--map", "lambda", "--matrix", matrix
+        )
+        problem = f"malformed coefficient {entry!r}" if tag == "q" else f"{entry!r} is not an element of {parse_ring(tag)}"
+        assert (code, out, err) == (2, "", f"error: bad entry matrix: entry (1, 1): {problem}\n")
+
+    def test_a_rational_matrix_is_read_as_the_report_writes_it(self, capsys):
+        matrix = '[["-3/4", 0, "1"], [0, 1, 0], ["2", 0, "1/2"]]'
+        code, out, _ = run(
+            capsys, "equivariance", "--shape", "2,1", "--entries", "3", "--ring", "q", "--map", "e", "--matrix", matrix
+        )
+        report = json.loads(out)
+        assert code == 0 and report["ok"] is True
+        assert report["instance"]["matrix"] == [["-3/4", "0", "1"], ["0", "1", "0"], ["2", "0", "1/2"]]
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
@@ -429,6 +449,26 @@ class TestExitCodes:
             "--boxB", "(2,1)",
         )
         assert (code, out, err) == (2, "", "error: malformed --rows '1-2': expected i:i'\n")
+
+    # int() reads each of these as a number: an Arabic-Indic 1, +2, a padded 2, an Arabic-Indic 2, 10
+    @pytest.mark.parametrize("text", ["\u0661", "+2", " 2", "\u0662", "1_0"])
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--entries", ("dims", "--shape", "2")),
+            ("--entries", ("rsym", "--tableau", "[[1,2]]")),
+            ("--row", ("snake", "--tableau", "[[1,1],[2,2]]", "--cols", "1:1")),
+        ],
+        ids=["entries", "entries-bound", "row"],
+    )
+    def test_integer_flags_are_ascii_digits(self, capsys, flag, argv, text):
+        code, out, err = run(capsys, *argv, flag, text)
+        assert (code, out) == (2, "") and err.endswith(f": error: argument {flag}: invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("text", ["-1", "0"])
+    def test_an_alphabet_below_one_still_reaches_its_check(self, capsys, text):
+        code, out, err = run(capsys, "dims", "--shape", "2", "--entries", text)
+        assert (code, out, err) == (2, "", "error: max_entry must be >= 1\n")
 
     def test_malformed_cols(self, capsys):
         code, out, err = run(capsys, "snake", "--tableau", "[[1,1],[2,2]]", "--row", "1", "--cols", "1")

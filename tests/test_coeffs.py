@@ -1,4 +1,6 @@
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,18 @@ class TestRings:
                 ring.normalize(True)
         with pytest.raises(TypeError):
             LinComb(ZZ, {"x": True})
+
+    # Fraction() reads each of these: an Arabic-Indic 1, a padded 2, 100 and 1/10
+    @pytest.mark.parametrize("value", ["\u0661", " 2 ", "1e2", Decimal("0.1")], ids=["indic", "padded", "exp", "decimal"])
+    @pytest.mark.parametrize("ring", [ZZ, QQ, Z3], ids=str)
+    def test_strings_and_decimals_are_rejected(self, ring, value):
+        exact = "an exact element" if ring == QQ else "an element"
+        with pytest.raises(TypeError, match=re.escape(f"{value!r} is not {exact} of {ring}")):
+            ring.normalize(value)
+
+    def test_rationals_take_ints_and_fractions(self):
+        assert [QQ.normalize(v) for v in (3, -2, Fraction(6, 4))] == [Fraction(3), Fraction(-2), Fraction(3, 2)]
+        assert all(type(QQ.normalize(v)) is Fraction for v in (3, Fraction(1, 2)))
 
     def test_field_detection(self):
         assert QQ.is_field

@@ -11,7 +11,7 @@ import pytest
 import weylkit.duality as duality
 import weylkit.powers as powers
 import weylkit.schur as schur
-from weylkit.coeffs import QQ, ZZ, InputError, LinComb, integers_mod, parse_ring
+from weylkit.coeffs import QQ, ZZ, CoefficientRing, InputError, LinComb, integers_mod, parse_ring
 from weylkit.duality import (
     POLYTABLOID_MAP,
     WEDGE_MAP,
@@ -819,6 +819,101 @@ class TestSourceSums:
                         witnesses += payload != "null"
         assert cases == 264
         assert (witnesses > 0) == (mutant is not None)
+
+
+def one_value_raised(original, by):
+    """``_part_image`` with ``by`` added to the first coefficient on the column (1, 2) of the exterior power."""
+
+    def part_image(g, space, line):
+        keys, values = original(g, space, line)
+        if (space, line) != (ColumnTabloidElement.space, (1, 2)):
+            return keys, values
+        return keys, (values[0] + by,) + values[1:]
+
+    return part_image
+
+
+def counted_normalize(monkeypatch):
+    """Count every ``CoefficientRing.normalize`` call from now on, on every ring; returns the list of values."""
+    calls = []
+    original = CoefficientRing.normalize
+    monkeypatch.setattr(CoefficientRing, "normalize", lambda ring, value: calls.append(value) or original(ring, value))
+    return calls
+
+
+# every shape with |shape| <= 3 at m = 2, 3, each with one random unimodular matrix, on both maps
+EXACT_ZERO_CASES = [
+    (shape, m, which) for shape in partitions_up_to(3) for m in (2, 3) for which in (WEDGE_MAP, POLYTABLOID_MAP)
+]
+
+
+class TestExactZero:
+    """Only a difference with a coefficient that is not exactly 0 is reduced, and every such one is."""
+
+    def witnesses(self, monkeypatch, ring, by):
+        """The check's and the oracle's witnesses on every case under the mutant, and the ``normalize`` calls made."""
+        found = []
+        for shape, m, which in EXACT_ZERO_CASES:
+            g = random_unimodular(random.Random(m), m, ring)
+            assert equivariance_counterexample(shape, m, g, which) is None  # and g's powers are memoised
+            with monkeypatch.context() as patch:
+                patch.setattr(duality, "_part_image", one_value_raised(duality._part_image, by))
+                calls = counted_normalize(patch)
+                payload = json.dumps(equivariance_counterexample(shape, m, g, which))
+                assert payload == json.dumps(equivariance_oracle.counterexample(shape, m, g, which))
+                found.append((payload, len(calls)))
+        return found
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_a_value_raised_by_the_modulus_is_the_same_element(self, monkeypatch, n):
+        # the integer difference is no longer 0, so the check reduces it, and it reduces to 0 in Z/n
+        found = self.witnesses(monkeypatch, integers_mod(n), n)
+        assert {payload for payload, _ in found} == {"null"}
+        assert any(calls for _, calls in found)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_a_value_raised_by_one_is_caught_as_the_oracle_catches_it(self, monkeypatch, n):
+        found = self.witnesses(monkeypatch, integers_mod(n), 1)
+        assert any(payload != "null" for payload, _ in found)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_a_value_raised_by_n_is_caught_over_z(self, monkeypatch, n):
+        found = self.witnesses(monkeypatch, ZZ, n)
+        assert any(payload != "null" for payload, _ in found)
+
+
+class TestRightSideWork:
+    """The right side expands each target label once, and a passing check over Z reduces nothing.
+
+    The range is criterion 8's: |shape| <= 4 at m <= 3, the identity and
+    every permutation, and two dense unimodular matrices per m.
+    """
+
+    @pytest.mark.parametrize("which", [WEDGE_MAP, POLYTABLOID_MAP])
+    def test_counted_on_criterion_8s_range(self, monkeypatch, which):
+        kind, space, target, image = duality._map(which)
+        expansions = []
+        original = duality._line_images
+        monkeypatch.setattr(
+            duality, "_line_images", lambda g, space, lines: expansions.append((space, lines)) or original(g, space, lines)
+        )
+        checks = 0
+        for shape in partitions_up_to(4):
+            for m in (1, 2, 3):
+                targets = {u for t in enumerate_tableaux(shape, m, kind) for u in image(duality._lines(t, space))}
+                permutations = [EntryMatrix.permutation(images) for images in iperms(range(1, m + 1))]
+                for g in permutations + left_side_matrices("z", m):
+                    expansions.clear()
+                    assert equivariance_counterexample(shape, m, g, which) is None
+                    assert sorted(expansions) == sorted((target.space, u) for u in targets)
+                    # g's powers are memoised now, so a normalize call could come only from the final test
+                    with monkeypatch.context() as patch:
+                        calls = counted_normalize(patch)
+                        assert equivariance_counterexample(shape, m, g, which) is None
+                    assert calls == []
+                    checks += 1
+        # the 11 shapes with 1 <= |shape| <= 4, each at the 1 + 2 + 6 permutations and 2 dense matrices per m <= 3
+        assert checks == 11 * (9 + 6)
 
 
 class TestLineKernels:
