@@ -895,7 +895,7 @@ class TestRightSideWork:
         expansions = []
         original = duality._line_images
         monkeypatch.setattr(
-            duality, "_line_images", lambda g, space, lines: expansions.append((space, lines)) or original(g, space, lines)
+            duality, "_line_images", lambda g, on, lines: expansions.append((on, lines)) or original(g, on, lines)
         )
         checks = 0
         for shape in partitions_up_to(4):
