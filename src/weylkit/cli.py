@@ -200,7 +200,7 @@ _MARKUP = {
 def render_element(x: TableauElement, fmt: str) -> str:
     """Serialize an element: bit-stable JSON, or a human/LaTeX sum."""
     if fmt == "json":
-        return json.dumps(x.to_json())
+        return json.dumps(x.to_json(), check_circular=False)
     if fmt not in _MARKUP:
         raise CliError(f"unknown format {fmt!r}")
     if x.is_zero:
@@ -216,7 +216,13 @@ def render_element(x: TableauElement, fmt: str) -> str:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print a payload as indented JSON.
+
+    Every payload is a tree built fresh for the request, so the encoder
+    skips its cycle check; a cycle would be a bug, and it still ends in a
+    ``RecursionError``, an internal error.
+    """
+    print(json.dumps(obj, indent=2, check_circular=False))
 
 
 def _emit_element(x: TableauElement, args) -> int:

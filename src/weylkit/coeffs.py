@@ -204,6 +204,12 @@ def parse_ring(tag: str) -> CoefficientRing:
     raise InputError(f"unknown ring tag {tag!r}")
 
 
+def _terms_to_json(ring: CoefficientRing, items, label_to_json) -> dict:
+    """The JSON of a linear combination: its ring tag and its ``(label, coeff)`` items, in the order given."""
+    format_coeff = ring.format_coeff
+    return {"ring": ring.tag, "terms": [{"coeff": format_coeff(c), "label": label_to_json(l)} for l, c in items]}
+
+
 def _label_key(label):
     """Deterministic total order on labels: a label's own sort_key if any."""
     return getattr(label, "sort_key", label)
@@ -335,13 +341,7 @@ class LinComb:
         return " + ".join(bits)
 
     def to_json(self, label_to_json) -> dict:
-        return {
-            "ring": self.ring.tag,
-            "terms": [
-                {"coeff": self.ring.format_coeff(c), "label": label_to_json(l)}
-                for l, c in self.items()
-            ],
-        }
+        return _terms_to_json(self.ring, self.items(), label_to_json)
 
     @classmethod
     def from_json(cls, obj: dict, label_from_json) -> "LinComb":

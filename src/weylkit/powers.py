@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cache
 
-from .coeffs import ZZ, CoefficientRing, LinComb
+from .coeffs import ZZ, CoefficientRing, LinComb, _terms_to_json
 from .tableaux import Tableau, from_columns, permutation_sign, sort_columns, sort_rows
 from .places import multiset_permutations, row_orbit
 
@@ -102,7 +102,13 @@ class TableauElement:
         return self.lin.coeff(t)
 
     def items(self):
-        return self.lin.items()
+        """Terms ordered by their labels' rows.
+
+        The labels share one shape, so their rows compare as their reading
+        words do, and this is the order of ``Tableau.sort_key`` that
+        ``LinComb.items`` sorts by, from a cheaper key.
+        """
+        return sorted(self.lin.unordered_items(), key=_label_rows)
 
     def labels(self):
         return self.lin.labels()
@@ -137,9 +143,12 @@ class TableauElement:
         return f"{type(self).__name__}({self.lin!r})"
 
     def to_json(self) -> dict:
-        obj = {"space": self.space}
-        obj.update(self.lin.to_json(Tableau.to_json))
-        return obj
+        """The space, the ring and the terms in the order of :meth:`items`: ``LinComb.to_json``'s bytes."""
+        return {"space": self.space, **_terms_to_json(self.ring, self.items(), Tableau.to_json)}
+
+
+def _label_rows(term) -> tuple:
+    return term[0].rows
 
 
 class TensorElement(TableauElement):
@@ -176,8 +185,12 @@ class ColumnTabloidElement(TableauElement):
 
 
 def rsym(t: Tableau, ring: CoefficientRing = ZZ) -> TensorElement:
-    """Row symmetrisation: the sum of the distinct row rearrangements of t."""
-    return TensorElement(LinComb(ring, ((u, 1) for u in row_orbit(t))))
+    """Row symmetrisation: the sum of the distinct row rearrangements of t.
+
+    The orbit's labels are distinct and share t's shape, so the element is
+    one dict with every coefficient 1, reduced once.
+    """
+    return TensorElement._trusted(LinComb(ring, dict.fromkeys(row_orbit(t), 1)))
 
 
 def to_row_tabloid(x: TensorElement) -> RowTabloidElement:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb
 
 from .coeffs import InputError
@@ -118,7 +118,7 @@ class Tableau:
 
     @property
     def reading_word(self) -> tuple[int, ...]:
-        return tuple(v for row in self.rows for v in row)
+        return tuple(chain.from_iterable(self.rows))
 
     @property
     def sort_key(self):

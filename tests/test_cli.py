@@ -576,6 +576,40 @@ def test_output_kept_when_the_handler_raises(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [target]
 
 
+class CyclicElement(TensorElement):
+    """An element whose JSON holds itself, as a library bug could build it."""
+
+    def to_json(self):
+        obj = super().to_json()
+        obj["terms"].append(obj)
+        return obj
+
+
+def _cyclic_count(*args):
+    loop = []
+    loop.append(loop)
+    return loop
+
+
+# both encoders skip their cycle check, so a cycle ends in a RecursionError: a bug report, not a usage error
+@pytest.mark.parametrize(
+    "patch, argv",
+    [
+        pytest.param("count_tableaux", ["dims", "--shape", "2,1", "--entries", "2"], id="indented"),
+        pytest.param("rsym", ["rsym", "--tableau", "[[1,2]]"], id="element"),
+    ],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_a_payload_with_a_cycle_is_an_internal_error(tmp_path, monkeypatch, capsys, patch, argv, to_file):
+    cyclic = {"count_tableaux": _cyclic_count, "rsym": lambda t, ring: CyclicElement(LinComb(ring, {t: 1}))}
+    monkeypatch.setattr(cli, patch, cyclic[patch])
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, *(["--output", str(target)] if to_file else []), *argv)
+    assert (code, out) == (3, "")
+    assert "internal error: RecursionError" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_library_value_error_is_an_internal_error(monkeypatch, capsys):
     def broken(*args):
         raise ValueError("library bug")
