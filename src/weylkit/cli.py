@@ -198,7 +198,7 @@ _MARKUP = {
 
 
 def render_element(x: TableauElement, fmt: str) -> str:
-    """Serialize an element: bit-stable JSON, or a human/LaTeX sum."""
+    """Serialize an element: bit-stable JSON, without the cycle check as in :func:`_emit`, or a human/LaTeX sum."""
     if fmt == "json":
         return json.dumps(x.to_json(), check_circular=False)
     if fmt not in _MARKUP:

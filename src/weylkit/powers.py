@@ -108,7 +108,7 @@ class TableauElement:
         words do, and this is the order of ``Tableau.sort_key`` that
         ``LinComb.items`` sorts by, from a cheaper key.
         """
-        return sorted(self.lin.unordered_items(), key=_label_rows)
+        return sorted(self.lin.unordered_items(), key=lambda term: term[0].rows)
 
     def labels(self):
         return self.lin.labels()
@@ -145,10 +145,6 @@ class TableauElement:
     def to_json(self) -> dict:
         """The space, the ring and the terms in the order of :meth:`items`: ``LinComb.to_json``'s bytes."""
         return {"space": self.space, **_terms_to_json(self.ring, self.items(), Tableau.to_json)}
-
-
-def _label_rows(term) -> tuple:
-    return term[0].rows
 
 
 class TensorElement(TableauElement):
