@@ -240,6 +240,14 @@ class LinComb:
             self._terms = {l: c for l, c in tally.items() if c != 0}
 
     @classmethod
+    def _reduced(cls, ring: CoefficientRing, terms: dict) -> "LinComb":
+        """Internal constructor skipping reduction: ``terms`` already canonical in the ring, nonzero, and not shared."""
+        self = cls.__new__(cls)
+        self.ring = ring
+        self._terms = terms
+        return self
+
+    @classmethod
     def zero(cls, ring: CoefficientRing) -> "LinComb":
         return cls(ring)
 
@@ -315,12 +323,12 @@ class LinComb:
         return LinComb.linear_combination(self.ring, ((c, f(label)) for label, c in self._terms.items()))
 
     def change_ring(self, target: CoefficientRing) -> "LinComb":
-        """Push integral coefficients through the canonical map Z -> target."""
+        """Push integral coefficients through the canonical map Z -> target, reducing each once."""
         if self.ring.kind != "z":
             raise ValueError("only integral elements can change ring")
         if target == self.ring:
             return self
-        return LinComb(target, {l: target.from_int(c) for l, c in self._terms.items()})
+        return LinComb(target, self._terms)
 
     def __eq__(self, other):
         return (

@@ -7,7 +7,10 @@ functional's value on the polytabloid e_u.  For the functional dual to the
 row tabloid of t, that value is the coefficient of t's row tabloid in e_u:
 entry (t, u) of the polytabloid matrix, whose column u is e_u over the
 row-tabloid labels.  So the images of all the duals are the rows of that
-matrix, and one transposition per (shape, m) gives each of them.  For
+matrix, and one transposition per (shape, m) gives each of them.  Each
+row is kept as one ``LinComb`` over Z, immutable, so every image over Z of
+its row tabloid is that row itself, and an image over another ring reduces
+it once.  No tableau is built for t: its rows, sorted, are the key.  For
 row-sorted t the image coincides with the copolytabloid of t, which
 ``pairing_image`` makes checkable instance by instance.  The functional
 dual to the polytabloid of a semistandard t is read the same way, off the
@@ -106,7 +109,6 @@ from .tableaux import (
     enumerate_tableaux,
     from_word,
     line_order_key,
-    sort_rows,
 )
 from .weyl import copolytabloid
 
@@ -395,21 +397,23 @@ class DualFunctional:
 
 @cache
 def _pairing_rows(shape: tuple[int, ...], max_entry: int) -> dict:
-    """The polytabloid matrix of (shape, max_entry), transposed: {rows of a row tabloid s: {u: coeff}}.
+    """The polytabloid matrix of (shape, max_entry), transposed: {rows of a row tabloid s: LinComb over Z of u}.
 
     Entry (s, u) is the integer coefficient of s in the polytabloid of the
     column-standard u, read off the line form of u's polytabloid; only the
-    nonzero entries are kept.
+    nonzero entries are kept.  Each row is one immutable ``LinComb`` over
+    Z, which every pairing image over Z of that row tabloid shares.
     """
     rows: dict[tuple[tuple[int, ...], ...], dict[Tableau, int]] = {}
     for u in enumerate_tableaux(shape, max_entry, COLUMN_STANDARD):
         for s, c in _polytabloid_int(u.columns).items():
             rows.setdefault(s, {})[u] = c
-    return rows
+    return {s: LinComb._reduced(ZZ, row) for s, row in rows.items()}
 
 
-def _check_alphabet(t: Tableau, max_entry: int) -> None:
-    if t.max_entry > max_entry:
+def _check_alphabet(top: int, max_entry: int) -> None:
+    """Refuse a tableau whose largest entry, ``top``, is outside {1..max_entry}."""
+    if top > max_entry:
         raise InputError("tableau entries exceed the alphabet")
 
 
@@ -417,13 +421,15 @@ def pairing_image(t: Tableau, max_entry: int, ring: CoefficientRing = ZZ) -> Col
     """Image in the exterior power of the functional dual to t's row tabloid.
 
     The coefficient of each column-standard u is the coefficient of t's
-    row tabloid in the polytabloid of u (see the module docstring), read
-    off t's row of the transposed polytabloid matrix over Z and reduced
-    into the ring.  For row-sorted t this equals the copolytabloid of t.
+    row tabloid in the polytabloid of u (see the module docstring): t's
+    row of the transposed polytabloid matrix, keyed by t's rows sorted.
+    Over Z that row is the image itself, and over any other ring it is
+    reduced once.  For row-sorted t this equals the copolytabloid of t.
     """
-    canon = sort_rows(t)
-    _check_alphabet(canon, max_entry)
-    return ColumnTabloidElement._trusted(LinComb(ring, _pairing_rows(canon.shape, max_entry).get(canon.rows, {})))
+    rows = tuple([tuple(sorted(row)) for row in t.rows])
+    _check_alphabet(max([row[-1] for row in rows], default=0), max_entry)
+    image = _pairing_rows(t.shape, max_entry).get(rows)
+    return ColumnTabloidElement._trusted(LinComb(ring) if image is None else image.change_ring(ring))
 
 
 def _dual_coordinates(shape: tuple[int, ...], max_entry: int) -> dict:
@@ -461,7 +467,7 @@ def polytabloid_dual_image(t: Tableau, max_entry: int) -> ColumnTabloidElement:
     """
     if not t.is_semistandard:
         raise ValueError("polytabloid duals are indexed by semistandard tableaux")
-    _check_alphabet(t, max_entry)
+    _check_alphabet(t.max_entry, max_entry)
     return ColumnTabloidElement(LinComb(QQ, _dual_coordinates(t.shape, max_entry).get(t, {})))
 
 

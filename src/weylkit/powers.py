@@ -65,9 +65,14 @@ class TableauElement:
 
     @classmethod
     def _on_lines(cls, ring: CoefficientRing, shape: tuple[int, ...], terms: dict):
-        """The element of ``{lines: coeff}`` in the ring, labelling only the terms that reduce to nonzero."""
+        """The element of ``{lines: coeff}`` in the ring, labelling only the terms that reduce to nonzero.
+
+        Each coefficient is reduced once, here, and the reduced terms go to
+        ``LinComb`` unchecked.
+        """
         label, normalize = cls._label, ring.normalize
-        return cls._trusted(LinComb(ring, {label(shape, lines): c for lines, c in terms.items() if normalize(c)}))
+        terms = {label(shape, lines): v for lines, c in terms.items() if (v := normalize(c)) != 0}
+        return cls._trusted(LinComb._reduced(ring, terms))
 
     @classmethod
     def _trusted(cls, lin: LinComb):

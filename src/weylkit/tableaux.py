@@ -18,6 +18,7 @@ import enum
 from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb
+from operator import attrgetter
 
 from .coeffs import InputError
 
@@ -190,13 +191,6 @@ class OrderVerdict(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _content_counts(line) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for v in line:
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
 def line_order_key(lines, max_entry: int) -> tuple:
     """Sort key whose natural order agrees with the row order on the rows of labels of one shape.
 
@@ -205,8 +199,7 @@ def line_order_key(lines, max_entry: int) -> tuple:
     largest differing entry and the first line where it differs.  On the
     columns it gives the column order.
     """
-    counts = [_content_counts(line) for line in lines]
-    return tuple(c.get(v, 0) for v in range(max_entry, 0, -1) for c in counts)
+    return tuple([line.count(v) for v in range(max_entry, 0, -1) for line in lines])
 
 
 def row_order_key(t: Tableau, max_entry: int) -> tuple:
@@ -371,7 +364,13 @@ def _check_request(shape, max_entry: int, kind: str) -> tuple[int, ...]:
 
 @cache
 def enumerate_tableaux(shape, max_entry: int, kind: str = ALL) -> tuple[Tableau, ...]:
-    """All tableaux of the shape with entries in {1..max_entry}, in reading-word order."""
+    """All tableaux of the shape with entries in {1..max_entry}, in reading-word order.
+
+    Every generator but the column-standard one yields that order already:
+    it fills the boxes, or picks each row's entries, first to last in
+    increasing order.  The column-standard labels are sorted by their rows,
+    which on one shape compare as their reading words do.
+    """
     shape = _check_request(shape, max_entry, kind)
     gen = {
         ALL: _iter_all,
@@ -379,9 +378,8 @@ def enumerate_tableaux(shape, max_entry: int, kind: str = ALL) -> tuple[Tableau,
         COLUMN_STANDARD: _iter_column_standard,
         SEMISTANDARD: _iter_semistandard,
     }[kind]
-    out = list(gen(shape, max_entry))
-    out.sort(key=lambda t: t.sort_key)
-    return tuple(out)
+    out = gen(shape, max_entry)
+    return tuple(sorted(out, key=attrgetter("rows")) if kind == COLUMN_STANDARD else out)
 
 
 def count_tableaux(shape, max_entry: int, kind: str = ALL) -> int:

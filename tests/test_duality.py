@@ -417,14 +417,20 @@ class TestPairing:
 
 
 def drop_one_sign(table):
-    """A copy of a transposed table with the first negative coefficient made positive."""
+    """A copy of a transposed table with the first negative coefficient made positive.
+
+    The table's rows are dicts or ``LinComb``s over Z, and the copy's rows
+    are of the same type.
+    """
 
     def mutant(shape, max_entry):
-        rows = {s: dict(row) for s, row in table(shape, max_entry).items()}
-        for row in rows.values():
-            for u, c in row.items():
+        rows = dict(table(shape, max_entry))
+        for s, row in rows.items():
+            terms = dict(row.unordered_items() if isinstance(row, LinComb) else row)
+            for u, c in terms.items():
                 if c < 0:
-                    row[u] = -c
+                    terms[u] = -c
+                    rows[s] = LinComb(ZZ, terms) if isinstance(row, LinComb) else terms
                     return rows
         return rows
 
@@ -466,6 +472,60 @@ class TestPerLabelOracles:
     def test_a_reduction_that_drops_a_sign_is_caught(self, monkeypatch):
         monkeypatch.setattr(duality, "_dual_coordinates", drop_one_sign(duality._dual_coordinates))
         assert next(dual_image_mismatches(), None) is not None
+
+
+def image_arithmetic(x):
+    """Every arithmetic a caller may do on an element, whose results are dropped."""
+    return x + x, x - x, x.scaled(-3), x.change_ring(QQ)
+
+
+# every (shape, m) with |shape| <= 4 at m <= 3
+SHARED_ROW_CASES = [(shape, m) for shape in partitions_up_to(4) for m in (1, 2, 3)]
+
+
+class TestSharedRows:
+    """A pairing image over Z is its cached row itself, so what a caller does with it must not reach the cache."""
+
+    def test_an_image_over_z_is_its_row_of_the_table(self):
+        t = T([[1, 2], [1]])
+        assert pairing_image(t, 2).lin is pairing_image(T([[2, 1], [1]]), 2).lin
+        assert pairing_image(t, 2, QQ).lin is not pairing_image(t, 2, QQ).lin
+
+    @pytest.mark.parametrize("image", [pairing_image, lambda t, m: copolytabloid(t)], ids=["pairing", "copolytabloid"])
+    def test_arithmetic_on_an_image_leaves_the_next_call_unchanged(self, image):
+        for shape, m in SHARED_ROW_CASES:
+            for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
+                first = image(t, m)
+                sums = image_arithmetic(first)
+                assert sums[0] == first.scaled(2) and sums[1].is_zero and sums[2] == first.scaled(-3)
+                assert sums[3] == ColumnTabloidElement(LinComb(QQ, dict(first.lin.unordered_items())))
+                assert image(t, m) == oracle.pairing_image(t, m) == first
+
+    def test_arithmetic_on_the_images_leaves_the_table_unchanged(self):
+        shape, m = (2, 2), 3
+        before = {s: dict(row.unordered_items()) for s, row in duality._pairing_rows(shape, m).items()}
+        for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
+            image_arithmetic(pairing_image(t, m))
+        assert {s: dict(row.unordered_items()) for s, row in duality._pairing_rows(shape, m).items()} == before
+
+    def test_a_label_with_unsorted_rows_has_its_row_class_image(self):
+        for shape, m in SHARED_ROW_CASES:
+            for t in enumerate_tableaux(shape, m, ROW_SEMISTANDARD):
+                for rows in product(*(sorted(set(iperms(row))) for row in t.rows)):
+                    for tag in ("z", "zmod:6"):
+                        assert pairing_image(T(rows), m, parse_ring(tag)) == oracle.pairing_image(t, m, parse_ring(tag))
+
+    @pytest.mark.parametrize("rows", [[[3, 1], [2]], [[1, 2], [3, 1]], [[2, 2], [1]]])
+    def test_an_entry_outside_the_alphabet_gives_the_same_error(self, rows):
+        # the largest entry is checked on the sorted rows, wherever it stands in the unsorted ones
+        m = max(map(max, rows)) - 1
+        with pytest.raises(InputError) as caught:
+            pairing_image(T(rows), m)
+        assert str(caught.value) == "tableau entries exceed the alphabet"
+
+    def test_the_empty_shape(self):
+        for m in (1, 2):
+            assert pairing_image(T([]), m) == oracle.pairing_image(T([]), m) == copolytabloid(T([]))
 
 
 class TestPolytabloidDualImage:

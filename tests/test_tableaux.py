@@ -1,8 +1,11 @@
 from collections import Counter
+from itertools import product
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import weylkit.tableaux as tableaux
 from weylkit.coeffs import InputError
 from weylkit.tableaux import (
     ALL,
@@ -20,6 +23,7 @@ from weylkit.tableaux import (
     diagram_boxes,
     enumerate_tableaux,
     from_word,
+    line_order_key,
     partitions_up_to,
     permutation_sign,
     row_order_key,
@@ -124,6 +128,46 @@ class TestTableau:
             t.rows = ((2,),)
 
 
+def content_count_key(lines, max_entry):
+    """``line_order_key`` from one dict of content counts per line, as it was first written: its oracle."""
+    counts = []
+    for line in lines:
+        count = {}
+        for v in line:
+            count[v] = count.get(v, 0) + 1
+        counts.append(count)
+    return tuple(count.get(v, 0) for v in range(max_entry, 0, -1) for count in counts)
+
+
+# the defining predicate of each class
+CLASS_PREDICATES = {
+    ALL: lambda t: True,
+    ROW_SEMISTANDARD: attrgetter("is_row_semistandard"),
+    COLUMN_STANDARD: attrgetter("is_column_standard"),
+    SEMISTANDARD: attrgetter("is_semistandard"),
+}
+
+
+def brute_force_enumeration(shape, m, kind):
+    """Every word of the alphabet filled into the shape row by row, kept by the class's predicate, by sort_key."""
+    fillings = []
+    for word in product(range(1, m + 1), repeat=sum(shape)):
+        entries = iter(word)
+        fillings.append(T([[next(entries) for _ in range(k)] for k in shape]))
+    return sorted(filter(CLASS_PREDICATES[kind], fillings), key=attrgetter("sort_key"))
+
+
+def enumeration_mismatches(enumerate_):
+    """The (shape, m, kind) with |shape| <= 5 and m <= 3 on which ``enumerate_`` differs from the brute force."""
+    return [
+        (shape, m, kind)
+        for shape in partitions_up_to(5)
+        for m in (1, 2, 3)
+        for kind in CLASS_PREDICATES
+        if list(enumerate_(shape, m, kind)) != brute_force_enumeration(shape, m, kind)
+    ]
+
+
 class TestEnumeration:
     def brute(self, shape, m, predicate):
         return [t for t in enumerate_tableaux(shape, m, ALL) if predicate(t)]
@@ -151,6 +195,23 @@ class TestEnumeration:
         for shape, m in cases:
             for kind, pred in predicates.items():
                 assert list(enumerate_tableaux(shape, m, kind)) == self.brute(shape, m, pred)
+
+    def test_every_class_is_the_sorted_brute_force(self):
+        assert enumeration_mismatches(enumerate_tableaux) == []
+
+    def test_column_standard_labels_left_unsorted_are_caught(self):
+        def unsorted(shape, m, kind):
+            if kind == COLUMN_STANDARD:
+                return tuple(tableaux._iter_column_standard(shape, m))
+            return enumerate_tableaux(shape, m, kind)
+
+        assert ((2, 1), 3, COLUMN_STANDARD) in enumeration_mismatches(unsorted)
+
+    def test_a_generator_out_of_reading_word_order_is_caught(self, monkeypatch):
+        # only the column-standard labels are sorted, so the other generators' own order is what a caller sees
+        original = tableaux._iter_row_semistandard
+        monkeypatch.setattr(tableaux, "_iter_row_semistandard", lambda shape, m: reversed(list(original(shape, m))))
+        assert ((2,), 2, ROW_SEMISTANDARD) in enumeration_mismatches(enumerate_tableaux.__wrapped__)
 
     def test_sorted_and_duplicate_free(self):
         for kind in (ALL, ROW_SEMISTANDARD, COLUMN_STANDARD, SEMISTANDARD):
@@ -252,6 +313,14 @@ class TestOrders:
                     assert (rv is OrderVerdict.INCOMPARABLE) == (rk[0] == rk[1])
                     assert (cv is OrderVerdict.LESS) == (ck[0] < ck[1])
                     assert (cv is OrderVerdict.INCOMPARABLE) == (ck[0] == ck[1])
+
+
+def test_line_order_key_counts_as_the_content_dicts_do():
+    for shape in partitions_up_to(5):
+        for m in (1, 2, 3, 4):
+            for t in enumerate_tableaux(shape, m, ALL):
+                for lines in (t.rows, t.columns):
+                    assert line_order_key(lines, m) == content_count_key(lines, m), lines
 
 
 def cycle_count(p) -> int:
